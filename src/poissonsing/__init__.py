@@ -6,7 +6,7 @@ phi = 0.  When phi is weight homogeneous with an isolated singularity at the
 origin, all Poisson cohomology and homology spaces of both algebras are
 finitely described by the Jacobian quotient of phi; this package builds
 those descriptions and verifies them degree by degree with exact linear
-algebra over the rationals.
+algebra over the rationals (in integers when phi has integer coefficients).
 """
 
 from .cohomology import (
@@ -21,6 +21,7 @@ from .cohomology import (
     surface_closed_form,
 )
 from .homology import (
+    BridgeMismatch,
     ChainSpaceModel,
     ambient_homology_description,
     chain_space_model,
@@ -58,6 +59,7 @@ from .vectorcalc import VecPoly, cross, curl, divergence, dot, euler_field, grad
 __version__ = "0.1.0"
 
 __all__ = [
+    "BridgeMismatch",
     "ChainSpaceModel",
     "CheckResult",
     "DegreeMismatch",

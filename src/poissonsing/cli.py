@@ -82,18 +82,29 @@ def _structure(args) -> PoissonStructure:
 
 
 def _window(args, P: PoissonStructure) -> ch.Window:
+    """The default window with the user's bounds applied; a window without
+    a degree would make every check vacuous, so it is refused."""
     lo, hi = ch.default_window(P)
     if args.min_degree is not None:
         lo = args.min_degree
     if args.max_degree is not None:
         hi = args.max_degree
+    if lo > hi:
+        raise ValueError("empty degree window: min-degree %d exceeds max-degree %d"
+                         % (lo, hi))
     return (lo, hi)
+
+
+def _cases(args) -> int:
+    if args.cases < 1:
+        raise ValueError("--cases must be at least 1, got %d" % args.cases)
+    return args.cases
 
 
 def cmd_analyze(args) -> int:
     P = _structure(args)
     report, code = build_report(
-        args.phi, P, window=_window(args, P), seed=args.seed, cases=args.cases
+        args.phi, P, window=_window(args, P), seed=args.seed, cases=_cases(args)
     )
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -116,7 +127,7 @@ def cmd_verify(args) -> int:
     P = _structure(args)
     try:
         results = run_suite(
-            P, args.suite, window=_window(args, P), seed=args.seed, cases=args.cases
+            P, args.suite, window=_window(args, P), seed=args.seed, cases=_cases(args)
         )
     except NotIsolated as exc:
         print("rejected by the gate: %s" % exc, file=sys.stderr)

@@ -274,6 +274,7 @@ def surface_cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
     return ambient - quotient
 
 
+@lru_cache(maxsize=None)
 def surface_cohomology_dim(P: PoissonStructure, k: int, i: int) -> int:
     """dim H^k of A/<phi> at derivation degree i.
 

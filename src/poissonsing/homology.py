@@ -19,6 +19,7 @@ u_1, ..., u_{mu-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cohomology import (
     FINITE,
@@ -44,6 +45,11 @@ from .poisson import PoissonStructure
 from .vectorcalc import euler_field, grad
 
 
+class BridgeMismatch(RuntimeError):
+    """A boundary matrix differs from the signed coboundary matrix it should
+    equal; the message names k and the form degree."""
+
+
 def default_form_window(P: PoissonStructure) -> Window:
     from .cohomology import default_window
 
@@ -66,14 +72,15 @@ def homology_dims(
     """dim H_k at each form degree in the window, via the degree shift.
 
     With verify=True the boundary matrices are compared entrywise against
-    the shifted coboundary matrices on the whole window first.
+    the shifted coboundary matrices on the whole window first, and the first
+    degree where they differ raises BridgeMismatch.
     """
     lo, hi = window
     s = P.weight_sum
     if verify and k in (1, 2, 3):
         for i in range(lo, hi + 1):
             if not duality_identity_holds(P, k, i):
-                raise RuntimeError(
+                raise BridgeMismatch(
                     "boundary/coboundary identity failed at k=%d, form degree %d"
                     % (k, i)
                 )
@@ -159,6 +166,7 @@ def surface_homology_description(
     return ModuleDescription("H_%d_surface" % k, "F", None, tuple(gens))
 
 
+@lru_cache(maxsize=None)
 def surface_homology_dim(P: PoissonStructure, k: int, i: int) -> int:
     """dim H_k of A/<phi> at form degree i, from the chain-space presentation.
 

@@ -4,9 +4,11 @@ The graded pieces of the multiderivation spaces X^k and of the Kahler form
 spaces Omega^k over A = F[x,y,z] are finite dimensional; their bases are
 monomials placed in a single component, enumerated in the fixed monomial
 order (component 1 < 2 < 3).  Operators between graded pieces become exact
-rational matrices, and all dimension counts reduce to ranks, kernels and
-cokernels computed by integer row reduction (rows kept primitive via gcd
-normalization, so no rounding and no coefficient blowup in practice).
+sparse matrices, with ``int`` entries whenever phi has integer coefficients
+(``Fraction`` entries appear only for a non-integral phi), and all dimension
+counts reduce to ranks, kernels and cokernels computed by fraction-free
+integer row reduction (rows kept primitive via gcd normalization, so no
+rounding and no coefficient blowup in practice).
 
 Degree bookkeeping: a vector (f1,f2,f3) of derivation degree i has component
 degrees i+w_j in X^1 and i+|w|-w_j in X^2; form degrees run the other way
@@ -21,10 +23,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
-from .poly import Monomial, Poly, WeightSystem, monomials_of_degree
+from .poly import Monomial, Poly, Scalar, WeightSystem, monomials_of_degree
 from .vectorcalc import VecPoly
 
-Vector = dict[int, Fraction]
+# Sparse coordinates; the entries are ints unless phi has a non-integral
+# coefficient.
+Vector = dict[int, Scalar]
 Cochain = Union[Poly, VecPoly]
 
 SCALAR_KINDS = frozenset({"A", "X0", "X3", "Omega0", "Omega3"})
@@ -172,19 +176,13 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def to_int_vector(vec: Vector) -> dict[int, int]:
-    """Clear denominators (column scaling preserves span and rank)."""
-    if not vec:
-        return {}
-    lcm = 1
-    for c in vec.values():
-        d = c.denominator if isinstance(c, Fraction) else 1
-        lcm = lcm * d // math.gcd(lcm, d)
-    out = {}
-    for k, c in vec.items():
-        v = int(c * lcm) if isinstance(c, Fraction) else c * lcm
-        if v:
-            out[k] = v
-    return _primitive(out)
+    """Primitive integer multiple of vec, zero entries dropped; denominators
+    are cleared only when a Fraction is present (column scaling preserves
+    span and rank)."""
+    if Fraction in map(type, vec.values()):
+        lcm = math.lcm(*(c.denominator for c in vec.values()))
+        vec = {k: int(c * lcm) for k, c in vec.items()}
+    return _primitive({k: c for k, c in vec.items() if c})
 
 
 class Echelon:
@@ -221,7 +219,7 @@ class Echelon:
         return row
 
     def insert(self, vec: Vector) -> bool:
-        """Add a rational vector to the span; True if the rank grew."""
+        """Add an exact vector to the span; True if the rank grew."""
         row = self._reduced(to_int_vector(vec))
         if not row:
             return False
@@ -267,10 +265,10 @@ def kernel_of_columns(columns: Sequence[Vector], rows: int) -> list[Vector]:
     kernel: list[Vector] = []
     for j, col in enumerate(columns):
         aug = dict(col)
-        aug[rows + j] = Fraction(1)
+        aug[rows + j] = 1
         res = ech.insert_int(to_int_vector(aug))
         if res is not None and min(res) >= rows:
-            kernel.append({k - rows: Fraction(v) for k, v in res.items()})
+            kernel.append({k - rows: v for k, v in res.items()})
     return kernel
 
 
@@ -283,7 +281,8 @@ class GradedOperatorMatrix:
     """Exact matrix of a linear operator between two graded bases.
 
     Column j holds the target coordinates of the operator applied to source
-    basis element j.  Stored sparsely; entries are Fractions.
+    basis element j.  Stored sparsely; entries are exact scalars (ints for an
+    integral phi).
     """
 
     def __init__(self, source: GradedBasis, target: GradedBasis, columns: Sequence[Vector]):
@@ -306,10 +305,10 @@ class GradedOperatorMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.target.dim, self.source.dim)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.columns[j].get(i, Fraction(0))
+    def entry(self, i: int, j: int) -> Scalar:
+        return self.columns[j].get(i, 0)
 
-    def to_dense(self) -> list[list[Fraction]]:
+    def to_dense(self) -> list[list[Scalar]]:
         m, n = self.shape
         return [[self.entry(i, j) for j in range(n)] for i in range(m)]
 
@@ -328,7 +327,7 @@ class GradedOperatorMatrix:
         ech = Echelon()
         for col in self.columns:
             ech.insert(col)
-        return [{k: Fraction(v) for k, v in row.items()} for row in ech.rows()]
+        return ech.rows()
 
     def cokernel_representatives(self) -> list[tuple[int, Cochain]]:
         """Target basis cochains spanning target/image, greedy in basis order."""
@@ -337,7 +336,7 @@ class GradedOperatorMatrix:
             ech.insert(col)
         chosen: list[tuple[int, Cochain]] = []
         for t in range(self.target.dim):
-            e_t = {t: Fraction(1)}
+            e_t = {t: 1}
             if not ech.contains(e_t):
                 chosen.append((t, self.target.element(t)))
                 ech.insert(e_t)
@@ -360,10 +359,7 @@ class GradedOperatorMatrix:
             cols.append(acc)
         return GradedOperatorMatrix(inner.source, self.target, cols)
 
-    def __matmul__(self, inner: "GradedOperatorMatrix") -> "GradedOperatorMatrix":
-        return self.compose(inner)
-
-    def scaled(self, c: Fraction | int) -> "GradedOperatorMatrix":
+    def scaled(self, c: Scalar) -> "GradedOperatorMatrix":
         return GradedOperatorMatrix(
             self.source, self.target, [{k: v * c for k, v in col.items()} for col in self.columns]
         )
@@ -381,7 +377,7 @@ def matrix_of(
 
 
 def identity_matrix(basis: GradedBasis) -> GradedOperatorMatrix:
-    cols = [{j: Fraction(1)} for j in range(basis.dim)]
+    cols = [{j: 1} for j in range(basis.dim)]
     return GradedOperatorMatrix(basis, basis, cols)
 
 
@@ -394,12 +390,3 @@ def offset_vector(vec: Vector, offset: int) -> Vector:
     if not offset:
         return dict(vec)
     return {k + offset: v for k, v in vec.items()}
-
-
-def stacked_rank(column_groups: Sequence[Sequence[Vector]]) -> int:
-    """Rank of the matrix whose columns are the concatenation of the groups."""
-    ech = Echelon()
-    for group in column_groups:
-        for col in group:
-            ech.insert(col)
-    return ech.rank

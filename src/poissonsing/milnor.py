@@ -18,7 +18,6 @@ origin and is checked first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import Echelon, basis_of
@@ -116,7 +115,7 @@ def _quotient_monomials(phi: Poly, w: WeightSystem, i: int, d: int) -> list[Mono
         ech.insert(col)
     kept: list[Monomial] = []
     for j, m in enumerate(target.monomials[0]):
-        e_j = {j: Fraction(1)}
+        e_j = {j: 1}
         if not ech.contains(e_j):
             kept.append(m)
             ech.insert(e_j)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .linalg import GradedOperatorMatrix, basis_of, matrix_of
 from .poisson import PoissonStructure
-from .poly import Poly, WeightSystem
+from .poly import WeightSystem
 from .vectorcalc import cross, curl, divergence, dot, grad
 
 
@@ -57,13 +57,7 @@ def mult_phi_matrix(P: PoissonStructure, kind: str, i: int) -> GradedOperatorMat
     src = basis_of(kind, i, P.weights)
     tgt = basis_of(kind, i + P.degree, P.weights)
     phi = P.phi
-
-    def op(c):
-        if isinstance(c, Poly):
-            return c * phi
-        return c * phi
-
-    return matrix_of(op, src, tgt)
+    return matrix_of(lambda c: c * phi, src, tgt)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,11 @@
 """Exact polynomial arithmetic in the three variables x, y, z over the rationals.
 
 A polynomial is a finite map from exponent triples (a, b, c), meaning
-x^a y^b z^c, to nonzero ``Fraction`` coefficients.  Everything is exact; no
-floating point is used anywhere in this package.
+x^a y^b z^c, to nonzero exact rational coefficients.  The constructor stores
+an integral coefficient as a plain ``int`` and only a non-integral one as a
+``Fraction``; the two mix exactly, so a polynomial with integer coefficients
+computes in integers throughout.  No floating point is used anywhere in this
+package.
 
 A :class:`WeightSystem` assigns positive coprime weights to x, y, z and turns
 the polynomial ring into a graded algebra: the weighted degree of a monomial
@@ -112,10 +115,13 @@ class Poly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
                 if c:
                     clean[m] = c
         self._terms = clean
@@ -129,38 +135,38 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls({(0, 0, 0): Fraction(1)})
+        return cls({(0, 0, 0): 1})
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
-        return cls({(0, 0, 0): Fraction(c)})
+        return cls({(0, 0, 0): c})
 
     @classmethod
     def monomial(cls, m: Monomial, c: Scalar = 1) -> "Poly":
         if any(e < 0 for e in m):
             raise ValueError("monomial exponents must be non-negative")
-        return cls({m: Fraction(c)})
+        return cls({m: c})
 
     @classmethod
     def variable(cls, index: int) -> "Poly":
         exps = [0, 0, 0]
         exps[index] = 1
-        return cls({tuple(exps): Fraction(1)})  # type: ignore[dict-item]
+        return cls({tuple(exps): 1})  # type: ignore[dict-item]
 
     # -- introspection -----------------------------------------------------
 
     @property
-    def terms(self) -> dict[Monomial, Fraction]:
+    def terms(self) -> dict[Monomial, Scalar]:
         """The term map; treat as read-only."""
         return self._terms
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
+    def coefficient(self, m: Monomial) -> Scalar:
+        return self._terms.get(m, 0)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Monomial, Scalar]]:
         return iter(self._terms.items())
 
     def __len__(self) -> int:
@@ -209,7 +215,7 @@ class Poly:
             return Poly._raw({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for (a1, b1, c1), ca in self._terms.items():
             for (a2, b2, c2), cb in other._terms.items():
                 m = (a1 + a2, b1 + b2, c1 + c2)
@@ -239,7 +245,7 @@ class Poly:
 
     def partial(self, index: int) -> "Poly":
         """Formal partial derivative with respect to x, y, or z (index 0,1,2)."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m, c in self._terms.items():
             e = m[index]
             if e:
@@ -249,7 +255,7 @@ class Poly:
         return Poly._raw(out)
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Fraction]) -> "Poly":
+    def _raw(cls, terms: dict[Monomial, Scalar]) -> "Poly":
         p = cls.__new__(cls)
         p._terms = terms
         p._hash = None
@@ -305,7 +311,7 @@ def weighted_degree(f: Poly, w: WeightSystem):
 
 def graded_components(f: Poly, w: WeightSystem) -> dict[int, Poly]:
     """Split f into its weight-homogeneous components, keyed by degree."""
-    buckets: dict[int, dict[Monomial, Fraction]] = {}
+    buckets: dict[int, dict[Monomial, Scalar]] = {}
     for m, c in f.terms.items():
         buckets.setdefault(w.monomial_degree(m), {})[m] = c
     return {d: Poly._raw(t) for d, t in sorted(buckets.items())}
@@ -420,7 +426,7 @@ def _parse_var_power(sc: _Scanner) -> tuple[int, int]:
 
 
 def _parse_term(sc: _Scanner) -> Poly:
-    coeff = Fraction(1)
+    coeff: Scalar = 1
     have_coeff = False
     if sc.peek().isdigit():
         num = sc.read_integer()
@@ -431,7 +437,7 @@ def _parse_term(sc: _Scanner) -> Poly:
                 raise PolyParseError("zero denominator", sc.pos)
             coeff = Fraction(num, den)
         else:
-            coeff = Fraction(num)
+            coeff = num
         have_coeff = True
         if sc.peek() == "*":
             sc.advance()
@@ -455,7 +461,7 @@ def _parse_term(sc: _Scanner) -> Poly:
     return Poly.constant(coeff)
 
 
-def _parse_factors(sc: _Scanner, coeff: Fraction, exps: list[int]) -> Poly:
+def _parse_factors(sc: _Scanner, coeff: Scalar, exps: list[int]) -> Poly:
     while sc.peek() == "*":
         sc.advance()
         idx, e = _parse_var_power(sc)

@@ -182,7 +182,7 @@ def build_report(
         try:
             computed = hm.homology_dims(P, k, form_window, verify=True)
             bridge_ok = True
-        except RuntimeError:
+        except hm.BridgeMismatch:
             computed = hm.homology_dims(P, k, form_window, verify=False)
             bridge_ok = False
         entry = _space_entry(

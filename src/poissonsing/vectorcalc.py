@@ -70,9 +70,6 @@ class VecPoly:
         return "VecPoly(%s, %s, %s)" % self.components
 
 
-ZERO_VEC = VecPoly.zero()
-
-
 def grad(f: Poly) -> VecPoly:
     return VecPoly((f.partial(0), f.partial(1), f.partial(2)))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 
 from poissonsing.cli import main
 from poissonsing.report import SCHEMA_KEYS
@@ -108,6 +109,31 @@ class TestAnalyzeCommand:
         assert report["cohomology"]["ambient"]["H0"]["window"] == [-2, 5]
         assert report["homology"]["ambient"]["H_0"]["window"] == [1, 8]
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--phi", "x^3+y^3+z^3", "--min-degree", "5", "--max-degree", "2"),
+        ("verify", "--phi", "x^3+y^3+z^3", "--suite", "identities", "--cases", "-5"),
+    ])
+    def test_vacuous_runs_are_invalid(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "invalid input:" in err
+
+    def test_rational_phi_gives_the_integral_dims(self, capsys):
+        args = ("--max-degree", "6", "--cases", "20")
+        tables = []
+        for phi in ("1/2*x^3+1/2*y^3+1/2*z^3", "x^3+y^3+z^3"):
+            code, out, _ = run(capsys, "analyze", "--phi", phi, *args)
+            assert code == 0
+            report = json.loads(out)
+            tables.append({
+                (block, side, space): entry["computed"]
+                for block in ("cohomology", "homology")
+                for side, spaces in report[block].items()
+                for space, entry in spaces.items()
+            })
+        assert len(tables[0]) == 16
+        assert tables[0] == tables[1]
+
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         # force a wrong computed table to exercise the exit-4 path
         from poissonsing import cohomology as ch
@@ -130,25 +156,26 @@ class TestAnalyzeCommand:
         assert "first mismatch: cohomology/ambient/H0" in err
         assert json.loads(out)["cohomology"]["ambient"]["H0"]["match"] is False
 
-    def test_boundary_bridge_failure_is_a_mismatch(self, capsys, monkeypatch):
-        from poissonsing import report as rp
+    def test_boundary_bridge_failure_is_a_mismatch(self, capsys, monkeypatch, sphere):
+        from poissonsing import homology as hm
 
-        real = rp.hm.homology_dims
+        real = hm.duality_identity_holds
 
-        def failing(P, k, window, verify=True):
-            if verify:
-                raise RuntimeError("forced bridge failure")
-            return real(P, k, window, verify=False)
+        def failing(P, k, i):
+            return not (k == 1 and i == 2) and real(P, k, i)
 
-        monkeypatch.setattr(rp.hm, "homology_dims", failing)
+        monkeypatch.setattr(hm, "duality_identity_holds", failing)
+        with pytest.raises(hm.BridgeMismatch, match="k=1, form degree 2"):
+            hm.homology_dims(sphere, 1, (0, 7))
         code, out, err = run(
             capsys, "analyze", "--phi", "x^2+y^2+z^2",
             "--max-degree", "4", "--cases", "10",
         )
         assert code == 4
         report = json.loads(out)
-        assert report["homology"]["ambient"]["H_0"]["boundary_bridge"] == "failed"
-        assert "first mismatch: homology/ambient/H_0" in err
+        assert report["homology"]["ambient"]["H_1"]["boundary_bridge"] == "failed"
+        assert "boundary_bridge" not in report["homology"]["ambient"]["H_2"]
+        assert "first mismatch: homology/ambient/H_1" in err
 
 
 class TestVerifyCommand:

@@ -44,6 +44,12 @@ class TestParse:
         p = parse_poly("3/4*x^2*y - 1/4*x^2*y")
         assert p == Poly.monomial((2, 1, 0), Fraction(1, 2))
 
+    def test_integral_coefficients_are_ints(self):
+        for p in (parse_poly("x^3+2*y"), parse_poly("3/3*x"), Poly.one()):
+            assert all(type(c) is int for _, c in p)
+        half = Poly.monomial((1, 0, 0), Fraction(1, 2))
+        assert [type(c) for _, c in half] == [Fraction]
+
     def test_leading_minus_and_whitespace(self):
         assert parse_poly(" - x + 2 * y ") == Poly.monomial((0, 1, 0), 2) - Poly.variable(0)
 
