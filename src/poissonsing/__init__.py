@@ -38,6 +38,7 @@ from .linalg import (
     GradedOperatorMatrix,
     basis_of,
     matrix_of,
+    symbol_of,
 )
 from .milnor import MilnorData, NotIsolated, check_isolated, jacobian_graded_dim
 from .poisson import PoissonStructure
@@ -107,5 +108,6 @@ __all__ = [
     "surface_closed_form",
     "surface_homology_description",
     "surface_homology_dims",
+    "symbol_of",
     "weighted_degree",
 ]

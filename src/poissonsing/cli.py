@@ -17,7 +17,6 @@ from .poly import (
     NotHomogeneous,
     Poly,
     PolyParseError,
-    UNIT_WEIGHTS,
     WeightSystem,
     parse_poly,
 )
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _structure(args) -> PoissonStructure:
-    weights = WeightSystem.from_string(args.weights) if args.weights else UNIT_WEIGHTS
+    weights = WeightSystem.from_string(args.weights)
     phi = parse_poly(args.phi)
     return PoissonStructure(phi, weights)
 

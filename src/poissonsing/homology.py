@@ -23,7 +23,6 @@ from functools import lru_cache
 
 from .cohomology import (
     FINITE,
-    FREE,
     GradedDims,
     Generator,
     ModuleDescription,
@@ -38,7 +37,7 @@ from .operators import (
     boundary_matrix,
     delta_matrix,
     omega_relation_columns,
-    omega_relation_elements,
+    omega_relation_matrices,
     omega_relation_rank,
 )
 from .poisson import PoissonStructure
@@ -224,9 +223,9 @@ def projection_commutes(P: PoissonStructure, k: int, i: int) -> bool:
     prev = Echelon()
     for col in omega_relation_columns(P, k - 1, i + P.coboundary_degree):
         prev.insert(col)
-    tgt = basis_of("Omega%d" % (k - 1), i + P.coboundary_degree, P.weights)
-    for gen in omega_relation_elements(P, k, i):
-        image = P.boundary(k, gen)
-        if not prev.contains(tgt.coords_of(image)):
-            return False
+    b = boundary_matrix(P, k, i)
+    for relations in omega_relation_matrices(P, k, i):
+        for col in b.compose(relations).columns:
+            if not prev.contains(col):
+                return False
     return True

@@ -10,6 +10,17 @@ counts reduce to ranks, kernels and cokernels computed by fraction-free
 integer row reduction (rows kept primitive via gcd normalization, so no
 rounding and no coefficient blowup in practice).
 
+Every operator the engine uses is a linear differential operator of order at
+most one with polynomial coefficients,
+
+    op(f*e_s) = sum_t (c0_st*f + sum_a c_ast*df/dx_a) * e_t,
+
+so it is read off once as its symbol (symbol_of: the coefficients c0_st and
+c_ast, probed on 1, x, y, z in each source component and checked on the
+quadratic monomials), and matrix_of fills every column of every graded
+piece from that symbol by exponent arithmetic and basis index lookups; no
+polynomial is built per column.
+
 Degree bookkeeping: a vector (f1,f2,f3) of derivation degree i has component
 degrees i+w_j in X^1 and i+|w|-w_j in X^2; form degrees run the other way
 (Omega^k at form degree i matches X^{3-k} at derivation degree i-|w|).
@@ -101,10 +112,6 @@ class GradedBasis:
                 return VecPoly(tuple(parts))  # type: ignore[arg-type]
             j -= len(monos)
         raise IndexError("basis index out of range")
-
-    @property
-    def elements(self) -> list[Cochain]:
-        return [self.element(j) for j in range(self.dim)]
 
     def element_from_coords(self, vec: Vector) -> Cochain:
         """Rebuild the cochain with the given coordinates in this basis."""
@@ -288,18 +295,8 @@ class GradedOperatorMatrix:
     def __init__(self, source: GradedBasis, target: GradedBasis, columns: Sequence[Vector]):
         self.source = source
         self.target = target
-        self.columns = [dict(c) for c in columns]
+        self.columns = list(columns)
         self._rank: int | None = None
-
-    @classmethod
-    def of_operator(
-        cls,
-        op: Callable[[Cochain], Cochain],
-        source: GradedBasis,
-        target: GradedBasis,
-    ) -> "GradedOperatorMatrix":
-        cols = [target.coords_of(op(e)) for e in source.elements]
-        return cls(source, target, cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -370,10 +367,119 @@ class GradedOperatorMatrix:
         return all(a == b for a, b in zip(self.columns, other.columns))
 
 
-def matrix_of(
-    op: Callable[[Cochain], Cochain], source: GradedBasis, target: GradedBasis
-) -> GradedOperatorMatrix:
-    return GradedOperatorMatrix.of_operator(op, source, target)
+# ---------------------------------------------------------------------------
+# First-order symbols
+# ---------------------------------------------------------------------------
+
+# A symbol term (t, o0, o1, o2, c) sends the source monomial x^e to
+# c * x^(e + o) in target component t; a derivative term along axis a also
+# takes the factor e[a] (o is then the coefficient's exponent minus e_a).
+SymbolTerm = tuple[int, int, int, int, Scalar]
+
+
+@dataclass(frozen=True)
+class Symbol:
+    """First-order symbol of a linear differential operator.
+
+    terms[s] holds four term groups for source component s: the terms of
+    c_ast for the axes a = x, y, z, then those of c0_st.
+    """
+
+    source_components: int
+    target_components: int
+    terms: tuple[tuple[tuple[SymbolTerm, ...], ...], ...]
+
+
+def symbol_of(op: Callable[[Cochain], Cochain], source_components: int) -> Symbol:
+    """The symbol of op, acting on Poly (1 component) or VecPoly (3).
+
+    op(e_s) gives c0_st and op(x_a*e_s) - x_a*c0_st gives c_ast; the quadratic
+    probes x_a*x_b*e_s must then agree with the symbol, else op is not of
+    order at most one and ValueError is raised.
+    """
+    if source_components not in (1, 3):
+        raise ValueError("an operator acts on 1 or 3 components")
+    xs = [Poly.variable(a) for a in range(3)]
+    target_components = 0
+
+    def probe(p: Poly, s: int) -> tuple[Poly, ...]:
+        nonlocal target_components
+        if source_components == 3:
+            parts = [Poly.zero()] * 3
+            parts[s] = p
+            p = VecPoly(tuple(parts))  # type: ignore[assignment,arg-type]
+        value = op(p)
+        out = value.components if isinstance(value, VecPoly) else (value,)
+        if target_components and len(out) != target_components:
+            raise ValueError("the operator returns cochains of different arity")
+        target_components = len(out)
+        return out
+
+    terms = []
+    for s in range(source_components):
+        c0 = probe(Poly.one(), s)
+        c1 = [tuple(o - xs[a] * z for o, z in zip(probe(xs[a], s), c0)) for a in range(3)]
+        for a in range(3):
+            for b in range(a, 3):
+                q = xs[a] * xs[b]
+                expected = [z * q for z in c0]
+                for c in range(3):
+                    dq = q.partial(c)
+                    if dq:
+                        expected = [e + g * dq for e, g in zip(expected, c1[c])]
+                if list(probe(q, s)) != expected:
+                    raise ValueError("the operator is not of order at most one")
+        terms.append(tuple(
+            tuple(
+                (t, *(x - (axis == a) for axis, x in enumerate(m)), c)
+                for t, p in enumerate(coefficients)
+                for m, c in p.terms.items()
+            )
+            for a, coefficients in enumerate((*c1, c0))
+        ))
+    return Symbol(source_components, target_components, tuple(terms))  # type: ignore[arg-type]
+
+
+def matrix_of(symbol: Symbol, source: GradedBasis, target: GradedBasis) -> GradedOperatorMatrix:
+    """Matrix of the operator with this symbol from source into target.
+
+    Each column comes from exponent arithmetic and target index lookups;
+    zero sums are dropped, and a nonzero entry outside the target piece
+    raises DegreeMismatch.
+    """
+    if symbol.source_components != len(source.monomials):
+        raise DegreeMismatch(
+            "the operator acts on %d components, %s has %d"
+            % (symbol.source_components, source.kind, len(source.monomials))
+        )
+    if symbol.target_components != len(target.monomials):
+        raise DegreeMismatch(
+            "expected a %s cochain for %s"
+            % ("vector" if target.is_vector else "scalar", target.kind)
+        )
+    index = target._index
+    columns: list[Vector] = []
+    for groups, monos in zip(symbol.terms, source.monomials):
+        for e in monos:
+            e0, e1, e2 = e
+            acc: dict = {}
+            for k, group in zip((e0, e1, e2, 1), groups):
+                if k:
+                    for t, o0, o1, o2, c in group:
+                        key = (t, (e0 + o0, e1 + o1, e2 + o2))
+                        acc[key] = acc.get(key, 0) + k * c
+            col: Vector = {}
+            for key, v in acc.items():
+                if v:
+                    j = index.get(key)
+                    if j is None:
+                        raise DegreeMismatch(
+                            "monomial %s in component %d does not lie in %s at degree %d"
+                            % (key[1], key[0] + 1, target.kind, target.degree)
+                        )
+                    col[j] = v
+            columns.append(col)
+    return GradedOperatorMatrix(source, target, columns)
 
 
 def identity_matrix(basis: GradedBasis) -> GradedOperatorMatrix:

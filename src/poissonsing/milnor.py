@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Echelon, basis_of
+from .linalg import Echelon, Symbol, basis_of, matrix_of, symbol_of
 from .poly import Monomial, Poly, WeightSystem, weighted_degree
 
 __all__ = [
@@ -77,16 +77,19 @@ def socle_bound(degree: int, w: WeightSystem) -> int:
     return 3 * degree - 2 * w.weight_sum
 
 
+@lru_cache(maxsize=None)
+def _jacobian_symbols(phi: Poly) -> tuple[Symbol, ...]:
+    """Symbols of multiplication by phi_x, phi_y and phi_z."""
+    return tuple(symbol_of(lambda f, q=phi.partial(a): f * q, 1) for a in range(3))
+
+
 def _jacobian_columns(phi: Poly, w: WeightSystem, i: int, d: int):
     """Columns of (a,b,c) -> a*phi_x + b*phi_y + c*phi_z landing in A_i."""
     target = basis_of("A", i, w)
     cols = []
-    for axis in range(3):
-        part = phi.partial(axis)
+    for axis, symbol in enumerate(_jacobian_symbols(phi)):
         src = basis_of("A", i - (d - w.weights[axis]), w)
-        for comp_monos in src.monomials:
-            for m in comp_monos:
-                cols.append(target.coords_of(Poly.monomial(m) * part))
+        cols.extend(matrix_of(symbol, src, target).columns)
     return target, cols
 
 

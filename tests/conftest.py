@@ -39,3 +39,8 @@ def cubic():
 @pytest.fixture(scope="session")
 def cubic_milnor(cubic):
     return check_isolated(cubic.phi, cubic.weights)
+
+
+def oracle_columns(op, source, target):
+    """Columns of op's matrix, by evaluating op on every source basis element."""
+    return [target.coords_of(op(source.element(j))) for j in range(source.dim)]

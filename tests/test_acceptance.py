@@ -11,8 +11,6 @@ import time
 
 from poissonsing import (
     NotIsolated,
-    PoissonStructure,
-    Poly,
     VecPoly,
     WeightSystem,
     brute_force_dims,

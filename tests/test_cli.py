@@ -112,6 +112,8 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("argv", [
         ("analyze", "--phi", "x^3+y^3+z^3", "--min-degree", "5", "--max-degree", "2"),
         ("verify", "--phi", "x^3+y^3+z^3", "--suite", "identities", "--cases", "-5"),
+        ("milnor", "--phi", "x^3+y^3+z^3", "--weights", ""),
+        ("analyze", "--phi", "x^3+y^3+z^3", "--weights", ""),
     ])
     def test_vacuous_runs_are_invalid(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -6,7 +6,6 @@ from poissonsing import (
     PoissonStructure,
     Poly,
     VecPoly,
-    WeightSystem,
     basis_of,
     brute_force_dims,
     check_isolated,
@@ -152,7 +151,9 @@ class TestBoundaryAgainstFormulaOracle:
                             cubic, coeff, key
                         ).items():
                             _form_add(oracle_form, out_key, out_coeff)
-                    assert chain_from_form(k - 1, oracle_form) == cubic.boundary(k, elem)
+                    image = chain_from_form(k - 1, oracle_form)
+                    assert image == cubic.boundary(k, elem)
+                    assert b.columns[j] == b.target.coords_of(image)
 
 
 class TestDuality:

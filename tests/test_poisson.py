@@ -122,13 +122,14 @@ class TestCoboundaries:
                 assert P.delta2(v * phi) == P.delta2(v) * phi
 
     def test_degree_shift_bookkeeping(self, cubic):
-        from poissonsing import basis_of, matrix_of
+        from poissonsing import basis_of, matrix_of, symbol_of
 
         # outputs of delta on a graded piece land exactly in the shifted piece
         for k, i in [(0, 4), (1, 2), (2, 3)]:
             src = basis_of("X%d" % k, i, cubic.weights)
             tgt = basis_of("X%d" % (k + 1), i + cubic.coboundary_degree, cubic.weights)
-            matrix_of(lambda c: cubic.delta(k, c), src, tgt)  # DegreeMismatch would raise
+            symbol = symbol_of(lambda c: cubic.delta(k, c), len(src.monomials))
+            matrix_of(symbol, src, tgt)  # DegreeMismatch would raise
 
 
 class TestBoundary:
