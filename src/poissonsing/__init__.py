@@ -22,9 +22,7 @@ from .cohomology import (
 )
 from .homology import (
     BridgeMismatch,
-    ChainSpaceModel,
     ambient_homology_description,
-    chain_space_model,
     default_form_window,
     duality_identity_holds,
     homology_dims,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BridgeMismatch",
-    "ChainSpaceModel",
     "CheckResult",
     "DegreeMismatch",
     "GradedBasis",
@@ -83,7 +80,6 @@ __all__ = [
     "ambient_homology_description",
     "basis_of",
     "brute_force_dims",
-    "chain_space_model",
     "check_isolated",
     "closed_form",
     "cross",

@@ -20,16 +20,19 @@ Everything is predicted per graded degree, and independently recomputed as
 dim ker(delta^k) - rank(delta^{k-1}) on the same graded pieces; the surface
 spaces are modeled as subquotients of the ambient pieces, with membership in
 <phi> expressed through multiplication-by-phi blocks, and their dimensions
-are obtained from ranks of the stacked block matrices.
+are obtained from ranks of the stacked block matrices.  The coboundary stack
+at (k, i) is the cocycle stack one step down, at (k-1, i-N), so each stack
+is ranked once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Literal, Union
 
-from .linalg import Echelon, basis_of, offset_vector
+from .linalg import basis_of, offset_vector, rank_of_columns
 from .milnor import MilnorData
 from .operators import (
     cross_grad_phi_matrix,
@@ -205,13 +208,17 @@ def surface_closed_form(P: PoissonStructure, M: MilnorData, k: int) -> ModuleDes
 
 def cohomology_dim(P: PoissonStructure, k: int, i: int) -> int:
     """dim H^k at derivation degree i: dim ker(delta^k) - rank(delta^{k-1})."""
+    N = P.coboundary_degree
     n = basis_of("X%d" % k, i, P.weights).dim
-    cocycles = n - delta_rank(P, k, i)
-    boundaries = delta_rank(P, k - 1, i - P.coboundary_degree)
-    dim = cocycles - boundaries
+    rank_k = delta_rank(P, k, i)
+    rank_prev = delta_rank(P, k - 1, i - N)
+    dim = n - rank_k - rank_prev
     if dim < 0:
         raise RuntimeError(
-            "negative cohomology dimension at k=%d, degree %d" % (k, i)
+            "negative cohomology dimension at k=%d, degree %d: cocycles %d - "
+            "coboundaries %d (dim X^%d = %d, rank delta^%d = %d at degree %d, "
+            "rank delta^%d = %d at degree %d)"
+            % (k, i, n - rank_k, rank_prev, k, n, k, rank_k, i, k - 1, rank_prev, i - N)
         )
     return dim
 
@@ -255,14 +262,7 @@ def _constraint_blocks(P: PoissonStructure, k: int, i: int):
 def _constraint_rank(P: PoissonStructure, k: int, i: int) -> int:
     """rank [D | P] for the constraint stack (0 when there is no constraint)."""
     _, _, d_cols, p_cols = _constraint_blocks(P, k, i)
-    if not d_cols and not p_cols:
-        return 0
-    ech = Echelon()
-    for col in d_cols:
-        ech.insert(col)
-    for col in p_cols:
-        ech.insert(col)
-    return ech.rank
+    return rank_of_columns([*d_cols, *p_cols])
 
 
 def surface_cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
@@ -275,59 +275,61 @@ def surface_cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _cocycle_rank(P: PoissonStructure, k: int, i: int) -> int:
+    """rank of the cocycle stack of X^k at degree i, for k in 0..2.
+
+    Columns, in order: [D_j ; delta^k_j] for each basis vector j of X^k_i,
+    then [P ; 0] (the constraint's phi-multiples), then [0 ; phi*X^{k+1}]
+    at degree i+N-d; D and P are the constraint blocks of (k, i).
+    """
+    N, d = P.coboundary_degree, P.degree
+    n, rows_top, d_cols, p_cols = _constraint_blocks(P, k, i)
+    delta_cols = delta_matrix(P, k, i).columns if n else []
+    top = (
+        {**(d_cols[j] if d_cols else {}), **offset_vector(delta_cols[j], rows_top)}
+        for j in range(n)
+    )
+    p2 = mult_phi_matrix(P, "X%d" % (k + 1), i + N - d).columns
+    return rank_of_columns(chain(top, p_cols, (offset_vector(c, rows_top) for c in p2)))
+
+
+@lru_cache(maxsize=None)
 def surface_cohomology_dim(P: PoissonStructure, k: int, i: int) -> int:
     """dim H^k of A/<phi> at derivation degree i.
 
     Cocycles: v in V with delta^k(v) in phi*X^{k+1}; coboundaries: images of
     V at degree i-N plus the quotient relations phi*X^k at degree i-d.  Both
     are measured inside the ambient graded piece, so the quotient relations
-    cancel and only ranks of stacked blocks are needed.
+    cancel and only ranks of stacked blocks are needed.  The coboundary
+    stack at (k, i) is, column for column, the cocycle stack one step down
+    at (k-1, i-N), so each stack is ranked once (_cocycle_rank); for k = 3
+    the cocycle stack is the constraint stack [D | P] itself.
     """
     N, d = P.coboundary_degree, P.degree
-    n, rows_top, d_cols, p_cols = _constraint_blocks(P, k, i)
-
-    ech = Echelon()
-    n_p2 = 0
+    n, _, _, p_cols = _constraint_blocks(P, k, i)
     if k == 3:
-        for col in d_cols:
-            ech.insert(col)
-        for col in p_cols:
-            ech.insert(col)
+        z_rank = _constraint_rank(P, 3, i)
+        z_ambient = n + len(p_cols) - z_rank
     else:
-        delta_cols = delta_matrix(P, k, i).columns if n else []
-        p2 = mult_phi_matrix(P, "X%d" % (k + 1), i + N - d)
-        n_p2 = len(p2.columns)
-        for j in range(n):
-            merged = dict(d_cols[j]) if d_cols else {}
-            merged.update(offset_vector(delta_cols[j], rows_top))
-            ech.insert(merged)
-        for col in p_cols:
-            ech.insert(col)
-        for col in p2.columns:
-            ech.insert(offset_vector(col, rows_top))
-    z_ambient = n + len(p_cols) + n_p2 - ech.rank
+        z_rank = _cocycle_rank(P, k, i)
+        n_p2 = basis_of("X%d" % (k + 1), i + N - d, P.weights).dim
+        z_ambient = n + len(p_cols) + n_p2 - z_rank
 
     if k == 0:
+        b_rank = c_rank = 0
         b_ambient = basis_of("X0", i - d, P.weights).dim
     else:
-        n1, rows1, d1_cols, p1_cols = _constraint_blocks(P, k - 1, i - N)
-        delta1_cols = delta_matrix(P, k - 1, i - N).columns if n1 else []
-        pmat = mult_phi_matrix(P, "X%d" % k, i - d)
-        echb = Echelon()
-        for j in range(n1):
-            merged = dict(d1_cols[j]) if d1_cols else {}
-            merged.update(offset_vector(delta1_cols[j], rows1))
-            echb.insert(merged)
-        for col in p1_cols:
-            echb.insert(col)
-        for col in pmat.columns:
-            echb.insert(offset_vector(col, rows1))
-        b_ambient = echb.rank - _constraint_rank(P, k - 1, i - N)
+        b_rank = _cocycle_rank(P, k - 1, i - N)
+        c_rank = _constraint_rank(P, k - 1, i - N)
+        b_ambient = b_rank - c_rank
 
     dim = z_ambient - b_ambient
     if dim < 0:
         raise RuntimeError(
-            "negative surface cohomology dimension at k=%d, degree %d" % (k, i)
+            "negative surface cohomology dimension at k=%d, degree %d: cocycles %d "
+            "(cocycle stack rank %d) - coboundaries %d (stack rank %d - constraint "
+            "rank %d at degree %d)"
+            % (k, i, z_ambient, z_rank, b_ambient, b_rank, c_rank, i - N)
         )
     return dim
 

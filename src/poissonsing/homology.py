@@ -10,15 +10,15 @@ window.
 On A/<phi> the form spaces are presented as quotients of A and A^3 by the
 relations generated by phi and by wedging with d(phi) (see operators): the
 boundaries descend, and the homology dimensions per degree again reduce to
-ranks of stacked relation/boundary blocks.  The closed forms are: H_0 and
-H_3 are copies of the Jacobian quotient, H_2 is its image under
-multiplication by the Euler field, and H_1 is spanned by the gradients of
-u_1, ..., u_{mu-1}.
+ranks of stacked relation/boundary blocks.  The boundary stack at (k, i) is
+the cycle stack one step down, at (k+1, i-N), so each stack is ranked once.
+The closed forms are: H_0 and H_3 are copies of the Jacobian quotient, H_2
+is its image under multiplication by the Euler field, and H_1 is spanned by
+the gradients of u_1, ..., u_{mu-1}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cohomology import (
@@ -31,7 +31,7 @@ from .cohomology import (
     closed_form,
     _dims_from_map,
 )
-from .linalg import Echelon, GradedBasis, basis_of, rank_of_columns
+from .linalg import Echelon, basis_of, rank_of_columns
 from .milnor import MilnorData
 from .operators import (
     boundary_matrix,
@@ -114,32 +114,6 @@ def predicted_homology_dims(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainSpaceModel:
-    """One graded piece of the k-form space of A/<phi>, presented as the
-    ambient piece of Omega^k modulo the columns of its relation matrix."""
-
-    k: int
-    ambient: GradedBasis
-    relations: tuple
-
-    @property
-    def relation_rank(self) -> int:
-        return rank_of_columns(self.relations)
-
-    @property
-    def quotient_dim(self) -> int:
-        return self.ambient.dim - self.relation_rank
-
-
-def chain_space_model(P: PoissonStructure, k: int, i: int) -> ChainSpaceModel:
-    return ChainSpaceModel(
-        k,
-        basis_of("Omega%d" % k, i, P.weights),
-        omega_relation_columns(P, k, i),
-    )
-
-
 def surface_homology_description(
     P: PoissonStructure, M: MilnorData, k: int
 ) -> ModuleDescription:
@@ -166,45 +140,46 @@ def surface_homology_description(
 
 
 @lru_cache(maxsize=None)
+def _cycle_rank(P: PoissonStructure, k: int, i: int) -> int:
+    """rank of the cycle stack of Omega^k at form degree i, for k in 1..3:
+    the boundary columns, then the relations of Omega^{k-1} at degree i+N."""
+    cols = boundary_matrix(P, k, i).columns if basis_of("Omega%d" % k, i, P.weights).dim else []
+    return rank_of_columns([*cols, *omega_relation_columns(P, k - 1, i + P.coboundary_degree)])
+
+
+@lru_cache(maxsize=None)
 def surface_homology_dim(P: PoissonStructure, k: int, i: int) -> int:
     """dim H_k of A/<phi> at form degree i, from the chain-space presentation.
 
     Cycles: v with boundary(v) inside the degree-(i+N) relations of
     Omega^{k-1}; boundaries: the image of Omega^{k+1} at degree i-N plus the
     degree-i relations of Omega^k.  Both measured in the ambient piece, so
-    their difference is the homology dimension of the quotient complex.
+    their difference is the homology dimension of the quotient complex.  The
+    boundary stack at (k, i) is, column for column, the cycle stack at
+    (k+1, i-N); for k = 3 it is the relations of Omega^3 alone.
     """
     N = P.coboundary_degree
-    model = chain_space_model(P, k, i)
-    n = model.ambient.dim
+    n = basis_of("Omega%d" % k, i, P.weights).dim
 
     if k == 0:
-        cycles = n
+        z_rank = rel_rank = 0
     else:
-        ech = Echelon()
-        if n:
-            for col in boundary_matrix(P, k, i).columns:
-                ech.insert(col)
-        m_prev = omega_relation_columns(P, k - 1, i + N)
-        for col in m_prev:
-            ech.insert(col)
-        rank_joint = ech.rank
-        cycles = n - rank_joint + omega_relation_rank(P, k - 1, i + N)
+        z_rank = _cycle_rank(P, k, i)
+        rel_rank = omega_relation_rank(P, k - 1, i + N)
+    cycles = n - z_rank + rel_rank
 
-    echb = Echelon()
     if k < 3:
-        src = basis_of("Omega%d" % (k + 1), i - N, P.weights)
-        if src.dim:
-            for col in boundary_matrix(P, k + 1, i - N).columns:
-                echb.insert(col)
-    for col in model.relations:
-        echb.insert(col)
-    boundaries = echb.rank
+        boundaries = _cycle_rank(P, k + 1, i - N)
+    else:
+        boundaries = omega_relation_rank(P, 3, i)
 
     dim = cycles - boundaries
     if dim < 0:
         raise RuntimeError(
-            "negative surface homology dimension at k=%d, form degree %d" % (k, i)
+            "negative surface homology dimension at k=%d, form degree %d: cycles %d "
+            "(dim Omega^%d = %d - cycle stack rank %d + relation rank %d) - "
+            "boundaries %d (stack rank)"
+            % (k, i, cycles, k, n, z_rank, rel_rank, boundaries)
         )
     return dim
 

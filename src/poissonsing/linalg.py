@@ -8,7 +8,10 @@ sparse matrices, with ``int`` entries whenever phi has integer coefficients
 (``Fraction`` entries appear only for a non-integral phi), and all dimension
 counts reduce to ranks, kernels and cokernels computed by fraction-free
 integer row reduction (rows kept primitive via gcd normalization, so no
-rounding and no coefficient blowup in practice).
+rounding and no coefficient blowup in practice).  Rows are reduced in place,
+and only rows the echelon owns are: every entry point first makes a fresh
+integer copy of its input, and stored pivot rows are never changed, so a
+caller's (possibly cached) column is never touched.
 
 Every operator the engine uses is a linear differential operator of order at
 most one with polynomial coefficients,
@@ -172,20 +175,18 @@ def basis_of(kind: str, i: int, w: WeightSystem) -> GradedBasis:
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return row
+    """Divide the owned row in place by the gcd of its entries."""
+    g = math.gcd(*row.values())
     if g > 1:
-        return {k: v // g for k, v in row.items()}
+        for k, v in row.items():
+            row[k] = v // g
     return row
 
 
 def to_int_vector(vec: Vector) -> dict[int, int]:
-    """Primitive integer multiple of vec, zero entries dropped; denominators
-    are cleared only when a Fraction is present (column scaling preserves
-    span and rank)."""
+    """Primitive integer multiple of vec as a fresh dict, zero entries
+    dropped; denominators are cleared only when a Fraction is present
+    (column scaling preserves span and rank)."""
     if Fraction in map(type, vec.values()):
         lcm = math.lcm(*(c.denominator for c in vec.values()))
         vec = {k: int(c * lcm) for k, c in vec.items()}
@@ -205,24 +206,43 @@ class Echelon:
         return len(self._rows)
 
     def _reduced(self, row: dict[int, int]) -> dict[int, int]:
+        """Reduce an owned row in place against the stored pivots.
+
+        Each step is row <- (b/g)*row - (a/g)*pivot with a, b the entries at
+        the pivot column and g = gcd(a, b), then row <- row/gcd(row); the
+        scaling is skipped when b/g = 1, the common case.
+        """
+        rows = self._rows
         while row:
             p = min(row)
-            piv = self._rows.get(p)
+            piv = rows.get(p)
             if piv is None:
                 return row
             a = row[p]
             b = piv[p]
-            g = math.gcd(a, b)
-            mr = b // g
-            mp = a // g
-            new = {k: mr * v for k, v in row.items()}
+            if b != 1:
+                g = math.gcd(a, b)
+                a //= g
+                b //= g
+                if b != 1:
+                    for k, v in row.items():
+                        row[k] = b * v
             for k, v in piv.items():
-                s = new.get(k, 0) - mp * v
+                s = row.get(k, 0) - a * v
                 if s:
-                    new[k] = s
+                    row[k] = s
                 else:
-                    new.pop(k, None)
-            row = _primitive(new)
+                    del row[k]
+            _primitive(row)
+        return row
+
+    def _store(self, row: dict[int, int]) -> dict[int, int]:
+        """Store a reduced row under its pivot, with a positive pivot entry."""
+        p = min(row)
+        if row[p] < 0:
+            for k, v in row.items():
+                row[k] = -v
+        self._rows[p] = row
         return row
 
     def insert(self, vec: Vector) -> bool:
@@ -230,28 +250,19 @@ class Echelon:
         row = self._reduced(to_int_vector(vec))
         if not row:
             return False
-        p = min(row)
-        if row[p] < 0:
-            row = {k: -v for k, v in row.items()}
-        self._rows[p] = row
+        self._store(row)
         return True
 
     def insert_int(self, row: dict[int, int]) -> dict[int, int] | None:
-        """Insert an already-integer row; returns the stored residual (or None)."""
+        """Insert a copy of an already-integer row; returns the stored
+        residual (or None)."""
         row = self._reduced(dict(row))
         if not row:
             return None
-        p = min(row)
-        if row[p] < 0:
-            row = {k: -v for k, v in row.items()}
-        self._rows[p] = row
-        return row
+        return self._store(row)
 
     def contains(self, vec: Vector) -> bool:
         return not self._reduced(to_int_vector(vec))
-
-    def rows(self) -> list[dict[int, int]]:
-        return [dict(self._rows[p]) for p in sorted(self._rows)]
 
 
 def rank_of_columns(columns: Iterable[Vector]) -> int:
@@ -305,10 +316,6 @@ class GradedOperatorMatrix:
     def entry(self, i: int, j: int) -> Scalar:
         return self.columns[j].get(i, 0)
 
-    def to_dense(self) -> list[list[Scalar]]:
-        m, n = self.shape
-        return [[self.entry(i, j) for j in range(n)] for i in range(m)]
-
     def is_zero(self) -> bool:
         return all(not c for c in self.columns)
 
@@ -319,25 +326,6 @@ class GradedOperatorMatrix:
 
     def kernel_basis(self) -> list[Vector]:
         return kernel_of_columns(self.columns, self.target.dim)
-
-    def image_basis(self) -> list[Vector]:
-        ech = Echelon()
-        for col in self.columns:
-            ech.insert(col)
-        return ech.rows()
-
-    def cokernel_representatives(self) -> list[tuple[int, Cochain]]:
-        """Target basis cochains spanning target/image, greedy in basis order."""
-        ech = Echelon()
-        for col in self.columns:
-            ech.insert(col)
-        chosen: list[tuple[int, Cochain]] = []
-        for t in range(self.target.dim):
-            e_t = {t: 1}
-            if not ech.contains(e_t):
-                chosen.append((t, self.target.element(t)))
-                ech.insert(e_t)
-        return chosen
 
     def compose(self, inner: "GradedOperatorMatrix") -> "GradedOperatorMatrix":
         """Matrix of self(op) after inner(op); inner.target must be self.source."""
@@ -480,11 +468,6 @@ def matrix_of(symbol: Symbol, source: GradedBasis, target: GradedBasis) -> Grade
                     col[j] = v
             columns.append(col)
     return GradedOperatorMatrix(source, target, columns)
-
-
-def identity_matrix(basis: GradedBasis) -> GradedOperatorMatrix:
-    cols = [{j: 1} for j in range(basis.dim)]
-    return GradedOperatorMatrix(basis, basis, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from poissonsing import PoissonStructure, WeightSystem, check_isolated, parse_poly
+from poissonsing.linalg import Echelon, GradedOperatorMatrix
 
 # (phi, weights, expected Milnor number)
 CATALOG = [
@@ -44,3 +45,40 @@ def cubic_milnor(cubic):
 def oracle_columns(op, source, target):
     """Columns of op's matrix, by evaluating op on every source basis element."""
     return [target.coords_of(op(source.element(j))) for j in range(source.dim)]
+
+
+def identity_matrix(basis):
+    return GradedOperatorMatrix(basis, basis, [{j: 1} for j in range(basis.dim)])
+
+
+def to_dense(m):
+    rows, cols = m.shape
+    return [[m.entry(i, j) for j in range(cols)] for i in range(rows)]
+
+
+def echelon_of(columns):
+    ech = Echelon()
+    for col in columns:
+        ech.insert(col)
+    return ech
+
+
+def echelon_rows(ech):
+    """Copies of the stored rows, in pivot order."""
+    return [dict(ech._rows[p]) for p in sorted(ech._rows)]
+
+
+def image_basis(m):
+    return echelon_rows(echelon_of(m.columns))
+
+
+def cokernel_representatives(m):
+    """Target basis cochains spanning target/image, greedy in basis order."""
+    ech = echelon_of(m.columns)
+    chosen = []
+    for t in range(m.target.dim):
+        e_t = {t: 1}
+        if not ech.contains(e_t):
+            chosen.append((t, m.target.element(t)))
+            ech.insert(e_t)
+    return chosen

@@ -1,7 +1,8 @@
-"""The catalog-mixed benchmark operations print exactly the recorded bytes.
+"""Every recorded benchmark operation prints exactly the recorded bytes.
 
 perfbench/golden.json holds the SHA-256 of the stdout of every benchmark
-operation at seed 0; this test only reads it.
+operation at seed 0 (the three workloads' analyze and verify calls); this
+test only reads it and the workload definitions.
 """
 
 from __future__ import annotations
@@ -19,20 +20,35 @@ from poissonsing.cli import main
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _catalog_mixed_ops():
+def _seed0_ops():
+    """The distinct operations of every workload at seed 0, in first-seen order."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses look their module up here
     spec.loader.exec_module(workloads)
-    return workloads.catalog_mixed(0).ops
+    ops = {}
+    for make in workloads.WORKLOADS.values():
+        for op in make(0).ops:
+            ops.setdefault(op.key, op)
+    return list(ops.values())
 
 
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
+OPS = _seed0_ops()
 
 
-@pytest.mark.parametrize("op", _catalog_mixed_ops(), ids=lambda op: op.argv[2])
+def _op_id(op):
+    phi = op.argv[op.argv.index("--phi") + 1]
+    return phi if op.argv[0] == "analyze" else "%s:%s" % (op.argv[0], phi)
+
+
+def test_every_recorded_operation_is_run():
+    assert sorted(op.key for op in OPS) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("op", OPS, ids=_op_id)
 def test_report_bytes_match_golden(capsys, op):
     code = main(list(op.argv))
     out = capsys.readouterr().out

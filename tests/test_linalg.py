@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import math
 import random
 from fractions import Fraction
 
@@ -17,14 +19,16 @@ from poissonsing import (
     parse_poly,
     symbol_of,
 )
-from poissonsing.linalg import (
-    Echelon,
-    identity_matrix,
-    kernel_of_columns,
-    rank_of_columns,
-)
+from poissonsing.linalg import Echelon, kernel_of_columns, rank_of_columns
+from poissonsing.operators import delta_matrix
 
-from .conftest import oracle_columns
+from .conftest import (
+    cokernel_representatives,
+    identity_matrix,
+    image_basis,
+    oracle_columns,
+    to_dense,
+)
 
 W111 = WeightSystem((1, 1, 1))
 
@@ -98,7 +102,7 @@ class TestMatrices:
         m = matrix_of(symbol_of(lambda p: p * phi, 1), src, tgt)
         assert m.shape == (6, 1)
         assert sorted(m.columns[0].values()) == [1, 1, 1]
-        dense = m.to_dense()
+        dense = to_dense(m)
         assert len(dense) == 6 and all(len(row) == 1 for row in dense)
         assert sum(m.entry(i, 0) for i in range(6)) == 3
         assert m.entry(1, 0) == Fraction(0)  # the x*y slot
@@ -153,7 +157,7 @@ class TestMatrices:
         src = basis_of("A", 0, W111)
         tgt = basis_of("A", 1, W111)
         m = matrix_of(symbol_of(lambda p: p * parse_poly("x+y"), 1), src, tgt)
-        reps = m.cokernel_representatives()
+        reps = cokernel_representatives(m)
         assert [t for t, _ in reps] == [0, 2]
         assert [str(e) for _, e in reps] == ["x", "z"]
 
@@ -163,11 +167,11 @@ class TestMatrices:
         tgt = basis_of("A", 4, W111)
         m = matrix_of(symbol_of(lambda p: p * phi, 1), src, tgt)
         ech = Echelon()
-        for row in m.image_basis():
+        for row in image_basis(m):
             ech.insert(row)
         for col in m.columns:
             assert ech.contains(col)
-        assert len(m.image_basis()) == m.rank()
+        assert len(image_basis(m)) == m.rank()
 
 
 class TestEchelon:
@@ -188,3 +192,137 @@ class TestEchelon:
         ech.insert({1: Fraction(1)})
         assert not ech.insert({0: Fraction(3), 1: Fraction(-2)})
         assert ech.rank == 2
+
+
+class _CopyingEchelon:
+    """The echelon as it was before in-place reduction: every step builds a
+    new row dict.  Reference for the stored rows of Echelon."""
+
+    def __init__(self):
+        self._rows = {}
+
+    @staticmethod
+    def _primitive(row):
+        g = 0
+        for v in row.values():
+            g = math.gcd(g, v)
+            if g == 1:
+                return row
+        if g > 1:
+            return {k: v // g for k, v in row.items()}
+        return row
+
+    @classmethod
+    def _int_vector(cls, vec):
+        if Fraction in map(type, vec.values()):
+            lcm = math.lcm(*(c.denominator for c in vec.values()))
+            vec = {k: int(c * lcm) for k, c in vec.items()}
+        return cls._primitive({k: c for k, c in vec.items() if c})
+
+    def _reduced(self, row):
+        while row:
+            p = min(row)
+            piv = self._rows.get(p)
+            if piv is None:
+                return row
+            a = row[p]
+            b = piv[p]
+            g = math.gcd(a, b)
+            mr = b // g
+            mp = a // g
+            new = {k: mr * v for k, v in row.items()}
+            for k, v in piv.items():
+                s = new.get(k, 0) - mp * v
+                if s:
+                    new[k] = s
+                else:
+                    new.pop(k, None)
+            row = self._primitive(new)
+        return row
+
+    def insert(self, vec):
+        row = self._reduced(self._int_vector(vec))
+        if not row:
+            return False
+        p = min(row)
+        if row[p] < 0:
+            row = {k: -v for k, v in row.items()}
+        self._rows[p] = row
+        return True
+
+    def contains(self, vec):
+        return not self._reduced(self._int_vector(vec))
+
+
+def _fraction_rank(columns, rows):
+    """Rank by dense Gaussian elimination over Fraction."""
+    m = [[Fraction(col.get(i, 0)) for col in columns] for i in range(rows)]
+    rank = 0
+    for c in range(len(columns)):
+        pivot = next((r for r in range(rank, rows) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rows):
+            if r != rank and m[r][c]:
+                f = m[r][c] / m[rank][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _random_columns(rng, rows, cols):
+    """Sparse columns with int and Fraction entries; some are combinations
+    of earlier ones, so that reductions reach zero."""
+    columns = []
+    for _ in range(cols):
+        if columns and rng.random() < 0.3:
+            a, b = rng.sample(range(-4, 5), 2)
+            u, v = rng.choice(columns), rng.choice(columns)
+            col = {i: a * u.get(i, 0) + b * v.get(i, 0) for i in set(u) | set(v)}
+        else:
+            col = {}
+            for i in range(rows):
+                if rng.random() < 0.5:
+                    c = rng.randint(-9, 9)
+                    col[i] = Fraction(c, rng.randint(1, 6)) if rng.random() < 0.3 else c
+        columns.append({i: c for i, c in col.items() if c})
+    return columns
+
+
+class TestInPlaceReduction:
+    def test_stored_rows_match_the_copying_reduction(self):
+        rng = random.Random(20)
+        for _ in range(150):
+            rows, cols = rng.randint(1, 10), rng.randint(1, 12)
+            columns = _random_columns(rng, rows, cols)
+            new, old = Echelon(), _CopyingEchelon()
+            for col in columns:
+                assert new.insert(col) == old.insert(col)
+            assert new._rows == old._rows
+            probes = _random_columns(rng, rows, 4)
+            assert [new.contains(v) for v in probes] == [old.contains(v) for v in probes]
+            assert new.rank == _fraction_rank(columns, rows)
+
+    def test_nonunit_pivots_are_exercised(self):
+        # the first row stores pivot entry 2, so the second is scaled
+        ech = Echelon()
+        ech.insert({0: 2, 1: 3})
+        assert ech.insert({0: 3, 1: 1, 2: 1})
+        # 2*(3, 1, 1) - 3*(2, 3, 0) = (0, -7, 2), stored with a positive pivot
+        assert ech._rows == {0: {0: 2, 1: 3}, 1: {1: 7, 2: -2}}
+
+    def test_caller_columns_are_never_changed(self, cubic):
+        m = delta_matrix(cubic, 1, 2)
+        snapshot = copy.deepcopy(m.columns)
+        ech = Echelon()
+        for col in m.columns:
+            ech.insert(col)
+            ech.contains(col)
+            ech.insert_int(col)
+        m.kernel_basis()
+        rank_of_columns(m.columns)
+        assert m.columns == snapshot
+        assert delta_matrix(cubic, 1, 2).columns == snapshot
+        stored = {id(row) for row in ech._rows.values()}
+        assert not stored & {id(col) for col in m.columns}

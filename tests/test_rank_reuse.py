@@ -1,0 +1,163 @@
+"""Each stacked block is ranked once: the surface (co)homology routines agree
+with the two-stack versions they replaced, and their failures name ranks.
+
+The reference routines below rank the coboundary (boundary) stack of every
+(k, i) afresh, as the engine did before the stack at (k, i) was recognised
+as the cocycle (cycle) stack one step down.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from poissonsing import cohomology, homology
+from poissonsing.cohomology import _constraint_blocks, _constraint_rank, default_window
+from poissonsing.homology import default_form_window
+from poissonsing.linalg import Echelon, basis_of, offset_vector
+from poissonsing.operators import (
+    boundary_matrix,
+    delta_matrix,
+    mult_phi_matrix,
+    omega_relation_columns,
+    omega_relation_rank,
+)
+
+from .conftest import structure
+
+REFERENCE_PHI = [
+    ("x^3+y^3+z^3", (1, 1, 1)),
+    ("x^2*y+y^3+z^2", (2, 2, 3)),
+    ("x^2+y^3+z^5", (15, 10, 6)),
+]
+
+
+def _stack_rank(P, k, i, extra_kind, extra_degree):
+    """rank of [D | delta ; P | 0 ; 0 | phi-multiples of extra_kind]."""
+    n, rows_top, d_cols, p_cols = _constraint_blocks(P, k, i)
+    delta_cols = delta_matrix(P, k, i).columns if n else []
+    ech = Echelon()
+    for j in range(n):
+        merged = dict(d_cols[j]) if d_cols else {}
+        merged.update(offset_vector(delta_cols[j], rows_top))
+        ech.insert(merged)
+    for col in p_cols:
+        ech.insert(col)
+    for col in mult_phi_matrix(P, extra_kind, extra_degree).columns:
+        ech.insert(offset_vector(col, rows_top))
+    return ech.rank
+
+
+def two_stack_surface_cohomology_dim(P, k, i):
+    N, d = P.coboundary_degree, P.degree
+    n, _, d_cols, p_cols = _constraint_blocks(P, k, i)
+    if k == 3:
+        ech = Echelon()
+        for col in list(d_cols) + list(p_cols):
+            ech.insert(col)
+        z_ambient = n + len(p_cols) - ech.rank
+    else:
+        n_p2 = basis_of("X%d" % (k + 1), i + N - d, P.weights).dim
+        z_ambient = n + len(p_cols) + n_p2 - _stack_rank(
+            P, k, i, "X%d" % (k + 1), i + N - d
+        )
+    if k == 0:
+        b_ambient = basis_of("X0", i - d, P.weights).dim
+    else:
+        b_ambient = _stack_rank(P, k - 1, i - N, "X%d" % k, i - d) - _constraint_rank(
+            P, k - 1, i - N
+        )
+    return z_ambient - b_ambient
+
+
+def two_stack_surface_homology_dim(P, k, i):
+    N = P.coboundary_degree
+    n = basis_of("Omega%d" % k, i, P.weights).dim
+    if k == 0:
+        cycles = n
+    else:
+        ech = Echelon()
+        if n:
+            for col in boundary_matrix(P, k, i).columns:
+                ech.insert(col)
+        for col in omega_relation_columns(P, k - 1, i + N):
+            ech.insert(col)
+        cycles = n - ech.rank + omega_relation_rank(P, k - 1, i + N)
+    echb = Echelon()
+    if k < 3 and basis_of("Omega%d" % (k + 1), i - N, P.weights).dim:
+        for col in boundary_matrix(P, k + 1, i - N).columns:
+            echb.insert(col)
+    for col in omega_relation_columns(P, k, i):
+        echb.insert(col)
+    return cycles - echb.rank
+
+
+@pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
+def test_surface_cohomology_matches_two_stack_reference(phi, weights):
+    P = structure(phi, weights)
+    lo, hi = default_window(P)
+    for k in range(4):
+        for i in range(lo, hi + 1):
+            assert cohomology.surface_cohomology_dim(P, k, i) == (
+                two_stack_surface_cohomology_dim(P, k, i)
+            ), (k, i)
+
+
+@pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
+def test_surface_homology_matches_two_stack_reference(phi, weights):
+    P = structure(phi, weights)
+    lo, hi = default_form_window(P)
+    for k in range(4):
+        for i in range(lo, hi + 1):
+            assert homology.surface_homology_dim(P, k, i) == (
+                two_stack_surface_homology_dim(P, k, i)
+            ), (k, i)
+
+
+# ---------------------------------------------------------------------------
+# A negative dimension names the ranks it came from
+# ---------------------------------------------------------------------------
+
+
+# deg(phi) - |w| = 1, so the step down lowers the degree
+QUARTIC = ("x^4+y^4+z^4", (1, 1, 1))
+
+
+def test_negative_cohomology_dim_names_the_ranks(monkeypatch):
+    # X^1 at degree 2 has dim 30; pretend delta^0 at degree 1 has rank 40
+    monkeypatch.setattr(
+        cohomology, "delta_rank", lambda P, k, i: 40 if k == 0 else 5
+    )
+    with pytest.raises(RuntimeError) as err:
+        cohomology.cohomology_dim(structure(*QUARTIC), 1, 2)
+    message = str(err.value)
+    assert "k=1, degree 2" in message
+    assert "dim X^1 = 30" in message
+    assert "rank delta^1 = 5 at degree 2" in message
+    assert "rank delta^0 = 40 at degree 1" in message
+
+
+def test_negative_surface_cohomology_dim_names_the_ranks(monkeypatch):
+    monkeypatch.setattr(
+        cohomology, "_cocycle_rank", lambda P, k, i: 999 if k == 1 else 50
+    )
+    monkeypatch.setattr(cohomology, "_constraint_rank", lambda P, k, i: 0)
+    with pytest.raises(RuntimeError) as err:
+        # bypass the cache: the unpatched value may already be stored
+        cohomology.surface_cohomology_dim.__wrapped__(structure(*QUARTIC), 2, 3)
+    message = str(err.value)
+    assert "k=2, degree 3" in message
+    assert "cocycle stack rank 50" in message
+    assert "stack rank 999 - constraint rank 0 at degree 2" in message
+
+
+def test_negative_surface_homology_dim_names_the_ranks(monkeypatch):
+    monkeypatch.setattr(
+        homology, "_cycle_rank", lambda P, k, i: 777 if k == 2 else 3
+    )
+    monkeypatch.setattr(homology, "omega_relation_rank", lambda P, k, i: 4)
+    with pytest.raises(RuntimeError) as err:
+        homology.surface_homology_dim.__wrapped__(structure(*QUARTIC), 1, 5)
+    message = str(err.value)
+    assert "k=1, form degree 5" in message
+    assert "dim Omega^1 = 45 - cycle stack rank 3 + relation rank 4" in message
+    assert "boundaries 777" in message
