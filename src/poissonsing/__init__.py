@@ -21,12 +21,11 @@ from .cohomology import (
     surface_closed_form,
 )
 from .homology import (
-    BridgeMismatch,
     ambient_homology_description,
     default_form_window,
     duality_identity_holds,
+    first_bridge_failure,
     homology_dims,
-    predicted_homology_dims,
     surface_homology_description,
     surface_homology_dims,
 )
@@ -38,7 +37,7 @@ from .linalg import (
     matrix_of,
     symbol_of,
 )
-from .milnor import MilnorData, NotIsolated, check_isolated, jacobian_graded_dim
+from .milnor import MilnorData, NotIsolated, check_isolated
 from .poisson import PoissonStructure
 from .poly import (
     MINUS_INFINITY,
@@ -47,7 +46,6 @@ from .poly import (
     Poly,
     PolyParseError,
     WeightSystem,
-    graded_components,
     monomials_of_degree,
     parse_poly,
     weighted_degree,
@@ -58,7 +56,6 @@ from .vectorcalc import VecPoly, cross, curl, divergence, dot, euler_field, grad
 __version__ = "0.1.0"
 
 __all__ = [
-    "BridgeMismatch",
     "CheckResult",
     "DegreeMismatch",
     "GradedBasis",
@@ -89,16 +86,14 @@ __all__ = [
     "divergence",
     "dot",
     "duality_identity_holds",
+    "first_bridge_failure",
     "euler_field",
     "grad",
-    "graded_components",
     "homology_dims",
-    "jacobian_graded_dim",
     "matrix_of",
     "monomials_of_degree",
     "parse_poly",
     "predicted_dims",
-    "predicted_homology_dims",
     "run_suite",
     "surface_brute_force_dims",
     "surface_closed_form",

@@ -20,7 +20,7 @@ from .poly import (
     WeightSystem,
     parse_poly,
 )
-from .report import build_report, first_mismatch, render_text, suite_lines
+from .report import build_report, first_mismatch, milnor_section, render_text, suite_lines
 from .suites import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -148,15 +148,8 @@ def cmd_milnor(args) -> int:
         print("rejected: %s" % exc, file=sys.stderr)
         return EXIT_NOT_ISOLATED
     if args.format == "json":
-        payload = {
-            "mu": data.mu,
-            "socle_bound": data.socle_bound,
-            "graded_dims": [[i, n] for i, n in data.graded_dims],
-            "basis": [
-                {"monomial": str(Poly.monomial(m)), "degree": d}
-                for m, d in data.basis
-            ],
-        }
+        section = milnor_section(P, data)
+        payload = {key: section[key] for key in ("mu", "socle_bound", "graded_dims", "basis")}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print("mu = %d, socle bound = %d" % (data.mu, data.socle_bound))

@@ -107,6 +107,12 @@ class GradedDims:
     def matches(self, other: "GradedDims") -> bool:
         return self.window == other.window and dict(self.dims) == dict(other.dims)
 
+    def first_difference(self, other: "GradedDims") -> int | None:
+        """The first degree of the window where the two differ, or None."""
+        mine, theirs = self.as_dict(), other.as_dict()
+        lo, hi = self.window
+        return next((i for i in range(lo, hi + 1) if mine.get(i, 0) != theirs.get(i, 0)), None)
+
     def pairs(self) -> list[list[int]]:
         return [[i, n] for i, n in self.dims]
 
@@ -286,7 +292,7 @@ def _cocycle_rank(P: PoissonStructure, k: int, i: int) -> int:
     n, rows_top, d_cols, p_cols = _constraint_blocks(P, k, i)
     delta_cols = delta_matrix(P, k, i).columns if n else []
     top = (
-        {**(d_cols[j] if d_cols else {}), **offset_vector(delta_cols[j], rows_top)}
+        {**d_cols[j], **offset_vector(delta_cols[j], rows_top)} if d_cols else delta_cols[j]
         for j in range(n)
     )
     p2 = mult_phi_matrix(P, "X%d" % (k + 1), i + N - d).columns

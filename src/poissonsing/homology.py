@@ -3,9 +3,9 @@
 On A the chain spaces Omega^k identify with X^{3-k} (form degree = derivation
 degree + |w|) and the boundary is (-1)^k * delta^{3-k}, so the homology
 H_k at form degree i equals the cohomology H^{3-k} at derivation degree
-i - |w|; homology_dims re-indexes the cohomology engine accordingly and, on
-request, verifies the boundary/coboundary matrix identity entrywise on the
-window.
+i - |w|; homology_dims re-indexes the cohomology engine accordingly, and
+first_bridge_failure checks the boundary/coboundary matrix identity
+entrywise on a window.
 
 On A/<phi> the form spaces are presented as quotients of A and A^3 by the
 relations generated by phi and by wedging with d(phi) (see operators): the
@@ -44,11 +44,6 @@ from .poisson import PoissonStructure
 from .vectorcalc import euler_field, grad
 
 
-class BridgeMismatch(RuntimeError):
-    """A boundary matrix differs from the signed coboundary matrix it should
-    equal; the message names k and the form degree."""
-
-
 def default_form_window(P: PoissonStructure) -> Window:
     from .cohomology import default_window
 
@@ -65,24 +60,19 @@ def duality_identity_holds(P: PoissonStructure, k: int, i: int) -> bool:
     return b.same_entries(d)
 
 
-def homology_dims(
-    P: PoissonStructure, k: int, window: Window, verify: bool = True
-) -> GradedDims:
-    """dim H_k at each form degree in the window, via the degree shift.
+def first_bridge_failure(P: PoissonStructure, k: int, window: Window) -> int | None:
+    """The first form degree of the window where boundary_k differs from the
+    signed coboundary, or None (boundary_0 is zero, so k = 0 has none)."""
+    if k == 0:
+        return None
+    lo, hi = window
+    return next((i for i in range(lo, hi + 1) if not duality_identity_holds(P, k, i)), None)
 
-    With verify=True the boundary matrices are compared entrywise against
-    the shifted coboundary matrices on the whole window first, and the first
-    degree where they differ raises BridgeMismatch.
-    """
+
+def homology_dims(P: PoissonStructure, k: int, window: Window) -> GradedDims:
+    """dim H_k at each form degree in the window, via the degree shift."""
     lo, hi = window
     s = P.weight_sum
-    if verify and k in (1, 2, 3):
-        for i in range(lo, hi + 1):
-            if not duality_identity_holds(P, k, i):
-                raise BridgeMismatch(
-                    "boundary/coboundary identity failed at k=%d, form degree %d"
-                    % (k, i)
-                )
     co = brute_force_dims(P, 3 - k, (lo - s, hi - s))
     dims = {i + s: n for i, n in co.dims}
     return _dims_from_map("H_%d_ambient" % k, window, dims)
@@ -99,14 +89,6 @@ def ambient_homology_description(
         for g in co.generators
     )
     return ModuleDescription("H_%d_ambient" % k, co.coefficient_ring, co.cas_period, gens)
-
-
-def predicted_homology_dims(
-    P: PoissonStructure, M: MilnorData, k: int, window: Window
-) -> GradedDims:
-    from .cohomology import predicted_dims
-
-    return predicted_dims(ambient_homology_description(P, M, k), window)
 
 
 # ---------------------------------------------------------------------------

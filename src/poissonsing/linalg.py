@@ -313,9 +313,6 @@ class GradedOperatorMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.target.dim, self.source.dim)
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.columns[j].get(i, 0)
-
     def is_zero(self) -> bool:
         return all(not c for c in self.columns)
 
@@ -477,5 +474,5 @@ def matrix_of(symbol: Symbol, source: GradedBasis, target: GradedBasis) -> Grade
 
 def offset_vector(vec: Vector, offset: int) -> Vector:
     if not offset:
-        return dict(vec)
+        return vec
     return {k + offset: v for k, v in vec.items()}

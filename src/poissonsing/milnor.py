@@ -27,7 +27,6 @@ __all__ = [
     "MilnorData",
     "NotIsolated",
     "check_isolated",
-    "jacobian_graded_dim",
     "socle_bound",
 ]
 
@@ -65,9 +64,6 @@ class MilnorData:
     mu: int
     basis: tuple[tuple[Monomial, int], ...]
 
-    def dims_map(self) -> dict[int, int]:
-        return dict(self.graded_dims)
-
     def basis_polys(self) -> list[tuple[Poly, int]]:
         return [(Poly.monomial(m), d) for m, d in self.basis]
 
@@ -91,18 +87,6 @@ def _jacobian_columns(phi: Poly, w: WeightSystem, i: int, d: int):
         src = basis_of("A", i - (d - w.weights[axis]), w)
         cols.extend(matrix_of(symbol, src, target).columns)
     return target, cols
-
-
-def jacobian_graded_dim(phi: Poly, w: WeightSystem, i: int) -> int:
-    """dim of the degree-i piece of A modulo the Jacobian ideal."""
-    d = weighted_degree(phi, w)
-    if not isinstance(d, int):
-        raise ValueError("phi must be non-zero and weight homogeneous")
-    target, cols = _jacobian_columns(phi, w, i, d)
-    ech = Echelon()
-    for col in cols:
-        ech.insert(col)
-    return target.dim - ech.rank
 
 
 def _quotient_monomials(phi: Poly, w: WeightSystem, i: int, d: int) -> list[Monomial]:

@@ -309,14 +309,6 @@ def weighted_degree(f: Poly, w: WeightSystem):
     return degrees.pop()
 
 
-def graded_components(f: Poly, w: WeightSystem) -> dict[int, Poly]:
-    """Split f into its weight-homogeneous components, keyed by degree."""
-    buckets: dict[int, dict[Monomial, Scalar]] = {}
-    for m, c in f.terms.items():
-        buckets.setdefault(w.monomial_degree(m), {})[m] = c
-    return {d: Poly._raw(t) for d, t in sorted(buckets.items())}
-
-
 def monomials_of_degree(i: int, w: WeightSystem) -> list[Monomial]:
     """All monomials of weighted degree i, in the fixed (descending) order."""
     if i < 0:

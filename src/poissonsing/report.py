@@ -3,7 +3,9 @@ with predicted and computed Hilbert functions, suite summary, conventions.
 
 Reports are plain dicts of JSON-serializable values, deterministic given the
 input and the seed (suites use a seeded generator, dims are exact), so two
-runs with the same flags produce byte-identical output.
+runs with the same flags produce byte-identical output.  The sixteen spaces
+come from the same Space records the suites read (suites.space_family), so
+each is computed once per run.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ from __future__ import annotations
 from typing import Any
 
 from . import cohomology as ch
-from . import homology as hm
 from .milnor import MilnorData, NotIsolated, check_isolated
 from .poisson import PoissonStructure
 from .poly import Poly
-from .suites import SUITE_NAMES, CheckResult, run_suite
+from .suites import SUITE_NAMES, CheckResult, Space, difference_text, run_suite, space_family
 
 SCHEMA_KEYS = (
     "input",
@@ -47,20 +48,18 @@ def _describe(desc: ch.ModuleDescription) -> dict[str, Any]:
     }
 
 
-def _space_entry(
-    desc: ch.ModuleDescription,
-    predicted: ch.GradedDims,
-    computed: ch.GradedDims,
-    grading: str,
-) -> dict[str, Any]:
-    return {
-        "description": _describe(desc),
-        "predicted": predicted.pairs(),
-        "computed": computed.pairs(),
-        "match": computed.matches(predicted),
-        "window": list(predicted.window),
-        "grading": grading,
+def _space_entry(space: Space) -> dict[str, Any]:
+    entry = {
+        "description": _describe(space.description),
+        "predicted": space.predicted.pairs(),
+        "computed": space.computed.pairs(),
+        "match": space.matches,
+        "window": list(space.predicted.window),
+        "grading": space.grading,
     }
+    if space.bridge_failure is not None:
+        entry["boundary_bridge"] = "failed at form degree %d" % space.bridge_failure
+    return entry
 
 
 def _conventions(P: PoissonStructure, seed: int) -> dict[str, Any]:
@@ -146,67 +145,21 @@ def build_report(
 
     if window is None:
         window = ch.default_window(P)
-    s = P.weight_sum
-    form_window = (window[0] + s, window[1] + s)
     report["milnor"] = milnor_section(P, milnor)
-
-    all_match = True
-    ambient: dict[str, Any] = {}
-    surface: dict[str, Any] = {}
-    for k in range(4):
-        desc = ch.closed_form(P, milnor, k)
-        entry = _space_entry(
-            desc,
-            ch.predicted_dims(desc, window),
-            ch.brute_force_dims(P, k, window),
-            "derivation",
-        )
-        ambient["H%d" % k] = entry
-        all_match = all_match and entry["match"]
-
-        sdesc = ch.surface_closed_form(P, milnor, k)
-        sentry = _space_entry(
-            sdesc,
-            ch.predicted_dims(sdesc, window),
-            ch.surface_brute_force_dims(P, k, window),
-            "derivation",
-        )
-        surface["H%d" % k] = sentry
-        all_match = all_match and sentry["match"]
-    report["cohomology"] = {"ambient": ambient, "surface": surface}
-
-    h_ambient: dict[str, Any] = {}
-    h_surface: dict[str, Any] = {}
-    for k in range(4):
-        desc = hm.ambient_homology_description(P, milnor, k)
-        try:
-            computed = hm.homology_dims(P, k, form_window, verify=True)
-            bridge_ok = True
-        except hm.BridgeMismatch:
-            computed = hm.homology_dims(P, k, form_window, verify=False)
-            bridge_ok = False
-        entry = _space_entry(
-            desc,
-            hm.predicted_homology_dims(P, milnor, k, form_window),
-            computed,
-            "form",
-        )
-        if not bridge_ok:
-            entry["match"] = False
-            entry["boundary_bridge"] = "failed"
-        h_ambient["H_%d" % k] = entry
-        all_match = all_match and entry["match"]
-
-        sdesc = hm.surface_homology_description(P, milnor, k)
-        sentry = _space_entry(
-            sdesc,
-            ch.predicted_dims(sdesc, form_window),
-            hm.surface_homology_dims(P, k, form_window),
-            "form",
-        )
-        h_surface["H_%d" % k] = sentry
-        all_match = all_match and sentry["match"]
-    report["homology"] = {"ambient": h_ambient, "surface": h_surface}
+    for block, label in (("cohomology", "H%d"), ("homology", "H_%d")):
+        report[block] = {
+            side: {
+                label % k: _space_entry(space)
+                for k, space in enumerate(space_family(P, milnor, tuple(window), block, side))
+            }
+            for side in ("ambient", "surface")
+        }
+    all_match = all(
+        entry["match"]
+        for block in ("cohomology", "homology")
+        for spaces in report[block].values()
+        for entry in spaces.values()
+    )
 
     summary: dict[str, str] = {}
     suites_pass = True
@@ -220,15 +173,24 @@ def build_report(
 
 
 def first_mismatch(report: dict[str, Any]) -> str:
-    """Name the first offending space for the exit-4 diagnostic."""
+    """Name the first offending space and its first failing degree for the
+    exit-4 diagnostic."""
     for block_name in ("cohomology", "homology"):
         block = report.get(block_name)
         if not block:
             continue
         for side in ("ambient", "surface"):
             for space, entry in block[side].items():
-                if not entry["match"]:
-                    return "%s/%s/%s" % (block_name, side, space)
+                if entry["match"]:
+                    continue
+                where = "%s/%s/%s" % (block_name, side, space)
+                if "boundary_bridge" in entry:
+                    return "%s: boundary bridge %s" % (where, entry["boundary_bridge"])
+                predicted, computed = (
+                    ch.GradedDims(space, tuple(entry["window"]), tuple(map(tuple, entry[key])))
+                    for key in ("predicted", "computed")
+                )
+                return "%s at %s" % (where, difference_text(entry["grading"], predicted, computed))
     for name, status in report.get("invariants_summary", {}).items():
         if status == "fail":
             return "invariant %s" % name

@@ -6,16 +6,22 @@ or checks an exactness/dimension statement on every degree of a window
 (Koszul rows, de Rham columns, the 2-cocycle decomposition, the closed-form
 (co)homology against the rank computations).  All checks are exact; a failed
 check carries a minimal counterexample in its details.
+
+The sixteen (co)homology spaces are computed once per window, as Space
+records in four families (space_family); the report and the suites read the
+same records, so each comparison and the boundary bridge check run once.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import cohomology as ch
 from . import homology as hm
-from .linalg import Echelon, basis_of, rank_of_columns
+from .linalg import Echelon, basis_of, offset_vector, rank_of_columns
 from .milnor import MilnorData, check_isolated
 from .operators import (
     boundary_matrix,
@@ -46,6 +52,92 @@ class CheckResult:
         status = "PASS" if self.passed else "FAIL"
         extra = " -- %s" % self.details if self.details and not self.passed else ""
         return "%s %-42s (%d cases)%s" % (status, self.name, self.cases, extra)
+
+
+def _first_failure(name: str, cases: Iterable, check: Callable) -> CheckResult:
+    """Run check on each case in order; the first case it returns a text for
+    fails the family, and the count is of the cases run so far."""
+    count = 0
+    for case in cases:
+        count += 1
+        bad = check(case)
+        if bad:
+            return CheckResult(name, False, count, bad)
+    return CheckResult(name, True, count, "")
+
+
+# ---------------------------------------------------------------------------
+# The sixteen spaces
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Space:
+    """One (co)homology space on one window: its closed form, the dims the
+    closed form predicts and the dims the ranks give.  For ambient homology,
+    bridge_failure is the first form degree where the boundary is not the
+    signed coboundary, or None."""
+
+    description: ch.ModuleDescription
+    predicted: ch.GradedDims
+    computed: ch.GradedDims
+    grading: str
+    bridge_failure: int | None = None
+
+    @property
+    def matches(self) -> bool:
+        return self.first_difference() is None and self.bridge_failure is None
+
+    def first_difference(self) -> int | None:
+        return self.predicted.first_difference(self.computed)
+
+    def difference(self) -> str:
+        return difference_text(self.grading, self.predicted, self.computed)
+
+
+def difference_text(grading: str, predicted: ch.GradedDims, computed: ch.GradedDims) -> str:
+    """'degree i: predicted p, computed c' at the first degree where the two
+    differ ('form degree' under the form grading), or '' when they agree."""
+    i = predicted.first_difference(computed)
+    if i is None:
+        return ""
+    unit = "form degree" if grading == "form" else "degree"
+    return "%s %d: predicted %d, computed %d" % (unit, i, predicted.dim_at(i), computed.dim_at(i))
+
+
+@lru_cache(maxsize=4)
+def space_family(
+    P: PoissonStructure, M: MilnorData, window: ch.Window, block: str, side: str
+) -> tuple[Space, ...]:
+    """H^0..H^3 (block "cohomology") or H_0..H_3 (block "homology") of A
+    (side "ambient") or of A/<phi> (side "surface") on a derivation window.
+
+    Homology is graded by form degree, on the window shifted by |w|.  The
+    engines are looked up on their modules at call time, so a wrapped or
+    patched engine is the one that runs.
+    """
+    if block == "cohomology":
+        grading, degrees = "derivation", window
+        if side == "ambient":
+            describe, compute = ch.closed_form, ch.brute_force_dims
+        else:
+            describe, compute = ch.surface_closed_form, ch.surface_brute_force_dims
+    else:
+        s = P.weight_sum
+        grading, degrees = "form", (window[0] + s, window[1] + s)
+        if side == "ambient":
+            describe, compute = hm.ambient_homology_description, hm.homology_dims
+        else:
+            describe, compute = hm.surface_homology_description, hm.surface_homology_dims
+    bridged = block == "homology" and side == "ambient"
+    spaces = []
+    for k in range(4):
+        desc = describe(P, M, k)
+        bridge = hm.first_bridge_failure(P, k, degrees) if bridged else None
+        spaces.append(
+            Space(desc, ch.predicted_dims(desc, degrees), compute(P, k, degrees), grading, bridge)
+        )
+    return tuple(spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -93,19 +185,10 @@ def random_homogeneous(rng: random.Random, w: WeightSystem, terms: int = 3) -> P
 # ---------------------------------------------------------------------------
 
 
-def _run_random_family(name, cases, rng, body) -> CheckResult:
-    for n in range(cases):
-        bad = body(rng)
-        if bad is not None:
-            return CheckResult(name, False, n + 1, bad)
-    return CheckResult(name, True, cases, "")
-
-
 def identities_suite(P: PoissonStructure, seed: int, cases: int = 200) -> list[CheckResult]:
     rng = random.Random(seed)
     w = P.weights
     e_w = euler_field(w)
-    results = []
 
     def curl_product(r):
         f, g = random_poly(r), random_vec(r)
@@ -205,9 +288,10 @@ def identities_suite(P: PoissonStructure, seed: int, cases: int = 200) -> list[C
         ("casimir_multiplication_commutes", casimir_commutes),
         ("bracket_matches_biderivation", bracket_expansion),
     ]
-    for name, body in families:
-        results.append(_run_random_family(name, cases, rng, body))
-    return results
+    return [
+        _first_failure(name, range(cases), lambda _, body=body: body(rng))
+        for name, body in families
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +322,6 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
     degrees = range(lo, hi + 1)
     w = P.weights
     s = w.weight_sum
-    results = []
-
-    def per_degree(name, body):
-        count = 0
-        for i in degrees:
-            count += 1
-            bad = body(i)
-            if bad is not None:
-                return CheckResult(name, False, count, bad)
-        return CheckResult(name, True, count, "")
 
     def injective(i):
         m = mult_grad_phi_matrix(P, i)
@@ -324,15 +398,17 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
             else "degree %d: span %d vs cocycles %d" % (i, span, cocycles)
         )
 
-    results.append(per_degree("koszul_multiplication_injective", injective))
-    results.append(per_degree("koszul_first_exactness", first_exact))
-    results.append(per_degree("koszul_second_exactness", second_exact))
-    results.append(per_degree("de_rham_gradient_kernel", grad_kernel))
-    results.append(per_degree("de_rham_curl_exactness", curl_exact))
-    results.append(per_degree("de_rham_divergence_exactness", div_exact))
-    results.append(per_degree("de_rham_divergence_onto", div_onto))
-    results.append(per_degree("two_cocycles_are_gradients_plus_multiples", z2_spanned))
-    return results
+    families = [
+        ("koszul_multiplication_injective", injective),
+        ("koszul_first_exactness", first_exact),
+        ("koszul_second_exactness", second_exact),
+        ("de_rham_gradient_kernel", grad_kernel),
+        ("de_rham_curl_exactness", curl_exact),
+        ("de_rham_divergence_exactness", div_exact),
+        ("de_rham_divergence_onto", div_onto),
+        ("two_cocycles_are_gradients_plus_multiples", z2_spanned),
+    ]
+    return [_first_failure(name, degrees, body) for name, body in families]
 
 
 # ---------------------------------------------------------------------------
@@ -340,31 +416,26 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _closed_form_results(side: str, label: str, spaces: tuple[Space, ...]) -> list[CheckResult]:
+    """One '<side>_<label>_matches_closed_form' result per space, detailing
+    the first degree where the predicted and computed dims differ."""
+    results = []
+    for k, space in enumerate(spaces):
+        lo, hi = space.predicted.window
+        text = space.difference()
+        name = "%s_%s_matches_closed_form" % (side, label % k)
+        results.append(CheckResult(name, not text, hi - lo + 1, text and "%s %s" % (label % k, text)))
+    return results
+
+
 def cohomology_suite(
     P: PoissonStructure, M: MilnorData, window: ch.Window
 ) -> list[CheckResult]:
     lo, hi = window
     d, s = P.degree, P.weight_sum
-    results = []
-
-    for k in range(4):
-        predicted = ch.predicted_dims(ch.closed_form(P, M, k), window)
-        computed = ch.brute_force_dims(P, k, window)
-        ok = computed.matches(predicted)
-        details = ""
-        if not ok:
-            for i in range(lo, hi + 1):
-                if predicted.dim_at(i) != computed.dim_at(i):
-                    details = "H%d degree %d: predicted %d, computed %d" % (
-                        k,
-                        i,
-                        predicted.dim_at(i),
-                        computed.dim_at(i),
-                    )
-                    break
-        results.append(
-            CheckResult("ambient_H%d_matches_closed_form" % k, ok, hi - lo + 1, details)
-        )
+    results = _closed_form_results(
+        "ambient", "H%d", space_family(P, M, tuple(window), "cohomology", "ambient")
+    )
 
     def casimir_bound(i):
         cocycles = basis_of("X0", i, P.weights).dim - delta_rank(P, 0, i)
@@ -375,54 +446,41 @@ def cohomology_suite(
             return "phi^%d is not a cocycle" % (i // d)
         return None
 
-    count, bad = 0, ""
-    for i in range(lo, hi + 1):
-        count += 1
-        bad = casimir_bound(i) or ""
-        if bad:
-            break
-    results.append(CheckResult("casimir_cocycles_spanned_by_phi_powers", not bad, count, bad))
+    results.append(
+        _first_failure("casimir_cocycles_spanned_by_phi_powers", range(lo, hi + 1), casimir_bound)
+    )
 
     # divergence rigidity: g.grad(phi)=0 and div(g)=a*phi^r force a=0
-    count, bad = 0, ""
-    r = 0
-    while r * d <= hi:
-        count += 1
+    def rigid(r):
         i = r * d
         dotm = dot_grad_phi_matrix(P, i)
         divm = div_matrix(P.weights, i)
         off = dotm.target.dim
         stacked = [
-            {**dotm.columns[j], **{key + off: val for key, val in divm.columns[j].items()}}
+            {**dotm.columns[j], **offset_vector(divm.columns[j], off)}
             for j in range(dotm.source.dim)
         ]
         base = rank_of_columns(stacked)
-        target_vec = {
-            off + key: val
-            for key, val in divm.target.coords_of(P.phi**r).items()
-        }
+        target_vec = offset_vector(divm.target.coords_of(P.phi**r), off)
         if rank_of_columns(stacked + [target_vec]) != base + 1:
-            bad = "phi^%d is a constrained divergence" % r
-            break
-        r += 1
-    results.append(CheckResult("divergence_rigidity_alpha_zero", not bad, count, bad))
+            return "phi^%d is a constrained divergence" % r
+        return None
+
+    results.append(_first_failure("divergence_rigidity_alpha_zero", range(hi // d + 1), rigid))
 
     # one-form of the Euler multiples: delta1(phi^i u_j e_w) in closed form
     e_w = euler_field(P.weights)
-    count, bad = 0, ""
-    for j, (u, deg_u) in enumerate(M.basis_polys()):
-        for i in (0, 1):
-            count += 1
-            lhs = P.delta1(e_w * (P.phi**i * u))
-            rhs = (P.nabla_phi * (P.phi**i * u)) * (deg_u - d + s) - (
-                grad(u) * (P.phi ** (i + 1))
-            ) * d
-            if lhs != rhs:
-                bad = "u%d, power %d" % (j, i)
-                break
-        if bad:
-            break
-    results.append(CheckResult("euler_multiple_coboundary_formula", not bad, count, bad))
+
+    def euler_multiple(case):
+        j, u, deg_u, i = case
+        lhs = P.delta1(e_w * (P.phi**i * u))
+        rhs = (P.nabla_phi * (P.phi**i * u)) * (deg_u - d + s) - (
+            grad(u) * (P.phi ** (i + 1))
+        ) * d
+        return None if lhs == rhs else "u%d, power %d" % (j, i)
+
+    multiples = [(j, u, deg_u, i) for j, (u, deg_u) in enumerate(M.basis_polys()) for i in (0, 1)]
+    results.append(_first_failure("euler_multiple_coboundary_formula", multiples, euler_multiple))
 
     # grad(phi) is a coboundary exactly when deg(phi) differs from |w|
     d1 = delta_matrix(P, 1, 0)
@@ -450,33 +508,16 @@ def surface_suite(
     P: PoissonStructure, M: MilnorData, window: ch.Window
 ) -> list[CheckResult]:
     lo, hi = window
-    results = []
-    for k in range(4):
-        predicted = ch.predicted_dims(ch.surface_closed_form(P, M, k), window)
-        computed = ch.surface_brute_force_dims(P, k, window)
-        ok = computed.matches(predicted)
-        details = ""
-        if not ok:
-            for i in range(lo, hi + 1):
-                if predicted.dim_at(i) != computed.dim_at(i):
-                    details = "H%d degree %d: predicted %d, computed %d" % (
-                        k,
-                        i,
-                        predicted.dim_at(i),
-                        computed.dim_at(i),
-                    )
-                    break
-        results.append(
-            CheckResult("surface_H%d_matches_closed_form" % k, ok, hi - lo + 1, details)
-        )
+    results = _closed_form_results(
+        "surface", "H%d", space_family(P, M, tuple(window), "cohomology", "surface")
+    )
 
-    count, bad = 0, ""
-    for i in range(lo, hi + 1):
-        count += 1
+    def top_vanishes(i):
         if ch.surface_cochain_dim(P, 3, i) != 0:
-            bad = "3-derivations of the surface survive at degree %d" % i
-            break
-    results.append(CheckResult("surface_top_derivations_vanish", not bad, count, bad))
+            return "3-derivations of the surface survive at degree %d" % i
+        return None
+
+    results.append(_first_failure("surface_top_derivations_vanish", range(lo, hi + 1), top_vanishes))
     return results
 
 
@@ -484,81 +525,53 @@ def homology_suite(
     P: PoissonStructure, M: MilnorData, window: ch.Window
 ) -> list[CheckResult]:
     s = P.weight_sum
-    form_window = (window[0] + s, window[1] + s)
-    lo, hi = form_window
-    results = []
+    degrees = range(window[0] + s, window[1] + s + 1)
+    ambient = space_family(P, M, tuple(window), "homology", "ambient")
+    surface = space_family(P, M, tuple(window), "homology", "surface")
 
-    count, bad = 0, ""
-    for k in (1, 2):
-        for i in range(lo, hi + 1):
-            count += 1
-            outer = boundary_matrix(P, k, i + P.coboundary_degree)
-            inner = boundary_matrix(P, k + 1, i)
-            if not outer.compose(inner).is_zero():
-                bad = "boundary squared at k=%d, form degree %d" % (k, i)
-                break
-        if bad:
-            break
-    results.append(CheckResult("boundary_squared_vanishes", not bad, count, bad))
+    def squared_vanishes(case):
+        k, i = case
+        outer = boundary_matrix(P, k, i + P.coboundary_degree)
+        inner = boundary_matrix(P, k + 1, i)
+        if not outer.compose(inner).is_zero():
+            return "boundary squared at k=%d, form degree %d" % (k, i)
+        return None
 
-    count, bad = 0, ""
-    for k in (1, 2, 3):
-        for i in range(lo, hi + 1):
-            count += 1
-            if not hm.duality_identity_holds(P, k, i):
-                bad = "k=%d, form degree %d" % (k, i)
-                break
-        if bad:
-            break
-    results.append(CheckResult("boundary_equals_signed_coboundary", not bad, count, bad))
+    def bridge_holds(case):
+        k, i = case
+        return "k=%d, form degree %d" % case if ambient[k].bridge_failure == i else None
 
-    for k in range(4):
-        predicted = hm.predicted_homology_dims(P, M, k, form_window)
-        computed = hm.homology_dims(P, k, form_window, verify=False)
-        ok = computed.matches(predicted)
-        results.append(
-            CheckResult(
-                "ambient_H_%d_matches_closed_form" % k, ok, hi - lo + 1,
-                "" if ok else "dims differ",
-            )
-        )
+    def descends(case):
+        if not hm.projection_commutes(P, *case):
+            return "relations escape at k=%d, form degree %d" % case
+        return None
 
-    for k in range(4):
-        predicted = ch.predicted_dims(hm.surface_homology_description(P, M, k), form_window)
-        computed = hm.surface_homology_dims(P, k, form_window)
-        ok = computed.matches(predicted)
-        details = ""
-        if not ok:
-            for i in range(lo, hi + 1):
-                if predicted.dim_at(i) != computed.dim_at(i):
-                    details = "H_%d form degree %d: predicted %d, computed %d" % (
-                        k, i, predicted.dim_at(i), computed.dim_at(i),
-                    )
-                    break
-        results.append(
-            CheckResult("surface_H_%d_matches_closed_form" % k, ok, hi - lo + 1, details)
-        )
+    results = [
+        _first_failure(
+            "boundary_squared_vanishes", [(k, i) for k in (1, 2) for i in degrees], squared_vanishes
+        ),
+        _first_failure(
+            "boundary_equals_signed_coboundary",
+            [(k, i) for k in (1, 2, 3) for i in degrees],
+            bridge_holds,
+        ),
+    ]
+    results += _closed_form_results("ambient", "H_%d", ambient)
+    results += _closed_form_results("surface", "H_%d", surface)
 
-    computed0 = hm.surface_homology_dims(P, 0, form_window)
-    milnor_dims = {i: n for i, n in M.graded_dims if lo <= i <= hi}
-    ok = computed0.as_dict() == milnor_dims
+    milnor_dims = {i: n for i, n in M.graded_dims if i in degrees}
+    ok = surface[0].computed.as_dict() == milnor_dims
     results.append(
         CheckResult(
-            "surface_H_0_equals_jacobian_quotient", ok, hi - lo + 1,
+            "surface_H_0_equals_jacobian_quotient", ok, len(degrees),
             "" if ok else "dims differ from the Jacobian quotient",
         )
     )
-
-    count, bad = 0, ""
-    for k in (1, 2, 3):
-        for i in range(lo, hi + 1):
-            count += 1
-            if not hm.projection_commutes(P, k, i):
-                bad = "relations escape at k=%d, form degree %d" % (k, i)
-                break
-        if bad:
-            break
-    results.append(CheckResult("quotient_boundary_well_defined", not bad, count, bad))
+    results.append(
+        _first_failure(
+            "quotient_boundary_well_defined", [(k, i) for k in (1, 2, 3) for i in degrees], descends
+        )
+    )
     return results
 
 

@@ -2,8 +2,17 @@ from __future__ import annotations
 
 import pytest
 
-from poissonsing import PoissonStructure, WeightSystem, check_isolated, parse_poly
-from poissonsing.linalg import Echelon, GradedOperatorMatrix
+from poissonsing import (
+    PoissonStructure,
+    Poly,
+    WeightSystem,
+    check_isolated,
+    parse_poly,
+    weighted_degree,
+)
+from poissonsing.linalg import Echelon, GradedOperatorMatrix, rank_of_columns
+from poissonsing.milnor import _jacobian_columns
+from poissonsing.suites import space_family
 
 # (phi, weights, expected Milnor number)
 CATALOG = [
@@ -42,6 +51,16 @@ def cubic_milnor(cubic):
     return check_isolated(cubic.phi, cubic.weights)
 
 
+@pytest.fixture
+def fresh_spaces():
+    """An empty space-family cache before and after the test, for tests that
+    patch an engine: a cached family would hide the patch, and a family
+    computed with the patch must not reach later tests."""
+    space_family.cache_clear()
+    yield
+    space_family.cache_clear()
+
+
 def oracle_columns(op, source, target):
     """Columns of op's matrix, by evaluating op on every source basis element."""
     return [target.coords_of(op(source.element(j))) for j in range(source.dim)]
@@ -51,9 +70,27 @@ def identity_matrix(basis):
     return GradedOperatorMatrix(basis, basis, [{j: 1} for j in range(basis.dim)])
 
 
+def entry(m, i, j):
+    return m.columns[j].get(i, 0)
+
+
 def to_dense(m):
     rows, cols = m.shape
-    return [[m.entry(i, j) for j in range(cols)] for i in range(rows)]
+    return [[entry(m, i, j) for j in range(cols)] for i in range(rows)]
+
+
+def graded_components(f, w):
+    """Split f into its weight-homogeneous components, keyed by degree."""
+    buckets = {}
+    for m, c in f.terms.items():
+        buckets.setdefault(w.monomial_degree(m), {})[m] = c
+    return {d: Poly(t) for d, t in sorted(buckets.items())}
+
+
+def jacobian_graded_dim(phi, w, i):
+    """dim of the degree-i piece of A modulo the Jacobian ideal of phi."""
+    target, cols = _jacobian_columns(phi, w, i, weighted_degree(phi, w))
+    return target.dim - rank_of_columns(cols)
 
 
 def echelon_of(columns):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from poissonsing import cohomology as ch
+from poissonsing import homology as hm
 from poissonsing.cli import main
 from poissonsing.report import SCHEMA_KEYS
 
@@ -12,6 +15,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_engine_calls(monkeypatch) -> Counter:
+    """Count the calls of each (co)homology engine, under its name; the
+    binding of brute_force_dims inside homology is counted too."""
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module, names in (
+        (ch, ("brute_force_dims", "surface_brute_force_dims")),
+        (hm, ("brute_force_dims", "duality_identity_holds", "homology_dims",
+              "surface_homology_dims")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
 
 
 class TestBracketCommand:
@@ -136,9 +160,8 @@ class TestAnalyzeCommand:
         assert len(tables[0]) == 16
         assert tables[0] == tables[1]
 
-    def test_mismatch_exit_code(self, capsys, monkeypatch):
+    def test_mismatch_exit_code(self, capsys, monkeypatch, fresh_spaces):
         # force a wrong computed table to exercise the exit-4 path
-        from poissonsing import cohomology as ch
         from poissonsing import report as rp
 
         real = ch.brute_force_dims
@@ -155,29 +178,55 @@ class TestAnalyzeCommand:
             "--max-degree", "4", "--cases", "10",
         )
         assert code == 4
-        assert "first mismatch: cohomology/ambient/H0" in err
+        assert (
+            "first mismatch: cohomology/ambient/H0 at degree 0: predicted 1, computed 7" in err
+        )
         assert json.loads(out)["cohomology"]["ambient"]["H0"]["match"] is False
 
-    def test_boundary_bridge_failure_is_a_mismatch(self, capsys, monkeypatch, sphere):
-        from poissonsing import homology as hm
-
+    def test_boundary_bridge_failure_is_a_mismatch(
+        self, capsys, monkeypatch, sphere, fresh_spaces
+    ):
         real = hm.duality_identity_holds
 
         def failing(P, k, i):
             return not (k == 1 and i == 2) and real(P, k, i)
 
         monkeypatch.setattr(hm, "duality_identity_holds", failing)
-        with pytest.raises(hm.BridgeMismatch, match="k=1, form degree 2"):
-            hm.homology_dims(sphere, 1, (0, 7))
+        assert hm.first_bridge_failure(sphere, 1, (0, 7)) == 2
+        assert hm.first_bridge_failure(sphere, 2, (0, 7)) is None
         code, out, err = run(
             capsys, "analyze", "--phi", "x^2+y^2+z^2",
             "--max-degree", "4", "--cases", "10",
         )
         assert code == 4
         report = json.loads(out)
-        assert report["homology"]["ambient"]["H_1"]["boundary_bridge"] == "failed"
+        assert report["homology"]["ambient"]["H_1"]["boundary_bridge"] == "failed at form degree 2"
         assert "boundary_bridge" not in report["homology"]["ambient"]["H_2"]
-        assert "first mismatch: homology/ambient/H_1" in err
+        assert report["invariants_summary"]["boundary_equals_signed_coboundary"] == "fail"
+        assert (
+            "first mismatch: homology/ambient/H_1: boundary bridge failed at form degree 2" in err
+        )
+
+    def test_window_may_be_a_list(self, sphere):
+        from poissonsing.report import build_report
+
+        report, code = build_report("x^2+y^2+z^2", sphere, window=[0, 3], cases=2)
+        assert code == 0
+        assert report["cohomology"]["ambient"]["H0"]["window"] == [0, 3]
+
+    def test_one_computation_per_space(self, capsys, monkeypatch, fresh_spaces):
+        calls = count_engine_calls(monkeypatch)
+        code, _, _ = run(capsys, "analyze", "--phi", "x^3+y^3+z^3", "--cases", "5")
+        assert code == 0
+        # the default window holds 13 degrees; brute_force_dims runs four
+        # times directly and four times inside homology_dims
+        assert calls == {
+            "duality_identity_holds": 3 * 13,
+            "homology_dims": 4,
+            "surface_homology_dims": 4,
+            "surface_brute_force_dims": 4,
+            "brute_force_dims": 8,
+        }
 
 
 class TestVerifyCommand:
@@ -207,6 +256,29 @@ class TestVerifyCommand:
         )
         assert code == 0 and "FAIL" not in out
 
+    def test_cohomology_suite_computes_only_its_family(self, capsys, monkeypatch, fresh_spaces):
+        calls = count_engine_calls(monkeypatch)
+        code, _, _ = run(capsys, "verify", "--phi", "x^3+y^3+z^3", "--suite", "cohomology")
+        assert code == 0
+        assert calls == {"brute_force_dims": 4}
+
+    def test_homology_mismatch_names_the_degree(self, capsys, monkeypatch, fresh_spaces):
+        real = hm.homology_dims
+
+        def corrupted(P, k, window):
+            dims = real(P, k, window)
+            return ch.GradedDims(dims.space, dims.window, ((0, 7),)) if k == 0 else dims
+
+        monkeypatch.setattr(hm, "homology_dims", corrupted)
+        code, out, err = run(
+            capsys, "verify", "--phi", "x^2+y^2+z^2", "--suite", "homology",
+            "--max-degree", "4",
+        )
+        assert code == 4
+        detail = "H_0 form degree 0: predicted 1, computed 7"
+        assert "FAIL ambient_H_0_matches_closed_form" in out and detail in out
+        assert "first failure: ambient_H_0_matches_closed_form -- %s" % detail in err
+
     def test_gate_needed_suites_reject(self, capsys):
         code, _, err = run(capsys, "verify", "--phi", "x*y*z", "--suite", "cohomology")
         assert code == 3 and "rejected" in err
@@ -220,6 +292,17 @@ class TestMilnorCommand:
         assert payload["mu"] == 27
         assert payload["socle_bound"] == 6
         assert len(payload["basis"]) == 27
+
+    def test_json_payload_is_the_analyze_section(self, capsys):
+        args = ("--phi", "x^2+y^3+z^5", "--weights", "15,10,6")
+        code, out, _ = run(capsys, "milnor", *args, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"mu", "socle_bound", "graded_dims", "basis"}
+        code, out, _ = run(capsys, "analyze", *args, "--max-degree", "0", "--cases", "5")
+        assert code == 0
+        section = json.loads(out)["milnor"]
+        assert payload == {key: section[key] for key in payload}
 
     def test_rejection_exit_code(self, capsys):
         code, _, err = run(capsys, "milnor", "--phi", "x*y*z")

@@ -12,15 +12,16 @@ from poissonsing import (
     PoissonStructure,
     Poly,
     WeightSystem,
+    ambient_homology_description,
     brute_force_dims,
     check_isolated,
     closed_form,
     default_form_window,
     default_window,
+    first_bridge_failure,
     homology_dims,
     parse_poly,
     predicted_dims,
-    predicted_homology_dims,
     surface_brute_force_dims,
     surface_closed_form,
     surface_homology_description,
@@ -121,8 +122,9 @@ def test_homology_matches_for_extra_singularities(text, weights, mu):
     M = check_isolated(P.phi, P.weights)
     fw = default_form_window(P)
     for k in range(4):
-        assert homology_dims(P, k, fw, verify=True).matches(
-            predicted_homology_dims(P, M, k, fw)
+        assert first_bridge_failure(P, k, fw) is None, k
+        assert homology_dims(P, k, fw).matches(
+            predicted_dims(ambient_homology_description(P, M, k), fw)
         ), k
         assert surface_homology_dims(P, k, fw).matches(
             predicted_dims(surface_homology_description(P, M, k), fw)

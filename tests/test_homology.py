@@ -6,14 +6,15 @@ from poissonsing import (
     PoissonStructure,
     Poly,
     VecPoly,
+    ambient_homology_description,
     basis_of,
     brute_force_dims,
     check_isolated,
     default_form_window,
     duality_identity_holds,
+    first_bridge_failure,
     homology_dims,
     predicted_dims,
-    predicted_homology_dims,
     surface_homology_description,
     surface_homology_dims,
 )
@@ -169,7 +170,8 @@ class TestDuality:
         fw = default_form_window(cubic)
         s = cubic.weight_sum
         for k in range(4):
-            h = homology_dims(cubic, k, fw, verify=True)
+            assert first_bridge_failure(cubic, k, fw) is None
+            h = homology_dims(cubic, k, fw)
             co = brute_force_dims(cubic, 3 - k, (fw[0] - s, fw[1] - s))
             assert h.as_dict() == {i + s: n for i, n in co.dims}
 
@@ -246,6 +248,6 @@ class TestAmbientDescriptions:
             M = check_isolated(P.phi, P.weights)
             fw = default_form_window(P)
             for k in range(4):
-                predicted = predicted_homology_dims(P, M, k, fw)
-                computed = homology_dims(P, k, fw, verify=False)
+                predicted = predicted_dims(ambient_homology_description(P, M, k), fw)
+                computed = homology_dims(P, k, fw)
                 assert computed.matches(predicted), (str(P.phi), k)

@@ -1,8 +1,10 @@
-"""Source hygiene that needs no linter: no unused import in src/ or tests/.
+"""Source hygiene that needs no linter: no unused import in src/ or tests/,
+and no package export that only the tests use.
 
 An imported name counts as used when it is read anywhere in its module,
 appears in a string annotation, or is listed in the module's __all__ (the
-package's re-exports).
+package's re-exports).  A name in poissonsing.__all__ counts as used when
+src/ or demos/ read it outside its own definition.
 """
 
 from __future__ import annotations
@@ -10,8 +12,11 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import poissonsing
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+CALLERS = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "demos").rglob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -82,3 +87,44 @@ def test_checker_sees_unused_and_exported_names():
         "    return gcd(*xs)\n"
     )
     assert unused_imports(source) == [(2, "os"), (3, "least")]
+
+
+def names_read(source: str) -> set[str]:
+    """Names and attributes the module reads, except a top-level function's
+    or class's reads of its own name inside its definition."""
+    names = set()
+    for statement in ast.parse(source).body:
+        own = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                names.add(name)
+    return names
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    read = set().union(*(names_read(path.read_text()) for path in CALLERS))
+    unread = sorted(set(poissonsing.__all__) - read)
+    assert not unread, "exported but read only by the tests: %s" % ", ".join(unread)
+
+
+def test_export_scan_skips_imports_exports_and_self_reference():
+    source = (
+        "from .poly import parse_poly, weighted_degree\n"
+        "__all__ = ['parse_poly', 'closed_form']\n"
+        "def closed_form(k):\n"
+        "    return closed_form(k - 1) if k else weighted_degree\n"
+        "class Space:\n"
+        "    def copy(self):\n"
+        "        return Space()\n"
+        "def report(P):\n"
+        "    return P.degree, Space\n"
+    )
+    read = names_read(source)
+    assert {"weighted_degree", "degree", "Space", "P"} <= read
+    assert not {"parse_poly", "closed_form", "copy", "report"} & read

@@ -9,11 +9,12 @@ from poissonsing import (
     Poly,
     WeightSystem,
     check_isolated,
-    jacobian_graded_dim,
     parse_poly,
 )
 from poissonsing.linalg import Echelon
 from poissonsing.milnor import socle_bound
+
+from .conftest import jacobian_graded_dim
 
 W111 = WeightSystem((1, 1, 1))
 

@@ -11,11 +11,12 @@ from poissonsing import (
     Poly,
     PolyParseError,
     WeightSystem,
-    graded_components,
     monomials_of_degree,
     parse_poly,
     weighted_degree,
 )
+
+from .conftest import graded_components
 
 W111 = WeightSystem((1, 1, 1))
 
