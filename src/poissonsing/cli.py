@@ -37,7 +37,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_window(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-degree", type=int, default=None)
     p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="echoed in the analyze report; no longer changes any check")
+
+
+def _add_cases(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cases", type=int, default=200,
+                   help="at least 1; no longer changes any check (the identity "
+                   "families run fixed probe sets)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_an)
     _add_window(p_an)
     p_an.add_argument("--format", choices=("json", "text"), default="json")
-    p_an.add_argument("--cases", type=int, default=200,
-                      help="random cases per identity family")
+    _add_cases(p_an)
 
     p_br = sub.add_parser("bracket", help="evaluate the bracket of two polynomials")
     _add_common(p_br)
@@ -66,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ve)
     _add_window(p_ve)
     p_ve.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p_ve.add_argument("--cases", type=int, default=200)
+    _add_cases(p_ve)
 
     p_mi = sub.add_parser("milnor", help="gate, Milnor number and quotient basis")
     _add_common(p_mi)
@@ -94,17 +100,15 @@ def _window(args, P: PoissonStructure) -> ch.Window:
     return (lo, hi)
 
 
-def _cases(args) -> int:
+def _check_cases(args) -> None:
     if args.cases < 1:
         raise ValueError("--cases must be at least 1, got %d" % args.cases)
-    return args.cases
 
 
 def cmd_analyze(args) -> int:
     P = _structure(args)
-    report, code = build_report(
-        args.phi, P, window=_window(args, P), seed=args.seed, cases=_cases(args)
-    )
+    _check_cases(args)
+    report, code = build_report(args.phi, P, window=_window(args, P), seed=args.seed)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -124,10 +128,9 @@ def cmd_bracket(args) -> int:
 
 def cmd_verify(args) -> int:
     P = _structure(args)
+    _check_cases(args)
     try:
-        results = run_suite(
-            P, args.suite, window=_window(args, P), seed=args.seed, cases=_cases(args)
-        )
+        results = run_suite(P, args.suite, window=_window(args, P))
     except NotIsolated as exc:
         print("rejected by the gate: %s" % exc, file=sys.stderr)
         return EXIT_NOT_ISOLATED

@@ -67,7 +67,11 @@ class PoissonStructure:
         return dot(self.nabla_phi, cross(grad(f), grad(g)))
 
     def jacobiator(self, f: Poly, g: Poly, h: Poly) -> Poly:
-        """{{f,g},h} + {{g,h},f} + {{h,f},g}; identically zero (tested, not assumed)."""
+        """{{f,g},h} + {{g,h},f} + {{h,f},g}.
+
+        It is an alternating triderivation, so it vanishes identically iff
+        jacobiator(x, y, z) = 0: the coordinate certificate that
+        suites.identities_suite checks (tested, not assumed)."""
         b = self.bracket
         return b(b(f, g), h) + b(b(g, h), f) + b(b(h, f), g)
 

@@ -1,11 +1,12 @@
 """Verification suites: structural identities and degree-by-degree exactness.
 
-Each family either replays an algebraic identity on seeded random inputs
-(vector calculus identities, Jacobi, delta o delta = 0, Casimir commutation)
-or checks an exactness/dimension statement on every degree of a window
-(Koszul rows, de Rham columns, the 2-cocycle decomposition, the closed-form
-(co)homology against the rank computations).  All checks are exact; a failed
-check carries a minimal counterexample in its details.
+Each family either checks an algebraic identity on the whole of a finite
+probe set on which it is complete (vector calculus identities, Jacobi,
+delta o delta = 0, Casimir commutation; see identities_suite) or checks an
+exactness/dimension statement on every degree of a window (Koszul rows, de
+Rham columns, the 2-cocycle decomposition, the closed-form (co)homology
+against the rank computations).  All checks are exact and deterministic; a
+failed check carries its first counterexample in its details.
 
 The sixteen (co)homology spaces are computed once per window, as Space
 records in four families (space_family); the report and the suites read the
@@ -14,10 +15,10 @@ same records, so each comparison and the boundary bridge check run once.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from . import cohomology as ch
 from . import homology as hm
@@ -35,7 +36,7 @@ from .operators import (
     mult_grad_phi_matrix,
 )
 from .poisson import PoissonStructure
-from .poly import Monomial, Poly, WeightSystem, monomials_of_degree, weighted_degree
+from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
 from .vectorcalc import VecPoly, cross, curl, divergence, dot, euler_field, grad
 
 SUITE_NAMES = ("identities", "koszul", "cohomology", "homology", "surface")
@@ -141,157 +142,116 @@ def space_family(
 
 
 # ---------------------------------------------------------------------------
-# Random generators
+# Identity families (exact on a stated probe set)
 # ---------------------------------------------------------------------------
 
-
-def random_poly(rng: random.Random, max_exp: int = 2, terms: int = 3) -> Poly:
-    out = Poly.zero()
-    for _ in range(terms):
-        m: Monomial = (
-            rng.randint(0, max_exp),
-            rng.randint(0, max_exp),
-            rng.randint(0, max_exp),
-        )
-        c = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
-        out = out + Poly.monomial(m, c)
-    return out
+# The ten monomials of total degree at most 2, and the thirty vectors m*e_j.
+PROBES: tuple[Poly, ...] = tuple(
+    Poly.monomial(m) for n in range(3) for m in monomials_of_degree(n, UNIT_WEIGHTS)
+)
+VECTOR_PROBES: tuple[VecPoly, ...] = tuple(
+    VecPoly(tuple(f if a == j else Poly.zero() for a in range(3)))  # type: ignore[arg-type]
+    for f in PROBES
+    for j in range(3)
+)
 
 
-def random_vec(rng: random.Random, max_exp: int = 2, terms: int = 2) -> VecPoly:
-    return VecPoly(
-        tuple(random_poly(rng, max_exp, terms) for _ in range(3))  # type: ignore[arg-type]
-    )
+def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
+    """The vector-calculus identities, the bracket, Jacobi, delta o delta = 0
+    and the Casimir phi, each checked on the whole of a stated probe set.
 
-
-def random_homogeneous(rng: random.Random, w: WeightSystem, terms: int = 3) -> Poly:
-    seed_monomial: Monomial = (
-        rng.randint(0, 3),
-        rng.randint(0, 3),
-        rng.randint(0, 3),
-    )
-    degree = w.monomial_degree(seed_monomial)
-    pool = monomials_of_degree(degree, w)
-    out = Poly.zero()
-    for _ in range(min(terms, len(pool))):
-        out = out + Poly.monomial(rng.choice(pool), rng.choice([-3, -2, -1, 1, 2, 3]))
-    if out.is_zero():
-        out = Poly.monomial(seed_monomial)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Identity families (randomized, seeded)
-# ---------------------------------------------------------------------------
-
-
-def identities_suite(P: PoissonStructure, seed: int, cases: int = 200) -> list[CheckResult]:
-    rng = random.Random(seed)
+    Each family compares (bi)differential operators of order at most 2 in
+    each argument, with constant or polynomial coefficients.  Such an
+    operator L vanishes identically iff it vanishes on PROBES (resp.
+    VECTOR_PROBES) in each argument: L(x^a, x^b) is a! b! c_ab plus
+    multiples of the c_a'b' with a' <= a, b' <= b, (a', b') != (a, b), so
+    the probes recover every coefficient c_ab in turn.  Hence:
+    every probe pair for the phi-free families and the bracket; the 40
+    probes through delta^0..2 (delta^{k+1} o delta^k has order 2, and
+    [delta^k, phi] order 0); Jacobi once on (x, y, z), since the Jacobiator
+    of a biderivation is an alternating triderivation.  The Euler formulas
+    are linear in f on each degree, so they run on every monomial of every
+    window degree.  A failure names the first failing probe.
+    """
     w = P.weights
     e_w = euler_field(w)
+    px, py, pz = P.nabla_phi
 
-    def curl_product(r):
-        f, g = random_poly(r), random_vec(r)
-        lhs = curl(g * f)
-        rhs = cross(grad(f), g) + curl(g) * f
-        return None if lhs == rhs else "f=%s, g=%s" % (f, g)
+    def curl_product(case):
+        f, g = case
+        ok = curl(g * f) == cross(grad(f), g) + curl(g) * f
+        return None if ok else "f=%s, g=%s" % case
 
-    def div_product(r):
-        f, g = random_poly(r), random_vec(r)
-        return (
-            None
-            if divergence(g * f) == dot(grad(f), g) + divergence(g) * f
-            else "f=%s, g=%s" % (f, g)
-        )
+    def div_product(case):
+        f, g = case
+        ok = divergence(g * f) == dot(grad(f), g) + divergence(g) * f
+        return None if ok else "f=%s, g=%s" % case
 
-    def div_cross(r):
-        f, g = random_vec(r), random_vec(r)
-        lhs = divergence(cross(f, g))
-        rhs = dot(curl(f), g) - dot(f, curl(g))
-        return None if lhs == rhs else "f=%s, g=%s" % (f, g)
+    def div_cross(case):
+        f, g = case
+        ok = divergence(cross(f, g)) == dot(curl(f), g) - dot(f, curl(g))
+        return None if ok else "f=%s, g=%s" % case
 
-    def euler_degree(r):
-        f = random_homogeneous(r, w)
-        deg = weighted_degree(f, w)
-        return None if dot(grad(f), e_w) == f * deg else "f=%s" % f
+    def window_monomials():
+        for i in range(window[0], window[1] + 1):
+            for m in monomials_of_degree(i, w):
+                yield i, Poly.monomial(m)
 
-    def euler_div(r):
-        f = random_homogeneous(r, w)
-        deg = weighted_degree(f, w)
-        return (
-            None
-            if divergence(e_w * f) == f * (deg + w.weight_sum)
-            else "f=%s" % f
-        )
+    def euler_degree(case):
+        i, f = case
+        return None if dot(grad(f), e_w) == f * i else "f=%s" % f
 
-    def curl_grad(r):
-        f = random_poly(r)
+    def euler_div(case):
+        i, f = case
+        return None if divergence(e_w * f) == f * (i + w.weight_sum) else "f=%s" % f
+
+    def curl_grad(f):
         return None if curl(grad(f)).is_zero() else "f=%s" % f
 
-    def div_cross_grads(r):
-        f, g = random_poly(r), random_poly(r)
-        return (
-            None
-            if divergence(cross(grad(f), grad(g))).is_zero()
-            else "f=%s, g=%s" % (f, g)
-        )
+    def div_cross_grads(case):
+        f, g = case
+        ok = divergence(cross(grad(f), grad(g))).is_zero()
+        return None if ok else "f=%s, g=%s" % case
 
-    def jacobi(r):
-        f, g, h = random_poly(r), random_poly(r), random_poly(r)
-        return (
-            None
-            if P.jacobiator(f, g, h).is_zero()
-            else "f=%s, g=%s, h=%s" % (f, g, h)
-        )
+    def jacobi(case):
+        return None if P.jacobiator(*case).is_zero() else "f=%s, g=%s, h=%s" % case
 
-    def delta_squared(r):
-        f, v = random_poly(r), random_vec(r)
-        if not P.delta1(P.delta0(f)).is_zero():
-            return "delta1 o delta0 on f=%s" % f
-        if not P.delta2(P.delta1(v)).is_zero():
-            return "delta2 o delta1 on v=%s" % v
+    def delta_squared(case):
+        k, name, c = case
+        if P.delta(k + 1, P.delta(k, c)).is_zero():
+            return None
+        return "delta%d o delta%d on %s=%s" % (k + 1, k, name, c)
+
+    def casimir_commutes(case):
+        k, name, c = case
+        for j in (0,) if k == 0 else (1, 2):
+            if P.delta(j, c * P.phi) != P.delta(j, c) * P.phi:
+                return "k=%d, %s=%s" % (j, name, c)
         return None
 
-    def casimir_commutes(r):
-        f, v = random_poly(r), random_vec(r)
-        phi = P.phi
-        if P.delta0(phi * f) != P.delta0(f) * phi:
-            return "k=0, f=%s" % f
-        if P.delta1(v * phi) != P.delta1(v) * phi:
-            return "k=1, v=%s" % v
-        if P.delta2(v * phi) != P.delta2(v) * phi:
-            return "k=2, v=%s" % v
-        return None
-
-    def bracket_expansion(r):
-        f, g = random_poly(r), random_poly(r)
-        px, py, pz = (P.phi.partial(a) for a in range(3))
+    def bracket_expansion(case):
+        f, g = case
         fx, fy, fz = (f.partial(a) for a in range(3))
         gx, gy, gz = (g.partial(a) for a in range(3))
-        direct = (
-            pz * (fx * gy - fy * gx)
-            + px * (fy * gz - fz * gy)
-            + py * (fz * gx - fx * gz)
-        )
-        return None if P.bracket(f, g) == direct else "f=%s, g=%s" % (f, g)
+        direct = pz * (fx * gy - fy * gx) + px * (fy * gz - fz * gy) + py * (fz * gx - fx * gz)
+        return None if P.bracket(f, g) == direct else "f=%s, g=%s" % case
 
+    probes = [(0, "f", f) for f in PROBES] + [(1, "v", v) for v in VECTOR_PROBES]
+    coordinates = tuple(Poly.variable(a) for a in range(3))
     families = [
-        ("curl_of_scalar_product", curl_product),
-        ("div_of_scalar_product", div_product),
-        ("div_of_cross_product", div_cross),
-        ("euler_degree_formula", euler_degree),
-        ("euler_divergence_formula", euler_div),
-        ("curl_of_gradient_vanishes", curl_grad),
-        ("div_of_gradient_cross_vanishes", div_cross_grads),
-        ("jacobi_identity", jacobi),
-        ("coboundary_squared_vanishes", delta_squared),
-        ("casimir_multiplication_commutes", casimir_commutes),
-        ("bracket_matches_biderivation", bracket_expansion),
+        ("curl_of_scalar_product", product(PROBES, VECTOR_PROBES), curl_product),
+        ("div_of_scalar_product", product(PROBES, VECTOR_PROBES), div_product),
+        ("div_of_cross_product", product(VECTOR_PROBES, VECTOR_PROBES), div_cross),
+        ("euler_degree_formula", window_monomials(), euler_degree),
+        ("euler_divergence_formula", window_monomials(), euler_div),
+        ("curl_of_gradient_vanishes", PROBES, curl_grad),
+        ("div_of_gradient_cross_vanishes", product(PROBES, PROBES), div_cross_grads),
+        ("jacobi_identity", (coordinates,), jacobi),
+        ("coboundary_squared_vanishes", probes, delta_squared),
+        ("casimir_multiplication_commutes", probes, casimir_commutes),
+        ("bracket_matches_biderivation", product(PROBES, PROBES), bracket_expansion),
     ]
-    return [
-        _first_failure(name, range(cases), lambda _, body=body: body(rng))
-        for name, body in families
-    ]
+    return [_first_failure(name, cases, body) for name, cases, body in families]
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +541,7 @@ def homology_suite(
 
 
 def run_suite(
-    P: PoissonStructure,
-    suite: str,
-    window: ch.Window | None = None,
-    seed: int = 0,
-    cases: int = 200,
+    P: PoissonStructure, suite: str, window: ch.Window | None = None
 ) -> list[CheckResult]:
     """Run one named suite (or 'all'); raises NotIsolated when a suite that
     needs the Milnor data is requested for a rejected phi."""
@@ -596,7 +552,7 @@ def run_suite(
     milnor: MilnorData | None = None
     for name in names:
         if name == "identities":
-            results.extend(identities_suite(P, seed, cases))
+            results.extend(identities_suite(P, window))
         elif name == "koszul":
             results.extend(koszul_suite(P, window))
         else:

@@ -22,6 +22,7 @@ from poissonsing import (
     dot,
     first_bridge_failure,
     homology_dims,
+    monomials_of_degree,
     parse_poly,
     predicted_dims,
     surface_brute_force_dims,
@@ -34,8 +35,6 @@ from poissonsing.operators import cross_grad_phi_matrix, dot_grad_phi_matrix
 from poissonsing.suites import cohomology_suite, identities_suite, koszul_suite
 
 from .conftest import CATALOG, structure
-
-RANDOM_CASES = 200
 
 
 def _report(criterion: str, passed: bool, elapsed: float, detail: str = "") -> None:
@@ -184,22 +183,29 @@ def test_criterion_5_homology():
 def test_criterion_6_structural_property_suites():
     t0 = time.time()
     failures = []
-    randomized = {
-        "curl_of_scalar_product", "div_of_scalar_product", "div_of_cross_product",
-        "euler_degree_formula", "euler_divergence_formula",
-        "curl_of_gradient_vanishes", "div_of_gradient_cross_vanishes",
-        "jacobi_identity", "coboundary_squared_vanishes",
-        "casimir_multiplication_commutes", "bracket_matches_biderivation",
+    pairs = {
+        "curl_of_scalar_product": 10 * 30, "div_of_scalar_product": 10 * 30,
+        "div_of_cross_product": 30 * 30, "curl_of_gradient_vanishes": 10,
+        "div_of_gradient_cross_vanishes": 10 * 10, "bracket_matches_biderivation": 10 * 10,
+        "coboundary_squared_vanishes": 40, "casimir_multiplication_commutes": 40,
+        "jacobi_identity": 1,
     }
     for text, weights, _ in CATALOG:
         P = structure(text, weights)
         M = check_isolated(P.phi, P.weights)
         window = default_window(P)
-        for res in identities_suite(P, seed=42, cases=RANDOM_CASES):
+        degrees = range(window[0], window[1] + 1)
+        monomials = sum(len(monomials_of_degree(i, P.weights)) for i in degrees)
+        probe_sets = dict(pairs, euler_degree_formula=monomials, euler_divergence_formula=monomials)
+        results = identities_suite(P, window)
+        if sorted(r.name for r in results) != sorted(probe_sets):
+            failures.append("%s: families %s" % (text, [r.name for r in results]))
+        for res in results:
             if not res.passed:
                 failures.append("%s %s: %s" % (text, res.name, res.details))
-            elif res.name in randomized and res.cases < 200:
-                failures.append("%s %s ran %d < 200 cases" % (text, res.name, res.cases))
+            elif res.cases != probe_sets.get(res.name):
+                failures.append("%s %s ran %d of %s probes" % (
+                    text, res.name, res.cases, probe_sets.get(res.name)))
         for res in koszul_suite(P, window):
             if not res.passed:
                 failures.append("%s %s: %s" % (text, res.name, res.details))

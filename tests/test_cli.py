@@ -210,7 +210,7 @@ class TestAnalyzeCommand:
     def test_window_may_be_a_list(self, sphere):
         from poissonsing.report import build_report
 
-        report, code = build_report("x^2+y^2+z^2", sphere, window=[0, 3], cases=2)
+        report, code = build_report("x^2+y^2+z^2", sphere, window=[0, 3])
         assert code == 0
         assert report["cohomology"]["ambient"]["H0"]["window"] == [0, 3]
 
@@ -238,6 +238,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
         assert "jacobi_identity" in out
+
+    def test_identities_ignore_seed_and_cases(self, capsys):
+        args = ("verify", "--phi", "x^3+y^4+z^2", "--weights", "4,3,6", "--suite", "identities")
+        first = run(capsys, *args, "--seed", "0", "--cases", "1")
+        second = run(capsys, *args, "--seed", "3", "--cases", "200")
+        assert first == second
+        assert first[0] == 0 and "(900 cases)" in first[1]
 
     def test_koszul_failure_for_xyz(self, capsys):
         code, out, err = run(

@@ -1,10 +1,12 @@
 """Source hygiene that needs no linter: no unused import in src/ or tests/,
-and no package export that only the tests use.
+no package export that only the tests use, and no sampling in src/.
 
 An imported name counts as used when it is read anywhere in its module,
 appears in a string annotation, or is listed in the module's __all__ (the
 package's re-exports).  A name in poissonsing.__all__ counts as used when
-src/ or demos/ read it outside its own definition.
+src/ or demos/ read it outside its own definition.  The engine and its
+certificates are exact and deterministic, so no module under src/ imports
+random; random inputs belong to the tests.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from pathlib import Path
 import poissonsing
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
-CALLERS = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "demos").rglob("*.py"))
+SRC = sorted((ROOT / "src").rglob("*.py"))
+SOURCES = SRC + sorted((ROOT / "tests").rglob("*.py"))
+CALLERS = SRC + sorted((ROOT / "demos").rglob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -128,3 +131,43 @@ def test_export_scan_skips_imports_exports_and_self_reference():
     read = names_read(source)
     assert {"weighted_degree", "degree", "Space", "P"} <= read
     assert not {"parse_poly", "closed_form", "copy", "report"} & read
+
+
+def imports_of(source: str, module: str) -> list[int]:
+    """Lines that import the top-level module, or a name from it, at any
+    depth of the module; relative imports name the package's own modules."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.partition(".")[0] == module for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_under_src_imports_random():
+    found = [
+        "%s:%d imports random" % (path.relative_to(ROOT), line)
+        for path in SRC
+        for line in imports_of(path.read_text(), "random")
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_random_scan_sees_every_import_form():
+    source = (
+        "import random\n"
+        "import os, random as rng\n"
+        "from random import Random\n"
+        "from .random_cases import draw\n"
+        "from . import random\n"
+        "import randomness\n"
+        "text = 'import random'\n"
+        "def f():\n"
+        "    from random import choice\n"
+    )
+    assert imports_of(source, "random") == [1, 2, 3, 9]
