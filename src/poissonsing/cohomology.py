@@ -22,7 +22,10 @@ spaces are modeled as subquotients of the ambient pieces, with membership in
 <phi> expressed through multiplication-by-phi blocks, and their dimensions
 are obtained from ranks of the stacked block matrices.  The coboundary stack
 at (k, i) is the cocycle stack one step down, at (k-1, i-N), so each stack
-is ranked once.
+is ranked once.  Every dimension is the one formula of linalg.subquotient_dim
+in such ranks; at the ends of each complex the missing spaces (delta^{-1},
+delta^3, X^{-1}, X^4) are zero spaces whose ranks the rank helpers give, so
+no degree or k needs a branch of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Literal, Union
 
-from .linalg import basis_of, offset_vector, rank_of_columns
+from .linalg import basis_of, offset_vector, rank_of_columns, subquotient_dim
 from .milnor import MilnorData
 from .operators import (
     cross_grad_phi_matrix,
@@ -212,21 +215,19 @@ def surface_closed_form(P: PoissonStructure, M: MilnorData, k: int) -> ModuleDes
 # ---------------------------------------------------------------------------
 
 
+def _cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
+    """dim X^k at derivation degree i; X^k is zero outside k in 0..3."""
+    return basis_of("X%d" % k, i, P.weights).dim if 0 <= k <= 3 else 0
+
+
 def cohomology_dim(P: PoissonStructure, k: int, i: int) -> int:
-    """dim H^k at derivation degree i: dim ker(delta^k) - rank(delta^{k-1})."""
+    """dim H^k at derivation degree i: dim ker(delta^k) - rank(delta^{k-1}),
+    where delta^{-1} and delta^3 are zero maps (delta_rank gives 0)."""
     N = P.coboundary_degree
-    n = basis_of("X%d" % k, i, P.weights).dim
-    rank_k = delta_rank(P, k, i)
-    rank_prev = delta_rank(P, k - 1, i - N)
-    dim = n - rank_k - rank_prev
-    if dim < 0:
-        raise RuntimeError(
-            "negative cohomology dimension at k=%d, degree %d: cocycles %d - "
-            "coboundaries %d (dim X^%d = %d, rank delta^%d = %d at degree %d, "
-            "rank delta^%d = %d at degree %d)"
-            % (k, i, n - rank_k, rank_prev, k, n, k, rank_k, i, k - 1, rank_prev, i - N)
-        )
-    return dim
+    return subquotient_dim(
+        "H%d_ambient" % k, i, _cochain_dim(P, k, i), delta_rank(P, k, i), 0,
+        delta_rank(P, k - 1, i - N), 0,
+    )
 
 
 def brute_force_dims(P: PoissonStructure, k: int, window: Window) -> GradedDims:
@@ -245,10 +246,10 @@ def _constraint_blocks(P: PoissonStructure, k: int, i: int):
 
     Returns (n, rows_top, D_cols, P_cols) modelling
     V = {v in X^k_i : constraint(v) lies in phi * (ambient)} as the
-    projection of ker [D | P]; D is empty for k=0 (no constraint).
+    projection of ker [D | P]; D is empty for k <= 0 (no constraint).
     """
-    n = basis_of("X%d" % k, i, P.weights).dim
-    if k == 0:
+    n = _cochain_dim(P, k, i)
+    if k <= 0:
         return n, 0, [], []
     if k == 1:
         D = dot_grad_phi_matrix(P, i)
@@ -272,23 +273,31 @@ def _constraint_rank(P: PoissonStructure, k: int, i: int) -> int:
 
 
 def surface_cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
-    """dim of the degree-i piece of the multiderivation space of A/<phi>."""
-    n, _, d_cols, p_cols = _constraint_blocks(P, k, i)
-    n_p = len(p_cols)
-    ambient = n + n_p - _constraint_rank(P, k, i)
-    quotient = basis_of("X%d" % k, i - P.degree, P.weights).dim
-    return ambient - quotient
+    """dim of the degree-i piece of the multiderivation space of A/<phi>:
+    V (the kernel of the constraint stack [D | P], projected to X^k) modulo
+    the quotient relations phi*X^k at degree i-d."""
+    return subquotient_dim(
+        "X%d_surface" % k, i, _cochain_dim(P, k, i), _constraint_rank(P, k, i),
+        _cochain_dim(P, k - 1, i), _cochain_dim(P, k, i - P.degree), 0,
+    )
 
 
 @lru_cache(maxsize=None)
 def _cocycle_rank(P: PoissonStructure, k: int, i: int) -> int:
-    """rank of the cocycle stack of X^k at degree i, for k in 0..2.
+    """rank of the cocycle stack of X^k at degree i, for k in -1..3.
 
     Columns, in order: [D_j ; delta^k_j] for each basis vector j of X^k_i,
     then [P ; 0] (the constraint's phi-multiples), then [0 ; phi*X^{k+1}]
-    at degree i+N-d; D and P are the constraint blocks of (k, i).
+    at degree i+N-d; D and P are the constraint blocks of (k, i).  At the
+    ends of the complex no elimination is needed: X^{-1} is zero, so the
+    stack is the phi-multiples of X^0 alone, which are independent; delta^3
+    and X^4 are zero, so the stack is the constraint stack [D | P].
     """
     N, d = P.coboundary_degree, P.degree
+    if k < 0:
+        return _cochain_dim(P, 0, i + N - d)
+    if k == 3:
+        return _constraint_rank(P, 3, i)
     n, rows_top, d_cols, p_cols = _constraint_blocks(P, k, i)
     delta_cols = delta_matrix(P, k, i).columns if n else []
     top = (
@@ -299,45 +308,26 @@ def _cocycle_rank(P: PoissonStructure, k: int, i: int) -> int:
     return rank_of_columns(chain(top, p_cols, (offset_vector(c, rows_top) for c in p2)))
 
 
-@lru_cache(maxsize=None)
 def surface_cohomology_dim(P: PoissonStructure, k: int, i: int) -> int:
     """dim H^k of A/<phi> at derivation degree i.
 
-    Cocycles: v in V with delta^k(v) in phi*X^{k+1}; coboundaries: images of
-    V at degree i-N plus the quotient relations phi*X^k at degree i-d.  Both
-    are measured inside the ambient graded piece, so the quotient relations
+    Cocycles: v in V with delta^k(v) in phi*X^{k+1}, the kernel of the
+    cocycle stack, whose relation columns are the phi-multiples of X^{k-1}
+    (constraint) and of X^{k+1} (target); coboundaries: images of V at
+    degree i-N plus the quotient relations phi*X^k at degree i-d.  Both are
+    measured inside the ambient graded piece, so the quotient relations
     cancel and only ranks of stacked blocks are needed.  The coboundary
     stack at (k, i) is, column for column, the cocycle stack one step down
-    at (k-1, i-N), so each stack is ranked once (_cocycle_rank); for k = 3
-    the cocycle stack is the constraint stack [D | P] itself.
+    at (k-1, i-N), whose top rows are the constraint stack there; so each
+    stack is ranked once (_cocycle_rank), and the zero spaces X^{-1} and
+    X^4 at the ends of the complex take the same formula.
     """
     N, d = P.coboundary_degree, P.degree
-    n, _, _, p_cols = _constraint_blocks(P, k, i)
-    if k == 3:
-        z_rank = _constraint_rank(P, 3, i)
-        z_ambient = n + len(p_cols) - z_rank
-    else:
-        z_rank = _cocycle_rank(P, k, i)
-        n_p2 = basis_of("X%d" % (k + 1), i + N - d, P.weights).dim
-        z_ambient = n + len(p_cols) + n_p2 - z_rank
-
-    if k == 0:
-        b_rank = c_rank = 0
-        b_ambient = basis_of("X0", i - d, P.weights).dim
-    else:
-        b_rank = _cocycle_rank(P, k - 1, i - N)
-        c_rank = _constraint_rank(P, k - 1, i - N)
-        b_ambient = b_rank - c_rank
-
-    dim = z_ambient - b_ambient
-    if dim < 0:
-        raise RuntimeError(
-            "negative surface cohomology dimension at k=%d, degree %d: cocycles %d "
-            "(cocycle stack rank %d) - coboundaries %d (stack rank %d - constraint "
-            "rank %d at degree %d)"
-            % (k, i, z_ambient, z_rank, b_ambient, b_rank, c_rank, i - N)
-        )
-    return dim
+    return subquotient_dim(
+        "H%d_surface" % k, i, _cochain_dim(P, k, i), _cocycle_rank(P, k, i),
+        _cochain_dim(P, k - 1, i) + _cochain_dim(P, k + 1, i + N - d),
+        _cocycle_rank(P, k - 1, i - N), _constraint_rank(P, k - 1, i - N),
+    )
 
 
 def surface_brute_force_dims(P: PoissonStructure, k: int, window: Window) -> GradedDims:

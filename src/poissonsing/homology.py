@@ -11,7 +11,9 @@ On A/<phi> the form spaces are presented as quotients of A and A^3 by the
 relations generated by phi and by wedging with d(phi) (see operators): the
 boundaries descend, and the homology dimensions per degree again reduce to
 ranks of stacked relation/boundary blocks.  The boundary stack at (k, i) is
-the cycle stack one step down, at (k+1, i-N), so each stack is ranked once.
+the cycle stack one step down, at (k+1, i-N), so each stack is ranked once,
+and every dimension is the one formula of linalg.subquotient_dim in such
+ranks, with the zero spaces Omega^{-1} and Omega^4 at the ends.
 The closed forms are: H_0 and H_3 are copies of the Jacobian quotient, H_2
 is its image under multiplication by the Euler field, and H_1 is spanned by
 the gradients of u_1, ..., u_{mu-1}.
@@ -29,9 +31,10 @@ from .cohomology import (
     Window,
     brute_force_dims,
     closed_form,
+    default_window,
     _dims_from_map,
 )
-from .linalg import Echelon, basis_of, rank_of_columns
+from .linalg import Echelon, basis_of, rank_of_columns, subquotient_dim
 from .milnor import MilnorData
 from .operators import (
     boundary_matrix,
@@ -45,8 +48,6 @@ from .vectorcalc import euler_field, grad
 
 
 def default_form_window(P: PoissonStructure) -> Window:
-    from .cohomology import default_window
-
     lo, hi = default_window(P)
     s = P.weight_sum
     return (lo + s, hi + s)
@@ -123,13 +124,19 @@ def surface_homology_description(
 
 @lru_cache(maxsize=None)
 def _cycle_rank(P: PoissonStructure, k: int, i: int) -> int:
-    """rank of the cycle stack of Omega^k at form degree i, for k in 1..3:
-    the boundary columns, then the relations of Omega^{k-1} at degree i+N."""
+    """rank of the cycle stack of Omega^k at form degree i, for k in 0..4:
+    the boundary columns, then the relations of Omega^{k-1} at degree i+N.
+    At the ends of the complex the boundary is zero, so the stack is empty
+    for k = 0 and holds only the relations of Omega^3 for k = 4."""
+    N = P.coboundary_degree
+    if k == 0:
+        return 0
+    if k == 4:
+        return omega_relation_rank(P, 3, i + N)
     cols = boundary_matrix(P, k, i).columns if basis_of("Omega%d" % k, i, P.weights).dim else []
-    return rank_of_columns([*cols, *omega_relation_columns(P, k - 1, i + P.coboundary_degree)])
+    return rank_of_columns([*cols, *omega_relation_columns(P, k - 1, i + N)])
 
 
-@lru_cache(maxsize=None)
 def surface_homology_dim(P: PoissonStructure, k: int, i: int) -> int:
     """dim H_k of A/<phi> at form degree i, from the chain-space presentation.
 
@@ -138,32 +145,14 @@ def surface_homology_dim(P: PoissonStructure, k: int, i: int) -> int:
     degree-i relations of Omega^k.  Both measured in the ambient piece, so
     their difference is the homology dimension of the quotient complex.  The
     boundary stack at (k, i) is, column for column, the cycle stack at
-    (k+1, i-N); for k = 3 it is the relations of Omega^3 alone.
+    (k+1, i-N), and Omega^{-1} (no relations) and Omega^4 at the ends of the
+    complex are zero spaces, so every k takes the same formula.
     """
     N = P.coboundary_degree
-    n = basis_of("Omega%d" % k, i, P.weights).dim
-
-    if k == 0:
-        z_rank = rel_rank = 0
-    else:
-        z_rank = _cycle_rank(P, k, i)
-        rel_rank = omega_relation_rank(P, k - 1, i + N)
-    cycles = n - z_rank + rel_rank
-
-    if k < 3:
-        boundaries = _cycle_rank(P, k + 1, i - N)
-    else:
-        boundaries = omega_relation_rank(P, 3, i)
-
-    dim = cycles - boundaries
-    if dim < 0:
-        raise RuntimeError(
-            "negative surface homology dimension at k=%d, form degree %d: cycles %d "
-            "(dim Omega^%d = %d - cycle stack rank %d + relation rank %d) - "
-            "boundaries %d (stack rank)"
-            % (k, i, cycles, k, n, z_rank, rel_rank, boundaries)
-        )
-    return dim
+    return subquotient_dim(
+        "H_%d_surface" % k, i, basis_of("Omega%d" % k, i, P.weights).dim, _cycle_rank(P, k, i),
+        omega_relation_rank(P, k - 1, i + N), _cycle_rank(P, k + 1, i - N), 0,
+    )
 
 
 def surface_homology_dims(P: PoissonStructure, k: int, window: Window) -> GradedDims:

@@ -11,7 +11,9 @@ integer row reduction (rows kept primitive via gcd normalization, so no
 rounding and no coefficient blowup in practice).  Rows are reduced in place,
 and only rows the echelon owns are: every entry point first makes a fresh
 integer copy of its input, and stored pivot rows are never changed, so a
-caller's (possibly cached) column is never touched.
+caller's (possibly cached) column is never touched.  Every computed
+(co)homology dimension is one formula in five such ranks (subquotient_dim),
+with the zero spaces at the ends of each complex contributing rank 0.
 
 Every operator the engine uses is a linear differential operator of order at
 most one with polynomial coefficients,
@@ -102,19 +104,6 @@ class GradedBasis:
     @property
     def dim(self) -> int:
         return sum(len(ms) for ms in self.monomials)
-
-    def element(self, j: int) -> Cochain:
-        """The j-th basis cochain (a single monomial in a single component)."""
-        for comp, monos in enumerate(self.monomials):
-            if j < len(monos):
-                p = Poly.monomial(monos[j])
-                if not self.is_vector:
-                    return p
-                parts = [Poly.zero(), Poly.zero(), Poly.zero()]
-                parts[comp] = p
-                return VecPoly(tuple(parts))  # type: ignore[arg-type]
-            j -= len(monos)
-        raise IndexError("basis index out of range")
 
     def element_from_coords(self, vec: Vector) -> Cochain:
         """Rebuild the cochain with the given coordinates in this basis."""
@@ -476,3 +465,28 @@ def offset_vector(vec: Vector, offset: int) -> Vector:
     if not offset:
         return vec
     return {k + offset: v for k, v in vec.items()}
+
+
+def subquotient_dim(
+    space: str, i: int, n: int, cycles: int, relations: int, boundaries: int, constraint: int
+) -> int:
+    """dim Z/B at degree i: n - cycles + relations - (boundaries - constraint).
+
+    Z is the set of vectors v of an n-dimensional graded piece whose image
+    A*v lies in the span of some relation columns R: its dimension is
+    n - rank[A | R] + rank R, with cycles = rank[A | R] and relations =
+    rank R.  B is the image, under the bottom rows, of the kernel of the
+    top (constraint) rows of a stacked block: boundaries is the rank of the
+    whole stack and constraint that of its top rows.  The ends of a complex
+    are zero spaces, whose ranks the callers' rank helpers return, so every
+    degree takes this one formula.  A negative result is a rank error; the
+    RuntimeError names the space, the degree and the five numbers.
+    """
+    dim = n - cycles + relations - (boundaries - constraint)
+    if dim < 0:
+        raise RuntimeError(
+            "negative dimension %d of %s at degree %d: n %d - cycles %d + relations %d "
+            "- (boundaries %d - constraint %d)"
+            % (dim, space, i, n, cycles, relations, boundaries, constraint)
+        )
+    return dim

@@ -77,8 +77,10 @@ def delta_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
     return _matrix(P, "delta%d" % k, src, tgt)
 
 
-@lru_cache(maxsize=None)
 def delta_rank(P: PoissonStructure, k: int, i: int) -> int:
+    """rank of delta^k at degree i; 0 for k outside 0..2 (delta^{-1} and
+    delta^3 are zero maps) and for an empty source.  The rank itself is
+    memoized on the cached delta_matrix."""
     if k < 0 or k >= 3:
         return 0
     src = basis_of("X%d" % k, i, P.weights)
@@ -187,4 +189,8 @@ def omega_relation_columns(P: PoissonStructure, k: int, i: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def omega_relation_rank(P: PoissonStructure, k: int, i: int) -> int:
+    """rank of the degree-i relations of Omega^k; Omega^{-1} is zero and has
+    none."""
+    if k < 0:
+        return 0
     return rank_of_columns(omega_relation_columns(P, k, i))

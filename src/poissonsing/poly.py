@@ -71,10 +71,6 @@ class WeightSystem:
             raise ValueError("weights must not have a common divisor")
 
     @classmethod
-    def of(cls, w1: int, w2: int, w3: int) -> "WeightSystem":
-        return cls((w1, w2, w3))
-
-    @classmethod
     def from_string(cls, text: str) -> "WeightSystem":
         parts = text.split(",")
         if len(parts) != 3:
@@ -162,9 +158,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coefficient(self, m: Monomial) -> Scalar:
-        return self._terms.get(m, 0)
 
     def __iter__(self) -> Iterator[tuple[Monomial, Scalar]]:
         return iter(self._terms.items())

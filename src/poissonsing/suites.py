@@ -22,7 +22,7 @@ from itertools import product
 
 from . import cohomology as ch
 from . import homology as hm
-from .linalg import Echelon, basis_of, offset_vector, rank_of_columns
+from .linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector, rank_of_columns
 from .milnor import MilnorData, check_isolated
 from .operators import (
     boundary_matrix,
@@ -277,33 +277,33 @@ def _second_part_witness(P: PoissonStructure, i: int) -> str:
     return "exactness defect at degree %d" % i
 
 
+def _exactness_defect(
+    i: int, outgoing: GradedOperatorMatrix, incoming: GradedOperatorMatrix
+) -> str | None:
+    """'degree i: kernel a vs image b' when dim ker(outgoing) differs from
+    rank(incoming) at degree i, else None."""
+    kernel = outgoing.source.dim - outgoing.rank()
+    image = incoming.rank()
+    return None if kernel == image else "degree %d: kernel %d vs image %d" % (i, kernel, image)
+
+
 def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
     lo, hi = window
     degrees = range(lo, hi + 1)
     w = P.weights
     s = w.weight_sum
+    d = P.degree
 
     def injective(i):
         m = mult_grad_phi_matrix(P, i)
         return None if m.rank() == m.source.dim else "kernel at degree %d" % i
 
     def first_exact(i):
-        crossm = cross_grad_phi_matrix(P, i)
-        kernel = crossm.source.dim - crossm.rank()
-        image = mult_grad_phi_matrix(P, i - P.degree).rank()
-        return (
-            None
-            if kernel == image
-            else "degree %d: kernel %d vs image %d" % (i, kernel, image)
-        )
+        return _exactness_defect(i, cross_grad_phi_matrix(P, i), mult_grad_phi_matrix(P, i - d))
 
     def second_exact(i):
-        dotm = dot_grad_phi_matrix(P, i)
-        kernel = dotm.source.dim - dotm.rank()
-        image = cross_grad_phi_matrix(P, i - P.degree).rank()
-        if kernel == image:
-            return None
-        return _second_part_witness(P, i)
+        defect = _exactness_defect(i, dot_grad_phi_matrix(P, i), cross_grad_phi_matrix(P, i - d))
+        return defect and _second_part_witness(P, i)
 
     def grad_kernel(i):
         g = grad_matrix(w, i)
@@ -315,24 +315,10 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
         )
 
     def curl_exact(i):
-        c = curl_matrix(w, i)
-        kernel = c.source.dim - c.rank()
-        image = grad_matrix(w, i).rank()
-        return (
-            None
-            if kernel == image
-            else "degree %d: kernel %d vs image %d" % (i, kernel, image)
-        )
+        return _exactness_defect(i, curl_matrix(w, i), grad_matrix(w, i))
 
     def div_exact(i):
-        dv = div_matrix(w, i)
-        kernel = dv.source.dim - dv.rank()
-        image = curl_matrix(w, i).rank()
-        return (
-            None
-            if kernel == image
-            else "degree %d: kernel %d vs image %d" % (i, kernel, image)
-        )
+        return _exactness_defect(i, div_matrix(w, i), curl_matrix(w, i))
 
     def div_onto(i):
         dv = div_matrix(w, i)
@@ -345,7 +331,7 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
     def z2_spanned(i):
         cocycles = basis_of("X2", i, w).dim - delta_rank(P, 2, i)
         gradients = grad_matrix(w, i)
-        multiples = mult_grad_phi_matrix(P, i - P.degree)
+        multiples = mult_grad_phi_matrix(P, i - d)
         d2 = delta_matrix(P, 2, i)
         if not d2.compose(gradients).is_zero():
             return "a gradient is not a 2-cocycle at degree %d" % i

@@ -29,10 +29,6 @@ class VecPoly:
     components: tuple[Poly, Poly, Poly]
 
     @classmethod
-    def of(cls, f1: Poly, f2: Poly, f3: Poly) -> "VecPoly":
-        return cls((f1, f2, f3))
-
-    @classmethod
     def zero(cls) -> "VecPoly":
         z = Poly.zero()
         return cls((z, z, z))

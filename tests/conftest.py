@@ -61,9 +61,14 @@ def fresh_spaces():
     space_family.cache_clear()
 
 
+def basis_element(basis, j):
+    """The j-th basis cochain of a graded piece: one monomial in one component."""
+    return basis.element_from_coords({j: 1})
+
+
 def oracle_columns(op, source, target):
     """Columns of op's matrix, by evaluating op on every source basis element."""
-    return [target.coords_of(op(source.element(j))) for j in range(source.dim)]
+    return [target.coords_of(op(basis_element(source, j))) for j in range(source.dim)]
 
 
 def identity_matrix(basis):
@@ -116,6 +121,6 @@ def cokernel_representatives(m):
     for t in range(m.target.dim):
         e_t = {t: 1}
         if not ech.contains(e_t):
-            chosen.append((t, m.target.element(t)))
+            chosen.append((t, basis_element(m.target, t)))
             ech.insert(e_t)
     return chosen

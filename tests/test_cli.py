@@ -256,6 +256,21 @@ class TestVerifyCommand:
         assert "witness" in out
         assert "first failure" in err
 
+    def test_koszul_exactness_failure_names_kernel_and_image(self, capsys):
+        # x^2*y is singular along the z-axis: degree -1 has a kernel vector
+        # of cross-with-grad(phi) that no grad(phi) multiple reaches
+        code, out, _ = run(
+            capsys, "verify", "--phi", "x^2*y", "--suite", "koszul",
+            "--min-degree", "-3", "--max-degree", "5",
+        )
+        lines = {line.split()[1]: line for line in out.splitlines() if line[:4] in ("PASS", "FAIL")}
+        assert code == 4
+        assert lines["koszul_first_exactness"].endswith(
+            "(3 cases) -- degree -1: kernel 1 vs image 0"
+        )
+        assert lines["de_rham_curl_exactness"].startswith("PASS")
+        assert lines["de_rham_divergence_exactness"].startswith("PASS")
+
     def test_weighted_koszul_passes(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--phi", "x^2+y^3+z^5", "--weights", "15,10,6",

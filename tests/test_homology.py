@@ -21,7 +21,7 @@ from poissonsing import (
 from poissonsing.homology import projection_commutes
 from poissonsing.operators import boundary_matrix
 
-from .conftest import structure
+from .conftest import basis_element, structure
 
 # ---------------------------------------------------------------------------
 # Independent oracle: the boundary on Kahler forms evaluated from its
@@ -145,7 +145,7 @@ class TestBoundaryAgainstFormulaOracle:
                 b = boundary_matrix(cubic, k, i)
                 src = b.source
                 for j in range(src.dim):
-                    elem = src.element(j)
+                    elem = basis_element(src, j)
                     oracle_form: Form = {}
                     for key, coeff in form_from_chain(k, elem).items():
                         for out_key, out_coeff in boundary_formula_oracle(

@@ -1,10 +1,12 @@
 """Source hygiene that needs no linter: no unused import in src/ or tests/,
-no package export that only the tests use, and no sampling in src/.
+no package export and no definition under src/ that only the tests use, and
+no sampling in src/.
 
 An imported name counts as used when it is read anywhere in its module,
 appears in a string annotation, or is listed in the module's __all__ (the
-package's re-exports).  A name in poissonsing.__all__ counts as used when
-src/ or demos/ read it outside its own definition.  The engine and its
+package's re-exports).  A name in poissonsing.__all__, and the name of any
+function, method or class defined under src/ (dunders aside), counts as used
+when src/ or demos/ read it outside its own definition.  The engine and its
 certificates are exact and deterministic, so no module under src/ imports
 random; random inputs belong to the tests.
 """
@@ -131,6 +133,54 @@ def test_export_scan_skips_imports_exports_and_self_reference():
     read = names_read(source)
     assert {"weighted_degree", "degree", "Space", "P"} <= read
     assert not {"parse_poly", "closed_form", "copy", "report"} & read
+
+
+def definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every function, method and class the module defines,
+    at any depth, except dunders (the language calls those)."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def test_every_definition_under_src_is_read():
+    read = set().union(*(names_read(path.read_text()) for path in CALLERS))
+    found = [
+        "%s:%d defines %s, which src/ and demos/ never read" % (path.relative_to(ROOT), line, name)
+        for path in SRC
+        for line, name in definitions(path.read_text())
+        if name not in read
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_definition_scan_sees_unread_functions_methods_and_classes():
+    source = (
+        "class Weights:\n"
+        "    @classmethod\n"
+        "    def of(cls, a):\n"
+        "        return cls(a)\n"
+        "    def __eq__(self, other):\n"
+        "        return self.total() == other.total()\n"
+        "    async def total(self):\n"
+        "        return 0\n"
+        "class Unused:\n"
+        "    pass\n"
+        "def recurse(n):\n"
+        "    return recurse(n - 1)\n"
+        "def main():\n"
+        "    def helper():\n"
+        "        return Weights\n"
+        "    return helper()\n"
+        "main()\n"
+    )
+    read = names_read(source)
+    assert [d for d in definitions(source) if d[1] not in read] == [
+        (3, "of"), (9, "Unused"), (11, "recurse")
+    ]
 
 
 def imports_of(source: str, module: str) -> list[int]:

@@ -23,6 +23,7 @@ from poissonsing.linalg import Echelon, kernel_of_columns, rank_of_columns
 from poissonsing.operators import delta_matrix
 
 from .conftest import (
+    basis_element,
     cokernel_representatives,
     entry,
     identity_matrix,
@@ -46,7 +47,7 @@ class TestBases:
     def test_x3_bottom(self):
         b = basis_of("X3", -3, W111)
         assert b.dim == 1
-        assert isinstance(b.element(0), Poly)
+        assert isinstance(basis_element(b, 0), Poly)
 
     def test_negative_derivation_degrees_are_legal(self):
         w = WeightSystem((15, 10, 6))
@@ -63,7 +64,7 @@ class TestBases:
 
     def test_element_ordering_is_component_then_monomial(self):
         b = basis_of("X1", 0, W111)
-        first = b.element(0)
+        first = basis_element(b, 0)
         assert isinstance(first, VecPoly)
         assert first[0] == Poly.variable(0)  # x in component 1
         assert first[1].is_zero()

@@ -38,7 +38,7 @@ from poissonsing.operators import (
     operator_symbol,
 )
 
-from .conftest import oracle_columns, structure
+from .conftest import basis_element, oracle_columns, structure
 
 
 def _window(window):
@@ -94,7 +94,7 @@ def _relation_generators(P, k, i):
 
     def elements(kind):
         b = basis_of(kind, i - d, w)
-        return [b.element(j) for j in range(b.dim)]
+        return [basis_element(b, j) for j in range(b.dim)]
 
     wedge = {
         1: lambda e: nabla * e,

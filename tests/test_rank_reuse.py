@@ -122,42 +122,50 @@ def test_surface_homology_matches_two_stack_reference(phi, weights):
 QUARTIC = ("x^4+y^4+z^4", (1, 1, 1))
 
 
-def test_negative_cohomology_dim_names_the_ranks(monkeypatch):
-    # X^1 at degree 2 has dim 30; pretend delta^0 at degree 1 has rank 40
-    monkeypatch.setattr(
-        cohomology, "delta_rank", lambda P, k, i: 40 if k == 0 else 5
-    )
+# caller, (k, degree), patched rank helpers, and the message they must give:
+# n - cycles + relations - (boundaries - constraint) is negative
+NEGATIVE = [
+    (
+        cohomology, "cohomology_dim", (1, 2),
+        {"delta_rank": lambda P, k, i: 40 if k == 0 else 5},
+        "-15 of H1_ambient at degree 2: n 30 - cycles 5 + relations 0 "
+        "- (boundaries 40 - constraint 0)",
+    ),
+    (
+        cohomology, "surface_cohomology_dim", (2, 3),
+        {
+            "_cocycle_rank": lambda P, k, i: 999 if k == 1 else 50,
+            "_constraint_rank": lambda P, k, i: 7,
+        },
+        "-924 of H2_surface at degree 3: n 63 - cycles 50 + relations 55 "
+        "- (boundaries 999 - constraint 7)",
+    ),
+    (
+        cohomology, "surface_cochain_dim", (3, 5),
+        {"_constraint_rank": lambda P, k, i: 999},
+        "-861 of X3_surface at degree 5: n 45 - cycles 999 + relations 108 "
+        "- (boundaries 15 - constraint 0)",
+    ),
+    (
+        homology, "surface_homology_dim", (1, 5),
+        {
+            "_cycle_rank": lambda P, k, i: 777 if k == 2 else 3,
+            "omega_relation_rank": lambda P, k, i: 4,
+        },
+        "-731 of H_1_surface at degree 5: n 45 - cycles 3 + relations 4 "
+        "- (boundaries 777 - constraint 0)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "module,caller,degree,ranks,message", NEGATIVE, ids=[case[1] for case in NEGATIVE]
+)
+def test_negative_dimension_names_the_space_degree_and_ranks(
+    monkeypatch, module, caller, degree, ranks, message
+):
+    for name, rank in ranks.items():
+        monkeypatch.setattr(module, name, rank)
     with pytest.raises(RuntimeError) as err:
-        cohomology.cohomology_dim(structure(*QUARTIC), 1, 2)
-    message = str(err.value)
-    assert "k=1, degree 2" in message
-    assert "dim X^1 = 30" in message
-    assert "rank delta^1 = 5 at degree 2" in message
-    assert "rank delta^0 = 40 at degree 1" in message
-
-
-def test_negative_surface_cohomology_dim_names_the_ranks(monkeypatch):
-    monkeypatch.setattr(
-        cohomology, "_cocycle_rank", lambda P, k, i: 999 if k == 1 else 50
-    )
-    monkeypatch.setattr(cohomology, "_constraint_rank", lambda P, k, i: 0)
-    with pytest.raises(RuntimeError) as err:
-        # bypass the cache: the unpatched value may already be stored
-        cohomology.surface_cohomology_dim.__wrapped__(structure(*QUARTIC), 2, 3)
-    message = str(err.value)
-    assert "k=2, degree 3" in message
-    assert "cocycle stack rank 50" in message
-    assert "stack rank 999 - constraint rank 0 at degree 2" in message
-
-
-def test_negative_surface_homology_dim_names_the_ranks(monkeypatch):
-    monkeypatch.setattr(
-        homology, "_cycle_rank", lambda P, k, i: 777 if k == 2 else 3
-    )
-    monkeypatch.setattr(homology, "omega_relation_rank", lambda P, k, i: 4)
-    with pytest.raises(RuntimeError) as err:
-        homology.surface_homology_dim.__wrapped__(structure(*QUARTIC), 1, 5)
-    message = str(err.value)
-    assert "k=1, form degree 5" in message
-    assert "dim Omega^1 = 45 - cycle stack rank 3 + relation rank 4" in message
-    assert "boundaries 777" in message
+        getattr(module, caller)(structure(*QUARTIC), *degree)
+    assert str(err.value) == "negative dimension " + message
