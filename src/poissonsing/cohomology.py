@@ -38,12 +38,11 @@ from typing import Literal, Union
 from .linalg import basis_of, offset_vector, rank_of_columns, subquotient_dim
 from .milnor import MilnorData
 from .operators import (
-    cross_grad_phi_matrix,
     delta_matrix,
     delta_rank,
-    dot_grad_phi_matrix,
-    mult_grad_phi_matrix,
     mult_phi_matrix,
+    relation_blocks,
+    relation_rank,
 )
 from .poisson import PoissonStructure
 from .poly import Poly
@@ -241,43 +240,14 @@ def brute_force_dims(P: PoissonStructure, k: int, window: Window) -> GradedDims:
 # ---------------------------------------------------------------------------
 
 
-def _constraint_blocks(P: PoissonStructure, k: int, i: int):
-    """The degree-i multiderivation space of A/<phi> as a subquotient of X^k.
-
-    Returns (n, rows_top, D_cols, P_cols) modelling
-    V = {v in X^k_i : constraint(v) lies in phi * (ambient)} as the
-    projection of ker [D | P]; D is empty for k <= 0 (no constraint).
-    """
-    n = _cochain_dim(P, k, i)
-    if k <= 0:
-        return n, 0, [], []
-    if k == 1:
-        D = dot_grad_phi_matrix(P, i)
-        Pm = mult_phi_matrix(P, "X0", i)
-    elif k == 2:
-        D = cross_grad_phi_matrix(P, i)
-        Pm = mult_phi_matrix(P, "X1", i)
-    elif k == 3:
-        D = mult_grad_phi_matrix(P, i)
-        Pm = mult_phi_matrix(P, "X2", i)
-    else:
-        raise ValueError("k must be in 0..3")
-    return n, D.target.dim, D.columns, Pm.columns
-
-
-@lru_cache(maxsize=None)
-def _constraint_rank(P: PoissonStructure, k: int, i: int) -> int:
-    """rank [D | P] for the constraint stack (0 when there is no constraint)."""
-    _, _, d_cols, p_cols = _constraint_blocks(P, k, i)
-    return rank_of_columns([*d_cols, *p_cols])
-
-
 def surface_cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
     """dim of the degree-i piece of the multiderivation space of A/<phi>:
-    V (the kernel of the constraint stack [D | P], projected to X^k) modulo
-    the quotient relations phi*X^k at degree i-d."""
+    V = {v in X^k_i : D_k(v) lies in phi*X^{k-1}}, the projection to X^k of
+    the kernel of the constraint stack [D_k | phi] (operators.relation_blocks;
+    X^0 has no constraint), modulo the quotient relations phi*X^k at degree
+    i-d."""
     return subquotient_dim(
-        "X%d_surface" % k, i, _cochain_dim(P, k, i), _constraint_rank(P, k, i),
+        "X%d_surface" % k, i, _cochain_dim(P, k, i), relation_rank(P, k, i),
         _cochain_dim(P, k - 1, i), _cochain_dim(P, k, i - P.degree), 0,
     )
 
@@ -286,25 +256,26 @@ def surface_cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
 def _cocycle_rank(P: PoissonStructure, k: int, i: int) -> int:
     """rank of the cocycle stack of X^k at degree i, for k in -1..3.
 
-    Columns, in order: [D_j ; delta^k_j] for each basis vector j of X^k_i,
-    then [P ; 0] (the constraint's phi-multiples), then [0 ; phi*X^{k+1}]
-    at degree i+N-d; D and P are the constraint blocks of (k, i).  At the
-    ends of the complex no elimination is needed: X^{-1} is zero, so the
-    stack is the phi-multiples of X^0 alone, which are independent; delta^3
-    and X^4 are zero, so the stack is the constraint stack [D | P].
+    Columns, in order: [D_k,j ; delta^k_j] for each basis vector j of X^k_i,
+    then [phi ; 0] (the constraint's phi-multiples of X^{k-1}), then
+    [0 ; phi*X^{k+1}] at degree i+N-d; D_k and phi are the relation blocks
+    of (k, i), and X^0 has none.  At the ends of the complex no elimination
+    is needed: X^{-1} is zero, so the stack is the phi-multiples of X^0
+    alone, which are independent; delta^3 and X^4 are zero, so the stack is
+    the constraint stack [D_3 | phi].
     """
     N, d = P.coboundary_degree, P.degree
     if k < 0:
         return _cochain_dim(P, 0, i + N - d)
     if k == 3:
-        return _constraint_rank(P, 3, i)
-    n, rows_top, d_cols, p_cols = _constraint_blocks(P, k, i)
-    delta_cols = delta_matrix(P, k, i).columns if n else []
-    top = (
-        {**d_cols[j], **offset_vector(delta_cols[j], rows_top)} if d_cols else delta_cols[j]
-        for j in range(n)
-    )
-    p2 = mult_phi_matrix(P, "X%d" % (k + 1), i + N - d).columns
+        return relation_rank(P, 3, i)
+    delta_cols = delta_matrix(P, k, i).columns if _cochain_dim(P, k, i) else []
+    rows_top, top, p_cols = 0, delta_cols, []
+    if k:
+        D, phi = relation_blocks(P, k, i)
+        rows_top, p_cols = D.target.dim, phi.columns
+        top = ({**c, **offset_vector(v, rows_top)} for c, v in zip(D.columns, delta_cols))
+    p2 = mult_phi_matrix(P, k + 1, i + N - d).columns
     return rank_of_columns(chain(top, p_cols, (offset_vector(c, rows_top) for c in p2)))
 
 
@@ -326,7 +297,7 @@ def surface_cohomology_dim(P: PoissonStructure, k: int, i: int) -> int:
     return subquotient_dim(
         "H%d_surface" % k, i, _cochain_dim(P, k, i), _cocycle_rank(P, k, i),
         _cochain_dim(P, k - 1, i) + _cochain_dim(P, k + 1, i + N - d),
-        _cocycle_rank(P, k - 1, i - N), _constraint_rank(P, k - 1, i - N),
+        _cocycle_rank(P, k - 1, i - N), relation_rank(P, k - 1, i - N),
     )
 
 

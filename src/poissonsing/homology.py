@@ -8,12 +8,16 @@ first_bridge_failure checks the boundary/coboundary matrix identity
 entrywise on a window.
 
 On A/<phi> the form spaces are presented as quotients of A and A^3 by the
-relations generated by phi and by wedging with d(phi) (see operators): the
-boundaries descend, and the homology dimensions per degree again reduce to
-ranks of stacked relation/boundary blocks.  The boundary stack at (k, i) is
-the cycle stack one step down, at (k+1, i-N), so each stack is ranked once,
-and every dimension is the one formula of linalg.subquotient_dim in such
-ranks, with the zero spaces Omega^{-1} and Omega^4 at the ends.
+relations generated by phi and by wedging with d(phi).  These are the
+columns of the relation table that also constrains the surface cochains
+(operators.relation_blocks): the relations of Omega^k at form degree i are
+relation_blocks(P, 4-k, i - |w| - deg(phi)), on Omega^k = X^{3-k}
+(_relations_of).  The boundaries descend, and the homology dimensions per
+degree again reduce to ranks of stacked relation/boundary blocks.  The
+boundary stack at (k, i) is the cycle stack one step down, at (k+1, i-N),
+so each stack is ranked once, and every dimension is the one formula of
+linalg.subquotient_dim in such ranks, with the zero spaces Omega^{-1} and
+Omega^4 at the ends.
 The closed forms are: H_0 and H_3 are copies of the Jacobian quotient, H_2
 is its image under multiplication by the Euler field, and H_1 is spanned by
 the gradients of u_1, ..., u_{mu-1}.
@@ -34,14 +38,14 @@ from .cohomology import (
     default_window,
     _dims_from_map,
 )
-from .linalg import Echelon, basis_of, rank_of_columns, subquotient_dim
+from .linalg import Echelon, rank_of_columns, subquotient_dim
 from .milnor import MilnorData
 from .operators import (
     boundary_matrix,
     delta_matrix,
-    omega_relation_columns,
-    omega_relation_matrices,
-    omega_relation_rank,
+    form_basis,
+    relation_blocks,
+    relation_rank,
 )
 from .poisson import PoissonStructure
 from .vectorcalc import euler_field, grad
@@ -122,6 +126,18 @@ def surface_homology_description(
     return ModuleDescription("H_%d_surface" % k, "F", None, tuple(gens))
 
 
+def _relations_of(P: PoissonStructure, k: int, i: int) -> tuple[int, int]:
+    """(4-k, j) such that relation_blocks(P, 4-k, j) presents the degree-i
+    relations of Omega^k = X^{3-k}: j + deg(phi) = i - |w|.  For k = -1 the
+    first entry is 5, where relation_rank gives 0 (Omega^{-1} is zero)."""
+    return 4 - k, i - P.weight_sum - P.degree
+
+
+def _relation_columns(P: PoissonStructure, k: int, i: int) -> list:
+    """The columns of the degree-i relations of Omega^k, for k in 0..3."""
+    return [c for m in relation_blocks(P, *_relations_of(P, k, i)) if m for c in m.columns]
+
+
 @lru_cache(maxsize=None)
 def _cycle_rank(P: PoissonStructure, k: int, i: int) -> int:
     """rank of the cycle stack of Omega^k at form degree i, for k in 0..4:
@@ -132,9 +148,9 @@ def _cycle_rank(P: PoissonStructure, k: int, i: int) -> int:
     if k == 0:
         return 0
     if k == 4:
-        return omega_relation_rank(P, 3, i + N)
-    cols = boundary_matrix(P, k, i).columns if basis_of("Omega%d" % k, i, P.weights).dim else []
-    return rank_of_columns([*cols, *omega_relation_columns(P, k - 1, i + N)])
+        return relation_rank(P, *_relations_of(P, 3, i + N))
+    cols = boundary_matrix(P, k, i).columns if form_basis(P, k, i).dim else []
+    return rank_of_columns([*cols, *_relation_columns(P, k - 1, i + N)])
 
 
 def surface_homology_dim(P: PoissonStructure, k: int, i: int) -> int:
@@ -150,8 +166,8 @@ def surface_homology_dim(P: PoissonStructure, k: int, i: int) -> int:
     """
     N = P.coboundary_degree
     return subquotient_dim(
-        "H_%d_surface" % k, i, basis_of("Omega%d" % k, i, P.weights).dim, _cycle_rank(P, k, i),
-        omega_relation_rank(P, k - 1, i + N), _cycle_rank(P, k + 1, i - N), 0,
+        "H_%d_surface" % k, i, form_basis(P, k, i).dim, _cycle_rank(P, k, i),
+        relation_rank(P, *_relations_of(P, k - 1, i + N)), _cycle_rank(P, k + 1, i - N), 0,
     )
 
 
@@ -167,10 +183,10 @@ def projection_commutes(P: PoissonStructure, k: int, i: int) -> bool:
     if k == 0:
         return True
     prev = Echelon()
-    for col in omega_relation_columns(P, k - 1, i + P.coboundary_degree):
+    for col in _relation_columns(P, k - 1, i + P.coboundary_degree):
         prev.insert(col)
     b = boundary_matrix(P, k, i)
-    for relations in omega_relation_matrices(P, k, i):
+    for relations in relation_blocks(P, *_relations_of(P, k, i)):
         for col in b.compose(relations).columns:
             if not prev.contains(col):
                 return False

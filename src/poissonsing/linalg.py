@@ -1,7 +1,7 @@
 """Graded bases and exact linear algebra over the rationals.
 
-The graded pieces of the multiderivation spaces X^k and of the Kahler form
-spaces Omega^k over A = F[x,y,z] are finite dimensional; their bases are
+The graded pieces of the multiderivation spaces X^0..X^3 over A = F[x,y,z]
+(X^0 is A itself) are finite dimensional; their bases are
 monomials placed in a single component, enumerated in the fixed monomial
 order (component 1 < 2 < 3).  Operators between graded pieces become exact
 sparse matrices, with ``int`` entries whenever phi has integer coefficients
@@ -26,9 +26,13 @@ quadratic monomials), and matrix_of fills every column of every graded
 piece from that symbol by exponent arithmetic and basis index lookups; no
 polynomial is built per column.
 
-Degree bookkeeping: a vector (f1,f2,f3) of derivation degree i has component
-degrees i+w_j in X^1 and i+|w|-w_j in X^2; form degrees run the other way
-(Omega^k at form degree i matches X^{3-k} at derivation degree i-|w|).
+Degree bookkeeping: X0..X3 are the only kinds of graded piece.  A vector
+(f1,f2,f3) of derivation degree i has component degrees i+w_j in X^1 and
+i+|w|-w_j in X^2, and X^3 at degree i is A at degree i+|w|.  The Kahler form
+spaces are not enumerated apart: Omega^k at form degree i is X^{3-k} at
+derivation degree i-|w| (operators.form_basis), the Jacobian ideal is the
+image of X^1 under the dot product with grad(phi), and so every matrix of
+the engine maps between these four kinds.
 """
 
 from __future__ import annotations
@@ -47,10 +51,6 @@ from .vectorcalc import VecPoly
 Vector = dict[int, Scalar]
 Cochain = Union[Poly, VecPoly]
 
-SCALAR_KINDS = frozenset({"A", "X0", "X3", "Omega0", "Omega3"})
-VECTOR_KINDS = frozenset({"X1", "X2", "Omega1", "Omega2"})
-SPACE_KINDS = SCALAR_KINDS | VECTOR_KINDS
-
 
 class DegreeMismatch(ValueError):
     """An operator output fell outside the target graded piece."""
@@ -60,26 +60,20 @@ def component_degrees(kind: str, i: int, w: WeightSystem) -> tuple[int, ...]:
     """Polynomial degrees of the components of the graded piece kind_i."""
     w1, w2, w3 = w.weights
     s = w.weight_sum
-    if kind in ("A", "X0", "Omega0"):
+    if kind == "X0":
         return (i,)
-    if kind == "X3":
-        return (i + s,)
-    if kind == "Omega3":
-        return (i - s,)
     if kind == "X1":
         return (i + w1, i + w2, i + w3)
-    if kind == "Omega1":
-        return (i - w1, i - w2, i - w3)
     if kind == "X2":
         return (i + w2 + w3, i + w1 + w3, i + w1 + w2)
-    if kind == "Omega2":
-        return (i - w2 - w3, i - w1 - w3, i - w1 - w2)
+    if kind == "X3":
+        return (i + s,)
     raise ValueError("unknown space kind %r" % kind)
 
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Monomial basis of one graded piece of A, X^k or Omega^k."""
+    """Monomial basis of one graded piece of X^k (X^0 is A itself)."""
 
     kind: str
     degree: int
@@ -150,9 +144,8 @@ class GradedBasis:
 
 @lru_cache(maxsize=None)
 def basis_of(kind: str, i: int, w: WeightSystem) -> GradedBasis:
-    """The ordered monomial basis of the graded piece kind_i."""
-    if kind not in SPACE_KINDS:
-        raise ValueError("unknown space kind %r" % kind)
+    """The ordered monomial basis of the graded piece kind_i, for the kinds
+    X0..X3; ValueError for any other kind."""
     degs = component_degrees(kind, i, w)
     monos = tuple(tuple(monomials_of_degree(d, w)) for d in degs)
     return GradedBasis(kind, i, w, degs, monos)

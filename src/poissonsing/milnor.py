@@ -13,6 +13,11 @@ socle + max(w) and accepts iff they vanish on the window
 because any monomial of higher degree factors as x_j * m with m above the
 socle.  Degree bound deg(phi) > max(w) is necessary for a singularity at the
 origin and is checked first.
+
+The ideal's degree-i piece is the image of the Koszul map D_1 (dot product
+with grad(phi)) from X^1 at degree i - deg(phi), the same cached matrix
+(operators.koszul_matrix) that the surface computations use as a relation
+block, so an accepted phi has these matrices built once.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Echelon, Symbol, basis_of, matrix_of, symbol_of
+from .linalg import Echelon
+from .operators import koszul_matrix
+from .poisson import PoissonStructure
 from .poly import Monomial, Poly, WeightSystem, weighted_degree
 
 __all__ = [
@@ -73,35 +80,20 @@ def socle_bound(degree: int, w: WeightSystem) -> int:
     return 3 * degree - 2 * w.weight_sum
 
 
-@lru_cache(maxsize=None)
-def _jacobian_symbols(phi: Poly) -> tuple[Symbol, ...]:
-    """Symbols of multiplication by phi_x, phi_y and phi_z."""
-    return tuple(symbol_of(lambda f, q=phi.partial(a): f * q, 1) for a in range(3))
-
-
-def _jacobian_columns(phi: Poly, w: WeightSystem, i: int, d: int):
-    """Columns of (a,b,c) -> a*phi_x + b*phi_y + c*phi_z landing in A_i."""
-    target = basis_of("A", i, w)
-    cols = []
-    for axis, symbol in enumerate(_jacobian_symbols(phi)):
-        src = basis_of("A", i - (d - w.weights[axis]), w)
-        cols.extend(matrix_of(symbol, src, target).columns)
-    return target, cols
-
-
-def _quotient_monomials(phi: Poly, w: WeightSystem, i: int, d: int) -> list[Monomial]:
+def _quotient_monomials(P: PoissonStructure, i: int) -> list[Monomial]:
     """Monomials of degree i spanning A_i modulo the Jacobian ideal.
 
-    Greedy scan in the fixed (descending) monomial order: a monomial is kept
-    iff it extends the echelon of the ideal's degree-i piece plus the
-    monomials already kept.
+    The ideal's degree-i piece is the image of (a,b,c) -> a*phi_x + b*phi_y
+    + c*phi_z, the Koszul map D_1 from X^1 at degree i - deg(phi).  Greedy
+    scan in the fixed (descending) monomial order: a monomial is kept iff it
+    extends the echelon of that image plus the monomials already kept.
     """
-    target, cols = _jacobian_columns(phi, w, i, d)
+    jacobian = koszul_matrix(P, 1, i - P.degree)
     ech = Echelon()
-    for col in cols:
+    for col in jacobian.columns:
         ech.insert(col)
     kept: list[Monomial] = []
-    for j, m in enumerate(target.monomials[0]):
+    for j, m in enumerate(jacobian.target.monomials[0]):
         e_j = {j: 1}
         if not ech.contains(e_j):
             kept.append(m)
@@ -134,9 +126,10 @@ def check_isolated(phi: Poly, w: WeightSystem) -> MilnorData:
             witness_monomial=(0, 0, 0),
         )
     window_top = bound + w.max_weight
+    P = PoissonStructure(phi, w)
     per_degree: dict[int, list[Monomial]] = {}
     for i in range(0, window_top + 1):
-        kept = _quotient_monomials(phi, w, i, d)
+        kept = _quotient_monomials(P, i)
         if kept:
             per_degree[i] = kept
             if i > bound:

@@ -3,22 +3,27 @@
 Everything here is a pure function of (structure, degree); results are
 memoized because ranks of the same graded operator are reused by cocycle
 counts, coboundary counts, Koszul exactness checks and the homology bridge.
-Degrees are derivation degrees for X-spaces and form degrees for Omega-spaces;
-horizontal operators (anything involving grad(phi) or multiplication by phi)
-raise the degree by deg(phi), the coboundaries by deg(phi) - |w|, and the
-vertical de Rham operators preserve it.
+Every matrix maps between the pieces X^0..X^3 at derivation degrees; form
+spaces are the same pieces (form_basis: Omega^k at form degree i is X^{3-k}
+at derivation degree i - |w|).  The horizontal operators (the Koszul maps
+of grad(phi) and multiplication by phi) raise the degree by deg(phi), the
+coboundaries by deg(phi) - |w|, and the vertical de Rham operators preserve
+it.
 
 Every operator here (the coboundaries, the boundaries, multiplication by phi,
-the grad(phi) products and grad/curl/div) is a linear differential operator
-of order at most one, so its symbol is extracted once per structure
+the Koszul maps and grad/curl/div) is a linear differential operator of
+order at most one, so its symbol is extracted once per structure
 (operator_symbol) and every graded matrix is filled from it by linalg's
-matrix_of.  The relations presenting the form spaces of A/<phi> are the
-columns of such matrices too.
+matrix_of.  One relation table (relation_blocks, ranked by relation_rank)
+holds the blocks [D_k | phi] on X^{k-1}: it is the surface-cochain
+constraint of X^k and, under Omega^{4-k} = X^{k-1}, the relations
+d(phi) ^ Omega^{3-k} + phi*Omega^{4-k} presenting the forms of A/<phi>.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 from .linalg import (
     GradedBasis,
@@ -36,7 +41,7 @@ from .vectorcalc import cross, curl, divergence, dot, grad
 
 def _operator(P: PoissonStructure | None, name: str):
     if P is None:
-        return {"grad": grad, "curl": curl, "div": divergence}[name]
+        return {"de_rham1": divergence, "de_rham2": curl, "de_rham3": grad}[name]
     nabla = P.nabla_phi
     return {
         "delta0": P.delta0,
@@ -46,17 +51,16 @@ def _operator(P: PoissonStructure | None, name: str):
         "boundary2": lambda c: P.boundary(2, c),
         "boundary3": lambda c: P.boundary(3, c),
         "phi": lambda c: c * P.phi,
-        "grad_phi": lambda f: nabla * f,
-        "cross_grad_phi": lambda v: cross(v, nabla),
-        "grad_phi_cross": lambda v: cross(nabla, v),
-        "dot_grad_phi": lambda v: dot(v, nabla),
+        "koszul1": lambda v: dot(v, nabla),
+        "koszul2": lambda v: cross(v, nabla),
+        "koszul3": lambda f: nabla * f,
     }[name]
 
 
 @lru_cache(maxsize=None)
 def operator_symbol(P: PoissonStructure | None, name: str, source_components: int) -> Symbol:
     """Symbol of a named operator on 1- or 3-component inputs, extracted once
-    per structure (P is None for the vertical operators grad, curl, div)."""
+    per structure (P is None for the vertical de Rham operators)."""
     return symbol_of(_operator(P, name), source_components)
 
 
@@ -64,6 +68,12 @@ def _matrix(
     P: PoissonStructure | None, name: str, src: GradedBasis, tgt: GradedBasis
 ) -> GradedOperatorMatrix:
     return matrix_of(operator_symbol(P, name, len(src.monomials)), src, tgt)
+
+
+def form_basis(P: PoissonStructure, k: int, i: int) -> GradedBasis:
+    """The basis of Omega^k at form degree i: X^{3-k} at derivation degree
+    i - |w|, whose component layout it shares."""
+    return basis_of("X%d" % (3 - k), i - P.weight_sum, P.weights)
 
 
 @lru_cache(maxsize=None)
@@ -91,106 +101,73 @@ def delta_rank(P: PoissonStructure, k: int, i: int) -> int:
 
 @lru_cache(maxsize=None)
 def boundary_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
-    """Matrix of the k-th boundary from Omega^k at form degree i."""
+    """Matrix of the k-th boundary from Omega^k at form degree i, filled from
+    P.boundary's own symbol (not from delta's)."""
     if k not in (1, 2, 3):
         raise ValueError("boundary matrices exist for k in 1..3")
     n = P.coboundary_degree
-    src = basis_of("Omega%d" % k, i, P.weights)
-    tgt = basis_of("Omega%d" % (k - 1), i + n, P.weights)
-    return _matrix(P, "boundary%d" % k, src, tgt)
+    return _matrix(P, "boundary%d" % k, form_basis(P, k, i), form_basis(P, k - 1, i + n))
 
 
 @lru_cache(maxsize=None)
-def mult_phi_matrix(P: PoissonStructure, kind: str, i: int) -> GradedOperatorMatrix:
-    """Multiplication by phi from kind at degree i to kind at degree i+deg(phi)."""
-    src = basis_of(kind, i, P.weights)
-    tgt = basis_of(kind, i + P.degree, P.weights)
+def mult_phi_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
+    """Multiplication by phi from X^k at degree i to X^k at degree i+deg(phi)."""
+    src = basis_of("X%d" % k, i, P.weights)
+    tgt = basis_of("X%d" % k, i + P.degree, P.weights)
     return _matrix(P, "phi", src, tgt)
 
 
 @lru_cache(maxsize=None)
-def mult_grad_phi_matrix(P: PoissonStructure, i: int) -> GradedOperatorMatrix:
-    """f -> f*grad(phi) from X^3 at degree i into X^2 at degree i+deg(phi)."""
-    src = basis_of("X3", i, P.weights)
-    tgt = basis_of("X2", i + P.degree, P.weights)
-    return _matrix(P, "grad_phi", src, tgt)
+def koszul_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
+    """The Koszul map D_k of grad(phi) from X^k at degree i into X^{k-1} at
+    degree i+deg(phi): v . grad(phi) (k=1), v x grad(phi) (k=2) and
+    f*grad(phi) (k=3)."""
+    if k not in (1, 2, 3):
+        raise ValueError("Koszul matrices exist for k in 1..3")
+    src = basis_of("X%d" % k, i, P.weights)
+    tgt = basis_of("X%d" % (k - 1), i + P.degree, P.weights)
+    return _matrix(P, "koszul%d" % k, src, tgt)
 
 
 @lru_cache(maxsize=None)
-def cross_grad_phi_matrix(P: PoissonStructure, i: int) -> GradedOperatorMatrix:
-    """v -> v x grad(phi) from X^2 at degree i into X^1 at degree i+deg(phi)."""
-    src = basis_of("X2", i, P.weights)
-    tgt = basis_of("X1", i + P.degree, P.weights)
-    return _matrix(P, "cross_grad_phi", src, tgt)
-
-
-@lru_cache(maxsize=None)
-def dot_grad_phi_matrix(P: PoissonStructure, i: int) -> GradedOperatorMatrix:
-    """v -> v . grad(phi) from X^1 at degree i into X^0 at degree i+deg(phi)."""
-    src = basis_of("X1", i, P.weights)
-    tgt = basis_of("X0", i + P.degree, P.weights)
-    return _matrix(P, "dot_grad_phi", src, tgt)
-
-
-@lru_cache(maxsize=None)
-def grad_matrix(w: WeightSystem, i: int) -> GradedOperatorMatrix:
-    """Gradient X^3 -> X^2, a degree-0 vertical operator."""
-    return _matrix(None, "grad", basis_of("X3", i, w), basis_of("X2", i, w))
-
-
-@lru_cache(maxsize=None)
-def curl_matrix(w: WeightSystem, i: int) -> GradedOperatorMatrix:
-    """Curl X^2 -> X^1, degree 0."""
-    return _matrix(None, "curl", basis_of("X2", i, w), basis_of("X1", i, w))
-
-
-@lru_cache(maxsize=None)
-def div_matrix(w: WeightSystem, i: int) -> GradedOperatorMatrix:
-    """Divergence X^1 -> X^0, degree 0."""
-    return _matrix(None, "div", basis_of("X1", i, w), basis_of("X0", i, w))
+def de_rham_matrix(w: WeightSystem, k: int, i: int) -> GradedOperatorMatrix:
+    """The degree-0 vertical operator from X^k into X^{k-1} at degree i:
+    divergence (k=1), curl (k=2) and gradient (k=3)."""
+    if k not in (1, 2, 3):
+        raise ValueError("de Rham matrices exist for k in 1..3")
+    src, tgt = basis_of("X%d" % k, i, w), basis_of("X%d" % (k - 1), i, w)
+    return _matrix(None, "de_rham%d" % k, src, tgt)
 
 
 # ---------------------------------------------------------------------------
-# Relations presenting the form spaces of the quotient algebra A/<phi>
+# The relation table: surface constraints of X^k, relations of Omega^{4-k}
 # ---------------------------------------------------------------------------
 
 
-# the generator of each relation space besides phi*Omega^k: wedging with
-# d(phi) from Omega^{k-1}, written in coordinates
-_WEDGE_DPHI = {1: "grad_phi", 2: "grad_phi_cross", 3: "dot_grad_phi"}
-
-
-@lru_cache(maxsize=None)
-def omega_relation_matrices(
+def relation_blocks(
     P: PoissonStructure, k: int, i: int
-) -> tuple[GradedOperatorMatrix, ...]:
-    """Matrices into Omega^k at form degree i whose columns, in order,
-    generate the degree-i relations defining Omega^k of A/<phi>.
+) -> tuple[GradedOperatorMatrix | None, GradedOperatorMatrix]:
+    """(D_k, phi on X^{k-1}) from degree i into X^{k-1} at degree i+deg(phi),
+    for k in 1..4; D_4 is None, as X^4 is zero.
 
-    k=0: phi*A;  k=1: A*dphi + phi*Omega^1;  k=2: dphi ^ Omega^1 + phi*Omega^2;
-    k=3: dphi ^ Omega^2 + phi*Omega^3 (the Jacobian ideal piece).
+    Their columns, in order, span the constraint of the surface cochains of
+    X^k (v with D_k(v) in phi*X^{k-1}) and the relations d(phi) ^
+    Omega^{3-k} + phi*Omega^{4-k} of Omega^{4-k} of A/<phi> at form degree
+    i+deg(phi)+|w| (the wedge of Omega^1 with d(phi) is -D_2, of the same
+    span).
     """
-    if k not in (0, 1, 2, 3):
-        raise ValueError("k must be in 0..3")
-    d = P.degree
-    mats = []
-    if k:
-        src = basis_of("Omega%d" % (k - 1), i - d, P.weights)
-        tgt = basis_of("Omega%d" % k, i, P.weights)
-        mats.append(_matrix(P, _WEDGE_DPHI[k], src, tgt))
-    mats.append(mult_phi_matrix(P, "Omega%d" % k, i - d))
-    return tuple(mats)
+    if k not in (1, 2, 3, 4):
+        raise ValueError("relation blocks exist for k in 1..4")
+    return (koszul_matrix(P, k, i) if k < 4 else None), mult_phi_matrix(P, k - 1, i)
 
 
 @lru_cache(maxsize=None)
-def omega_relation_columns(P: PoissonStructure, k: int, i: int) -> tuple:
-    return tuple(col for m in omega_relation_matrices(P, k, i) for col in m.columns)
-
-
-@lru_cache(maxsize=None)
-def omega_relation_rank(P: PoissonStructure, k: int, i: int) -> int:
-    """rank of the degree-i relations of Omega^k; Omega^{-1} is zero and has
-    none."""
-    if k < 0:
+def relation_rank(P: PoissonStructure, k: int, i: int) -> int:
+    """rank [D_k | phi] of relation_blocks(P, k, i); 0 for k outside 1..4
+    (X^{k-1} is zero there), and dim X^3_i for k = 4, where the stack is the
+    phi-multiples of X^3 alone, which are independent."""
+    if not 1 <= k <= 4:
         return 0
-    return rank_of_columns(omega_relation_columns(P, k, i))
+    if k == 4:
+        return basis_of("X3", i, P.weights).dim
+    return rank_of_columns(chain.from_iterable(m.columns for m in relation_blocks(P, k, i)))

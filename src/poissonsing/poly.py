@@ -275,13 +275,6 @@ class Poly:
         return "Poly(%s)" % poly_to_string(self)
 
 
-X = Poly.variable(0)
-Y = Poly.variable(1)
-Z = Poly.variable(2)
-ONE = Poly.one()
-ZERO = Poly.zero()
-
-
 # ---------------------------------------------------------------------------
 # Gradings
 # ---------------------------------------------------------------------------
@@ -411,8 +404,9 @@ def _parse_var_power(sc: _Scanner) -> tuple[int, int]:
 
 
 def _parse_term(sc: _Scanner) -> Poly:
+    """An optional coefficient, then variable powers joined by * (the * after
+    the coefficient may be dropped); a coefficient alone is a constant."""
     coeff: Scalar = 1
-    have_coeff = False
     if sc.peek().isdigit():
         num = sc.read_integer()
         if sc.peek() == "/":
@@ -423,35 +417,19 @@ def _parse_term(sc: _Scanner) -> Poly:
             coeff = Fraction(num, den)
         else:
             coeff = num
-        have_coeff = True
         if sc.peek() == "*":
             sc.advance()
-            exps = [0, 0, 0]
-            idx, e = _parse_var_power(sc)
-            exps[idx] += e
-            return _parse_factors(sc, coeff, exps)
-        if sc.peek().isalpha():
-            exps = [0, 0, 0]
-            idx, e = _parse_var_power(sc)
-            exps[idx] += e
-            return _parse_factors(sc, coeff, exps)
-        return Poly.constant(coeff)
-    if sc.peek().isalpha():
-        exps = [0, 0, 0]
-        idx, e = _parse_var_power(sc)
-        exps[idx] += e
-        return _parse_factors(sc, coeff, exps)
-    if not have_coeff:
+        elif not sc.peek().isalpha():
+            return Poly.constant(coeff)
+    elif not sc.peek().isalpha():
         raise PolyParseError("expected a term", sc.pos)
-    return Poly.constant(coeff)
-
-
-def _parse_factors(sc: _Scanner, coeff: Scalar, exps: list[int]) -> Poly:
-    while sc.peek() == "*":
-        sc.advance()
+    exps = [0, 0, 0]
+    while True:
         idx, e = _parse_var_power(sc)
         exps[idx] += e
-    return Poly.monomial((exps[0], exps[1], exps[2]), coeff)
+        if sc.peek() != "*":
+            return Poly.monomial((exps[0], exps[1], exps[2]), coeff)
+        sc.advance()
 
 
 def _format_monomial(m: Monomial) -> str:

@@ -18,16 +18,6 @@ from .poisson import PoissonStructure
 from .poly import Poly
 from .suites import SUITE_NAMES, CheckResult, Space, difference_text, run_suite, space_family
 
-SCHEMA_KEYS = (
-    "input",
-    "gate",
-    "invariants_summary",
-    "milnor",
-    "cohomology",
-    "homology",
-    "conventions",
-)
-
 
 def _describe(desc: ch.ModuleDescription) -> dict[str, Any]:
     return {

@@ -24,17 +24,7 @@ from . import cohomology as ch
 from . import homology as hm
 from .linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector, rank_of_columns
 from .milnor import MilnorData, check_isolated
-from .operators import (
-    boundary_matrix,
-    cross_grad_phi_matrix,
-    curl_matrix,
-    delta_matrix,
-    delta_rank,
-    div_matrix,
-    dot_grad_phi_matrix,
-    grad_matrix,
-    mult_grad_phi_matrix,
-)
+from .operators import boundary_matrix, de_rham_matrix, delta_matrix, delta_rank, koszul_matrix
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
 from .vectorcalc import VecPoly, cross, curl, divergence, dot, euler_field, grad
@@ -261,9 +251,9 @@ def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult
 
 def _second_part_witness(P: PoissonStructure, i: int) -> str:
     """A vector killed by .grad(phi) but not hit by cross-with-grad(phi)."""
-    dotm = dot_grad_phi_matrix(P, i)
+    dotm = koszul_matrix(P, 1, i)
     image = Echelon()
-    for col in cross_grad_phi_matrix(P, i - P.degree).columns:
+    for col in koszul_matrix(P, 2, i - P.degree).columns:
         image.insert(col)
     for vec in dotm.kernel_basis():
         if not image.contains(vec):
@@ -295,18 +285,18 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
     d = P.degree
 
     def injective(i):
-        m = mult_grad_phi_matrix(P, i)
+        m = koszul_matrix(P, 3, i)
         return None if m.rank() == m.source.dim else "kernel at degree %d" % i
 
     def first_exact(i):
-        return _exactness_defect(i, cross_grad_phi_matrix(P, i), mult_grad_phi_matrix(P, i - d))
+        return _exactness_defect(i, koszul_matrix(P, 2, i), koszul_matrix(P, 3, i - d))
 
     def second_exact(i):
-        defect = _exactness_defect(i, dot_grad_phi_matrix(P, i), cross_grad_phi_matrix(P, i - d))
+        defect = _exactness_defect(i, koszul_matrix(P, 1, i), koszul_matrix(P, 2, i - d))
         return defect and _second_part_witness(P, i)
 
     def grad_kernel(i):
-        g = grad_matrix(w, i)
+        g = de_rham_matrix(w, 3, i)
         expected = 1 if i == -s else 0
         return (
             None
@@ -315,13 +305,13 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
         )
 
     def curl_exact(i):
-        return _exactness_defect(i, curl_matrix(w, i), grad_matrix(w, i))
+        return _exactness_defect(i, de_rham_matrix(w, 2, i), de_rham_matrix(w, 3, i))
 
     def div_exact(i):
-        return _exactness_defect(i, div_matrix(w, i), curl_matrix(w, i))
+        return _exactness_defect(i, de_rham_matrix(w, 1, i), de_rham_matrix(w, 2, i))
 
     def div_onto(i):
-        dv = div_matrix(w, i)
+        dv = de_rham_matrix(w, 1, i)
         return (
             None
             if dv.rank() == dv.target.dim
@@ -330,8 +320,8 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
 
     def z2_spanned(i):
         cocycles = basis_of("X2", i, w).dim - delta_rank(P, 2, i)
-        gradients = grad_matrix(w, i)
-        multiples = mult_grad_phi_matrix(P, i - d)
+        gradients = de_rham_matrix(w, 3, i)
+        multiples = koszul_matrix(P, 3, i - d)
         d2 = delta_matrix(P, 2, i)
         if not d2.compose(gradients).is_zero():
             return "a gradient is not a 2-cocycle at degree %d" % i
@@ -399,8 +389,8 @@ def cohomology_suite(
     # divergence rigidity: g.grad(phi)=0 and div(g)=a*phi^r force a=0
     def rigid(r):
         i = r * d
-        dotm = dot_grad_phi_matrix(P, i)
-        divm = div_matrix(P.weights, i)
+        dotm = koszul_matrix(P, 1, i)
+        divm = de_rham_matrix(P.weights, 1, i)
         off = dotm.target.dim
         stacked = [
             {**dotm.columns[j], **offset_vector(divm.columns[j], off)}

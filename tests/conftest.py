@@ -8,10 +8,9 @@ from poissonsing import (
     WeightSystem,
     check_isolated,
     parse_poly,
-    weighted_degree,
 )
 from poissonsing.linalg import Echelon, GradedOperatorMatrix, rank_of_columns
-from poissonsing.milnor import _jacobian_columns
+from poissonsing.operators import koszul_matrix
 from poissonsing.suites import space_family
 
 # (phi, weights, expected Milnor number)
@@ -92,9 +91,16 @@ def graded_components(f, w):
     return {d: Poly(t) for d, t in sorted(buckets.items())}
 
 
+def jacobian_columns(P, i):
+    """(A_i, columns spanning the Jacobian ideal's degree-i piece): the image
+    of (a,b,c) -> a*phi_x + b*phi_y + c*phi_z, the Koszul map from X^1."""
+    m = koszul_matrix(P, 1, i - P.degree)
+    return m.target, m.columns
+
+
 def jacobian_graded_dim(phi, w, i):
     """dim of the degree-i piece of A modulo the Jacobian ideal of phi."""
-    target, cols = _jacobian_columns(phi, w, i, weighted_degree(phi, w))
+    target, cols = jacobian_columns(PoissonStructure(phi, w), i)
     return target.dim - rank_of_columns(cols)
 
 

@@ -31,7 +31,7 @@ from poissonsing import (
     surface_homology_dims,
 )
 from poissonsing.linalg import Echelon
-from poissonsing.operators import cross_grad_phi_matrix, dot_grad_phi_matrix
+from poissonsing.operators import koszul_matrix
 from poissonsing.suites import cohomology_suite, identities_suite, koszul_suite
 
 from .conftest import CATALOG, structure
@@ -228,9 +228,9 @@ def test_criterion_7_koszul_caveat_for_xyz():
     # the classic counterexample: killed by .grad(phi), missed by x grad(phi)
     classic = VecPoly((parse_poly("x"), parse_poly("y"), parse_poly("-2*z")))
     ok = ok and dot(classic, P.nabla_phi).is_zero()
-    dotm = dot_grad_phi_matrix(P, 0)
+    dotm = koszul_matrix(P, 1, 0)
     image = Echelon()
-    for col in cross_grad_phi_matrix(P, -3).columns:
+    for col in koszul_matrix(P, 2, -3).columns:
         image.insert(col)
     ok = ok and not image.contains(dotm.source.coords_of(classic))
 

@@ -7,7 +7,6 @@ from poissonsing import (
     Poly,
     VecPoly,
     ambient_homology_description,
-    basis_of,
     brute_force_dims,
     check_isolated,
     default_form_window,
@@ -224,11 +223,13 @@ class TestSurfaceHomology:
                 assert projection_commutes(cubic, k, i)
 
     def test_chain_space_models(self, cubic, cubic_milnor):
-        from poissonsing.operators import omega_relation_rank
+        from poissonsing.operators import form_basis, relation_rank
 
         def quotient_dim(k, i):
-            ambient = basis_of("Omega%d" % k, i, cubic.weights).dim
-            return ambient - omega_relation_rank(cubic, k, i)
+            # Omega^k = X^{3-k} modulo d(phi) ^ Omega^{k-1} + phi*Omega^k,
+            # the relation table of X^{4-k} one deg(phi) below
+            ambient = form_basis(cubic, k, i).dim
+            return ambient - relation_rank(cubic, 4 - k, i - cubic.weight_sum - cubic.degree)
 
         s = cubic.weight_sum
         milnor = {i: n for i, n in cubic_milnor.graded_dims}
@@ -237,8 +238,8 @@ class TestSurfaceHomology:
             assert quotient_dim(3, i) == milnor.get(i - s, 0)
             # functions on the surface: one ambient dimension per monomial,
             # minus the multiples of phi
-            ambient = basis_of("Omega0", i, cubic.weights).dim
-            below = basis_of("Omega0", i - cubic.degree, cubic.weights).dim
+            ambient = form_basis(cubic, 0, i).dim
+            below = form_basis(cubic, 0, i - cubic.degree).dim
             assert quotient_dim(0, i) == ambient - below
 
 

@@ -4,9 +4,10 @@ no sampling in src/.
 
 An imported name counts as used when it is read anywhere in its module,
 appears in a string annotation, or is listed in the module's __all__ (the
-package's re-exports).  A name in poissonsing.__all__, and the name of any
-function, method or class defined under src/ (dunders aside), counts as used
-when src/ or demos/ read it outside its own definition.  The engine and its
+package's re-exports).  A name in poissonsing.__all__, the name of any
+function, method or class defined under src/ and any name a module-level
+assignment under src/ binds (dunders aside) counts as used when src/ or
+demos/ read it outside its own definition.  The engine and its
 certificates are exact and deterministic, so no module under src/ imports
 random; random inputs belong to the tests.
 """
@@ -137,12 +138,30 @@ def test_export_scan_skips_imports_exports_and_self_reference():
 
 def definitions(source: str) -> list[tuple[int, str]]:
     """(line, name) of every function, method and class the module defines,
-    at any depth, except dunders (the language calls those)."""
-    return sorted(
+    at any depth, and of every name a module-level assignment binds, except
+    dunders (the language reads those; __all__ lists the exports)."""
+    tree = ast.parse(source)
+    found = [
         (node.lineno, node.name)
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign):
+            targets = statement.targets
+        elif isinstance(statement, ast.AnnAssign):
+            targets = [statement.target]
+        else:
+            continue
+        found += [
+            (statement.lineno, node.id)
+            for target in targets
+            for node in ast.walk(target)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        ]
+    return sorted(
+        (line, name) for line, name in found
+        if not (name.startswith("__") and name.endswith("__"))
     )
 
 
@@ -176,10 +195,15 @@ def test_definition_scan_sees_unread_functions_methods_and_classes():
         "        return Weights\n"
         "    return helper()\n"
         "main()\n"
+        "LIMIT = 3\n"
+        "ORDER: int = 2\n"
+        "__all__ = ['main']\n"
+        "__version__ = '1'\n"
+        "print(ORDER)\n"
     )
     read = names_read(source)
     assert [d for d in definitions(source) if d[1] not in read] == [
-        (3, "of"), (9, "Unused"), (11, "recurse")
+        (3, "of"), (9, "Unused"), (11, "recurse"), (18, "LIMIT")
     ]
 
 

@@ -20,7 +20,7 @@ from poissonsing import (
     symbol_of,
 )
 from poissonsing.linalg import Echelon, kernel_of_columns, rank_of_columns
-from poissonsing.operators import delta_matrix
+from poissonsing.operators import delta_matrix, form_basis
 
 from .conftest import (
     basis_element,
@@ -29,6 +29,7 @@ from .conftest import (
     identity_matrix,
     image_basis,
     oracle_columns,
+    structure,
     to_dense,
 )
 
@@ -56,11 +57,17 @@ class TestBases:
         assert basis_of("X1", -40, w).dim == 0
 
     def test_omega_shifts_match_x_shifts(self):
-        w = WeightSystem((3, 2, 1))
-        for k, i in [(0, 4), (1, 5), (2, 7), (3, 9)]:
-            omega = basis_of("Omega%d" % k, i, w)
-            x = basis_of("X%d" % (3 - k), i - w.weight_sum, w)
-            assert omega.component_degrees == x.component_degrees
+        # f*dx_J at form degree i has deg f = i - (the weights of the x_j in
+        # J), components ordered 1; dx, dy, dz; dy^dz, dz^dx, dx^dy; dx^dy^dz
+        P = structure("x^2+y^3+z^6", (3, 2, 1))
+        expected = {(0, 4): (4,), (1, 5): (2, 3, 4), (2, 7): (4, 3, 2), (3, 9): (3,)}
+        for (k, i), degrees in expected.items():
+            assert form_basis(P, k, i).component_degrees == degrees
+
+    def test_x0_to_x3_are_the_only_kinds(self):
+        for kind in ("A", "Omega1", "X4"):
+            with pytest.raises(ValueError, match="unknown space kind"):
+                basis_of(kind, 0, W111)
 
     def test_element_ordering_is_component_then_monomial(self):
         b = basis_of("X1", 0, W111)
@@ -77,7 +84,7 @@ class TestBases:
         assert b.coords_of(b.element_from_coords(vec)) == vec
 
     def test_degree_mismatch(self):
-        b = basis_of("A", 2, W111)
+        b = basis_of("X0", 2, W111)
         with pytest.raises(DegreeMismatch):
             b.coords_of(parse_poly("x"))
 
@@ -91,16 +98,16 @@ class TestMatrices:
         assert m.kernel_basis() == []
 
     def test_zero_matrix(self):
-        src = basis_of("A", 2, W111)
-        tgt = basis_of("A", 3, W111)
+        src = basis_of("X0", 2, W111)
+        tgt = basis_of("X0", 3, W111)
         m = matrix_of(symbol_of(lambda p: Poly.zero(), 1), src, tgt)
         assert m.rank() == 0
         assert len(m.kernel_basis()) == src.dim
 
     def test_multiplication_by_phi_column(self):
         phi = parse_poly("x^2+y^2+z^2")
-        src = basis_of("A", 0, W111)
-        tgt = basis_of("A", 2, W111)
+        src = basis_of("X0", 0, W111)
+        tgt = basis_of("X0", 2, W111)
         m = matrix_of(symbol_of(lambda p: p * phi, 1), src, tgt)
         assert m.shape == (6, 1)
         assert sorted(m.columns[0].values()) == [1, 1, 1]
@@ -156,8 +163,8 @@ class TestMatrices:
 
     def test_cokernel_representatives_greedy(self):
         # image spanned by (1,1,0): greedy picks e_0 then e_2
-        src = basis_of("A", 0, W111)
-        tgt = basis_of("A", 1, W111)
+        src = basis_of("X0", 0, W111)
+        tgt = basis_of("X0", 1, W111)
         m = matrix_of(symbol_of(lambda p: p * parse_poly("x+y"), 1), src, tgt)
         reps = cokernel_representatives(m)
         assert [t for t, _ in reps] == [0, 2]
@@ -165,8 +172,8 @@ class TestMatrices:
 
     def test_image_basis_spans_columns(self):
         phi = parse_poly("x^3+y^3+z^3")
-        src = basis_of("A", 1, W111)
-        tgt = basis_of("A", 4, W111)
+        src = basis_of("X0", 1, W111)
+        tgt = basis_of("X0", 4, W111)
         m = matrix_of(symbol_of(lambda p: p * phi, 1), src, tgt)
         ech = Echelon()
         for row in image_basis(m):

@@ -14,7 +14,7 @@ from poissonsing import (
 from poissonsing.linalg import Echelon
 from poissonsing.milnor import socle_bound
 
-from .conftest import jacobian_graded_dim
+from .conftest import jacobian_columns, jacobian_graded_dim
 
 W111 = WeightSystem((1, 1, 1))
 
@@ -112,10 +112,7 @@ class TestBasis:
     def test_variable_multiples_reduce_into_basis(self, cubic, cubic_milnor):
         # x_j * u stays inside span(J + chosen basis) at the right degree,
         # i.e. the chosen monomials really span the quotient in every degree
-        phi = cubic.phi
         w = cubic.weights
-        d = 3
-        from poissonsing.milnor import _jacobian_columns
 
         by_degree: dict[int, list] = {}
         for m, deg in cubic_milnor.basis:
@@ -125,7 +122,7 @@ class TestBasis:
                 raised = list(m)
                 raised[axis] += 1
                 target_degree = deg + w.weights[axis]
-                target, cols = _jacobian_columns(phi, w, target_degree, d)
+                target, cols = jacobian_columns(cubic, target_degree)
                 ech = Echelon()
                 for col in cols:
                     ech.insert(col)
@@ -135,13 +132,11 @@ class TestBasis:
 
     def test_basis_spans_every_graded_piece(self, cubic, cubic_milnor):
         # dim check: J_i echelon extended by the chosen monomials fills A_i
-        from poissonsing.milnor import _jacobian_columns
-
         by_degree: dict[int, list] = {}
         for m, deg in cubic_milnor.basis:
             by_degree.setdefault(deg, []).append(m)
         for i in range(0, cubic_milnor.socle_bound + 1):
-            target, cols = _jacobian_columns(cubic.phi, cubic.weights, i, 3)
+            target, cols = jacobian_columns(cubic, i)
             ech = Echelon()
             for col in cols:
                 ech.insert(col)

@@ -26,19 +26,16 @@ from poissonsing import (
 )
 from poissonsing.operators import (
     boundary_matrix,
-    cross_grad_phi_matrix,
-    curl_matrix,
+    de_rham_matrix,
     delta_matrix,
-    div_matrix,
-    dot_grad_phi_matrix,
-    grad_matrix,
-    mult_grad_phi_matrix,
+    koszul_matrix,
     mult_phi_matrix,
-    omega_relation_columns,
     operator_symbol,
+    relation_blocks,
+    relation_rank,
 )
 
-from .conftest import basis_element, oracle_columns, structure
+from .conftest import echelon_of, oracle_columns, structure
 
 
 def _window(window):
@@ -64,57 +61,53 @@ def test_boundaries(catalog_structures):
                 _check(boundary_matrix(P, k, i), lambda c: P.boundary(k, c))
 
 
+def _koszul_operators(P):
+    """The Koszul maps D_1, D_2, D_3 of grad(phi), as operators on cochains."""
+    nabla = P.nabla_phi
+    return {1: lambda v: dot(v, nabla), 2: lambda v: cross(v, nabla), 3: lambda f: nabla * f}
+
+
 def test_horizontal_products(catalog_structures):
     for P, _ in catalog_structures:
-        nabla = P.nabla_phi
+        koszul = _koszul_operators(P)
         for i in _window(default_window(P)):
-            for kind in ("X0", "X1", "X2", "X3"):
-                _check(mult_phi_matrix(P, kind, i), lambda c: c * P.phi)
-            _check(mult_grad_phi_matrix(P, i), lambda f: nabla * f)
-            _check(cross_grad_phi_matrix(P, i), lambda v: cross(v, nabla))
-            _check(dot_grad_phi_matrix(P, i), lambda v: dot(v, nabla))
-        for i in _window(default_form_window(P)):
-            for kind in ("Omega0", "Omega1", "Omega2", "Omega3"):
-                _check(mult_phi_matrix(P, kind, i), lambda c: c * P.phi)
+            for k in (0, 1, 2, 3):
+                _check(mult_phi_matrix(P, k, i), lambda c: c * P.phi)
+            for k in (1, 2, 3):
+                _check(koszul_matrix(P, k, i), koszul[k])
 
 
 def test_vertical_operators(catalog_structures):
     for w in sorted({P.weights for P, _ in catalog_structures}, key=str):
         lo = -w.weight_sum
         for i in range(lo, lo + 20):
-            _check(grad_matrix(w, i), grad)
-            _check(curl_matrix(w, i), curl)
-            _check(div_matrix(w, i), divergence)
-
-
-def _relation_generators(P, k, i):
-    """The generators of the degree-i relations of Omega^k of A/<phi>, each
-    evaluated as a Poly/VecPoly, in the order the engine presents them."""
-    w, d, nabla = P.weights, P.degree, P.nabla_phi
-
-    def elements(kind):
-        b = basis_of(kind, i - d, w)
-        return [basis_element(b, j) for j in range(b.dim)]
-
-    wedge = {
-        1: lambda e: nabla * e,
-        2: lambda e: cross(nabla, e),
-        3: lambda e: dot(nabla, e),
-    }
-    gens = []
-    if k:
-        gens += [wedge[k](e) for e in elements("Omega%d" % (k - 1))]
-    gens += [e * P.phi for e in elements("Omega%d" % k)]
-    return gens
+            _check(de_rham_matrix(w, 3, i), grad)
+            _check(de_rham_matrix(w, 2, i), curl)
+            _check(de_rham_matrix(w, 1, i), divergence)
 
 
 def test_relation_presentations(catalog_structures):
+    """relation_blocks(P, k, i) is [D_k | phi on X^{k-1}] into X^{k-1} at
+    degree i + deg(phi), for k = 1..4 (no D_4), on every degree that the
+    surface cochains of the default window and the relations of the form
+    window (one deg(phi) lower) read; relation_rank is the rank of its
+    columns."""
     for P, _ in catalog_structures:
-        for i in _window(default_form_window(P)):
-            for k in (0, 1, 2, 3):
-                target = basis_of("Omega%d" % k, i, P.weights)
-                expected = [target.coords_of(g) for g in _relation_generators(P, k, i)]
-                assert list(omega_relation_columns(P, k, i)) == expected
+        koszul = _koszul_operators(P)
+        lo, hi = default_window(P)
+        for i in range(lo - P.degree, hi + 1):
+            for k in (1, 2, 3, 4):
+                D, phi = relation_blocks(P, k, i)
+                assert (phi.source.kind, phi.target.kind) == ("X%d" % (k - 1),) * 2
+                _check(phi, lambda c: c * P.phi)
+                if k == 4:
+                    assert D is None
+                    columns = phi.columns
+                else:
+                    assert (D.source.kind, D.target) == ("X%d" % k, phi.target)
+                    _check(D, koszul[k])
+                    columns = D.columns + phi.columns
+                assert relation_rank(P, k, i) == echelon_of(columns).rank, (k, i)
 
 
 def test_second_order_operator_is_rejected():
@@ -132,7 +125,7 @@ def test_rational_coefficients_are_probed_exactly():
         return f * q + r * f.partial(1)
 
     w = WeightSystem((1, 1, 1))
-    source, target = basis_of("A", 4, w), basis_of("A", 7, w)
+    source, target = basis_of("X0", 4, w), basis_of("X0", 7, w)
     assert matrix_of(symbol_of(op, 1), source, target).columns == oracle_columns(
         op, source, target
     )

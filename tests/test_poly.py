@@ -70,6 +70,37 @@ class TestParse:
         with pytest.raises(PolyParseError):
             parse_poly("")
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("3", Poly.constant(3)),
+            ("3x", Poly.monomial((1, 0, 0), 3)),
+            ("3*x", Poly.monomial((1, 0, 0), 3)),
+            ("1/2", Poly.constant(Fraction(1, 2))),
+            ("-x", -Poly.variable(0)),
+        ],
+    )
+    def test_accepted_term(self, text, expected):
+        assert parse_poly(text) == expected
+
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("3*2", "expected a variable", 2),
+            ("3*", "expected a variable", 2),
+            ("2/0", "zero denominator", 3),
+            ("*x", "expected a term", 0),
+            ("(x)", "expected a term", 0),
+            ("x y", "expected '+' or '-'", 2),
+            ("x^", "expected an integer", 2),
+        ],
+    )
+    def test_rejected_term_names_error_and_position(self, text, message, position):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert str(err.value) == "%s (at position %d)" % (message, position)
+        assert err.value.position == position
+
     def test_parse_print_roundtrip(self):
         rng = random.Random(21)
         for _ in range(200):
