@@ -40,7 +40,6 @@ from .linalg import (
 from .milnor import MilnorData, NotIsolated, check_isolated
 from .poisson import PoissonStructure
 from .poly import (
-    MINUS_INFINITY,
     Monomial,
     NotHomogeneous,
     Poly,
@@ -62,7 +61,6 @@ __all__ = [
     "GradedDims",
     "GradedOperatorMatrix",
     "Generator",
-    "MINUS_INFINITY",
     "MilnorData",
     "ModuleDescription",
     "Monomial",

@@ -130,7 +130,7 @@ def cmd_verify(args) -> int:
     P = _structure(args)
     _check_cases(args)
     try:
-        results = run_suite(P, args.suite, window=_window(args, P))
+        results, _ = run_suite(P, args.suite, window=_window(args, P))
     except NotIsolated as exc:
         print("rejected by the gate: %s" % exc, file=sys.stderr)
         return EXIT_NOT_ISOLATED

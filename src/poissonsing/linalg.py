@@ -101,36 +101,21 @@ class GradedBasis:
 
     def element_from_coords(self, vec: Vector) -> Cochain:
         """Rebuild the cochain with the given coordinates in this basis."""
-        if self.is_vector:
-            parts = [Poly.zero(), Poly.zero(), Poly.zero()]
-            j = 0
-            for comp, monos in enumerate(self.monomials):
-                for m in monos:
-                    c = vec.get(j)
-                    if c:
-                        parts[comp] = parts[comp] + Poly.monomial(m, c)
-                    j += 1
-            return VecPoly(tuple(parts))  # type: ignore[arg-type]
-        out = Poly.zero()
-        for j, m in enumerate(self.monomials[0]):
-            c = vec.get(j)
-            if c:
-                out = out + Poly.monomial(m, c)
-        return out
+        parts = []
+        j = 0
+        for monos in self.monomials:
+            parts.append(Poly({m: vec.get(j + t, 0) for t, m in enumerate(monos)}))
+            j += len(monos)
+        return VecPoly(tuple(parts)) if self.is_vector else parts[0]  # type: ignore[arg-type]
 
     def coords_of(self, obj: Cochain) -> Vector:
         """Coordinates of a Poly/VecPoly in this basis; DegreeMismatch if it
         contains a monomial outside this graded piece."""
+        shape, expected = ("vector", VecPoly) if self.is_vector else ("scalar", Poly)
+        if not isinstance(obj, expected):
+            raise DegreeMismatch("expected a %s cochain for %s" % (shape, self.kind))
         vec: Vector = {}
-        if self.is_vector:
-            if not isinstance(obj, VecPoly):
-                raise DegreeMismatch("expected a vector cochain for %s" % self.kind)
-            comps = obj.components
-        else:
-            if not isinstance(obj, Poly):
-                raise DegreeMismatch("expected a scalar cochain for %s" % self.kind)
-            comps = (obj,)
-        for comp, p in enumerate(comps):
+        for comp, p in enumerate(obj.components if self.is_vector else (obj,)):
             for m, c in p.terms.items():
                 j = self._index.get((comp, m))
                 if j is None:

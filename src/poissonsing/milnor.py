@@ -64,8 +64,6 @@ class MilnorData:
     monomial order within a degree.
     """
 
-    phi: Poly
-    weights: WeightSystem
     socle_bound: int
     graded_dims: tuple[tuple[int, int], ...]
     mu: int
@@ -109,7 +107,7 @@ def check_isolated(phi: Poly, w: WeightSystem) -> MilnorData:
     witness monomial on rejection.
     """
     d = weighted_degree(phi, w)
-    if not isinstance(d, int):
+    if d is None:
         raise ValueError("phi must be non-zero and weight homogeneous")
     if d <= w.max_weight:
         raise NotIsolated(
@@ -146,8 +144,6 @@ def check_isolated(phi: Poly, w: WeightSystem) -> MilnorData:
         for m in reversed(kept):
             basis.append((m, i))
     return MilnorData(
-        phi=phi,
-        weights=w,
         socle_bound=bound,
         graded_dims=dims,
         mu=mu,

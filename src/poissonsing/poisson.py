@@ -19,7 +19,7 @@ sign convention is fixed here once and echoed in reports.
 
 from __future__ import annotations
 
-from .poly import MINUS_INFINITY, Poly, WeightSystem, weighted_degree
+from .poly import Poly, WeightSystem, weighted_degree
 from .vectorcalc import VecPoly, cross, curl, divergence, dot, grad
 
 
@@ -34,7 +34,7 @@ class PoissonStructure:
 
     def __init__(self, phi: Poly, weights: WeightSystem):
         d = weighted_degree(phi, weights)
-        if d is MINUS_INFINITY:
+        if d is None:
             raise ValueError("phi must be non-zero")
         self.phi = phi
         self.weights = weights

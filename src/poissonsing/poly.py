@@ -39,23 +39,6 @@ class NotHomogeneous(ValueError):
         )
 
 
-class _MinusInfinity:
-    """Weighted degree of the zero polynomial (a distinguished sentinel)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "MinusInfinity"
-
-
-MINUS_INFINITY = _MinusInfinity()
-
-
 @dataclass(frozen=True)
 class WeightSystem:
     """Positive coprime weights (w1, w2, w3) for the variables x, y, z."""
@@ -280,15 +263,15 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-def weighted_degree(f: Poly, w: WeightSystem):
+def weighted_degree(f: Poly, w: WeightSystem) -> int | None:
     """Weighted degree of a weight-homogeneous polynomial.
 
-    Returns MINUS_INFINITY for the zero polynomial; raises NotHomogeneous
-    (carrying the set of degrees found) when monomials of several weighted
-    degrees occur.
+    Returns None (degree minus infinity) for the zero polynomial; raises
+    NotHomogeneous (carrying the set of degrees found) when monomials of
+    several weighted degrees occur.
     """
     if f.is_zero():
-        return MINUS_INFINITY
+        return None
     degrees = {w.monomial_degree(m) for m in f.terms}
     if len(degrees) > 1:
         raise NotHomogeneous(degrees)

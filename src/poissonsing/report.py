@@ -3,9 +3,11 @@ with predicted and computed Hilbert functions, suite summary, conventions.
 
 Reports are plain dicts of JSON-serializable values, deterministic given the
 input (every check and every dim is exact; the seed is only echoed), so two
-runs with the same flags produce byte-identical output.  The sixteen spaces
-come from the same Space records the suites read (suites.space_family), so
-each is computed once per run.
+runs with the same flags produce byte-identical output.  One run_suite call
+runs every suite and hands back the four space families it computed; the
+sixteen entries are built from those Space records, so each space is
+computed once per run, and the exit code is read from the suite results
+alone (each space's match and its boundary bridge are suite families).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from . import cohomology as ch
 from .milnor import MilnorData, NotIsolated, check_isolated
 from .poisson import PoissonStructure
 from .poly import Poly
-from .suites import SUITE_NAMES, CheckResult, Space, difference_text, run_suite, space_family
+from .suites import CheckResult, Space, difference_text, run_suite
 
 
 def _describe(desc: ch.ModuleDescription) -> dict[str, Any]:
@@ -132,33 +134,15 @@ def build_report(
         report["homology"] = None
         return report, 3
 
-    if window is None:
-        window = ch.default_window(P)
     report["milnor"] = milnor_section(P, milnor)
+    results, spaces = run_suite(P, "all", window)
     for block, label in (("cohomology", "H%d"), ("homology", "H_%d")):
         report[block] = {
-            side: {
-                label % k: _space_entry(space)
-                for k, space in enumerate(space_family(P, milnor, tuple(window), block, side))
-            }
+            side: {label % k: _space_entry(space) for k, space in enumerate(spaces[block, side])}
             for side in ("ambient", "surface")
         }
-    all_match = all(
-        entry["match"]
-        for block in ("cohomology", "homology")
-        for spaces in report[block].values()
-        for entry in spaces.values()
-    )
-
-    summary: dict[str, str] = {}
-    suites_pass = True
-    for suite in SUITE_NAMES:
-        for res in run_suite(P, suite, window=window):
-            summary[res.name] = "pass" if res.passed else "fail"
-            suites_pass = suites_pass and res.passed
-    report["invariants_summary"] = summary
-
-    return report, 0 if (all_match and suites_pass) else 4
+    report["invariants_summary"] = {r.name: "pass" if r.passed else "fail" for r in results}
+    return report, 0 if all(r.passed for r in results) else 4
 
 
 def first_mismatch(report: dict[str, Any]) -> str:

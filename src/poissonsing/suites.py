@@ -8,16 +8,17 @@ Rham columns, the 2-cocycle decomposition, the closed-form (co)homology
 against the rank computations).  All checks are exact and deterministic; a
 failed check carries its first counterexample in its details.
 
-The sixteen (co)homology spaces are computed once per window, as Space
-records in four families (space_family); the report and the suites read the
-same records, so each comparison and the boundary bridge check run once.
+The sixteen (co)homology spaces are Space records in four families of four
+(space_family).  run_suite computes each family its suites need once per
+call, hands it to them as an argument and returns it with the results, keyed
+(block, side); the report builds its sixteen entries from those families, so
+each space, each comparison and the boundary bridge check run once per run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from . import cohomology as ch
@@ -96,7 +97,6 @@ def difference_text(grading: str, predicted: ch.GradedDims, computed: ch.GradedD
     return "%s %d: predicted %d, computed %d" % (unit, i, predicted.dim_at(i), computed.dim_at(i))
 
 
-@lru_cache(maxsize=4)
 def space_family(
     P: PoissonStructure, M: MilnorData, window: ch.Window, block: str, side: str
 ) -> tuple[Space, ...]:
@@ -365,13 +365,11 @@ def _closed_form_results(side: str, label: str, spaces: tuple[Space, ...]) -> li
 
 
 def cohomology_suite(
-    P: PoissonStructure, M: MilnorData, window: ch.Window
+    P: PoissonStructure, M: MilnorData, window: ch.Window, spaces: tuple[Space, ...]
 ) -> list[CheckResult]:
     lo, hi = window
     d, s = P.degree, P.weight_sum
-    results = _closed_form_results(
-        "ambient", "H%d", space_family(P, M, tuple(window), "cohomology", "ambient")
-    )
+    results = _closed_form_results("ambient", "H%d", spaces)
 
     def casimir_bound(i):
         cocycles = basis_of("X0", i, P.weights).dim - delta_rank(P, 0, i)
@@ -441,12 +439,10 @@ def cohomology_suite(
 
 
 def surface_suite(
-    P: PoissonStructure, M: MilnorData, window: ch.Window
+    P: PoissonStructure, window: ch.Window, spaces: tuple[Space, ...]
 ) -> list[CheckResult]:
     lo, hi = window
-    results = _closed_form_results(
-        "surface", "H%d", space_family(P, M, tuple(window), "cohomology", "surface")
-    )
+    results = _closed_form_results("surface", "H%d", spaces)
 
     def top_vanishes(i):
         if ch.surface_cochain_dim(P, 3, i) != 0:
@@ -458,12 +454,14 @@ def surface_suite(
 
 
 def homology_suite(
-    P: PoissonStructure, M: MilnorData, window: ch.Window
+    P: PoissonStructure,
+    M: MilnorData,
+    window: ch.Window,
+    ambient: tuple[Space, ...],
+    surface: tuple[Space, ...],
 ) -> list[CheckResult]:
     s = P.weight_sum
     degrees = range(window[0] + s, window[1] + s + 1)
-    ambient = space_family(P, M, tuple(window), "homology", "ambient")
-    surface = space_family(P, M, tuple(window), "homology", "surface")
 
     def squared_vanishes(case):
         k, i = case
@@ -516,30 +514,44 @@ def homology_suite(
 # ---------------------------------------------------------------------------
 
 
+# The space families each suite reads, as (block, side) keys.
+SUITE_FAMILIES: dict[str, tuple[tuple[str, str], ...]] = {
+    "cohomology": (("cohomology", "ambient"),),
+    "surface": (("cohomology", "surface"),),
+    "homology": (("homology", "ambient"), ("homology", "surface")),
+}
+
+Spaces = dict[tuple[str, str], tuple[Space, ...]]
+
+
 def run_suite(
     P: PoissonStructure, suite: str, window: ch.Window | None = None
-) -> list[CheckResult]:
-    """Run one named suite (or 'all'); raises NotIsolated when a suite that
-    needs the Milnor data is requested for a rejected phi."""
-    if window is None:
-        window = ch.default_window(P)
+) -> tuple[list[CheckResult], Spaces]:
+    """Run one named suite (or 'all'); returns its results and the space
+    families it computed, keyed (block, side).  Raises NotIsolated when a
+    suite that needs the Milnor data is requested for a rejected phi."""
+    window = tuple(ch.default_window(P) if window is None else window)
     names = SUITE_NAMES if suite == "all" else (suite,)
     results: list[CheckResult] = []
+    spaces: Spaces = {}
     milnor: MilnorData | None = None
     for name in names:
         if name == "identities":
             results.extend(identities_suite(P, window))
-        elif name == "koszul":
+            continue
+        if name == "koszul":
             results.extend(koszul_suite(P, window))
+            continue
+        if name not in SUITE_FAMILIES:
+            raise ValueError("unknown suite %r" % name)
+        if milnor is None:
+            milnor = check_isolated(P.phi, P.weights)
+        families = [space_family(P, milnor, window, *key) for key in SUITE_FAMILIES[name]]
+        spaces.update(zip(SUITE_FAMILIES[name], families))
+        if name == "cohomology":
+            results.extend(cohomology_suite(P, milnor, window, *families))
+        elif name == "surface":
+            results.extend(surface_suite(P, window, *families))
         else:
-            if milnor is None:
-                milnor = check_isolated(P.phi, P.weights)
-            if name == "cohomology":
-                results.extend(cohomology_suite(P, milnor, window))
-            elif name == "surface":
-                results.extend(surface_suite(P, milnor, window))
-            elif name == "homology":
-                results.extend(homology_suite(P, milnor, window))
-            else:
-                raise ValueError("unknown suite %r" % name)
-    return results
+            results.extend(homology_suite(P, milnor, window, *families))
+    return results, spaces

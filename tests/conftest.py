@@ -11,7 +11,6 @@ from poissonsing import (
 )
 from poissonsing.linalg import Echelon, GradedOperatorMatrix, rank_of_columns
 from poissonsing.operators import koszul_matrix
-from poissonsing.suites import space_family
 
 # (phi, weights, expected Milnor number)
 CATALOG = [
@@ -48,16 +47,6 @@ def cubic():
 @pytest.fixture(scope="session")
 def cubic_milnor(cubic):
     return check_isolated(cubic.phi, cubic.weights)
-
-
-@pytest.fixture
-def fresh_spaces():
-    """An empty space-family cache before and after the test, for tests that
-    patch an engine: a cached family would hide the patch, and a family
-    computed with the patch must not reach later tests."""
-    space_family.cache_clear()
-    yield
-    space_family.cache_clear()
 
 
 def basis_element(basis, j):

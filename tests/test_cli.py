@@ -170,7 +170,7 @@ class TestAnalyzeCommand:
         assert len(tables[0]) == 16
         assert tables[0] == tables[1]
 
-    def test_mismatch_exit_code(self, capsys, monkeypatch, fresh_spaces):
+    def test_mismatch_exit_code(self, capsys, monkeypatch):
         # force a wrong computed table to exercise the exit-4 path
         from poissonsing import report as rp
 
@@ -193,9 +193,25 @@ class TestAnalyzeCommand:
         )
         assert json.loads(out)["cohomology"]["ambient"]["H0"]["match"] is False
 
-    def test_boundary_bridge_failure_is_a_mismatch(
-        self, capsys, monkeypatch, sphere, fresh_spaces
-    ):
+    def test_second_run_in_one_process_recomputes_its_spaces(self, capsys, monkeypatch):
+        # nothing is cleared between the runs: a space kept from the first
+        # run would hide the corrupted engine from the second
+        argv = ("analyze", "--phi", "x^2+y^2+z^2", "--max-degree", "4", "--cases", "10")
+        assert run(capsys, *argv)[0] == 0
+        real = ch.brute_force_dims
+
+        def corrupted(P, k, window):
+            dims = real(P, k, window)
+            return ch.GradedDims(dims.space, dims.window, ((0, 7),)) if k == 0 else dims
+
+        monkeypatch.setattr(ch, "brute_force_dims", corrupted)
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert (
+            "first mismatch: cohomology/ambient/H0 at degree 0: predicted 1, computed 7" in err
+        )
+
+    def test_boundary_bridge_failure_is_a_mismatch(self, capsys, monkeypatch, sphere):
         real = hm.duality_identity_holds
 
         def failing(P, k, i):
@@ -224,7 +240,7 @@ class TestAnalyzeCommand:
         assert code == 0
         assert report["cohomology"]["ambient"]["H0"]["window"] == [0, 3]
 
-    def test_one_computation_per_space(self, capsys, monkeypatch, fresh_spaces):
+    def test_one_computation_per_space(self, capsys, monkeypatch):
         calls = count_engine_calls(monkeypatch)
         code, _, _ = run(capsys, "analyze", "--phi", "x^3+y^3+z^3", "--cases", "5")
         assert code == 0
@@ -288,13 +304,13 @@ class TestVerifyCommand:
         )
         assert code == 0 and "FAIL" not in out
 
-    def test_cohomology_suite_computes_only_its_family(self, capsys, monkeypatch, fresh_spaces):
+    def test_cohomology_suite_computes_only_its_family(self, capsys, monkeypatch):
         calls = count_engine_calls(monkeypatch)
         code, _, _ = run(capsys, "verify", "--phi", "x^3+y^3+z^3", "--suite", "cohomology")
         assert code == 0
         assert calls == {"brute_force_dims": 4}
 
-    def test_homology_mismatch_names_the_degree(self, capsys, monkeypatch, fresh_spaces):
+    def test_homology_mismatch_names_the_degree(self, capsys, monkeypatch):
         real = hm.homology_dims
 
         def corrupted(P, k, window):

@@ -12,7 +12,7 @@ from poissonsing import (
     surface_closed_form,
 )
 from poissonsing.cohomology import FINITE, FREE
-from poissonsing.suites import cohomology_suite, surface_suite
+from poissonsing.suites import run_suite
 
 from .conftest import structure
 
@@ -149,14 +149,13 @@ class TestSurface:
 
 
 class TestStructuralChecks:
-    def test_cohomology_suite_passes(self, cubic, cubic_milnor):
-        for res in cohomology_suite(cubic, cubic_milnor, default_window(cubic)):
+    def test_cohomology_suite_passes(self, cubic):
+        for res in run_suite(cubic, "cohomology", default_window(cubic))[0]:
             assert res.passed, res.line()
 
     def test_surface_suite_passes_for_weighted_entry(self):
         P = structure("x^2+y^3+z^6", (3, 2, 1))
-        M = check_isolated(P.phi, P.weights)
-        for res in surface_suite(P, M, default_window(P)):
+        for res in run_suite(P, "surface", default_window(P))[0]:
             assert res.passed, res.line()
 
     def test_coboundary_squared_zero_as_matrices(self, catalog_structures):

@@ -27,7 +27,7 @@ from poissonsing import (
     surface_homology_description,
     surface_homology_dims,
 )
-from poissonsing.suites import cohomology_suite, koszul_suite
+from poissonsing.suites import run_suite
 
 EXTRA = [
     # (phi, weights, expected mu)
@@ -163,7 +163,6 @@ def test_quintic_finite_part_on_a_narrow_window():
 
 def test_suites_on_an_asymmetric_weight_system():
     P = PoissonStructure(parse_poly("x^2*y+y^4+z^2"), WeightSystem((3, 2, 4)))
-    M = check_isolated(P.phi, P.weights)
     window = default_window(P)
-    for res in koszul_suite(P, window) + cohomology_suite(P, M, window):
+    for res in run_suite(P, "koszul", window)[0] + run_suite(P, "cohomology", window)[0]:
         assert res.passed, res.line()

@@ -77,16 +77,31 @@ class TestBases:
         assert first[1].is_zero()
 
     def test_coords_roundtrip(self):
-        b = basis_of("X2", 2, W111)
         rng = random.Random(8)
-        vec = {j: Fraction(rng.randint(-5, 5)) for j in range(b.dim)}
-        vec = {j: c for j, c in vec.items() if c}
-        assert b.coords_of(b.element_from_coords(vec)) == vec
+        for kind in ("X0", "X1", "X2", "X3"):
+            b = basis_of(kind, 2, W111)
+            vec = {j: Fraction(rng.randint(-5, 5)) for j in range(b.dim)}
+            vec = {j: c for j, c in vec.items() if c}
+            element = b.element_from_coords(vec)
+            assert isinstance(element, VecPoly) == b.is_vector
+            assert b.coords_of(element) == vec
 
     def test_degree_mismatch(self):
         b = basis_of("X0", 2, W111)
         with pytest.raises(DegreeMismatch):
             b.coords_of(parse_poly("x"))
+
+    def test_coords_of_names_the_wrong_cochain(self):
+        x, y2 = parse_poly("x"), parse_poly("y^2")
+        with pytest.raises(DegreeMismatch, match="expected a vector cochain for X1"):
+            basis_of("X1", 0, W111).coords_of(x)
+        with pytest.raises(DegreeMismatch, match="expected a scalar cochain for X0"):
+            basis_of("X0", 1, W111).coords_of(VecPoly((x, x, x)))
+        with pytest.raises(
+            DegreeMismatch,
+            match=r"monomial \(0, 2, 0\) in component 2 does not lie in X1 at degree 0",
+        ):
+            basis_of("X1", 0, W111).coords_of(VecPoly((x, y2, Poly.zero())))
 
 
 class TestMatrices:
