@@ -16,34 +16,21 @@ On the quotient algebra A/<phi> the Casimirs are just the constants, H^1 and
 H^2 are spanned by the classes of u_j*e_w resp. u_j*grad(phi) over the u_j of
 degree d - |w|, and H^3 vanishes.
 
-Everything is predicted per graded degree, and independently recomputed as
-dim ker(delta^k) - rank(delta^{k-1}) on the same graded pieces; the surface
-spaces are modeled as subquotients of the ambient pieces, with membership in
-<phi> expressed through multiplication-by-phi blocks, and their dimensions
-are obtained from ranks of the stacked block matrices.  The coboundary stack
-at (k, i) is the cocycle stack one step down, at (k-1, i-N), so each stack
-is ranked once.  Every dimension is the one formula of linalg.subquotient_dim
-in such ranks; at the ends of each complex the missing spaces (delta^{-1},
-delta^3, X^{-1}, X^4) are zero spaces whose ranks the rank helpers give, so
-no degree or k needs a branch of its own.
+Everything is predicted per graded degree, and independently recomputed,
+degree by degree, as the dimension of a subquotient of the same graded
+pieces of X^0..X^3: complexes.complex_dim, on the table of complexes that
+module describes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain
 from typing import Literal, Union
 
-from .linalg import basis_of, offset_vector, rank_of_columns, subquotient_dim
+from .complexes import cochain_dim, complex_dim, space_name
+from .linalg import subquotient_dim
 from .milnor import MilnorData
-from .operators import (
-    delta_matrix,
-    delta_rank,
-    mult_phi_matrix,
-    relation_blocks,
-    relation_rank,
-)
+from .operators import relation_rank
 from .poisson import PoissonStructure
 from .poly import Poly
 from .vectorcalc import VecPoly, grad
@@ -210,34 +197,23 @@ def surface_closed_form(P: PoissonStructure, M: MilnorData, k: int) -> ModuleDes
 
 
 # ---------------------------------------------------------------------------
-# Degree-by-degree verification, ambient algebra
+# Degree-by-degree verification (complexes.complex_dim)
 # ---------------------------------------------------------------------------
 
 
-def _cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
-    """dim X^k at derivation degree i; X^k is zero outside k in 0..3."""
-    return basis_of("X%d" % k, i, P.weights).dim if 0 <= k <= 3 else 0
-
-
-def cohomology_dim(P: PoissonStructure, k: int, i: int) -> int:
-    """dim H^k at derivation degree i: dim ker(delta^k) - rank(delta^{k-1}),
-    where delta^{-1} and delta^3 are zero maps (delta_rank gives 0)."""
-    N = P.coboundary_degree
-    return subquotient_dim(
-        "H%d_ambient" % k, i, _cochain_dim(P, k, i), delta_rank(P, k, i), 0,
-        delta_rank(P, k - 1, i - N), 0,
-    )
+def complex_dims(P: PoissonStructure, block: str, side: str, k: int, window: Window) -> GradedDims:
+    """complex_dim at every degree of the window (form degrees for homology)."""
+    lo, hi = window
+    dims = {i: complex_dim(P, block, side, k, i) for i in range(lo, hi + 1)}
+    return _dims_from_map(space_name(block, side, k), window, dims)
 
 
 def brute_force_dims(P: PoissonStructure, k: int, window: Window) -> GradedDims:
-    lo, hi = window
-    dims = {i: cohomology_dim(P, k, i) for i in range(lo, hi + 1)}
-    return _dims_from_map("H%d_ambient" % k, window, dims)
+    return complex_dims(P, "cohomology", "ambient", k, window)
 
 
-# ---------------------------------------------------------------------------
-# Degree-by-degree verification, quotient algebra (subquotient model)
-# ---------------------------------------------------------------------------
+def surface_brute_force_dims(P: PoissonStructure, k: int, window: Window) -> GradedDims:
+    return complex_dims(P, "cohomology", "surface", k, window)
 
 
 def surface_cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
@@ -247,61 +223,6 @@ def surface_cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
     X^0 has no constraint), modulo the quotient relations phi*X^k at degree
     i-d."""
     return subquotient_dim(
-        "X%d_surface" % k, i, _cochain_dim(P, k, i), relation_rank(P, k, i),
-        _cochain_dim(P, k - 1, i), _cochain_dim(P, k, i - P.degree), 0,
+        "X%d_surface" % k, i, cochain_dim(P, k, i), relation_rank(P, k, i),
+        cochain_dim(P, k - 1, i), cochain_dim(P, k, i - P.degree), 0,
     )
-
-
-@lru_cache(maxsize=None)
-def _cocycle_rank(P: PoissonStructure, k: int, i: int) -> int:
-    """rank of the cocycle stack of X^k at degree i, for k in -1..3.
-
-    Columns, in order: [D_k,j ; delta^k_j] for each basis vector j of X^k_i,
-    then [phi ; 0] (the constraint's phi-multiples of X^{k-1}), then
-    [0 ; phi*X^{k+1}] at degree i+N-d; D_k and phi are the relation blocks
-    of (k, i), and X^0 has none.  At the ends of the complex no elimination
-    is needed: X^{-1} is zero, so the stack is the phi-multiples of X^0
-    alone, which are independent; delta^3 and X^4 are zero, so the stack is
-    the constraint stack [D_3 | phi].
-    """
-    N, d = P.coboundary_degree, P.degree
-    if k < 0:
-        return _cochain_dim(P, 0, i + N - d)
-    if k == 3:
-        return relation_rank(P, 3, i)
-    delta_cols = delta_matrix(P, k, i).columns if _cochain_dim(P, k, i) else []
-    rows_top, top, p_cols = 0, delta_cols, []
-    if k:
-        D, phi = relation_blocks(P, k, i)
-        rows_top, p_cols = D.target.dim, phi.columns
-        top = ({**c, **offset_vector(v, rows_top)} for c, v in zip(D.columns, delta_cols))
-    p2 = mult_phi_matrix(P, k + 1, i + N - d).columns
-    return rank_of_columns(chain(top, p_cols, (offset_vector(c, rows_top) for c in p2)))
-
-
-def surface_cohomology_dim(P: PoissonStructure, k: int, i: int) -> int:
-    """dim H^k of A/<phi> at derivation degree i.
-
-    Cocycles: v in V with delta^k(v) in phi*X^{k+1}, the kernel of the
-    cocycle stack, whose relation columns are the phi-multiples of X^{k-1}
-    (constraint) and of X^{k+1} (target); coboundaries: images of V at
-    degree i-N plus the quotient relations phi*X^k at degree i-d.  Both are
-    measured inside the ambient graded piece, so the quotient relations
-    cancel and only ranks of stacked blocks are needed.  The coboundary
-    stack at (k, i) is, column for column, the cocycle stack one step down
-    at (k-1, i-N), whose top rows are the constraint stack there; so each
-    stack is ranked once (_cocycle_rank), and the zero spaces X^{-1} and
-    X^4 at the ends of the complex take the same formula.
-    """
-    N, d = P.coboundary_degree, P.degree
-    return subquotient_dim(
-        "H%d_surface" % k, i, _cochain_dim(P, k, i), _cocycle_rank(P, k, i),
-        _cochain_dim(P, k - 1, i) + _cochain_dim(P, k + 1, i + N - d),
-        _cocycle_rank(P, k - 1, i - N), relation_rank(P, k - 1, i - N),
-    )
-
-
-def surface_brute_force_dims(P: PoissonStructure, k: int, window: Window) -> GradedDims:
-    lo, hi = window
-    dims = {i: surface_cohomology_dim(P, k, i) for i in range(lo, hi + 1)}
-    return _dims_from_map("H%d_surface" % k, window, dims)

@@ -14,10 +14,9 @@ Every operator here (the coboundaries, the boundaries, multiplication by phi,
 the Koszul maps and grad/curl/div) is a linear differential operator of
 order at most one, so its symbol is extracted once per structure
 (operator_symbol) and every graded matrix is filled from it by linalg's
-matrix_of.  One relation table (relation_blocks, ranked by relation_rank)
-holds the blocks [D_k | phi] on X^{k-1}: it is the surface-cochain
-constraint of X^k and, under Omega^{4-k} = X^{k-1}, the relations
-d(phi) ^ Omega^{3-k} + phi*Omega^{4-k} presenting the forms of A/<phi>.
+matrix_of.  The relation table (relation_blocks, ranked by relation_rank)
+holds the blocks [D_k | phi] on X^{k-1}; complexes describes how its
+entries serve the four (co)homology complexes.
 """
 
 from __future__ import annotations
@@ -87,18 +86,6 @@ def delta_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
     return _matrix(P, "delta%d" % k, src, tgt)
 
 
-def delta_rank(P: PoissonStructure, k: int, i: int) -> int:
-    """rank of delta^k at degree i; 0 for k outside 0..2 (delta^{-1} and
-    delta^3 are zero maps) and for an empty source.  The rank itself is
-    memoized on the cached delta_matrix."""
-    if k < 0 or k >= 3:
-        return 0
-    src = basis_of("X%d" % k, i, P.weights)
-    if src.dim == 0:
-        return 0
-    return delta_matrix(P, k, i).rank()
-
-
 @lru_cache(maxsize=None)
 def boundary_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
     """Matrix of the k-th boundary from Omega^k at form degree i, filled from
@@ -145,10 +132,11 @@ def de_rham_matrix(w: WeightSystem, k: int, i: int) -> GradedOperatorMatrix:
 
 
 def relation_blocks(
-    P: PoissonStructure, k: int, i: int
+    P: PoissonStructure, k: int, i: int, koszul: bool = True
 ) -> tuple[GradedOperatorMatrix | None, GradedOperatorMatrix]:
     """(D_k, phi on X^{k-1}) from degree i into X^{k-1} at degree i+deg(phi),
-    for k in 1..4; D_4 is None, as X^4 is zero.
+    for k in 1..4; D_k is None for k = 4, as X^4 is zero, and is not built
+    when koszul is False.
 
     Their columns, in order, span the constraint of the surface cochains of
     X^k (v with D_k(v) in phi*X^{k-1}) and the relations d(phi) ^
@@ -158,7 +146,7 @@ def relation_blocks(
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("relation blocks exist for k in 1..4")
-    return (koszul_matrix(P, k, i) if k < 4 else None), mult_phi_matrix(P, k - 1, i)
+    return (koszul_matrix(P, k, i) if koszul and k < 4 else None), mult_phi_matrix(P, k - 1, i)
 
 
 @lru_cache(maxsize=None)

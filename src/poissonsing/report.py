@@ -3,7 +3,8 @@ with predicted and computed Hilbert functions, suite summary, conventions.
 
 Reports are plain dicts of JSON-serializable values, deterministic given the
 input (every check and every dim is exact; the seed is only echoed), so two
-runs with the same flags produce byte-identical output.  One run_suite call
+runs with the same flags produce byte-identical output.  The gate runs once,
+in gate_section, and its Milnor data goes to the one run_suite call, which
 runs every suite and hands back the four space families it computed; the
 sixteen entries are built from those Space records, so each space is
 computed once per run, and the exit code is read from the suite results
@@ -82,9 +83,9 @@ def _conventions(P: PoissonStructure, seed: int) -> dict[str, Any]:
     }
 
 
-def gate_section(phi: Poly, P: PoissonStructure) -> tuple[dict[str, Any], MilnorData | None]:
+def gate_section(P: PoissonStructure) -> tuple[dict[str, Any], MilnorData | None]:
     try:
-        milnor = check_isolated(phi, P.weights)
+        milnor = check_isolated(P.phi, P.weights)
         return {"accepted": True}, milnor
     except NotIsolated as exc:
         section: dict[str, Any] = {"accepted": False, "reason": exc.reason}
@@ -124,7 +125,7 @@ def build_report(
             "seed": seed,
         }
     }
-    gate, milnor = gate_section(P.phi, P)
+    gate, milnor = gate_section(P)
     report["gate"] = gate
     report["conventions"] = _conventions(P, seed)
     if milnor is None:
@@ -135,7 +136,7 @@ def build_report(
         return report, 3
 
     report["milnor"] = milnor_section(P, milnor)
-    results, spaces = run_suite(P, "all", window)
+    results, spaces = run_suite(P, "all", window, milnor)
     for block, label in (("cohomology", "H%d"), ("homology", "H_%d")):
         report[block] = {
             side: {label % k: _space_entry(space) for k, space in enumerate(spaces[block, side])}

@@ -23,9 +23,10 @@ from itertools import product
 
 from . import cohomology as ch
 from . import homology as hm
+from .complexes import COMPLEXES, stack_rank
 from .linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector, rank_of_columns
 from .milnor import MilnorData, check_isolated
-from .operators import boundary_matrix, de_rham_matrix, delta_matrix, delta_rank, koszul_matrix
+from .operators import boundary_matrix, de_rham_matrix, delta_matrix, koszul_matrix
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
 from .vectorcalc import VecPoly, cross, curl, divergence, dot, euler_field, grad
@@ -104,22 +105,17 @@ def space_family(
     (side "ambient") or of A/<phi> (side "surface") on a derivation window.
 
     Homology is graded by form degree, on the window shifted by |w|.  The
-    engines are looked up on their modules at call time, so a wrapped or
-    patched engine is the one that runs.
+    closed form and the engine are the ones the (block, side) row of
+    complexes.COMPLEXES names, looked up on their module at call time, so a
+    wrapped or patched engine is the one that runs.
     """
-    if block == "cohomology":
-        grading, degrees = "derivation", window
-        if side == "ambient":
-            describe, compute = ch.closed_form, ch.brute_force_dims
-        else:
-            describe, compute = ch.surface_closed_form, ch.surface_brute_force_dims
-    else:
+    row = COMPLEXES[block, side]
+    module = ch if block == "cohomology" else hm
+    describe, compute = getattr(module, row.describe), getattr(module, row.compute)
+    grading, degrees = "derivation", window
+    if block == "homology":
         s = P.weight_sum
         grading, degrees = "form", (window[0] + s, window[1] + s)
-        if side == "ambient":
-            describe, compute = hm.ambient_homology_description, hm.homology_dims
-        else:
-            describe, compute = hm.surface_homology_description, hm.surface_homology_dims
     bridged = block == "homology" and side == "ambient"
     spaces = []
     for k in range(4):
@@ -319,7 +315,7 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
         )
 
     def z2_spanned(i):
-        cocycles = basis_of("X2", i, w).dim - delta_rank(P, 2, i)
+        cocycles = basis_of("X2", i, w).dim - stack_rank(P, "cohomology", "ambient", 2, i)
         gradients = de_rham_matrix(w, 3, i)
         multiples = koszul_matrix(P, 3, i - d)
         d2 = delta_matrix(P, 2, i)
@@ -372,7 +368,7 @@ def cohomology_suite(
     results = _closed_form_results("ambient", "H%d", spaces)
 
     def casimir_bound(i):
-        cocycles = basis_of("X0", i, P.weights).dim - delta_rank(P, 0, i)
+        cocycles = basis_of("X0", i, P.weights).dim - stack_rank(P, "cohomology", "ambient", 0, i)
         expected = 1 if (i >= 0 and i % d == 0) else 0
         if cocycles != expected:
             return "degree %d: %d Casimir cocycles" % (i, cocycles)
@@ -525,16 +521,20 @@ Spaces = dict[tuple[str, str], tuple[Space, ...]]
 
 
 def run_suite(
-    P: PoissonStructure, suite: str, window: ch.Window | None = None
+    P: PoissonStructure,
+    suite: str,
+    window: ch.Window | None = None,
+    milnor: MilnorData | None = None,
 ) -> tuple[list[CheckResult], Spaces]:
     """Run one named suite (or 'all'); returns its results and the space
-    families it computed, keyed (block, side).  Raises NotIsolated when a
-    suite that needs the Milnor data is requested for a rejected phi."""
+    families it computed, keyed (block, side).  A caller that has run the
+    gate passes its Milnor data; otherwise the gate runs here, once, and
+    raises NotIsolated when a suite that needs the Milnor data is requested
+    for a rejected phi."""
     window = tuple(ch.default_window(P) if window is None else window)
     names = SUITE_NAMES if suite == "all" else (suite,)
     results: list[CheckResult] = []
     spaces: Spaces = {}
-    milnor: MilnorData | None = None
     for name in names:
         if name == "identities":
             results.extend(identities_suite(P, window))

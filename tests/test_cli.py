@@ -255,6 +255,23 @@ class TestAnalyzeCommand:
         }
 
 
+    def test_one_gate_call_per_analyze(self, capsys, monkeypatch):
+        from poissonsing import cli, report, suites
+
+        calls = []
+        for module in (cli, report, suites):
+            real = module.check_isolated
+
+            def counted(phi, w, real=real):
+                calls.append(str(phi))
+                return real(phi, w)
+
+            monkeypatch.setattr(module, "check_isolated", counted)
+        code, _, _ = run(capsys, "analyze", "--phi", "x^2+y^2+z^2", "--max-degree", "4")
+        assert code == 0
+        assert calls == ["x^2+y^2+z^2"]
+
+
 class TestVerifyCommand:
     def test_identities_pass(self, capsys):
         code, out, _ = run(

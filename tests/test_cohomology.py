@@ -12,6 +12,7 @@ from poissonsing import (
     surface_closed_form,
 )
 from poissonsing.cohomology import FINITE, FREE
+from poissonsing.complexes import complex_dim
 from poissonsing.suites import run_suite
 
 from .conftest import structure
@@ -73,19 +74,14 @@ class TestPredictedDims:
 class TestBruteForce:
     def test_constants_are_casimirs(self, catalog_structures):
         for P, _ in catalog_structures:
-            from poissonsing.cohomology import cohomology_dim
-
-            assert cohomology_dim(P, 0, 0) == 1
+            assert complex_dim(P, "cohomology", "ambient", 0, 0) == 1
 
     def test_cubic_h1_low_degrees(self, cubic):
-        from poissonsing.cohomology import cohomology_dim
-
-        assert [cohomology_dim(cubic, 1, i) for i in range(4)] == [1, 0, 0, 1]
+        dims = [complex_dim(cubic, "cohomology", "ambient", 1, i) for i in range(4)]
+        assert dims == [1, 0, 0, 1]
 
     def test_sphere_h3_bottom(self, sphere):
-        from poissonsing.cohomology import cohomology_dim
-
-        assert cohomology_dim(sphere, 3, -3) == 1
+        assert complex_dim(sphere, "cohomology", "ambient", 3, -3) == 1
 
     def test_match_on_default_windows(self, catalog_structures):
         for P, _ in catalog_structures:

@@ -9,7 +9,9 @@ function, method or class defined under src/ and any name a module-level
 assignment under src/ binds (dunders aside) counts as used when src/ or
 demos/ read it outside its own definition.  The engine and its
 certificates are exact and deterministic, so no module under src/ imports
-random; random inputs belong to the tests.
+random; random inputs belong to the tests.  An unbounded cache keeps its
+entries for the life of the process, so every one under src/ is listed in
+UNBOUNDED_CACHES, and a new one fails until it is listed.
 """
 
 from __future__ import annotations
@@ -245,3 +247,80 @@ def test_random_scan_sees_every_import_form():
         "    from random import choice\n"
     )
     assert imports_of(source, "random") == [1, 2, 3, 9]
+
+
+# Every unbounded cache under src/, as "module.function".
+UNBOUNDED_CACHES = {
+    "complexes.stack_rank",
+    "linalg.basis_of",
+    "milnor.check_isolated",
+    "operators.boundary_matrix",
+    "operators.de_rham_matrix",
+    "operators.delta_matrix",
+    "operators.koszul_matrix",
+    "operators.mult_phi_matrix",
+    "operators.operator_symbol",
+    "operators.relation_rank",
+}
+
+
+def _unbounded(decorator: ast.expr) -> bool:
+    """lru_cache(maxsize=None), lru_cache(None) or cache, bare or as an
+    attribute of functools; a bare lru_cache is bounded (128 entries)."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(decorator, ast.Call):
+        return False
+    sizes = [*decorator.args[:1], *(kw.value for kw in decorator.keywords if kw.arg == "maxsize")]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def unbounded_caches(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every function, at any depth, under an unbounded cache."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_unbounded(d) for d in node.decorator_list)
+    )
+
+
+def test_every_unbounded_cache_is_listed():
+    found = {
+        "%s.%s" % (path.stem, name): "%s:%d" % (path.relative_to(ROOT), line)
+        for path in SRC
+        for line, name in unbounded_caches(path.read_text())
+    }
+    unlisted = [
+        "%s puts an unbounded cache on %s, which UNBOUNDED_CACHES does not list" % (where, name)
+        for name, where in sorted(found.items())
+        if name not in UNBOUNDED_CACHES
+    ]
+    assert not unlisted, "\n".join(unlisted)
+    assert sorted(UNBOUNDED_CACHES - set(found)) == [], "listed caches that are gone"
+
+
+def test_cache_scan_sees_every_unbounded_form():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(): pass\n"
+        "@functools.lru_cache(None)\n"
+        "def b(): pass\n"
+        "@cache\n"
+        "def c(): pass\n"
+        "@functools.cache\n"
+        "def d(): pass\n"
+        "@lru_cache(maxsize=4)\n"
+        "def e(): pass\n"
+        "@lru_cache\n"
+        "def f(): pass\n"
+        "class K:\n"
+        "    @staticmethod\n"
+        "    @lru_cache(maxsize=None)\n"
+        "    def g(x): pass\n"
+    )
+    assert unbounded_caches(source) == [(4, "a"), (6, "b"), (8, "c"), (10, "d"), (18, "g")]

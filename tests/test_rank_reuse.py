@@ -1,18 +1,21 @@
-"""Each stacked block is ranked once: the surface (co)homology routines agree
-with the two-stack versions they replaced, and their failures name ranks.
+"""Each stacked block is ranked once: the surface (co)homology dimensions of
+the one table of complexes (complexes.complex_dim) agree with two-stack
+reference routines, and their failures name ranks.
 
 The reference routines below rank the coboundary (boundary) stack of every
 (k, i) afresh, as the engine did before the stack at (k, i) was recognised
-as the cocycle (cycle) stack one step down.
+as the cocycle (cycle) stack one step down.  The references include U12,
+where N = deg(phi) - |w| is positive, so the step down lowers the degree.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from poissonsing import cohomology, homology
+from poissonsing import cohomology, complexes
 from poissonsing.cohomology import default_window
-from poissonsing.homology import default_form_window
+from poissonsing.complexes import complex_dim
+from poissonsing.homology import default_form_window, homology_dims
 from poissonsing.linalg import Echelon, basis_of, offset_vector, rank_of_columns
 from poissonsing.operators import (
     boundary_matrix,
@@ -28,6 +31,7 @@ REFERENCE_PHI = [
     ("x^3+y^3+z^3", (1, 1, 1)),
     ("x^2*y+y^3+z^2", (2, 2, 3)),
     ("x^2+y^3+z^5", (15, 10, 6)),
+    ("x^3+y^3+z^4", (4, 4, 3)),
 ]
 
 
@@ -119,7 +123,7 @@ def test_surface_cohomology_matches_two_stack_reference(phi, weights):
     lo, hi = default_window(P)
     for k in range(4):
         for i in range(lo, hi + 1):
-            assert cohomology.surface_cohomology_dim(P, k, i) == (
+            assert complex_dim(P, "cohomology", "surface", k, i) == (
                 two_stack_surface_cohomology_dim(P, k, i)
             ), (k, i)
 
@@ -130,9 +134,21 @@ def test_surface_homology_matches_two_stack_reference(phi, weights):
     lo, hi = default_form_window(P)
     for k in range(4):
         for i in range(lo, hi + 1):
-            assert homology.surface_homology_dim(P, k, i) == (
+            assert complex_dim(P, "homology", "surface", k, i) == (
                 two_stack_surface_homology_dim(P, k, i)
             ), (k, i)
+
+
+@pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
+def test_ambient_homology_row_agrees_with_the_reindexed_cohomology(phi, weights):
+    # the engine reads ambient homology off the cohomology engine; its own
+    # row of the table ranks the boundary matrices instead
+    P = structure(phi, weights)
+    window = default_form_window(P)
+    for k in range(4):
+        dims = homology_dims(P, k, window)
+        for i in range(window[0], window[1] + 1):
+            assert complex_dim(P, "homology", "ambient", k, i) == dims.dim_at(i), (k, i)
 
 
 # ---------------------------------------------------------------------------
@@ -144,34 +160,36 @@ def test_surface_homology_matches_two_stack_reference(phi, weights):
 QUARTIC = ("x^4+y^4+z^4", (1, 1, 1))
 
 
-# caller, (k, degree), patched rank helpers, and the message they must give:
-# n - cycles + relations - (boundaries - constraint) is negative
+# test id, caller and its leading arguments, patched rank helpers, and the
+# message they must give: n - cycles + relations - (boundaries - constraint)
+# is negative.  The stack ranks are patched on the one memo, stack_rank
+# (P, block, side, p, j); homology H_k sits at p = 3 - k.
 NEGATIVE = [
     (
-        cohomology, "cohomology_dim", (1, 2),
-        {"delta_rank": lambda P, k, i: 40 if k == 0 else 5},
+        "cohomology_dim", complexes, complex_dim, ("cohomology", "ambient", 1, 2),
+        {"stack_rank": lambda P, block, side, p, j: 40 if p == 0 else 5},
         "-15 of H1_ambient at degree 2: n 30 - cycles 5 + relations 0 "
         "- (boundaries 40 - constraint 0)",
     ),
     (
-        cohomology, "surface_cohomology_dim", (2, 3),
+        "surface_cohomology_dim", complexes, complex_dim, ("cohomology", "surface", 2, 3),
         {
-            "_cocycle_rank": lambda P, k, i: 999 if k == 1 else 50,
+            "stack_rank": lambda P, block, side, p, j: 999 if p == 1 else 50,
             "relation_rank": lambda P, k, i: 7,
         },
         "-924 of H2_surface at degree 3: n 63 - cycles 50 + relations 55 "
         "- (boundaries 999 - constraint 7)",
     ),
     (
-        cohomology, "surface_cochain_dim", (3, 5),
+        "surface_cochain_dim", cohomology, cohomology.surface_cochain_dim, (3, 5),
         {"relation_rank": lambda P, k, i: 999},
         "-861 of X3_surface at degree 5: n 45 - cycles 999 + relations 108 "
         "- (boundaries 15 - constraint 0)",
     ),
     (
-        homology, "surface_homology_dim", (1, 5),
+        "surface_homology_dim", complexes, complex_dim, ("homology", "surface", 1, 5),
         {
-            "_cycle_rank": lambda P, k, i: 777 if k == 2 else 3,
+            "stack_rank": lambda P, block, side, p, j: 777 if p == 1 else 3,
             "relation_rank": lambda P, k, i: 4,
         },
         "-731 of H_1_surface at degree 5: n 45 - cycles 3 + relations 4 "
@@ -181,13 +199,14 @@ NEGATIVE = [
 
 
 @pytest.mark.parametrize(
-    "module,caller,degree,ranks,message", NEGATIVE, ids=[case[1] for case in NEGATIVE]
+    "module,caller,args,ranks,message", [case[1:] for case in NEGATIVE],
+    ids=[case[0] for case in NEGATIVE],
 )
 def test_negative_dimension_names_the_space_degree_and_ranks(
-    monkeypatch, module, caller, degree, ranks, message
+    monkeypatch, module, caller, args, ranks, message
 ):
     for name, rank in ranks.items():
         monkeypatch.setattr(module, name, rank)
     with pytest.raises(RuntimeError) as err:
-        getattr(module, caller)(structure(*QUARTIC), *degree)
+        caller(structure(*QUARTIC), *args)
     assert str(err.value) == "negative dimension " + message
