@@ -18,15 +18,30 @@ Ambient homology is ambient cohomology re-indexed, as the boundary is the
 signed coboundary, so its engine never ranks its own row.
 
 The cycle stack of X^p_j is [[T; d] | [S; 0] | [0; R]], ranked once by the
-one memo stack_rank, and the boundary stack at (p, j) is the cycle stack at
+one memo stack_pivots, which keeps the pivot set of its echelon (stack_rank
+is its size), and the boundary stack at (p, j) is the cycle stack at
 (p-1, j-N).  So every dimension is one linalg.subquotient_dim call
 (complex_dim) in n = dim X^p_j, the rank of the stack, the rank of its
 relation columns [S; 0] | [0; R], the rank of the stack one step down and
 the rank [T | S] of that stack's top rows.  At the ends of the complex no
 elimination is needed: for p = -1, X^p is zero and the stack is R alone
 (relation_rank, or the source dim of an injective phi block); for p = 3 the
-target of d is zero and the stack is [T | S] (relation_rank); and a stack
-that is d alone, on A, has the rank memoized on d's matrix.
+target of d is zero and the stack is [T | S] (relation_rank).
+
+Skipped columns.  stack_pivots reduces only the top columns off the pivots
+of an echelon of a subspace W of X^p_j whose stack columns lie in the span
+of the relation columns (so each skipped column is a combination of those
+and of columns of larger index), once the identity that proves it holds:
+  ambient cohomology (which ambient homology re-indexes): W = im
+    delta^{p-1}, the pivots of the stack at (p-1, j-N), by delta o delta
+    = 0 (coboundary_squared_vanishes);
+  surface cohomology: W = phi*X^p_{j-d}, the column minima of its matrix,
+    as stack(phi*x) = [S(D_p x); R(delta x)] by [delta, phi] = 0
+    (casimir_multiplication_commutes);
+  surface homology: W = the source relations, relation_pivots(P, p+1, j-d),
+    by descent to the quotient (quotient_boundary_well_defined).
+Each identity is certified once per structure on its probe set
+(certificate); until it holds nothing is skipped.
 """
 
 from __future__ import annotations
@@ -35,9 +50,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .linalg import GradedOperatorMatrix, basis_of, offset_vector, rank_of_columns, subquotient_dim
-from .operators import boundary_matrix, delta_matrix, relation_blocks, relation_rank
+from .linalg import GradedOperatorMatrix, Vector, basis_of, offset_vector, pivots_of_columns
+from .linalg import subquotient_dim
+from .operators import boundary_matrix, delta_matrix, mult_phi_matrix, named_operator
+from .operators import relation_blocks, relation_pivots, relation_rank
 from .poisson import PoissonStructure
+from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
+from .vectorcalc import VecPoly
 
 
 @dataclass(frozen=True)
@@ -49,18 +68,20 @@ class Complex:
     relations: tuple[str, ...]
     describe: str
     compute: str
+    licence: str | None
 
 
 COMPLEXES: dict[tuple[str, str], Complex] = {
-    ("cohomology", "ambient"): Complex("delta", False, (), "closed_form", "brute_force_dims"),
-    ("cohomology", "surface"):
-        Complex("delta", True, ("phi",), "surface_closed_form", "surface_brute_force_dims"),
+    ("cohomology", "ambient"): Complex(
+        "delta", False, (), "closed_form", "brute_force_dims", "coboundary_squared_vanishes"),
+    ("cohomology", "surface"): Complex(
+        "delta", True, ("phi",), "surface_closed_form", "surface_brute_force_dims",
+        "casimir_multiplication_commutes"),
     ("homology", "ambient"):
-        Complex("boundary", False, (), "ambient_homology_description", "homology_dims"),
+        Complex("boundary", False, (), "ambient_homology_description", "homology_dims", None),
     ("homology", "surface"): Complex(
         "boundary", False, ("koszul", "phi"), "surface_homology_description",
-        "surface_homology_dims",
-    ),
+        "surface_homology_dims", "quotient_boundary_well_defined"),
 }
 
 
@@ -71,6 +92,71 @@ def space_name(block: str, side: str, k: int) -> str:
 def cochain_dim(P: PoissonStructure, p: int, j: int) -> int:
     """dim X^p at derivation degree j; X^p is zero outside p in 0..3."""
     return basis_of("X%d" % p, j, P.weights).dim if 0 <= p <= 3 else 0
+
+
+# The ten monomials of total degree at most 2, and the thirty vectors m*e_j.
+PROBES: tuple[Poly, ...] = tuple(
+    Poly.monomial(m) for n in range(3) for m in monomials_of_degree(n, UNIT_WEIGHTS)
+)
+VECTOR_PROBES: tuple[VecPoly, ...] = tuple(
+    VecPoly(tuple(f if a == j else Poly.zero() for a in range(3)))  # type: ignore[arg-type]
+    for f in PROBES
+    for j in range(3)
+)
+
+
+@lru_cache(maxsize=None)
+def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
+    """(cases run, first failure or "") of a licensing identity family on
+    its probe set: the delta families as in suites.identities_suite; for
+    descent, on the probes of Omega^k = X^{3-k}, boundary_k(phi*c) =
+    phi*boundary_k(c), then on those of Omega^{k-1}, boundary_k(D_{4-k} eta)
+    = D_{5-k}(boundary_{k-1} eta) (boundary_0 = 0), k = 1..3: operators of
+    order at most one."""
+    probes = [(0, "f", f) for f in PROBES] + [(1, "v", v) for v in VECTOR_PROBES]
+
+    def delta_squared(case):
+        k, name, c = case
+        if P.delta(k + 1, P.delta(k, c)).is_zero():
+            return None
+        return "delta%d o delta%d on %s=%s" % (k + 1, k, name, c)
+
+    def casimir_commutes(case):
+        k, name, c = case
+        for j in (0,) if k == 0 else (1, 2):
+            if P.delta(j, c * P.phi) != P.delta(j, c) * P.phi:
+                return "k=%d, %s=%s" % (j, name, c)
+        return None
+
+    def koszul(k, c):
+        return named_operator(P, "koszul%d" % k)(c)
+
+    def descends(case):
+        identity, k, c = case
+        if identity == "phi":
+            ok = P.boundary(k, c * P.phi) == P.boundary(k, c) * P.phi
+            return None if ok else "boundary_%d(phi*c) != phi*boundary_%d(c) at c=%s" % (k, k, c)
+        lhs = P.boundary(k, koszul(4 - k, c))
+        if k == 1:
+            return None if lhs.is_zero() else "boundary_1(D_3 f) != 0 at f=%s" % c
+        if lhs != koszul(5 - k, P.boundary(k - 1, c)):
+            return "boundary_%d(D_%d eta) != D_%d(boundary_%d eta) at eta=%s" % (
+                k, 4 - k, 5 - k, k - 1, c)
+        return None
+
+    omega = (PROBES, VECTOR_PROBES, VECTOR_PROBES, PROBES)  # Omega^k = X^{3-k}
+    descent = [("phi", k, c) for k in (1, 2, 3) for c in omega[k]]
+    descent += [("D", k, c) for k in (1, 2, 3) for c in omega[k - 1]]
+    cases, check = {
+        "coboundary_squared_vanishes": (probes, delta_squared),
+        "casimir_multiplication_commutes": (probes, casimir_commutes),
+        "quotient_boundary_well_defined": (descent, descends),
+    }[family]
+    for count, case in enumerate(cases, 1):
+        bad = check(case)
+        if bad:
+            return count, bad
+    return len(cases), ""
 
 
 def _constraint_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
@@ -95,28 +181,59 @@ def _target_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
     return cochain_dim(P, k - 1, i) if row.relations else 0
 
 
+def _off_pivots(columns: list[Vector], pivots: int) -> list[Vector]:
+    bits = bin(pivots)[:1:-1].ljust(len(columns), "0")
+    return [col for col, bit in zip(columns, bits) if bit == "0"]
+
+
+def skipped(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
+    """The pivots in X^p_j of the row's W; 0 until its licence holds for P."""
+    licence = COMPLEXES[block, side].licence
+    if licence is None or certificate(P, licence)[1]:
+        return 0
+    if licence == "coboundary_squared_vanishes":
+        return stack_pivots(P, block, side, p - 1, j - P.coboundary_degree) if p else 0
+    if licence == "quotient_boundary_well_defined":
+        return relation_pivots(P, p + 1, j - P.degree)
+    # the column minima of phi on X^p_{j-d}, the indices of LM(phi)*m, are
+    # distinct as the basis order is a monomial order
+    i = j - P.degree
+    minima = [min(col) for col in mult_phi_matrix(P, p, i).columns] if cochain_dim(P, p, i) else []
+    assert len(set(minima)) == len(minima), "phi-multiples share a leading monomial"
+    return sum(1 << q for q in minima)
+
+
 @lru_cache(maxsize=None)
+def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
+    """The pivots of an echelon of the cycle stack [[T; d] | [S; 0] | [0; R]]
+    of X^p_j in the (block, side) complex, for p in 0..2, as the bits of one
+    int: its columns in that order, less the top ones at the skipped pivots."""
+    row = COMPLEXES[block, side]
+    skip, top = 0, []
+    if cochain_dim(P, p, j):
+        skip = skipped(P, block, side, p, j)
+        is_delta = row.differential == "delta"
+        d = delta_matrix(P, p, j) if is_delta else boundary_matrix(P, 3 - p, j + P.weight_sum)
+        top = _off_pivots(d.columns, skip)
+    rows_top, s_cols = 0, []
+    if row.constrained and p:
+        T, S = relation_blocks(P, p, j)
+        rows_top, s_cols = T.target.dim, S.columns
+        t_cols = _off_pivots(T.columns, skip)
+        top = [{**t, **offset_vector(c, rows_top)} for t, c in zip(t_cols, top)]
+    r_cols = (offset_vector(c, rows_top) for m in target_relations(P, row, p, j) for c in m.columns)
+    return pivots_of_columns(chain(top, s_cols, r_cols))
+
+
 def stack_rank(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
-    """rank of the cycle stack [[T; d] | [S; 0] | [0; R]] of X^p_j in the
-    (block, side) complex, for p in -1..3, with its columns in that order."""
+    """rank of the cycle stack of X^p_j in the (block, side) complex, for p
+    in -1..3; the ends need no elimination (see the module docstring)."""
     row = COMPLEXES[block, side]
     if p == 3:
         return _constraint_rank(P, row, p, j)
     if p < 0:
         return _target_rank(P, row, p, j)
-    d = None
-    if cochain_dim(P, p, j):
-        is_delta = row.differential == "delta"
-        d = delta_matrix(P, p, j) if is_delta else boundary_matrix(P, 3 - p, j + P.weight_sum)
-    if not (row.constrained or row.relations):
-        return d.rank() if d else 0
-    rows_top, top, s_cols = 0, d.columns if d else [], []
-    if row.constrained and p:
-        T, S = relation_blocks(P, p, j)
-        rows_top, s_cols = T.target.dim, S.columns
-        top = ({**t, **offset_vector(c, rows_top)} for t, c in zip(T.columns, top))
-    r_cols = (offset_vector(c, rows_top) for m in target_relations(P, row, p, j) for c in m.columns)
-    return rank_of_columns(chain(top, s_cols, r_cols))
+    return stack_pivots(P, block, side, p, j).bit_count()
 
 
 def complex_dim(P: PoissonStructure, block: str, side: str, k: int, i: int) -> int:

@@ -9,9 +9,12 @@ entrywise on a window.
 
 On A/<phi> the form spaces are presented as quotients of A and A^3 by the
 relations generated by phi and by wedging with d(phi), the entries of the
-relation table (operators.relation_blocks).  The boundaries descend
-(projection_commutes), and surface_homology_dims reads the dims of the
-quotient complex from its row of the table in complexes.
+relation table (operators.relation_blocks).  The boundaries descend:
+projection_commutes certifies it once per structure, for every degree, on
+the probe set of two order-one intertwinings (boundary_k commutes with phi,
+and carries D_{4-k} to D_{5-k} o boundary_{k-1}); surface_homology_dims
+reads the dims of the quotient complex from its row of the table in
+complexes, whose stacks skip the source relations once descent holds.
 The closed forms are: H_0 and H_3 are copies of the Jacobian quotient, H_2
 is its image under multiplication by the Euler field, and H_1 is spanned by
 the gradients of u_1, ..., u_{mu-1}.
@@ -31,8 +34,7 @@ from .cohomology import (
     default_window,
     _dims_from_map,
 )
-from .complexes import COMPLEXES, target_relations
-from .linalg import Echelon
+from .complexes import certificate
 from .milnor import MilnorData
 from .operators import boundary_matrix, delta_matrix
 from .poisson import PoissonStructure
@@ -118,22 +120,8 @@ def surface_homology_dims(P: PoissonStructure, k: int, window: Window) -> Graded
     return complex_dims(P, "homology", "surface", k, window)
 
 
-def projection_commutes(P: PoissonStructure, k: int, i: int) -> bool:
-    """The boundary maps degree-i relations of Omega^k into the relations of
-    Omega^{k-1}, so the boundary descends to the quotient complex.  At
-    p = 3-k, j = i-|w| these are the target relations of the surface
-    homology complex at (p-1, j-N) and at (p, j)."""
-    if k == 0:
-        return True
-    row = COMPLEXES["homology", "surface"]
-    p, j = 3 - k, i - P.weight_sum
-    prev = Echelon()
-    for m in target_relations(P, row, p, j):
-        for col in m.columns:
-            prev.insert(col)
-    b = boundary_matrix(P, k, i)
-    for relations in target_relations(P, row, p - 1, j - P.coboundary_degree):
-        for col in b.compose(relations).columns:
-            if not prev.contains(col):
-                return False
-    return True
+def projection_commutes(P: PoissonStructure) -> tuple[int, str]:
+    """The descent certificate, (cases, first failing probe or ""): the
+    boundary maps the relations of each Omega^k into those of Omega^{k-1}
+    in every degree (complexes.certificate)."""
+    return certificate(P, "quotient_boundary_well_defined")

@@ -232,11 +232,17 @@ class Echelon:
         return not self._reduced(to_int_vector(vec))
 
 
-def rank_of_columns(columns: Iterable[Vector]) -> int:
+def pivots_of_columns(columns: Iterable[Vector]) -> int:
+    """The pivot rows of an echelon of the columns, as the bits of one int;
+    its bit_count() is their rank."""
     ech = Echelon()
     for col in columns:
         ech.insert(col)
-    return ech.rank
+    return sum(1 << p for p in ech._rows)
+
+
+def rank_of_columns(columns: Iterable[Vector]) -> int:
+    return pivots_of_columns(columns).bit_count()
 
 
 def kernel_of_columns(columns: Sequence[Vector], rows: int) -> list[Vector]:

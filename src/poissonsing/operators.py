@@ -14,9 +14,10 @@ Every operator here (the coboundaries, the boundaries, multiplication by phi,
 the Koszul maps and grad/curl/div) is a linear differential operator of
 order at most one, so its symbol is extracted once per structure
 (operator_symbol) and every graded matrix is filled from it by linalg's
-matrix_of.  The relation table (relation_blocks, ranked by relation_rank)
-holds the blocks [D_k | phi] on X^{k-1}; complexes describes how its
-entries serve the four (co)homology complexes.
+matrix_of.  The relation table (relation_blocks) holds the blocks
+[D_k | phi] on X^{k-1}; relation_pivots keeps the pivot set of one echelon
+of each entry, not the echelon, and relation_rank is its size.  complexes
+describes how the entries serve the four (co)homology complexes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .linalg import (
     Symbol,
     basis_of,
     matrix_of,
-    rank_of_columns,
+    pivots_of_columns,
     symbol_of,
 )
 from .poisson import PoissonStructure
@@ -38,7 +39,9 @@ from .poly import WeightSystem
 from .vectorcalc import cross, curl, divergence, dot, grad
 
 
-def _operator(P: PoissonStructure | None, name: str):
+def named_operator(P: PoissonStructure | None, name: str):
+    """The operator of the given name on polynomials (P is None for the
+    vertical de Rham operators)."""
     if P is None:
         return {"de_rham1": divergence, "de_rham2": curl, "de_rham3": grad}[name]
     nabla = P.nabla_phi
@@ -60,7 +63,7 @@ def _operator(P: PoissonStructure | None, name: str):
 def operator_symbol(P: PoissonStructure | None, name: str, source_components: int) -> Symbol:
     """Symbol of a named operator on 1- or 3-component inputs, extracted once
     per structure (P is None for the vertical de Rham operators)."""
-    return symbol_of(_operator(P, name), source_components)
+    return symbol_of(named_operator(P, name), source_components)
 
 
 def _matrix(
@@ -149,13 +152,19 @@ def relation_blocks(
     return (koszul_matrix(P, k, i) if koszul and k < 4 else None), mult_phi_matrix(P, k - 1, i)
 
 
-@lru_cache(maxsize=None)
 def relation_rank(P: PoissonStructure, k: int, i: int) -> int:
     """rank [D_k | phi] of relation_blocks(P, k, i); 0 for k outside 1..4
     (X^{k-1} is zero there), and dim X^3_i for k = 4, where the stack is the
     phi-multiples of X^3 alone, which are independent."""
-    if not 1 <= k <= 4:
-        return 0
     if k == 4:
         return basis_of("X3", i, P.weights).dim
-    return rank_of_columns(chain.from_iterable(m.columns for m in relation_blocks(P, k, i)))
+    return relation_pivots(P, k, i).bit_count()
+
+
+@lru_cache(maxsize=None)
+def relation_pivots(P: PoissonStructure, k: int, i: int) -> int:
+    """The pivots in X^{k-1} of an echelon of relation_blocks(P, k, i), as the
+    bits of one int (linalg.Echelon.pivots), for k in 1..3; 0 otherwise."""
+    if not 1 <= k <= 3:
+        return 0
+    return pivots_of_columns(chain.from_iterable(m.columns for m in relation_blocks(P, k, i)))

@@ -27,6 +27,23 @@ def structure(text: str, weights: tuple[int, int, int]) -> PoissonStructure:
     return PoissonStructure(parse_poly(text), WeightSystem(weights))
 
 
+def planted(text: str, weights: tuple[int, int, int], **methods) -> PoissonStructure:
+    """The structure of phi with the named methods replaced.  It is equal
+    only to itself, so it shares no cache entry with the structure of phi."""
+    identity = {"__slots__": (), "__eq__": object.__eq__, "__hash__": object.__hash__}
+    cls = type("Planted", (PoissonStructure,), {**identity, **methods})
+    return cls(parse_poly(text), WeightSystem(weights))
+
+
+def boundary_plus(k0: int, extra):
+    """A boundary method that adds extra(chain) to boundary_k0."""
+    def boundary(self, k, chain):
+        out = PoissonStructure.boundary(self, k, chain)
+        return out + extra(chain) if k == k0 else out
+
+    return boundary
+
+
 @pytest.fixture(scope="session")
 def catalog_structures():
     return [

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from poissonsing import (
     PoissonStructure,
     Poly,
@@ -12,6 +14,7 @@ from poissonsing import (
     default_form_window,
     duality_identity_holds,
     first_bridge_failure,
+    grad,
     homology_dims,
     predicted_dims,
     surface_homology_description,
@@ -20,7 +23,7 @@ from poissonsing import (
 from poissonsing.homology import projection_commutes
 from poissonsing.operators import boundary_matrix
 
-from .conftest import basis_element, structure
+from .conftest import basis_element, boundary_plus, planted, structure
 
 # ---------------------------------------------------------------------------
 # Independent oracle: the boundary on Kahler forms evaluated from its
@@ -189,6 +192,31 @@ class TestDuality:
             assert homology_dims(P, 2, default_form_window(P)).as_dict() == {}
 
 
+X, ZERO = Poly.variable(0), Poly.zero()
+
+# One planted boundary per descent identity.  The first adds x^2*grad, of
+# order 1, which does not commute with phi; the others add terms of order 0,
+# which do, so the identity named is the first to fail.
+DESCENT_FAULTS = [
+    (
+        "commutes_with_phi", boundary_plus(3, lambda f: grad(f) * X**2),
+        "boundary_3(phi*c) != phi*boundary_3(c) at c=1",
+    ),
+    (
+        "kills_the_wedges_of_functions", boundary_plus(1, lambda v: v[0] * X),
+        "boundary_1(D_3 f) != 0 at f=1",
+    ),
+    (
+        "intertwines_D2", boundary_plus(2, lambda v: v * X),
+        "boundary_2(D_2 eta) != D_3(boundary_1 eta) at eta=(1, 0, 0)",
+    ),
+    (
+        "intertwines_D1", boundary_plus(3, lambda f: VecPoly((X, ZERO, ZERO)) * f),
+        "boundary_3(D_1 eta) != D_2(boundary_2 eta) at eta=(1, 0, 0)",
+    ),
+]
+
+
 class TestSurfaceHomology:
     def test_totals(self, sphere, cubic, cubic_milnor):
         for P, expected in ((sphere, (1, 0, 1, 1)), (cubic, (8, 7, 8, 8))):
@@ -216,11 +244,21 @@ class TestSurfaceHomology:
         s = cubic.weight_sum
         assert dims.as_dict() == {i + s: n for i, n in cubic_milnor.graded_dims}
 
-    def test_boundary_descends_to_quotient(self, cubic):
-        fw = default_form_window(cubic)
-        for k in (1, 2, 3):
-            for i in range(fw[0], fw[1] + 1, 2):
-                assert projection_commutes(cubic, k, i)
+    def test_boundary_descends_to_quotient(self, catalog_structures):
+        # one certificate for every degree: 70 probes commute with phi and
+        # 70 intertwine the Koszul maps
+        for P, _ in catalog_structures:
+            assert projection_commutes(P) == (140, ""), str(P.phi)
+
+    @pytest.mark.parametrize(
+        "boundary,failure", [case[1:] for case in DESCENT_FAULTS],
+        ids=[case[0] for case in DESCENT_FAULTS],
+    )
+    def test_a_planted_descent_fault_names_its_identity_and_probe(self, boundary, failure):
+        P = planted("x^3+y^3+z^3", (1, 1, 1), boundary=boundary)
+        cases, text = projection_commutes(P)
+        assert text == failure
+        assert cases < 140
 
     def test_chain_space_models(self, cubic, cubic_milnor):
         from poissonsing.operators import form_basis, relation_rank
