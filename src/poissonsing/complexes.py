@@ -35,13 +35,16 @@ and of columns of larger index), once the identity that proves it holds:
   ambient cohomology (which ambient homology re-indexes): W = im
     delta^{p-1}, the pivots of the stack at (p-1, j-N), by delta o delta
     = 0 (coboundary_squared_vanishes);
-  surface cohomology: W = phi*X^p_{j-d}, the column minima of its matrix,
-    as stack(phi*x) = [S(D_p x); R(delta x)] by [delta, phi] = 0
+  surface cohomology: W = phi*X^p_{j-d}, whose pivots are the indices of
+    LM(phi)*m (operators.phi_multiple_pivots, no elimination), as
+    stack(phi*x) = [S(D_p x); R(delta x)] by [delta, phi] = 0
     (casimir_multiplication_commutes);
   surface homology: W = the source relations, relation_pivots(P, p+1, j-d),
     by descent to the quotient (quotient_boundary_well_defined).
 Each identity is certified once per structure on its probe set
-(certificate); until it holds nothing is skipped.
+(certificate); until it holds nothing is skipped.  The relation memo
+operators.relation_pivots skips the D_k columns at the same phi-multiple
+pivots, on the A-linearity of D_k alone.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .linalg import GradedOperatorMatrix, Vector, basis_of, offset_vector, pivots_of_columns
-from .linalg import subquotient_dim
-from .operators import boundary_matrix, delta_matrix, mult_phi_matrix, named_operator
+from .linalg import GradedOperatorMatrix, basis_of, columns_off_pivots, offset_vector
+from .linalg import pivots_of_columns, subquotient_dim
+from .operators import boundary_matrix, delta_matrix, named_operator, phi_multiple_pivots
 from .operators import relation_blocks, relation_pivots, relation_rank
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
@@ -181,11 +184,6 @@ def _target_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
     return cochain_dim(P, k - 1, i) if row.relations else 0
 
 
-def _off_pivots(columns: list[Vector], pivots: int) -> list[Vector]:
-    bits = bin(pivots)[:1:-1].ljust(len(columns), "0")
-    return [col for col, bit in zip(columns, bits) if bit == "0"]
-
-
 def skipped(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
     """The pivots in X^p_j of the row's W; 0 until its licence holds for P."""
     licence = COMPLEXES[block, side].licence
@@ -195,12 +193,7 @@ def skipped(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
         return stack_pivots(P, block, side, p - 1, j - P.coboundary_degree) if p else 0
     if licence == "quotient_boundary_well_defined":
         return relation_pivots(P, p + 1, j - P.degree)
-    # the column minima of phi on X^p_{j-d}, the indices of LM(phi)*m, are
-    # distinct as the basis order is a monomial order
-    i = j - P.degree
-    minima = [min(col) for col in mult_phi_matrix(P, p, i).columns] if cochain_dim(P, p, i) else []
-    assert len(set(minima)) == len(minima), "phi-multiples share a leading monomial"
-    return sum(1 << q for q in minima)
+    return phi_multiple_pivots(P, p, j - P.degree)
 
 
 @lru_cache(maxsize=None)
@@ -214,12 +207,12 @@ def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> 
         skip = skipped(P, block, side, p, j)
         is_delta = row.differential == "delta"
         d = delta_matrix(P, p, j) if is_delta else boundary_matrix(P, 3 - p, j + P.weight_sum)
-        top = _off_pivots(d.columns, skip)
+        top = columns_off_pivots(d.columns, skip)
     rows_top, s_cols = 0, []
     if row.constrained and p:
         T, S = relation_blocks(P, p, j)
         rows_top, s_cols = T.target.dim, S.columns
-        t_cols = _off_pivots(T.columns, skip)
+        t_cols = columns_off_pivots(T.columns, skip)
         top = [{**t, **offset_vector(c, rows_top)} for t, c in zip(t_cols, top)]
     r_cols = (offset_vector(c, rows_top) for m in target_relations(P, row, p, j) for c in m.columns)
     return pivots_of_columns(chain(top, s_cols, r_cols))

@@ -241,6 +241,12 @@ def pivots_of_columns(columns: Iterable[Vector]) -> int:
     return sum(1 << p for p in ech._rows)
 
 
+def columns_off_pivots(columns: Sequence[Vector], pivots: int) -> list[Vector]:
+    """The columns whose index is not a bit of pivots."""
+    bits = bin(pivots)[:1:-1].ljust(len(columns), "0")
+    return [col for col, bit in zip(columns, bits) if bit == "0"]
+
+
 def rank_of_columns(columns: Iterable[Vector]) -> int:
     return pivots_of_columns(columns).bit_count()
 

@@ -16,7 +16,9 @@ order at most one, so its symbol is extracted once per structure
 (operator_symbol) and every graded matrix is filled from it by linalg's
 matrix_of.  The relation table (relation_blocks) holds the blocks
 [D_k | phi] on X^{k-1}; relation_pivots keeps the pivot set of one echelon
-of each entry, not the echelon, and relation_rank is its size.  complexes
+of each entry, not the echelon, and relation_rank is its size.  It skips
+the D_k columns at the pivots of the phi-multiples in X^k, which D_k's
+A-linearity puts in the span of the phi columns.  complexes
 describes how the entries serve the four (co)homology complexes.
 """
 
@@ -30,6 +32,7 @@ from .linalg import (
     GradedOperatorMatrix,
     Symbol,
     basis_of,
+    columns_off_pivots,
     matrix_of,
     pivots_of_columns,
     symbol_of,
@@ -161,10 +164,36 @@ def relation_rank(P: PoissonStructure, k: int, i: int) -> int:
     return relation_pivots(P, k, i).bit_count()
 
 
+def phi_multiple_pivots(P: PoissonStructure, k: int, i: int) -> int:
+    """The pivots in X^k at degree i+deg(phi) of the phi-multiples of X^k_i,
+    as the bits of one int: the indices of LM(phi)*m for the basis elements
+    m of X^k_i, with LM(phi) the lex-largest exponent of the homogeneous
+    phi.  Each piece lists its monomials in descending lex order, so that
+    index is the smallest of the column of phi*m, and the indices are
+    distinct; no elimination is needed."""
+    source = basis_of("X%d" % k, i, P.weights)
+    if not source.dim:
+        return 0
+    index = basis_of("X%d" % k, i + P.degree, P.weights)._index
+    a, b, c = max(P.phi.terms)
+    return sum(
+        1 << index[t, (e0 + a, e1 + b, e2 + c)]
+        for t, monomials in enumerate(source.monomials)
+        for e0, e1, e2 in monomials
+    )
+
+
 @lru_cache(maxsize=None)
 def relation_pivots(P: PoissonStructure, k: int, i: int) -> int:
     """The pivots in X^{k-1} of an echelon of relation_blocks(P, k, i), as the
-    bits of one int (linalg.Echelon.pivots), for k in 1..3; 0 otherwise."""
+    bits of one int (linalg.Echelon.pivots), for k in 1..3; 0 otherwise.
+
+    The D_k columns at the pivots of phi*X^k_{i-d} (phi_multiple_pivots) are
+    not reduced: D_k is A-linear, so D_k(phi*v) = phi*D_k(v) lies in the
+    span of the phi columns, and each skipped column is a combination of
+    those and of D_k columns of larger index.  The pivots are unchanged."""
     if not 1 <= k <= 3:
         return 0
-    return pivots_of_columns(chain.from_iterable(m.columns for m in relation_blocks(P, k, i)))
+    D, phi = relation_blocks(P, k, i)
+    skip = phi_multiple_pivots(P, k, i - P.degree)
+    return pivots_of_columns(chain(columns_off_pivots(D.columns, skip), phi.columns))

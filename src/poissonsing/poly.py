@@ -7,6 +7,13 @@ an integral coefficient as a plain ``int`` and only a non-integral one as a
 computes in integers throughout.  No floating point is used anywhere in this
 package.
 
+The probe certificates multiply mostly zero and single-term operands, so the
+ring operations take fast paths for them: a product with a zero operand is
+that operand, a product with a single term shifts the other operand's
+exponents (nothing can merge or cancel), and a sum, difference or partial
+derivative with a zero operand does no work.  Each path gives the same terms,
+in the same order, as the general loop.
+
 A :class:`WeightSystem` assigns positive coprime weights to x, y, z and turns
 the polynomial ring into a graded algebra: the weighted degree of a monomial
 is a*w1 + b*w2 + c*w3.  The fixed global monomial order is graded-lex with
@@ -172,6 +179,10 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return -other
         out = dict(self._terms)
         for m, c in other._terms.items():
             s = out.get(m, 0) - c
@@ -185,25 +196,49 @@ class Poly:
         return Poly._raw({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is Poly or isinstance(other, Poly):
+            if not self._terms:
+                return self
+            if not other._terms:
+                return other
+            if len(other._terms) == 1:
+                return self._times_term(other)
+            if len(self._terms) == 1:
+                return other._times_term(self)
+            out: dict[Monomial, Scalar] = {}
+            for (a1, b1, c1), ca in self._terms.items():
+                for (a2, b2, c2), cb in other._terms.items():
+                    m = (a1 + a2, b1 + b2, c1 + c2)
+                    s = out.get(m, 0) + ca * cb
+                    if s:
+                        out[m] = s
+                    else:
+                        out.pop(m, None)
+            return Poly._raw(out)
+        if type(other) is int or isinstance(other, (int, Fraction)):
             if not other:
                 return Poly.zero()
             return Poly._raw({m: c * other for m, c in self._terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out: dict[Monomial, Scalar] = {}
-        for (a1, b1, c1), ca in self._terms.items():
-            for (a2, b2, c2), cb in other._terms.items():
-                m = (a1 + a2, b1 + b2, c1 + c2)
-                s = out.get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Poly._raw(out)
+        return NotImplemented
+
+    def _times_term(self, term: "Poly") -> "Poly":
+        """self times a single-term polynomial.  Shifting every exponent by
+        one monomial is injective and a product of nonzero rationals is
+        nonzero, so nothing merges or cancels, and the terms keep their
+        order."""
+        ((a2, b2, c2), cb), = term._terms.items()
+        if type(cb) is int and cb == 1:
+            if not (a2 or b2 or c2):
+                return self
+            return Poly._raw(
+                {(a1 + a2, b1 + b2, c1 + c2): ca for (a1, b1, c1), ca in self._terms.items()}
+            )
+        return Poly._raw(
+            {(a1 + a2, b1 + b2, c1 + c2): ca * cb for (a1, b1, c1), ca in self._terms.items()}
+        )
 
     def __rmul__(self, other: Scalar) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, (int, Fraction)):
             return self.__mul__(other)
         return NotImplemented
 
@@ -221,13 +256,17 @@ class Poly:
 
     def partial(self, index: int) -> "Poly":
         """Formal partial derivative with respect to x, y, or z (index 0,1,2)."""
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self._terms.items():
-            e = m[index]
-            if e:
-                dm = list(m)
-                dm[index] = e - 1
-                out[tuple(dm)] = c * e  # type: ignore[index]
+        terms = self._terms
+        if not terms:
+            return self
+        if index == 0:
+            out = {(a - 1, b, c): k * a for (a, b, c), k in terms.items() if a}
+        elif index == 1:
+            out = {(a, b - 1, c): k * b for (a, b, c), k in terms.items() if b}
+        elif index == 2:
+            out = {(a, b, c - 1): k * c for (a, b, c), k in terms.items() if c}
+        else:
+            raise IndexError("partial derivatives are taken along index 0, 1 or 2")
         return Poly._raw(out)
 
     @classmethod

@@ -153,28 +153,34 @@ def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult
     [delta^k, phi] order 0); Jacobi once on (x, y, z), since the Jacobiator
     of a biderivation is an alternating triderivation.  The Euler formulas
     are linear in f on each degree, so they run on every monomial of every
-    window degree.  A failure names the first failing probe.  The two
-    delta families are complexes.certificate, evaluated once per structure
-    and shared with the engine, which skips stack columns on their strength.
+    window degree.  The gradient, curl, divergence and partials of each
+    probe are computed once per call, not once per pair.  A failure names
+    the first failing probe.  The two delta families are
+    complexes.certificate, evaluated once per structure and shared with the
+    engine, which skips stack columns on their strength.
     """
     w = P.weights
     e_w = euler_field(w)
     px, py, pz = P.nabla_phi
+    # the derivatives of each probe, once per call (looked up at call time)
+    scalars = [(f, grad(f)) for f in PROBES]
+    vectors = [(g, curl(g), divergence(g)) for g in VECTOR_PROBES]
+    partials = [(f, (f.partial(0), f.partial(1), f.partial(2))) for f in PROBES]
 
     def curl_product(case):
-        f, g = case
-        ok = curl(g * f) == cross(grad(f), g) + curl(g) * f
-        return None if ok else "f=%s, g=%s" % case
+        (f, grad_f), (g, curl_g, _) = case
+        ok = curl(g * f) == cross(grad_f, g) + curl_g * f
+        return None if ok else "f=%s, g=%s" % (f, g)
 
     def div_product(case):
-        f, g = case
-        ok = divergence(g * f) == dot(grad(f), g) + divergence(g) * f
-        return None if ok else "f=%s, g=%s" % case
+        (f, grad_f), (g, _, div_g) = case
+        ok = divergence(g * f) == dot(grad_f, g) + div_g * f
+        return None if ok else "f=%s, g=%s" % (f, g)
 
     def div_cross(case):
-        f, g = case
-        ok = divergence(cross(f, g)) == dot(curl(f), g) - dot(f, curl(g))
-        return None if ok else "f=%s, g=%s" % case
+        (f, curl_f, _), (g, curl_g, _) = case
+        ok = divergence(cross(f, g)) == dot(curl_f, g) - dot(f, curl_g)
+        return None if ok else "f=%s, g=%s" % (f, g)
 
     def window_monomials():
         for i in range(window[0], window[1] + 1):
@@ -189,40 +195,39 @@ def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult
         i, f = case
         return None if divergence(e_w * f) == f * (i + w.weight_sum) else "f=%s" % f
 
-    def curl_grad(f):
-        return None if curl(grad(f)).is_zero() else "f=%s" % f
+    def curl_grad(case):
+        f, grad_f = case
+        return None if curl(grad_f).is_zero() else "f=%s" % f
 
     def div_cross_grads(case):
-        f, g = case
-        ok = divergence(cross(grad(f), grad(g))).is_zero()
-        return None if ok else "f=%s, g=%s" % case
+        (f, grad_f), (g, grad_g) = case
+        ok = divergence(cross(grad_f, grad_g)).is_zero()
+        return None if ok else "f=%s, g=%s" % (f, g)
 
     def jacobi(case):
         return None if P.jacobiator(*case).is_zero() else "f=%s, g=%s, h=%s" % case
 
     def bracket_expansion(case):
-        f, g = case
-        fx, fy, fz = (f.partial(a) for a in range(3))
-        gx, gy, gz = (g.partial(a) for a in range(3))
+        (f, (fx, fy, fz)), (g, (gx, gy, gz)) = case
         direct = pz * (fx * gy - fy * gx) + px * (fy * gz - fz * gy) + py * (fz * gx - fx * gz)
-        return None if P.bracket(f, g) == direct else "f=%s, g=%s" % case
+        return None if P.bracket(f, g) == direct else "f=%s, g=%s" % (f, g)
 
     coordinates = tuple(Poly.variable(a) for a in range(3))
     families = [
-        ("curl_of_scalar_product", product(PROBES, VECTOR_PROBES), curl_product),
-        ("div_of_scalar_product", product(PROBES, VECTOR_PROBES), div_product),
-        ("div_of_cross_product", product(VECTOR_PROBES, VECTOR_PROBES), div_cross),
+        ("curl_of_scalar_product", product(scalars, vectors), curl_product),
+        ("div_of_scalar_product", product(scalars, vectors), div_product),
+        ("div_of_cross_product", product(vectors, vectors), div_cross),
         ("euler_degree_formula", window_monomials(), euler_degree),
         ("euler_divergence_formula", window_monomials(), euler_div),
-        ("curl_of_gradient_vanishes", PROBES, curl_grad),
-        ("div_of_gradient_cross_vanishes", product(PROBES, PROBES), div_cross_grads),
+        ("curl_of_gradient_vanishes", scalars, curl_grad),
+        ("div_of_gradient_cross_vanishes", product(scalars, scalars), div_cross_grads),
         ("jacobi_identity", (coordinates,), jacobi),
     ]
     results = [_first_failure(name, cases, body) for name, cases, body in families]
     licensing = ("coboundary_squared_vanishes", "casimir_multiplication_commutes")
     results += [_certified(name, certificate(P, name)) for name in licensing]
     results.append(
-        _first_failure("bracket_matches_biderivation", product(PROBES, PROBES), bracket_expansion)
+        _first_failure("bracket_matches_biderivation", product(partials, partials), bracket_expansion)
     )
     return results
 
@@ -373,13 +378,11 @@ def cohomology_suite(
         dotm = koszul_matrix(P, 1, i)
         divm = de_rham_matrix(P.weights, 1, i)
         off = dotm.target.dim
-        stacked = [
-            {**dotm.columns[j], **offset_vector(divm.columns[j], off)}
-            for j in range(dotm.source.dim)
-        ]
-        base = rank_of_columns(stacked)
-        target_vec = offset_vector(divm.target.coords_of(P.phi**r), off)
-        if rank_of_columns(stacked + [target_vec]) != base + 1:
+        stacked = Echelon()
+        for j in range(dotm.source.dim):
+            stacked.insert({**dotm.columns[j], **offset_vector(divm.columns[j], off)})
+        # phi^r is a constrained divergence iff it adds nothing to the span
+        if not stacked.insert(offset_vector(divm.target.coords_of(P.phi**r), off)):
             return "phi^%d is a constrained divergence" % r
         return None
 

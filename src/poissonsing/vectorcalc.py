@@ -11,22 +11,44 @@ product and curl use the right-handed orientation, so the usual identities
 hold exactly, as do the weighted Euler formulas grad(f).e_w = deg(f)*f and
 div(f*e_w) = (deg(f)+|w|)*f for weight-homogeneous f, where e_w is the
 weighted Euler field (w1*x, w2*y, w3*z).
+
+VecPoly is a slotted immutable triple: equal only to a VecPoly with equal
+components, hashable, and refusing attribute assignment.  Its operations and
+dot, cross, curl and divergence unpack the three components directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .poly import Poly, Scalar, WeightSystem
 
 
-@dataclass(frozen=True)
 class VecPoly:
-    """An ordered triple of polynomials."""
+    """An ordered triple of polynomials; immutable, equal only to a VecPoly
+    with equal components, and hashable."""
+
+    __slots__ = ("components",)
 
     components: tuple[Poly, Poly, Poly]
+
+    def __init__(self, components: tuple[Poly, Poly, Poly]):
+        _set_components(self, components)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VecPoly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("VecPoly is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is VecPoly:
+            return self.components == other.components
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
 
     @classmethod
     def zero(cls) -> "VecPoly":
@@ -40,23 +62,30 @@ class VecPoly:
         return iter(self.components)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        f1, f2, f3 = self.components
+        return not (f1 or f2 or f3)
 
     def __add__(self, other: "VecPoly") -> "VecPoly":
-        return VecPoly(tuple(a + b for a, b in zip(self, other)))  # type: ignore[arg-type]
+        f1, f2, f3 = self.components
+        g1, g2, g3 = other.components
+        return VecPoly((f1 + g1, f2 + g2, f3 + g3))
 
     def __sub__(self, other: "VecPoly") -> "VecPoly":
-        return VecPoly(tuple(a - b for a, b in zip(self, other)))  # type: ignore[arg-type]
+        f1, f2, f3 = self.components
+        g1, g2, g3 = other.components
+        return VecPoly((f1 - g1, f2 - g2, f3 - g3))
 
     def __neg__(self) -> "VecPoly":
-        return VecPoly(tuple(-a for a in self))  # type: ignore[arg-type]
+        f1, f2, f3 = self.components
+        return VecPoly((-f1, -f2, -f3))
 
     def __mul__(self, other: Union[Poly, Scalar]) -> "VecPoly":
-        return VecPoly(tuple(c * other for c in self))  # type: ignore[arg-type]
+        f1, f2, f3 = self.components
+        return VecPoly((f1 * other, f2 * other, f3 * other))
 
     def __rmul__(self, other: Union[Poly, Scalar]) -> "VecPoly":
         if isinstance(other, (int, Fraction, Poly)):
-            return VecPoly(tuple(other * c if isinstance(other, (int, Fraction)) else c * other for c in self))  # type: ignore[arg-type]
+            return self * other
         return NotImplemented
 
     def __str__(self) -> str:
@@ -64,6 +93,10 @@ class VecPoly:
 
     def __repr__(self) -> str:
         return "VecPoly(%s, %s, %s)" % self.components
+
+
+# sets the slot directly, past the __setattr__ that refuses every assignment
+_set_components = VecPoly.components.__set__  # type: ignore[attr-defined]
 
 
 def grad(f: Poly) -> VecPoly:
@@ -82,21 +115,20 @@ def curl(v: VecPoly) -> VecPoly:
 
 
 def divergence(v: VecPoly) -> Poly:
-    return v[0].partial(0) + v[1].partial(1) + v[2].partial(2)
+    f1, f2, f3 = v.components
+    return f1.partial(0) + f2.partial(1) + f3.partial(2)
 
 
 def dot(u: VecPoly, v: VecPoly) -> Poly:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    u1, u2, u3 = u.components
+    v1, v2, v3 = v.components
+    return u1 * v1 + u2 * v2 + u3 * v3
 
 
 def cross(u: VecPoly, v: VecPoly) -> VecPoly:
-    return VecPoly(
-        (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-    )
+    u1, u2, u3 = u.components
+    v1, v2, v3 = v.components
+    return VecPoly((u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1))
 
 
 def euler_field(w: WeightSystem) -> VecPoly:

@@ -175,3 +175,22 @@ class TestStructuralChecks:
             vec = d1.target.coords_of(P.nabla_phi)
             in_image = rank_of_columns(list(d1.columns) + [vec]) == d1.rank()
             assert in_image is expected_exact
+
+    def test_a_constrained_divergence_fails_rigidity(self, monkeypatch, cubic):
+        # with the constraint g . grad(phi) = 0 dropped (a zero Koszul map on
+        # X^1), every g counts, and phi^0 = 1 = div(x, 0, 0) is a divergence
+        from poissonsing import suites
+        from poissonsing.linalg import GradedOperatorMatrix
+
+        koszul_matrix = suites.koszul_matrix
+
+        def koszul_without_dot(P, k, i):
+            m = koszul_matrix(P, k, i)
+            return GradedOperatorMatrix(m.source, m.target, [{}] * m.source.dim) if k == 1 else m
+
+        monkeypatch.setattr(suites, "koszul_matrix", koszul_without_dot)
+        results, _ = run_suite(cubic, "cohomology", default_window(cubic))
+        rigidity = [r for r in results if r.name == "divergence_rigidity_alpha_zero"]
+        assert [(r.passed, r.cases, r.details) for r in rigidity] == [
+            (False, 1, "phi^0 is a constrained divergence")
+        ]

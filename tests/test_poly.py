@@ -226,3 +226,90 @@ class TestWeightSystem:
     def test_from_string(self):
         assert WeightSystem.from_string("15, 10, 6").weights == (15, 10, 6)
         assert WeightSystem.from_string("3,2,1").weight_sum == 6
+
+
+# ---------------------------------------------------------------------------
+# The kernel's fast paths agree with term-by-term arithmetic
+# ---------------------------------------------------------------------------
+
+
+def reference_product(f: Poly, g: Poly) -> dict:
+    out: dict = {}
+    for m, a in f.terms.items():
+        for n, b in g.terms.items():
+            k = (m[0] + n[0], m[1] + n[1], m[2] + n[2])
+            out[k] = out.get(k, 0) + a * b
+    return {k: c for k, c in out.items() if c}
+
+
+def reference_sum(f: Poly, g: Poly, sign: int = 1) -> dict:
+    out = dict(f.terms)
+    for m, c in g.terms.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def reference_partial(f: Poly, a: int) -> dict:
+    return {m[:a] + (m[a] - 1,) + m[a + 1:]: c * m[a] for m, c in f.terms.items() if m[a]}
+
+
+# zero, single-term and multi-term operands, with int and Fraction coefficients
+OPERANDS = {
+    "zero": Poly.zero(),
+    "one": Poly.one(),
+    "constant": Poly.constant(-3),
+    "fraction_constant": Poly.constant(Fraction(2, 3)),
+    "monomial": Poly.monomial((2, 0, 1)),
+    "scaled_monomial": Poly.monomial((0, 3, 1), -2),
+    "fraction_monomial": Poly.monomial((1, 1, 0), Fraction(-1, 2)),
+    "multi": parse_poly("x^2-2*x*y+3*z^2+1"),
+    "fraction_multi": parse_poly("1/2*x*y+y^2-3/4*z"),
+    "cancelling": parse_poly("x^2+x*y-y^2"),
+}
+
+
+def integral(p: Poly) -> bool:
+    return all(type(c) is int for _, c in p)
+
+
+class TestKernelFastPaths:
+    @pytest.mark.parametrize("a", OPERANDS)
+    def test_ring_operations_match_the_term_by_term_reference(self, a):
+        f = OPERANDS[a]
+        for b, g in OPERANDS.items():
+            for op, result, expected in (
+                ("*", f * g, reference_product(f, g)),
+                ("+", f + g, reference_sum(f, g)),
+                ("-", f - g, reference_sum(f, g, -1)),
+            ):
+                case = "%s %s %s" % (a, op, b)
+                assert result.terms == expected, case
+                assert all(c for _, c in result), "%s stores a zero coefficient" % case
+                if integral(f) and integral(g):
+                    assert integral(result), case
+
+    @pytest.mark.parametrize("name", OPERANDS)
+    def test_partials_and_scalars_match_the_reference(self, name):
+        f = OPERANDS[name]
+        for a in range(3):
+            assert f.partial(a).terms == reference_partial(f, a)
+            if integral(f):
+                assert integral(f.partial(a))
+        for c in (0, 1, -2, Fraction(3, 2)):
+            expected = {m: v * c for m, v in f.terms.items() if v * c}
+            assert (f * c).terms == expected and (c * f).terms == expected
+        if integral(f):
+            assert integral(f * 5) and integral(5 * f)
+
+    def test_cancelled_terms_are_not_stored(self):
+        # (x+y)(x-y) = x^2-y^2: the cross terms cancel and are not kept
+        p = parse_poly("x+y") * parse_poly("x-y")
+        assert p.terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+
+    def test_operands_are_left_unchanged(self):
+        before = {name: dict(p.terms) for name, p in OPERANDS.items()}
+        for f in OPERANDS.values():
+            for g in OPERANDS.values():
+                f * g, f + g, f - g
+            f.partial(0), -f
+        assert {name: dict(p.terms) for name, p in OPERANDS.items()} == before

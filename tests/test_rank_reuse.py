@@ -20,13 +20,14 @@ from poissonsing import PoissonStructure, Poly, cohomology, complexes, grad, lin
 from poissonsing.cohomology import default_window
 from poissonsing.complexes import complex_dim
 from poissonsing.homology import default_form_window, homology_dims, projection_commutes
-from poissonsing.linalg import Echelon, basis_of, offset_vector, rank_of_columns
+from poissonsing.linalg import Echelon, basis_of, offset_vector, pivots_of_columns, rank_of_columns
 from poissonsing.operators import (
     boundary_matrix,
     delta_matrix,
     form_basis,
     koszul_matrix,
     mult_phi_matrix,
+    phi_multiple_pivots,
     relation_blocks,
 )
 
@@ -251,15 +252,22 @@ def dim_or_error(P, block, side, k, i):
 def engine_run(monkeypatch, P, window=None):
     """The (block, side, p, j) of every stack the memo holds after the four
     rows ran on a derivation window (default: P's), homology on the window
-    shifted by |w|, and the dims (or errors) they gave."""
-    keys = set()
-    memo = complexes.stack_pivots
+    shifted by |w|, the dims (or errors) they gave, and the (k, i) of every
+    relation entry the relation memo holds."""
+    keys, relations = set(), set()
+    memo, relation_memo = complexes.stack_pivots, operators.relation_pivots
 
     def recording(P, block, side, p, j):
         keys.add((block, side, p, j))
         return memo(P, block, side, p, j)
 
+    def recording_relations(P, k, i):
+        relations.add((k, i))
+        return relation_memo(P, k, i)
+
     monkeypatch.setattr(complexes, "stack_pivots", recording)
+    for module in (complexes, operators):
+        monkeypatch.setattr(module, "relation_pivots", recording_relations)
     dims = {}
     lo, hi = window or default_window(P)
     for block, side in complexes.COMPLEXES:
@@ -268,19 +276,40 @@ def engine_run(monkeypatch, P, window=None):
             for i in range(lo + shift, hi + shift + 1):
                 dims[block, side, k, i] = dim_or_error(P, block, side, k, i)
     monkeypatch.setattr(complexes, "stack_pivots", memo)
-    return keys, dims
+    for module in (complexes, operators):
+        monkeypatch.setattr(module, "relation_pivots", relation_memo)
+    return keys, dims, relations
 
 
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
 def test_skipped_stacks_keep_the_rank_of_the_whole_stack(monkeypatch, phi, weights):
     P = structure(phi, weights)
-    keys, _ = engine_run(monkeypatch, P)
+    keys, _, relations = engine_run(monkeypatch, P)
     for key in sorted(keys):
         assert complexes.stack_rank(P, *key) == whole_stack_rank(P, *key), key
     # every row with a licence skips somewhere
     skipping = {key[:2] for key in keys if complexes.skipped(P, *key)}
     licensed = {row for row, c in complexes.COMPLEXES.items() if c.licence}
     assert skipping == licensed
+    # the relation memo skips the D_k columns of the phi-multiples, and keeps
+    # the pivots of the whole [D_k | phi]
+    assert relations
+    for k, i in sorted(relations):
+        whole = [] if not 1 <= k <= 3 else [c for m in relation_blocks(P, k, i) for c in m.columns]
+        assert operators.relation_pivots(P, k, i) == pivots_of_columns(whole), (k, i)
+    assert any(phi_multiple_pivots(P, k, i - P.degree) for k, i in relations if 1 <= k <= 3)
+
+
+@pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
+def test_phi_multiple_pivots_are_the_column_minima(phi, weights):
+    # the indices of LM(phi)*m, found without elimination, are where each
+    # column of phi on X^k_i starts
+    P = structure(phi, weights)
+    for k in range(4):
+        for i in range(-5, 25):
+            minima = [min(col) for col in mult_phi_matrix(P, k, i).columns]
+            assert phi_multiple_pivots(P, k, i) == sum(1 << q for q in minima), (k, i)
+            assert len(set(minima)) == len(minima), (k, i)
 
 
 def identities_failure(P):
@@ -316,7 +345,7 @@ FAULTS = [
 def test_a_failed_certificate_skips_nothing(monkeypatch, methods, row, family_failure, failure):
     P = planted("x^3+y^3+z^3", (1, 1, 1), **methods)
     # the default window ends at 9; without its certificate a row costs more
-    keys, dims = engine_run(monkeypatch, P, (-3, 6))
+    keys, dims, _ = engine_run(monkeypatch, P, (-3, 6))
     assert [key for key in keys if key[:2] == row and complexes.skipped(P, *key)] == []
     # the dims of the whole stacks, as when no column was ever skipped
     ends = complexes.stack_rank
@@ -330,10 +359,11 @@ def test_a_failed_certificate_skips_nothing(monkeypatch, methods, row, family_fa
 
 
 # Echelon.insert calls of complex_dims over the four rows on x^3+y^3+z^3, on
-# the default windows, from empty rank memos: 13,939 with the skip sets, and
-# 17,198 with every stack column reduced.
+# the default windows, from empty rank memos: 12,864 with the skip sets of
+# the stacks and of the relation memo, 13,939 with those of the stacks
+# alone, and 17,198 with every stack column reduced.
 INSERTS_WITHOUT_SKIPPING = 17198
-INSERTS = 13939
+INSERTS = 12864
 
 
 def test_skip_sets_save_echelon_inserts(monkeypatch, cubic):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+
+import pytest
 
 from poissonsing import (
     Poly,
@@ -94,3 +97,72 @@ def test_cross_orientation_is_right_handed():
     assert cross(ex, ey) == ez
     assert cross(ey, ez) == ex
     assert cross(ez, ex) == ey
+
+
+# ---------------------------------------------------------------------------
+# VecPoly is an immutable value; its operations act componentwise
+# ---------------------------------------------------------------------------
+
+
+def test_vecpoly_is_a_hashable_immutable_value():
+    u = VecPoly((parse_poly("x"), Poly.zero(), parse_poly("2*y*z")))
+    same = VecPoly((parse_poly("x"), Poly.zero(), parse_poly("2*y*z")))
+    assert u == same and hash(u) == hash(same) and not u != same
+    assert u != VecPoly((parse_poly("x"), Poly.zero(), parse_poly("y*z")))
+    assert {u: 1}[same] == 1 and len({u, same}) == 1
+    assert u != tuple(u.components) and tuple(u.components) != u
+    for attempt in (
+        lambda: setattr(u, "components", (Poly.zero(),) * 3),
+        lambda: setattr(u, "extra", 1),
+        lambda: delattr(u, "components"),
+    ):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert u == same
+    assert str(u) == "(x, 0, 2*y*z)" and repr(u) == "VecPoly(x, 0, 2*y*z)"
+
+
+def test_vecpoly_operations_act_componentwise():
+    rng = random.Random(6)
+    zero = VecPoly.zero()
+    for _ in range(60):
+        u, v, f = random_vec(rng), random_vec(rng), random_poly(rng)
+        a, b = u.components, v.components
+        assert (u + v).components == tuple(x + y for x, y in zip(a, b))
+        assert (u - v).components == tuple(x - y for x, y in zip(a, b))
+        assert (-u).components == tuple(-x for x in a)
+        for c in (f, 3, Fraction(-1, 2), 0):
+            assert (u * c).components == (c * u).components == tuple(x * c for x in a)
+        assert dot(u, v) == sum((x * y for x, y in zip(a, b)), Poly.zero())
+        assert cross(u, v) == VecPoly(
+            (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        )
+        assert divergence(u) == a[0].partial(0) + a[1].partial(1) + a[2].partial(2)
+        assert u + zero == u and u - zero == u and (zero - u) == -u
+        assert dot(u, zero).is_zero() and cross(u, zero).is_zero()
+    assert zero.is_zero() and not VecPoly((Poly.zero(), Poly.one(), Poly.zero())).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The identity suite differentiates each probe once
+# ---------------------------------------------------------------------------
+
+# Calls of suites.grad, curl and divergence while identities_suite runs on
+# x^2+y^2+z^2 over the window (0, 4): 45, 340 and 1,365 now; 845, 2,410 and
+# 1,635 when every probe pair recomputed its probes' derivatives.
+DERIVATIVE_CALLS = {"grad": 45, "curl": 340, "divergence": 1365}
+
+
+def test_identity_suite_differentiates_each_probe_once(monkeypatch, sphere):
+    from poissonsing import suites
+
+    calls = dict.fromkeys(DERIVATIVE_CALLS, 0)
+    for name in DERIVATIVE_CALLS:
+        def counted(arg, name=name, op=getattr(suites, name)):
+            calls[name] += 1
+            return op(arg)
+
+        monkeypatch.setattr(suites, name, counted)
+    results = suites.identities_suite(sphere, (0, 4))
+    assert all(r.passed for r in results)
+    assert all(calls[name] <= DERIVATIVE_CALLS[name] for name in calls), calls
