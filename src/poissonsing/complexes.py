@@ -19,8 +19,9 @@ signed coboundary, so its engine never ranks its own row.
 
 The cycle stack of X^p_j is [[T; d] | [S; 0] | [0; R]], ranked once by the
 one memo stack_pivots, which keeps the pivot set of its echelon (stack_rank
-is its size), and the boundary stack at (p, j) is the cycle stack at
-(p-1, j-N).  So every dimension is one linalg.subquotient_dim call
+is its size) and no matrix: it fills from the symbol of d only the columns
+it reduces.  The boundary stack at (p, j) is the cycle stack at (p-1, j-N).
+So every dimension is one linalg.subquotient_dim call
 (complex_dim) in n = dim X^p_j, the rank of the stack, the rank of its
 relation columns [S; 0] | [0; R], the rank of the stack one step down and
 the rank [T | S] of that stack's top rows.  At the ends of the complex no
@@ -55,7 +56,7 @@ from itertools import chain
 
 from .linalg import GradedOperatorMatrix, basis_of, columns_off_pivots, offset_vector
 from .linalg import pivots_of_columns, subquotient_dim
-from .operators import boundary_matrix, delta_matrix, named_operator, phi_multiple_pivots
+from .operators import named_operator, operator_matrix, phi_multiple_pivots
 from .operators import relation_blocks, relation_pivots, relation_rank
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
@@ -200,14 +201,16 @@ def skipped(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
 def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
     """The pivots of an echelon of the cycle stack [[T; d] | [S; 0] | [0; R]]
     of X^p_j in the (block, side) complex, for p in 0..2, as the bits of one
-    int: its columns in that order, less the top ones at the skipped pivots."""
+    int: its columns in that order, less the top ones at the skipped pivots,
+    whose columns of d are never filled (nor is d kept)."""
     row = COMPLEXES[block, side]
     skip, top = 0, []
     if cochain_dim(P, p, j):
         skip = skipped(P, block, side, p, j)
-        is_delta = row.differential == "delta"
-        d = delta_matrix(P, p, j) if is_delta else boundary_matrix(P, 3 - p, j + P.weight_sum)
-        top = columns_off_pivots(d.columns, skip)
+        name = "delta%d" % p if row.differential == "delta" else "boundary%d" % (3 - p)
+        source = basis_of("X%d" % p, j, P.weights).without(skip)
+        target = basis_of("X%d" % (p + 1), j + P.coboundary_degree, P.weights)
+        top = operator_matrix(P, name, source, target).columns
     rows_top, s_cols = 0, []
     if row.constrained and p:
         T, S = relation_blocks(P, p, j)

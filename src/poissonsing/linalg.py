@@ -38,9 +38,9 @@ the engine maps between these four kinds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
 from .poly import Monomial, Poly, Scalar, WeightSystem, monomials_of_degree
@@ -80,16 +80,20 @@ class GradedBasis:
     weights: WeightSystem
     component_degrees: tuple[int, ...]
     monomials: tuple[tuple[Monomial, ...], ...]
-    _index: dict = field(compare=False, repr=False, default_factory=dict)
 
-    def __post_init__(self):
-        index: dict[tuple[int, Monomial], int] = {}
-        j = 0
-        for comp, monos in enumerate(self.monomials):
-            for m in monos:
-                index[(comp, m)] = j
-                j += 1
-        self._index.update(index)
+    @cached_property
+    def _index(self) -> dict[tuple[int, Monomial], int]:
+        """The position of each (component, monomial), built on first use:
+        only target bases and coords_of read it."""
+        keys = ((comp, m) for comp, monos in enumerate(self.monomials) for m in monos)
+        return {key: j for j, key in enumerate(keys)}
+
+    def without(self, pivots: int) -> "GradedBasis":
+        """This basis less its elements at the bits of pivots, in order: the
+        source of a matrix that fills only the other columns."""
+        bits = iter(bin(pivots)[:1:-1].ljust(self.dim, "0"))
+        monos = tuple(tuple(m for m in ms if next(bits) == "0") for ms in self.monomials)
+        return GradedBasis(self.kind, self.degree, self.weights, self.component_degrees, monos)
 
     @property
     def is_vector(self) -> bool:
@@ -292,9 +296,6 @@ class GradedOperatorMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.target.dim, self.source.dim)
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self.columns)
-
     def rank(self) -> int:
         if self._rank is None:
             self._rank = rank_of_columns(self.columns)
@@ -302,33 +303,6 @@ class GradedOperatorMatrix:
 
     def kernel_basis(self) -> list[Vector]:
         return kernel_of_columns(self.columns, self.target.dim)
-
-    def compose(self, inner: "GradedOperatorMatrix") -> "GradedOperatorMatrix":
-        """Matrix of self(op) after inner(op); inner.target must be self.source."""
-        if inner.target.dim != self.source.dim:
-            raise ValueError("composition shape mismatch")
-        cols: list[Vector] = []
-        for col in inner.columns:
-            acc: Vector = {}
-            for k, c in col.items():
-                for i, v in self.columns[k].items():
-                    s = acc.get(i, 0) + c * v
-                    if s:
-                        acc[i] = s
-                    else:
-                        acc.pop(i, None)
-            cols.append(acc)
-        return GradedOperatorMatrix(inner.source, self.target, cols)
-
-    def scaled(self, c: Scalar) -> "GradedOperatorMatrix":
-        return GradedOperatorMatrix(
-            self.source, self.target, [{k: v * c for k, v in col.items()} for col in self.columns]
-        )
-
-    def same_entries(self, other: "GradedOperatorMatrix") -> bool:
-        if self.shape != other.shape:
-            return False
-        return all(a == b for a, b in zip(self.columns, other.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +320,20 @@ class Symbol:
     """First-order symbol of a linear differential operator.
 
     terms[s] holds four term groups for source component s: the terms of
-    c_ast for the axes a = x, y, z, then those of c0_st.
+    c_ast for the axes a = x, y, z, then those of c0_st, each group sorted,
+    so that equal operators have equal symbols.
     """
 
     source_components: int
     target_components: int
     terms: tuple[tuple[tuple[SymbolTerm, ...], ...], ...]
+
+    def scaled(self, c: Scalar) -> "Symbol":
+        """The symbol of c times the operator."""
+        terms = tuple(
+            tuple(tuple((*t[:4], c * t[4]) for t in group) for group in s) for s in self.terms
+        )
+        return Symbol(self.source_components, self.target_components, terms)
 
 
 def symbol_of(op: Callable[[Cochain], Cochain], source_components: int) -> Symbol:
@@ -394,11 +376,11 @@ def symbol_of(op: Callable[[Cochain], Cochain], source_components: int) -> Symbo
                 if list(probe(q, s)) != expected:
                     raise ValueError("the operator is not of order at most one")
         terms.append(tuple(
-            tuple(
+            tuple(sorted(
                 (t, *(x - (axis == a) for axis, x in enumerate(m)), c)
                 for t, p in enumerate(coefficients)
                 for m, c in p.terms.items()
-            )
+            ))
             for a, coefficients in enumerate((*c1, c0))
         ))
     return Symbol(source_components, target_components, tuple(terms))  # type: ignore[arg-type]

@@ -15,9 +15,9 @@ socle.  Degree bound deg(phi) > max(w) is necessary for a singularity at the
 origin and is checked first.
 
 The ideal's degree-i piece is the image of the Koszul map D_1 (dot product
-with grad(phi)) from X^1 at degree i - deg(phi), the same cached matrix
-(operators.koszul_matrix) that the surface computations use as a relation
-block, so an accepted phi has these matrices built once.
+with grad(phi)) from X^1 at degree i - deg(phi).  The gate fills these
+columns from the symbol of D_1 and keeps no matrix, so a rejected phi leaves
+none in the operator caches.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Echelon
-from .operators import koszul_matrix
+from .linalg import Echelon, basis_of
+from .operators import operator_matrix
 from .poisson import PoissonStructure
 from .poly import Monomial, Poly, WeightSystem, weighted_degree
 
@@ -86,7 +86,8 @@ def _quotient_monomials(P: PoissonStructure, i: int) -> list[Monomial]:
     scan in the fixed (descending) monomial order: a monomial is kept iff it
     extends the echelon of that image plus the monomials already kept.
     """
-    jacobian = koszul_matrix(P, 1, i - P.degree)
+    source = basis_of("X1", i - P.degree, P.weights)
+    jacobian = operator_matrix(P, "koszul1", source, basis_of("X0", i, P.weights))
     ech = Echelon()
     for col in jacobian.columns:
         ech.insert(col)

@@ -1,14 +1,15 @@
-"""Cached exact matrices of the graded operators used by the engines.
+"""Exact matrices of the graded operators used by the engines.
 
-Everything here is a pure function of (structure, degree); results are
-memoized because ranks of the same graded operator are reused by cocycle
-counts, coboundary counts, Koszul exactness checks and the homology bridge.
-Every matrix maps between the pieces X^0..X^3 at derivation degrees; form
-spaces are the same pieces (form_basis: Omega^k at form degree i is X^{3-k}
-at derivation degree i - |w|).  The horizontal operators (the Koszul maps
-of grad(phi) and multiplication by phi) raise the degree by deg(phi), the
-coboundaries by deg(phi) - |w|, and the vertical de Rham operators preserve
-it.
+Everything here is a pure function of (structure, degree).  The matrices of
+phi, the Koszul maps and de Rham are memoized, as the relation table, the
+Koszul suite and the surface cochains read them again; those of the
+coboundaries and boundaries are not, as each rank stack fills the columns it
+reduces itself (complexes.stack_pivots).  Every matrix maps between the
+pieces X^0..X^3 at derivation degrees; form spaces are the same pieces
+(form_basis: Omega^k at form degree i is X^{3-k} at derivation degree
+i - |w|).  The horizontal operators (the Koszul maps of grad(phi) and
+multiplication by phi) raise the degree by deg(phi), the coboundaries by
+deg(phi) - |w|, and the vertical de Rham operators preserve it.
 
 Every operator here (the coboundaries, the boundaries, multiplication by phi,
 the Koszul maps and grad/curl/div) is a linear differential operator of
@@ -69,9 +70,10 @@ def operator_symbol(P: PoissonStructure | None, name: str, source_components: in
     return symbol_of(named_operator(P, name), source_components)
 
 
-def _matrix(
+def operator_matrix(
     P: PoissonStructure | None, name: str, src: GradedBasis, tgt: GradedBasis
 ) -> GradedOperatorMatrix:
+    """matrix_of the named operator's symbol from src into tgt."""
     return matrix_of(operator_symbol(P, name, len(src.monomials)), src, tgt)
 
 
@@ -81,7 +83,6 @@ def form_basis(P: PoissonStructure, k: int, i: int) -> GradedBasis:
     return basis_of("X%d" % (3 - k), i - P.weight_sum, P.weights)
 
 
-@lru_cache(maxsize=None)
 def delta_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
     """Matrix of delta^k from X^k at degree i into X^{k+1} at degree i+N."""
     if k not in (0, 1, 2):
@@ -89,17 +90,16 @@ def delta_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
     n = P.coboundary_degree
     src = basis_of("X%d" % k, i, P.weights)
     tgt = basis_of("X%d" % (k + 1), i + n, P.weights)
-    return _matrix(P, "delta%d" % k, src, tgt)
+    return operator_matrix(P, "delta%d" % k, src, tgt)
 
 
-@lru_cache(maxsize=None)
 def boundary_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
     """Matrix of the k-th boundary from Omega^k at form degree i, filled from
     P.boundary's own symbol (not from delta's)."""
     if k not in (1, 2, 3):
         raise ValueError("boundary matrices exist for k in 1..3")
     n = P.coboundary_degree
-    return _matrix(P, "boundary%d" % k, form_basis(P, k, i), form_basis(P, k - 1, i + n))
+    return operator_matrix(P, "boundary%d" % k, form_basis(P, k, i), form_basis(P, k - 1, i + n))
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +107,7 @@ def mult_phi_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix
     """Multiplication by phi from X^k at degree i to X^k at degree i+deg(phi)."""
     src = basis_of("X%d" % k, i, P.weights)
     tgt = basis_of("X%d" % k, i + P.degree, P.weights)
-    return _matrix(P, "phi", src, tgt)
+    return operator_matrix(P, "phi", src, tgt)
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +119,7 @@ def koszul_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
         raise ValueError("Koszul matrices exist for k in 1..3")
     src = basis_of("X%d" % k, i, P.weights)
     tgt = basis_of("X%d" % (k - 1), i + P.degree, P.weights)
-    return _matrix(P, "koszul%d" % k, src, tgt)
+    return operator_matrix(P, "koszul%d" % k, src, tgt)
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +129,7 @@ def de_rham_matrix(w: WeightSystem, k: int, i: int) -> GradedOperatorMatrix:
     if k not in (1, 2, 3):
         raise ValueError("de Rham matrices exist for k in 1..3")
     src, tgt = basis_of("X%d" % k, i, w), basis_of("X%d" % (k - 1), i, w)
-    return _matrix(None, "de_rham%d" % k, src, tgt)
+    return operator_matrix(None, "de_rham%d" % k, src, tgt)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,20 @@ def oracle_columns(op, source, target):
     return [target.coords_of(op(basis_element(source, j))) for j in range(source.dim)]
 
 
+def compose_columns(outer, inner):
+    """The columns of the matrix of outer after inner, as the product of
+    their sparse columns; zero entries dropped."""
+    assert inner.target.dim == outer.source.dim
+    composed = []
+    for col in inner.columns:
+        acc = {}
+        for k, c in col.items():
+            for i, v in outer.columns[k].items():
+                acc[i] = acc.get(i, 0) + c * v
+        composed.append({i: v for i, v in acc.items() if v})
+    return composed
+
+
 def identity_matrix(basis):
     return GradedOperatorMatrix(basis, basis, [{j: 1} for j in range(basis.dim)])
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 
 from poissonsing import (
+    PoissonStructure,
     WeightSystem,
     brute_force_dims,
     check_isolated,
@@ -15,7 +16,7 @@ from poissonsing.cohomology import FINITE, FREE
 from poissonsing.complexes import complex_dim
 from poissonsing.suites import run_suite
 
-from .conftest import structure
+from .conftest import compose_columns, planted, structure
 
 W111 = WeightSystem((1, 1, 1))
 
@@ -163,7 +164,7 @@ class TestStructuralChecks:
                 for i in range(-P.weight_sum, P.degree + 3):
                     inner = delta_matrix(P, k, i)
                     outer = delta_matrix(P, k + 1, i + n)
-                    assert outer.compose(inner).is_zero(), (str(P.phi), k, i)
+                    assert not any(compose_columns(outer, inner)), (str(P.phi), k, i)
 
     def test_bracket_class_detection(self, sphere, cubic):
         # the structure class is a coboundary exactly when deg(phi) != |w|
@@ -175,6 +176,19 @@ class TestStructuralChecks:
             vec = d1.target.coords_of(P.nabla_phi)
             in_image = rank_of_columns(list(d1.columns) + [vec]) == d1.rank()
             assert in_image is expected_exact
+
+    def test_a_delta2_that_misses_gradients_fails_on_a_probe(self):
+        # delta2 plus the first component: grad(x) = e_1 is no longer a
+        # 2-cocycle, and x is the second probe
+        def delta2(self, v):
+            return PoissonStructure.delta2(self, v) + v[0]
+
+        P = planted("x^3+y^3+z^3", (1, 1, 1), delta2=delta2)
+        results = run_suite(P, "koszul", (-3, 3))[0]
+        spanned = [r for r in results if r.name == "two_cocycles_are_gradients_plus_multiples"]
+        assert [(r.passed, r.cases, r.details) for r in spanned] == [
+            (False, 2, "a gradient is not a 2-cocycle at f=x")
+        ]
 
     def test_a_constrained_divergence_fails_rigidity(self, monkeypatch, cubic):
         # with the constraint g . grad(phi) = 0 dropped (a zero Koszul map on

@@ -20,8 +20,12 @@ from poissonsing import (
     surface_homology_description,
     surface_homology_dims,
 )
+from poissonsing import homology, operators
+from poissonsing.cohomology import default_window
 from poissonsing.homology import projection_commutes
-from poissonsing.operators import boundary_matrix
+from poissonsing.linalg import Symbol
+from poissonsing.operators import boundary_matrix, delta_matrix
+from poissonsing.suites import homology_suite, run_suite
 
 from .conftest import basis_element, boundary_plus, planted, structure
 
@@ -177,6 +181,45 @@ class TestDuality:
             co = brute_force_dims(cubic, 3 - k, (fw[0] - s, fw[1] - s))
             assert h.as_dict() == {i + s: n for i, n in co.dims}
 
+    def test_equal_symbols_decide_the_bridge_without_a_matrix(self, monkeypatch):
+        # a structure of its own, so no matrix of it is cached
+        P = planted("x^3+y^3+z^3", (1, 1, 1))
+        built = []
+        matrix_of = operators.matrix_of
+
+        def recording(*args):
+            built.append(args)
+            return matrix_of(*args)
+
+        monkeypatch.setattr(operators, "matrix_of", recording)
+        fw = default_form_window(P)
+        assert [first_bridge_failure(P, k, fw) for k in range(4)] == [None] * 4
+        assert built == []
+
+    def test_a_perturbed_boundary_symbol_fails_at_the_first_differing_degree(
+        self, monkeypatch, cubic
+    ):
+        # one derivative term of boundary_2 changed: the matrices agree at
+        # form degree 2, on the constants of Omega^2, and first differ at 3
+        symbol = operators.operator_symbol
+        d_terms = symbol(cubic, "boundary2", 3).terms
+        (t, o0, o1, o2, c), *rest = d_terms[0][0]
+        perturbed = Symbol(3, 3, ((((t, o0, o1, o2, c + 1), *rest), *d_terms[0][1:]), *d_terms[1:]))
+
+        def perturbing(P, name, components):
+            return perturbed if (P, name) == (cubic, "boundary2") else symbol(P, name, components)
+
+        for module in (operators, homology):
+            monkeypatch.setattr(module, "operator_symbol", perturbing)
+        lo, hi = fw = default_form_window(cubic)  # (0, 12)
+        differs = [
+            i for i in range(lo, hi + 1)
+            if boundary_matrix(cubic, 2, i).columns != delta_matrix(cubic, 1, i - 3).columns
+        ]
+        assert differs[0] == 3 and boundary_matrix(cubic, 2, 2).shape == (9, 3)
+        assert first_bridge_failure(cubic, 2, fw) == differs[0]
+        assert [first_bridge_failure(cubic, k, fw) for k in (1, 3)] == [None, None]
+
     def test_sphere_h3_pattern(self, sphere):
         M = check_isolated(sphere.phi, sphere.weights)
         dims = homology_dims(sphere, 3, (0, 11))
@@ -259,6 +302,23 @@ class TestSurfaceHomology:
         cases, text = projection_commutes(P)
         assert text == failure
         assert cases < 140
+
+    def test_a_planted_sign_error_fails_boundary_squared_on_a_probe(self, cubic, cubic_milnor):
+        # the first component of boundary_2 negated; the check reads only P,
+        # so the spaces are those of the true structure
+        def boundary(self, k, chain):
+            out = PoissonStructure.boundary(self, k, chain)
+            return VecPoly((-out[0], out[1], out[2])) if k == 2 else out
+
+        P = planted("x^3+y^3+z^3", (1, 1, 1), boundary=boundary)
+        window = default_window(cubic)
+        _, spaces = run_suite(cubic, "homology", window, cubic_milnor)
+        results = homology_suite(P, cubic_milnor, window, *spaces.values())
+        squared = [r for r in results if r.name == "boundary_squared_vanishes"]
+        # the fifth of the 40 probes, x*e_2, is the first that fails
+        assert [(r.passed, r.cases, r.details) for r in squared] == [
+            (False, 5, "boundary_1 o boundary_2 on v=(0, x, 0)")
+        ]
 
     def test_chain_space_models(self, cubic, cubic_milnor):
         from poissonsing.operators import form_basis, relation_rank

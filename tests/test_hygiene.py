@@ -255,9 +255,7 @@ UNBOUNDED_CACHES = {
     "complexes.stack_pivots",
     "linalg.basis_of",
     "milnor.check_isolated",
-    "operators.boundary_matrix",
     "operators.de_rham_matrix",
-    "operators.delta_matrix",
     "operators.koszul_matrix",
     "operators.mult_phi_matrix",
     "operators.operator_symbol",

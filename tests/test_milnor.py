@@ -12,7 +12,9 @@ from poissonsing import (
     parse_poly,
 )
 from poissonsing.linalg import Echelon
+from poissonsing.cli import main
 from poissonsing.milnor import socle_bound
+from poissonsing.operators import koszul_matrix
 
 from .conftest import jacobian_columns, jacobian_graded_dim
 
@@ -81,6 +83,14 @@ class TestGate:
         with pytest.raises(NotIsolated) as err:
             check_isolated(parse_poly("x^2"), WeightSystem((5, 6, 7)))
         assert err.value.witness_degree == 0
+
+    def test_a_rejected_verify_leaves_no_koszul_matrix(self, capsys):
+        # the gate fills its Jacobian columns from the symbol of D_1, so the
+        # rejection keeps none of them
+        before = koszul_matrix.cache_info().currsize
+        assert main(["verify", "--suite", "cohomology", "--phi", "x^2*y+z^3"]) == 3
+        assert "rejected by the gate" in capsys.readouterr().err
+        assert koszul_matrix.cache_info().currsize == before
 
     def test_weighted_catalog_entry(self):
         data = check_isolated(parse_poly("x^2+y^3+z^5"), WeightSystem((15, 10, 6)))

@@ -9,18 +9,26 @@ where N = deg(phi) - |w| is positive, so the step down lowers the degree.
 
 The engine reduces only the stack columns off its certified skip sets; every
 stack it ranks has the rank of the whole stack, and a structure whose
-certificate fails skips nothing and gets the dims of the whole stacks.
+certificate fails skips nothing and gets the dims of the whole stacks.  A
+stack fills only those columns of its differential and keeps none, so after
+a run the only matrices alive are those the operator caches hold.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from poissonsing import PoissonStructure, Poly, cohomology, complexes, grad, linalg, operators, suites
+from poissonsing import PoissonStructure, Poly, WeightSystem, cohomology, complexes, grad, linalg
+from poissonsing import operators, suites
+from poissonsing.cli import main
 from poissonsing.cohomology import default_window
 from poissonsing.complexes import complex_dim
 from poissonsing.homology import default_form_window, homology_dims, projection_commutes
-from poissonsing.linalg import Echelon, basis_of, offset_vector, pivots_of_columns, rank_of_columns
+from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector
+from poissonsing.linalg import pivots_of_columns, rank_of_columns
 from poissonsing.operators import (
     boundary_matrix,
     delta_matrix,
@@ -298,6 +306,63 @@ def test_skipped_stacks_keep_the_rank_of_the_whole_stack(monkeypatch, phi, weigh
         whole = [] if not 1 <= k <= 3 else [c for m in relation_blocks(P, k, i) for c in m.columns]
         assert operators.relation_pivots(P, k, i) == pivots_of_columns(whole), (k, i)
     assert any(phi_multiple_pivots(P, k, i - P.degree) for k, i in relations if 1 <= k <= 3)
+
+
+@pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
+def test_each_stack_fills_only_its_unskipped_top_columns(monkeypatch, phi, weights):
+    # the columns of d that each stack fills, counted where they are built;
+    # the memo is bypassed, and every entry it reads is held already
+    P = structure(phi, weights)
+    keys, _, _ = engine_run(monkeypatch, P)
+    built = []
+    matrix_of = operators.matrix_of
+
+    def counted(symbol, source, target):
+        m = matrix_of(symbol, source, target)
+        built.append((symbol, len(m.columns)))
+        return m
+
+    monkeypatch.setattr(operators, "matrix_of", counted)
+    for block, side, p, j in sorted(keys):
+        row = complexes.COMPLEXES[block, side]
+        name = "delta%d" % p if row.differential == "delta" else "boundary%d" % (3 - p)
+        d = operators.operator_symbol(P, name, 3 if p in (1, 2) else 1)
+        built.clear()
+        pivots = complexes.stack_pivots.__wrapped__(P, block, side, p, j)
+        filled = sum(n for symbol, n in built if symbol is d)
+        skip = complexes.skipped(P, block, side, p, j)
+        assert filled == basis_of("X%d" % p, j, P.weights).dim - skip.bit_count(), (p, j)
+        assert pivots.bit_count() == whole_stack_rank(P, block, side, p, j), (block, side, p, j)
+
+
+# Brieskorn-Pham inputs of the screening workload, and their weights
+SCREENED = [("x^2+y^2+z^3", "3,3,2"), ("x^2+y^3+z^4", "6,4,3"), ("x^3+y^3+z^4", "4,4,3"),
+            ("x^2+y^4+z^5", "10,5,4")]
+
+
+def test_verify_leaves_matrices_only_in_the_operator_caches(capsys):
+    # after verify on four inputs in one process, clearing the caches of
+    # operators frees every matrix of their weights: none is held elsewhere,
+    # and no coboundary or boundary matrix (which raises the X^p index) is
+    # held at all
+    for phi, weights in SCREENED:
+        assert main(["verify", "--suite", "cohomology", "--phi", phi, "--weights", weights]) == 0
+    capsys.readouterr()
+    weights = {WeightSystem(tuple(map(int, w.split(",")))) for _, w in SCREENED}
+    gc.collect()
+    live = [m for m in gc.get_objects()
+            if isinstance(m, GradedOperatorMatrix) and m.source.weights in weights]
+    assert live
+    assert all(m.target.kind <= m.source.kind for m in live)
+    refs = [weakref.ref(m) for m in live]
+    del live
+    for cached in vars(operators).values():
+        if getattr(cached, "__module__", None) == operators.__name__ and hasattr(
+            cached, "cache_clear"
+        ):
+            cached.cache_clear()
+    gc.collect()
+    assert [ref() for ref in refs if ref() is not None] == []
 
 
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
