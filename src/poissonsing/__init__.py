@@ -24,7 +24,6 @@ from .homology import (
     ambient_homology_description,
     default_form_window,
     duality_identity_holds,
-    first_bridge_failure,
     homology_dims,
     surface_homology_description,
     surface_homology_dims,
@@ -84,7 +83,6 @@ __all__ = [
     "divergence",
     "dot",
     "duality_identity_holds",
-    "first_bridge_failure",
     "euler_field",
     "grad",
     "homology_dims",

@@ -3,7 +3,7 @@
 Each computed (co)homology space, of A = F[x,y,z] (side "ambient") or of
 A/<phi> (side "surface"), is a subquotient of a complex of graded pieces of
 X^0..X^3.  Homology H_k at form degree i is indexed by p = 3-k at
-derivation degree j = i - |w| (operators.form_basis), so that delta^p and
+derivation degree j = i - |w| (Omega^k_i is X^{3-k}_j), so that delta^p and
 boundary_k both map X^p_j to X^{p+1}_{j+N}, with N = d - |w| and d = deg(phi).
 
 COMPLEXES has one row per (block, side).  It names the differential; says
@@ -14,8 +14,9 @@ halves of the entry relation_blocks(P, p+2, j+N-d) that make the target
 relations R_{p+1}: none on A, the phi half phi*X^{p+1} for surface
 cohomology, both (d(phi) ^ . + phi*.) for surface homology; and names the
 closed form and the engine that suites.space_family looks up at call time.
-Ambient homology is ambient cohomology re-indexed, as the boundary is the
-signed coboundary, so its engine never ranks its own row.
+Ambient homology is ambient cohomology re-indexed, licensed by the
+certificate boundary_equals_signed_coboundary, so its engine never ranks
+its own row.
 
 The cycle stack of X^p_j is [[T; d] | [S; 0] | [0; R]], ranked once by the
 one memo stack_pivots, which keeps the pivot set of its echelon (stack_rank
@@ -50,13 +51,14 @@ pivots, on the A-linearity of D_k alone.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
 from .linalg import GradedOperatorMatrix, basis_of, columns_off_pivots, offset_vector
 from .linalg import pivots_of_columns, subquotient_dim
-from .operators import named_operator, operator_matrix, phi_multiple_pivots
+from .operators import named_operator, operator_matrix, operator_symbol, phi_multiple_pivots
 from .operators import relation_blocks, relation_pivots, relation_rank
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
@@ -109,14 +111,26 @@ VECTOR_PROBES: tuple[VecPoly, ...] = tuple(
 )
 
 
+def first_failure(cases: Iterable, check: Callable) -> tuple[int, str]:
+    """(cases run, first failure or ""), running check on each case in order."""
+    count = 0
+    for count, case in enumerate(cases, 1):
+        bad = check(case)
+        if bad:
+            return count, bad
+    return count, ""
+
+
 @lru_cache(maxsize=None)
 def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
-    """(cases run, first failure or "") of a licensing identity family on
-    its probe set: the delta families as in suites.identities_suite; for
-    descent, on the probes of Omega^k = X^{3-k}, boundary_k(phi*c) =
-    phi*boundary_k(c), then on those of Omega^{k-1}, boundary_k(D_{4-k} eta)
-    = D_{5-k}(boundary_{k-1} eta) (boundary_0 = 0), k = 1..3: operators of
-    order at most one."""
+    """(cases run, first failure or "") of an identity family on its probe
+    set: the delta families as in suites.identities_suite; for descent, on
+    the probes of Omega^k = X^{3-k}, boundary_k(phi*c) = phi*boundary_k(c),
+    then on those of Omega^{k-1}, boundary_k(D_{4-k} eta) =
+    D_{5-k}(boundary_{k-1} eta) (boundary_0 = 0), k = 1..3; for duality,
+    boundary_k = (-1)^k * delta^{3-k}, k = 1..3, on the symbol term groups
+    read from the probes e_s and x_a*e_s of Omega^k.  All are operators of
+    order at most one; equal symbols give equal matrices in every degree."""
     probes = [(0, "f", f) for f in PROBES] + [(1, "v", v) for v in VECTOR_PROBES]
 
     def delta_squared(case):
@@ -149,18 +163,26 @@ def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
         return None
 
     omega = (PROBES, VECTOR_PROBES, VECTOR_PROBES, PROBES)  # Omega^k = X^{3-k}
+
+    def dual(case):  # probe omega[k][n*i + s]: e_s (term group 3), then x_a*e_s (a = i - 1)
+        k, n, s, i = case
+        a = (i - 1) % 4
+        signed = operator_symbol(P, "delta%d" % (3 - k), n).scaled((-1) ** k)
+        if operator_symbol(P, "boundary%d" % k, n).terms[s][a] == signed.terms[s][a]:
+            return None
+        return "boundary_%d != (-1)^%d * delta%d at c=%s" % (k, k, 3 - k, omega[k][n * i + s])
+
     descent = [("phi", k, c) for k in (1, 2, 3) for c in omega[k]]
     descent += [("D", k, c) for k in (1, 2, 3) for c in omega[k - 1]]
+    duality = [(k, n, s, i) for k, n in ((1, 3), (2, 3), (3, 1)) for s in range(n)
+               for i in range(4)]
     cases, check = {
         "coboundary_squared_vanishes": (probes, delta_squared),
         "casimir_multiplication_commutes": (probes, casimir_commutes),
         "quotient_boundary_well_defined": (descent, descends),
+        "boundary_equals_signed_coboundary": (duality, dual),
     }[family]
-    for count, case in enumerate(cases, 1):
-        bad = check(case)
-        if bad:
-            return count, bad
-    return len(cases), ""
+    return first_failure(cases, check)
 
 
 def _constraint_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:

@@ -1,12 +1,12 @@
 """Poisson homology of the ambient algebra and of the quotient surface.
 
 On A the chain spaces Omega^k identify with X^{3-k} (form degree = derivation
-degree + |w|) and the boundary is (-1)^k * delta^{3-k}, so the homology
-H_k at form degree i equals the cohomology H^{3-k} at derivation degree
-i - |w|; homology_dims re-indexes the cohomology engine accordingly, and
-first_bridge_failure checks the boundary/coboundary matrix identity on a
-window: the symbols of the two operators first, which decide every degree
-at once, and the entries of the two matrices only where those differ.
+degree + |w|), and the boundary, defined by the Koszul-Brylinski formula
+(PoissonStructure.boundary), is (-1)^k * delta^{3-k} there: an identity of
+operators of order at most one, which duality_identity_holds certifies
+once per structure on their symbols.  So the homology H_k at form degree i
+equals the cohomology H^{3-k} at derivation degree i - |w|, and
+homology_dims re-indexes the cohomology engine accordingly.
 
 On A/<phi> the form spaces are presented as quotients of A and A^3 by the
 relations generated by phi and by wedging with d(phi), the entries of the
@@ -37,8 +37,6 @@ from .cohomology import (
 )
 from .complexes import certificate
 from .milnor import MilnorData
-from .linalg import matrix_of
-from .operators import boundary_matrix, operator_symbol
 from .poisson import PoissonStructure
 from .vectorcalc import euler_field, grad
 
@@ -49,26 +47,11 @@ def default_form_window(P: PoissonStructure) -> Window:
     return (lo + s, hi + s)
 
 
-def duality_identity_holds(P: PoissonStructure, k: int, i: int) -> bool:
-    """boundary_k at form degree i equals (-1)^k * delta^{3-k} at derivation
-    degree i - |w|.  Both are matrix_of of a symbol on the same bases, so
-    equal symbols decide every degree; only when the symbols differ are the
-    two matrices built and compared entrywise."""
-    components = 3 if k in (1, 2) else 1
-    signed = operator_symbol(P, "delta%d" % (3 - k), components).scaled((-1) ** k)
-    if operator_symbol(P, "boundary%d" % k, components) == signed:
-        return True
-    b = boundary_matrix(P, k, i)
-    return b.columns == matrix_of(signed, b.source, b.target).columns
-
-
-def first_bridge_failure(P: PoissonStructure, k: int, window: Window) -> int | None:
-    """The first form degree of the window where boundary_k differs from the
-    signed coboundary, or None (boundary_0 is zero, so k = 0 has none)."""
-    if k == 0:
-        return None
-    lo, hi = window
-    return next((i for i in range(lo, hi + 1) if not duality_identity_holds(P, k, i)), None)
+def duality_identity_holds(P: PoissonStructure) -> tuple[int, str]:
+    """The duality certificate, (cases, first failing probe or ""):
+    boundary_k = (-1)^k * delta^{3-k} for k = 1..3 in every degree, as their
+    symbols agree (complexes.certificate)."""
+    return certificate(P, "boundary_equals_signed_coboundary")
 
 
 def homology_dims(P: PoissonStructure, k: int, window: Window) -> GradedDims:

@@ -30,7 +30,7 @@ Degree bookkeeping: X0..X3 are the only kinds of graded piece.  A vector
 (f1,f2,f3) of derivation degree i has component degrees i+w_j in X^1 and
 i+|w|-w_j in X^2, and X^3 at degree i is A at degree i+|w|.  The Kahler form
 spaces are not enumerated apart: Omega^k at form degree i is X^{3-k} at
-derivation degree i-|w| (operators.form_basis), the Jacobian ideal is the
+derivation degree i-|w| (same components), the Jacobian ideal is the
 image of X^1 under the dot product with grad(phi), and so every matrix of
 the engine maps between these four kinds.
 """

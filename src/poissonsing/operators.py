@@ -6,10 +6,10 @@ Koszul suite and the surface cochains read them again; those of the
 coboundaries and boundaries are not, as each rank stack fills the columns it
 reduces itself (complexes.stack_pivots).  Every matrix maps between the
 pieces X^0..X^3 at derivation degrees; form spaces are the same pieces
-(form_basis: Omega^k at form degree i is X^{3-k} at derivation degree
-i - |w|).  The horizontal operators (the Koszul maps of grad(phi) and
-multiplication by phi) raise the degree by deg(phi), the coboundaries by
-deg(phi) - |w|, and the vertical de Rham operators preserve it.
+(Omega^k at form degree i is X^{3-k} at derivation degree i - |w|).  The
+horizontal operators (the Koszul maps of grad(phi) and multiplication by
+phi) raise the degree by deg(phi), the coboundaries by deg(phi) - |w|, and
+the vertical de Rham operators preserve it.
 
 Every operator here (the coboundaries, the boundaries, multiplication by phi,
 the Koszul maps and grad/curl/div) is a linear differential operator of
@@ -77,12 +77,6 @@ def operator_matrix(
     return matrix_of(operator_symbol(P, name, len(src.monomials)), src, tgt)
 
 
-def form_basis(P: PoissonStructure, k: int, i: int) -> GradedBasis:
-    """The basis of Omega^k at form degree i: X^{3-k} at derivation degree
-    i - |w|, whose component layout it shares."""
-    return basis_of("X%d" % (3 - k), i - P.weight_sum, P.weights)
-
-
 def delta_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
     """Matrix of delta^k from X^k at degree i into X^{k+1} at degree i+N."""
     if k not in (0, 1, 2):
@@ -91,15 +85,6 @@ def delta_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
     src = basis_of("X%d" % k, i, P.weights)
     tgt = basis_of("X%d" % (k + 1), i + n, P.weights)
     return operator_matrix(P, "delta%d" % k, src, tgt)
-
-
-def boundary_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
-    """Matrix of the k-th boundary from Omega^k at form degree i, filled from
-    P.boundary's own symbol (not from delta's)."""
-    if k not in (1, 2, 3):
-        raise ValueError("boundary matrices exist for k in 1..3")
-    n = P.coboundary_degree
-    return operator_matrix(P, "boundary%d" % k, form_basis(P, k, i), form_basis(P, k - 1, i + n))
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,8 @@ in gate_section, and its Milnor data goes to the one run_suite call, which
 runs every suite and hands back the four space families it computed; the
 sixteen entries are built from those Space records, so each space is
 computed once per run, and the exit code is read from the suite results
-alone (each space's match and its boundary bridge are suite families).
+alone (each space's match is a suite family; first_mismatch names a space
+before a failed family, such as the boundary's duality certificate).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _describe(desc: ch.ModuleDescription) -> dict[str, Any]:
 
 
 def _space_entry(space: Space) -> dict[str, Any]:
-    entry = {
+    return {
         "description": _describe(space.description),
         "predicted": space.predicted.pairs(),
         "computed": space.computed.pairs(),
@@ -50,9 +51,6 @@ def _space_entry(space: Space) -> dict[str, Any]:
         "window": list(space.predicted.window),
         "grading": space.grading,
     }
-    if space.bridge_failure is not None:
-        entry["boundary_bridge"] = "failed at form degree %d" % space.bridge_failure
-    return entry
 
 
 def _conventions(P: PoissonStructure, seed: int) -> dict[str, Any]:
@@ -158,8 +156,6 @@ def first_mismatch(report: dict[str, Any]) -> str:
                 if entry["match"]:
                     continue
                 where = "%s/%s/%s" % (block_name, side, space)
-                if "boundary_bridge" in entry:
-                    return "%s: boundary bridge %s" % (where, entry["boundary_bridge"])
                 predicted, computed = (
                     ch.GradedDims(space, tuple(entry["window"]), tuple(map(tuple, entry[key])))
                     for key in ("predicted", "computed")

@@ -10,13 +10,14 @@ failed check carries its first counterexample in its details.  Identities of
 operators of order at most 2 take probes, not degrees:
 boundary_squared_vanishes has 40 cases (30 VECTOR_PROBES, then 10 PROBES),
 two_cocycles_are_gradients_plus_multiples 20 (PROBES through delta^2 o grad
-and delta^2(f*grad(phi))) and then one per window degree.
+and delta^2(f*grad(phi))) and then one per window degree, and
+boundary_equals_signed_coboundary 28 (complexes.certificate).
 
 The sixteen (co)homology spaces are Space records in four families of four
 (space_family).  run_suite computes each family its suites need once per
 call, hands it to them as an argument and returns it with the results, keyed
 (block, side); the report builds its sixteen entries from those families, so
-each space, each comparison and the boundary bridge check run once per run.
+each space and each comparison run once per run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import product
 
 from . import cohomology as ch
 from . import homology as hm
-from .complexes import COMPLEXES, PROBES, VECTOR_PROBES, certificate, stack_rank
+from .complexes import COMPLEXES, PROBES, VECTOR_PROBES, certificate, first_failure, stack_rank
 from .linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector, rank_of_columns
 from .milnor import MilnorData, check_isolated
 from .operators import de_rham_matrix, delta_matrix, koszul_matrix
@@ -51,22 +52,16 @@ class CheckResult:
         return "%s %-42s (%d cases)%s" % (status, self.name, self.cases, extra)
 
 
-def _first_failure(name: str, cases: Iterable, check: Callable) -> CheckResult:
-    """Run check on each case in order; the first case it returns a text for
-    fails the family, and the count is of the cases run so far."""
-    count = 0
-    for case in cases:
-        count += 1
-        bad = check(case)
-        if bad:
-            return CheckResult(name, False, count, bad)
-    return CheckResult(name, True, count, "")
-
-
 def _certified(name: str, evaluation: tuple[int, str]) -> CheckResult:
-    """The result of a family evaluated once per structure: (cases, failure)."""
+    """The result of a family from its (cases run, first failure or "")."""
     cases, failure = evaluation
     return CheckResult(name, not failure, cases, failure)
+
+
+def _first_failure(name: str, cases: Iterable, check: Callable) -> CheckResult:
+    """The family's cases run in order up to the first failure
+    (complexes.first_failure)."""
+    return _certified(name, first_failure(cases, check))
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +72,16 @@ def _certified(name: str, evaluation: tuple[int, str]) -> CheckResult:
 @dataclass(frozen=True)
 class Space:
     """One (co)homology space on one window: its closed form, the dims the
-    closed form predicts and the dims the ranks give.  For ambient homology,
-    bridge_failure is the first form degree where the boundary is not the
-    signed coboundary, or None."""
+    closed form predicts and the dims the ranks give."""
 
     description: ch.ModuleDescription
     predicted: ch.GradedDims
     computed: ch.GradedDims
     grading: str
-    bridge_failure: int | None = None
 
     @property
     def matches(self) -> bool:
-        return self.first_difference() is None and self.bridge_failure is None
+        return self.first_difference() is None
 
     def first_difference(self) -> int | None:
         return self.predicted.first_difference(self.computed)
@@ -126,13 +118,11 @@ def space_family(
     if block == "homology":
         s = P.weight_sum
         grading, degrees = "form", (window[0] + s, window[1] + s)
-    bridged = block == "homology" and side == "ambient"
     spaces = []
     for k in range(4):
         desc = describe(P, M, k)
-        bridge = hm.first_bridge_failure(P, k, degrees) if bridged else None
         spaces.append(
-            Space(desc, ch.predicted_dims(desc, degrees), compute(P, k, degrees), grading, bridge)
+            Space(desc, ch.predicted_dims(desc, degrees), compute(P, k, degrees), grading)
         )
     return tuple(spaces)
 
@@ -461,21 +451,13 @@ def homology_suite(
             return None
         return "boundary_%d o boundary_%d on %s=%s" % (k, k + 1, "v" if k == 1 else "f", c)
 
-    def bridge_holds(case):
-        k, i = case
-        return "k=%d, form degree %d" % case if ambient[k].bridge_failure == i else None
-
     results = [
         # an operator of order at most 2 on Omega^2 = X^1, then Omega^3 = X^0
         _first_failure(
             "boundary_squared_vanishes",
             [*((1, v) for v in VECTOR_PROBES), *((2, f) for f in PROBES)], squared_vanishes,
         ),
-        _first_failure(
-            "boundary_equals_signed_coboundary",
-            [(k, i) for k in (1, 2, 3) for i in degrees],
-            bridge_holds,
-        ),
+        _certified("boundary_equals_signed_coboundary", hm.duality_identity_holds(P)),
     ]
     results += _closed_form_results("ambient", "H_%d", ambient)
     results += _closed_form_results("surface", "H_%d", surface)

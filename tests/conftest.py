@@ -9,8 +9,8 @@ from poissonsing import (
     check_isolated,
     parse_poly,
 )
-from poissonsing.linalg import Echelon, GradedOperatorMatrix, rank_of_columns
-from poissonsing.operators import koszul_matrix
+from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, rank_of_columns
+from poissonsing.operators import koszul_matrix, operator_matrix
 
 # (phi, weights, expected Milnor number)
 CATALOG = [
@@ -64,6 +64,19 @@ def cubic():
 @pytest.fixture(scope="session")
 def cubic_milnor(cubic):
     return check_isolated(cubic.phi, cubic.weights)
+
+
+def form_basis(P, k, i):
+    """The basis of Omega^k at form degree i: X^{3-k} at derivation degree
+    i - |w|, whose component layout it shares."""
+    return basis_of("X%d" % (3 - k), i - P.weight_sum, P.weights)
+
+
+def boundary_matrix(P, k, i):
+    """Matrix of the k-th boundary from Omega^k at form degree i into
+    Omega^{k-1}, filled from P.boundary's own symbol (not from delta's)."""
+    target = form_basis(P, k - 1, i + P.coboundary_degree)
+    return operator_matrix(P, "boundary%d" % k, form_basis(P, k, i), target)
 
 
 def basis_element(basis, j):

@@ -15,6 +15,8 @@ fourteen exceptional unimodal ones.  The oracles need no rank:
 
 analyze must exit 0 on every form on its default windows, and the
 degenerate members of the two elliptic pencils must be rejected (exit 3).
+On every accepted form the boundary, defined by its own formula, has the
+symbol of the signed coboundary, so the duality certificate holds.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import json
 
 import pytest
 
-from poissonsing import check_isolated
+from poissonsing import check_isolated, duality_identity_holds
 from poissonsing.cli import main
+from poissonsing.operators import operator_symbol
 
 from .conftest import structure
 
@@ -117,6 +120,16 @@ def test_analyze_exits_zero_on_the_default_windows(capsys, name, phi, weights, m
     for k in (1, 2):
         computed = report["cohomology"]["surface"]["H%d" % k]["computed"]
         assert sum(n for _, n in computed) == (1 if elliptic else 0), k
+
+
+@pytest.mark.parametrize("name,phi,weights,mu,modality", ACCEPTED, ids=_ids(ACCEPTED))
+def test_the_boundary_has_the_symbol_of_the_signed_coboundary(name, phi, weights, mu, modality):
+    P = structure(phi, weights)
+    for k in (1, 2, 3):
+        n = 1 if k == 3 else 3
+        signed = operator_symbol(P, "delta%d" % (3 - k), n).scaled((-1) ** k)
+        assert operator_symbol(P, "boundary%d" % k, n) == signed, k
+    assert duality_identity_holds(P) == (28, "")
 
 
 @pytest.mark.parametrize("phi,weights", DEGENERATE, ids=[phi for phi, _ in DEGENERATE])

@@ -5,9 +5,12 @@ from collections import Counter
 
 import pytest
 
+from poissonsing import PoissonStructure, cli
 from poissonsing import cohomology as ch
 from poissonsing import homology as hm
 from poissonsing.cli import main
+
+from .conftest import planted
 
 # the top-level keys of every analyze report
 SCHEMA_KEYS = (
@@ -211,27 +214,31 @@ class TestAnalyzeCommand:
             "first mismatch: cohomology/ambient/H0 at degree 0: predicted 1, computed 7" in err
         )
 
-    def test_boundary_bridge_failure_is_a_mismatch(self, capsys, monkeypatch, sphere):
-        real = hm.duality_identity_holds
+    def test_a_boundary_of_the_other_sign_is_an_invariant_mismatch(self, capsys, monkeypatch):
+        # -boundary is still a differential that descends, with the same
+        # homology: every space matches, and only the duality certificate
+        # sees that it is not (-1)^k * delta^{3-k}
+        def boundary(self, k, chain):
+            return -PoissonStructure.boundary(self, k, chain)
 
-        def failing(P, k, i):
-            return not (k == 1 and i == 2) and real(P, k, i)
-
-        monkeypatch.setattr(hm, "duality_identity_holds", failing)
-        assert hm.first_bridge_failure(sphere, 1, (0, 7)) == 2
-        assert hm.first_bridge_failure(sphere, 2, (0, 7)) is None
+        monkeypatch.setattr(
+            cli, "PoissonStructure", lambda phi, w: planted(str(phi), w.weights, boundary=boundary)
+        )
         code, out, err = run(
             capsys, "analyze", "--phi", "x^2+y^2+z^2",
             "--max-degree", "4", "--cases", "10",
         )
         assert code == 4
         report = json.loads(out)
-        assert report["homology"]["ambient"]["H_1"]["boundary_bridge"] == "failed at form degree 2"
-        assert "boundary_bridge" not in report["homology"]["ambient"]["H_2"]
-        assert report["invariants_summary"]["boundary_equals_signed_coboundary"] == "fail"
-        assert (
-            "first mismatch: homology/ambient/H_1: boundary bridge failed at form degree 2" in err
+        assert all(
+            entry["match"]
+            for block in ("cohomology", "homology")
+            for side in report[block].values()
+            for entry in side.values()
         )
+        failed = [name for name, status in report["invariants_summary"].items() if status == "fail"]
+        assert failed == ["boundary_equals_signed_coboundary"]
+        assert "first mismatch: invariant boundary_equals_signed_coboundary" in err
 
     def test_window_may_be_a_list(self, sphere):
         from poissonsing.report import build_report
@@ -245,9 +252,10 @@ class TestAnalyzeCommand:
         code, _, _ = run(capsys, "analyze", "--phi", "x^3+y^3+z^3", "--cases", "5")
         assert code == 0
         # the default window holds 13 degrees; brute_force_dims runs four
-        # times directly and four times inside homology_dims
+        # times directly and four times inside homology_dims, and the
+        # duality certificate once per structure, for every degree
         assert calls == {
-            "duality_identity_holds": 3 * 13,
+            "duality_identity_holds": 1,
             "homology_dims": 4,
             "surface_homology_dims": 4,
             "surface_brute_force_dims": 4,

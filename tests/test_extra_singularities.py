@@ -18,7 +18,6 @@ from poissonsing import (
     closed_form,
     default_form_window,
     default_window,
-    first_bridge_failure,
     homology_dims,
     parse_poly,
     predicted_dims,
@@ -27,6 +26,7 @@ from poissonsing import (
     surface_homology_description,
     surface_homology_dims,
 )
+from poissonsing.homology import duality_identity_holds
 from poissonsing.suites import run_suite
 
 EXTRA = [
@@ -121,8 +121,8 @@ def test_homology_matches_for_extra_singularities(text, weights, mu):
     P = PoissonStructure(parse_poly(text), WeightSystem(weights))
     M = check_isolated(P.phi, P.weights)
     fw = default_form_window(P)
+    assert duality_identity_holds(P) == (28, "")
     for k in range(4):
-        assert first_bridge_failure(P, k, fw) is None, k
         assert homology_dims(P, k, fw).matches(
             predicted_dims(ambient_homology_description(P, M, k), fw)
         ), k

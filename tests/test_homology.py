@@ -13,21 +13,20 @@ from poissonsing import (
     check_isolated,
     default_form_window,
     duality_identity_holds,
-    first_bridge_failure,
     grad,
     homology_dims,
     predicted_dims,
     surface_homology_description,
     surface_homology_dims,
 )
-from poissonsing import homology, operators
+from poissonsing import complexes, operators
 from poissonsing.cohomology import default_window
 from poissonsing.homology import projection_commutes
 from poissonsing.linalg import Symbol
-from poissonsing.operators import boundary_matrix, delta_matrix
+from poissonsing.operators import delta_matrix
 from poissonsing.suites import homology_suite, run_suite
 
-from .conftest import basis_element, boundary_plus, planted, structure
+from .conftest import basis_element, boundary_matrix, boundary_plus, form_basis, planted, structure
 
 # ---------------------------------------------------------------------------
 # Independent oracle: the boundary on Kahler forms evaluated from its
@@ -165,24 +164,29 @@ class TestBoundaryAgainstFormulaOracle:
 
 class TestDuality:
     def test_identity_holds_on_windows(self, catalog_structures):
+        # one certificate for every degree; the matrices of a sample of
+        # window degrees agree with it
         for P, _ in catalog_structures[:4]:
+            assert duality_identity_holds(P) == (28, ""), str(P.phi)
             lo, hi = default_form_window(P)
             step = max(1, (hi - lo) // 8)
             for k in (1, 2, 3):
                 for i in range(lo, hi + 1, step):
-                    assert duality_identity_holds(P, k, i), (str(P.phi), k, i)
+                    delta = delta_matrix(P, 3 - k, i - P.weight_sum)
+                    signed = [{r: (-1) ** k * c for r, c in col.items()} for col in delta.columns]
+                    assert boundary_matrix(P, k, i).columns == signed, (str(P.phi), k, i)
 
     def test_homology_equals_shifted_cohomology(self, cubic, cubic_milnor):
         fw = default_form_window(cubic)
         s = cubic.weight_sum
+        assert duality_identity_holds(cubic) == (28, "")
         for k in range(4):
-            assert first_bridge_failure(cubic, k, fw) is None
             h = homology_dims(cubic, k, fw)
             co = brute_force_dims(cubic, 3 - k, (fw[0] - s, fw[1] - s))
             assert h.as_dict() == {i + s: n for i, n in co.dims}
 
     def test_equal_symbols_decide_the_bridge_without_a_matrix(self, monkeypatch):
-        # a structure of its own, so no matrix of it is cached
+        # a structure of its own, so no symbol or certificate of it is cached
         P = planted("x^3+y^3+z^3", (1, 1, 1))
         built = []
         matrix_of = operators.matrix_of
@@ -192,33 +196,47 @@ class TestDuality:
             return matrix_of(*args)
 
         monkeypatch.setattr(operators, "matrix_of", recording)
-        fw = default_form_window(P)
-        assert [first_bridge_failure(P, k, fw) for k in range(4)] == [None] * 4
+        assert duality_identity_holds(P) == (28, "")
         assert built == []
 
-    def test_a_perturbed_boundary_symbol_fails_at_the_first_differing_degree(
-        self, monkeypatch, cubic
-    ):
+    def test_a_perturbed_boundary_symbol_fails_at_the_first_differing_probe(self, monkeypatch):
         # one derivative term of boundary_2 changed: the matrices agree at
-        # form degree 2, on the constants of Omega^2, and first differ at 3
+        # form degree 2, on the constants of Omega^2, and first differ at 3;
+        # the certificate needs no degree and names the probe x*e_0
+        P = planted("x^3+y^3+z^3", (1, 1, 1))
         symbol = operators.operator_symbol
-        d_terms = symbol(cubic, "boundary2", 3).terms
+        d_terms = symbol(P, "boundary2", 3).terms
         (t, o0, o1, o2, c), *rest = d_terms[0][0]
         perturbed = Symbol(3, 3, ((((t, o0, o1, o2, c + 1), *rest), *d_terms[0][1:]), *d_terms[1:]))
 
-        def perturbing(P, name, components):
-            return perturbed if (P, name) == (cubic, "boundary2") else symbol(P, name, components)
+        def perturbing(Q, name, components):
+            return perturbed if (Q, name) == (P, "boundary2") else symbol(Q, name, components)
 
-        for module in (operators, homology):
+        for module in (operators, complexes):
             monkeypatch.setattr(module, "operator_symbol", perturbing)
-        lo, hi = fw = default_form_window(cubic)  # (0, 12)
+        lo, hi = default_form_window(P)  # (0, 12)
         differs = [
             i for i in range(lo, hi + 1)
-            if boundary_matrix(cubic, 2, i).columns != delta_matrix(cubic, 1, i - 3).columns
+            if boundary_matrix(P, 2, i).columns != delta_matrix(P, 1, i - 3).columns
         ]
-        assert differs[0] == 3 and boundary_matrix(cubic, 2, 2).shape == (9, 3)
-        assert first_bridge_failure(cubic, 2, fw) == differs[0]
-        assert [first_bridge_failure(cubic, k, fw) for k in (1, 3)] == [None, None]
+        assert differs[0] == 3 and boundary_matrix(P, 2, 2).shape == (9, 3)
+        # 12 probes of boundary_1 pass, then e_0 and x*e_0 of boundary_2
+        assert duality_identity_holds(P) == (14, "boundary_2 != (-1)^2 * delta1 at c=(x, 0, 0)")
+
+    def test_negated_bracket_differential_terms_fail_at_k_2_on_a_probe(self):
+        # the terms -f d{x_u, x_v} of boundary_2 negated: an error of order
+        # 0, seen on the first probe of Omega^2, e_0
+        def boundary(self, k, chain):
+            out = PoissonStructure.boundary(self, k, chain)
+            if k != 2:
+                return out
+            xs = [Poly.variable(a) for a in range(3)]
+            for a, f in enumerate(chain):
+                out += grad(self.bracket(xs[(a + 1) % 3], xs[(a + 2) % 3])) * (f * 2)
+            return out
+
+        P = planted("x^3+y^3+z^3", (1, 1, 1), boundary=boundary)
+        assert duality_identity_holds(P) == (13, "boundary_2 != (-1)^2 * delta1 at c=(1, 0, 0)")
 
     def test_sphere_h3_pattern(self, sphere):
         M = check_isolated(sphere.phi, sphere.weights)
@@ -321,7 +339,7 @@ class TestSurfaceHomology:
         ]
 
     def test_chain_space_models(self, cubic, cubic_milnor):
-        from poissonsing.operators import form_basis, relation_rank
+        from poissonsing.operators import relation_rank
 
         def quotient_dim(k, i):
             # Omega^k = X^{3-k} modulo d(phi) ^ Omega^{k-1} + phi*Omega^k,

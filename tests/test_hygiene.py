@@ -1,6 +1,6 @@
 """Source hygiene that needs no linter: no unused import in src/ or tests/,
-no package export and no definition under src/ that only the tests use, and
-no sampling in src/.
+no package export and no definition under src/ that only the tests use, no
+sampling in src/, and no boundary defined through the coboundary.
 
 An imported name counts as used when it is read anywhere in its module,
 appears in a string annotation, or is listed in the module's __all__ (the
@@ -247,6 +247,42 @@ def test_random_scan_sees_every_import_form():
         "    from random import choice\n"
     )
     assert imports_of(source, "random") == [1, 2, 3, 9]
+
+
+COBOUNDARIES = {"delta", "delta0", "delta1", "delta2"}
+
+
+def names_in_method(source: str, cls: str, method: str) -> set[str]:
+    """The names and attributes a method of a top-level class reads."""
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.ClassDef) and statement.name == cls:
+            for node in statement.body:
+                if isinstance(node, ast.FunctionDef) and node.name == method:
+                    return {
+                        n.id if isinstance(n, ast.Name) else n.attr
+                        for n in ast.walk(node)
+                        if isinstance(n, (ast.Name, ast.Attribute))
+                    }
+    raise LookupError("%s.%s is not defined" % (cls, method))
+
+
+def test_the_boundary_is_not_defined_by_the_coboundary():
+    # boundary_equals_signed_coboundary compares the two operators; a
+    # boundary that reads delta would make it compare an operator with itself
+    source = (ROOT / "src" / "poissonsing" / "poisson.py").read_text()
+    read = names_in_method(source, "PoissonStructure", "boundary") & COBOUNDARIES
+    assert not read, "PoissonStructure.boundary reads %s" % ", ".join(sorted(read))
+
+
+def test_method_scan_sees_names_and_attributes():
+    source = (
+        "class P:\n"
+        "    def boundary(self, k, c):\n"
+        "        return -self.delta2(c) if k == 1 else delta(k, c)\n"
+        "    def other(self):\n"
+        "        return self.delta1\n"
+    )
+    assert names_in_method(source, "P", "boundary") & COBOUNDARIES == {"delta", "delta2"}
 
 
 # Every unbounded cache under src/, as "module.function".

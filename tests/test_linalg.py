@@ -20,13 +20,14 @@ from poissonsing import (
     symbol_of,
 )
 from poissonsing.linalg import Echelon, columns_off_pivots, kernel_of_columns, rank_of_columns
-from poissonsing.operators import delta_matrix, form_basis
+from poissonsing.operators import delta_matrix
 
 from .conftest import (
     basis_element,
     cokernel_representatives,
     compose_columns,
     entry,
+    form_basis,
     identity_matrix,
     image_basis,
     oracle_columns,

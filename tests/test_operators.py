@@ -25,7 +25,6 @@ from poissonsing import (
     symbol_of,
 )
 from poissonsing.operators import (
-    boundary_matrix,
     de_rham_matrix,
     delta_matrix,
     koszul_matrix,
@@ -35,7 +34,7 @@ from poissonsing.operators import (
     relation_rank,
 )
 
-from .conftest import echelon_of, oracle_columns, structure
+from .conftest import boundary_matrix, echelon_of, oracle_columns, structure
 
 
 def _window(window):

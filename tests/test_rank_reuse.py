@@ -30,16 +30,14 @@ from poissonsing.homology import default_form_window, homology_dims, projection_
 from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector
 from poissonsing.linalg import pivots_of_columns, rank_of_columns
 from poissonsing.operators import (
-    boundary_matrix,
     delta_matrix,
-    form_basis,
     koszul_matrix,
     mult_phi_matrix,
     phi_multiple_pivots,
     relation_blocks,
 )
 
-from .conftest import boundary_plus, planted, structure
+from .conftest import boundary_matrix, boundary_plus, form_basis, planted, structure
 
 REFERENCE_PHI = [
     ("x^3+y^3+z^3", (1, 1, 1)),
