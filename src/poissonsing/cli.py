@@ -1,7 +1,8 @@
 """Command-line interface: analyze | bracket | verify | milnor.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 rejected by the
-isolated-singularity gate, 4 verification mismatch or failed check.
+isolated-singularity gate, 4 verification mismatch or failed check, or a
+rank computation that contradicts itself (linalg.NegativeDimension).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import sys
 
 from . import cohomology as ch
+from .linalg import NegativeDimension
 from .milnor import NotIsolated, check_isolated
 from .poisson import PoissonStructure
 from .poly import (
@@ -176,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PolyParseError, NotHomogeneous, ValueError) as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
+    except NegativeDimension as exc:
+        print("first mismatch: %s" % exc, file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

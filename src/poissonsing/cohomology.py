@@ -145,7 +145,7 @@ def predicted_dims(desc: ModuleDescription, window: Window) -> GradedDims:
 def closed_form(P: PoissonStructure, M: MilnorData, k: int) -> ModuleDescription:
     """The module H^k of the ambient algebra, described by generators."""
     d, s = P.degree, P.weight_sum
-    space = "H%d_ambient" % k
+    space = space_name("cohomology", "ambient", k)
     gens: list[Generator] = []
     if k == 0:
         gens.append(Generator("1", Poly.one(), 0, FREE))
@@ -174,7 +174,7 @@ def closed_form(P: PoissonStructure, M: MilnorData, k: int) -> ModuleDescription
 def surface_closed_form(P: PoissonStructure, M: MilnorData, k: int) -> ModuleDescription:
     """The module H^k of the quotient algebra A/<phi>."""
     d, s = P.degree, P.weight_sum
-    space = "H%d_surface" % k
+    space = space_name("cohomology", "surface", k)
     gens: list[Generator] = []
     if k == 0:
         gens.append(Generator("1", Poly.one(), 0, FINITE))

@@ -6,17 +6,18 @@ X^0..X^3.  Homology H_k at form degree i is indexed by p = 3-k at
 derivation degree j = i - |w| (Omega^k_i is X^{3-k}_j), so that delta^p and
 boundary_k both map X^p_j to X^{p+1}_{j+N}, with N = d - |w| and d = deg(phi).
 
-COMPLEXES has one row per (block, side).  It names the differential; says
-whether a constraint T_p = D_p with allowed values S_p = phi*X^{p-1} (the
-entry relation_blocks(P, p, j)) applies, as it does only for surface
-cohomology, whose cochains are the v with D_p(v) in phi*X^{p-1}; names the
-halves of the entry relation_blocks(P, p+2, j+N-d) that make the target
-relations R_{p+1}: none on A, the phi half phi*X^{p+1} for surface
-cohomology, both (d(phi) ^ . + phi*.) for surface homology; and names the
-closed form and the engine that suites.space_family looks up at call time.
-Ambient homology is ambient cohomology re-indexed, licensed by the
-certificate boundary_equals_signed_coboundary, so its engine never ranks
-its own row.
+COMPLEXES has one row per (block, side), and a row holds only data: the
+name of the differential; whether a constraint T_p = D_p with allowed
+values S_p = phi*X^{p-1} (the entry relation_blocks(P, p, j)) applies, as
+it does only for surface cohomology, whose cochains are the v with D_p(v)
+in phi*X^{p-1}; the halves of the entry relation_blocks(P, p+2, j+N-d) that
+make the target relations R_{p+1}: none on A, the phi half phi*X^{p+1} for
+surface cohomology, both (d(phi) ^ . + phi*.) for surface homology; and the
+certificate that licenses its skipped columns.  The closed forms and
+engines are bound in suites.space_family, and every space is named by
+space_name.  Ambient homology is ambient cohomology re-indexed, licensed by
+the certificate boundary_equals_signed_coboundary, so its engine never
+ranks its own row, which stays as the unlicensed reference.
 
 The cycle stack of X^p_j is [[T; d] | [S; 0] | [0; R]], ranked once by the
 one memo stack_pivots, which keeps the pivot set of its echelon (stack_rank
@@ -58,8 +59,8 @@ from itertools import chain
 
 from .linalg import GradedOperatorMatrix, basis_of, columns_off_pivots, offset_vector
 from .linalg import pivots_of_columns, subquotient_dim
-from .operators import named_operator, operator_matrix, operator_symbol, phi_multiple_pivots
-from .operators import relation_blocks, relation_pivots, relation_rank
+from .operators import mult_phi_matrix, named_operator, operator_matrix, operator_symbol
+from .operators import phi_multiple_pivots, relation_blocks, relation_pivots, relation_rank
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
 from .vectorcalc import VecPoly
@@ -72,27 +73,26 @@ class Complex:
     differential: str
     constrained: bool
     relations: tuple[str, ...]
-    describe: str
-    compute: str
     licence: str | None
 
 
 COMPLEXES: dict[tuple[str, str], Complex] = {
-    ("cohomology", "ambient"): Complex(
-        "delta", False, (), "closed_form", "brute_force_dims", "coboundary_squared_vanishes"),
-    ("cohomology", "surface"): Complex(
-        "delta", True, ("phi",), "surface_closed_form", "surface_brute_force_dims",
-        "casimir_multiplication_commutes"),
-    ("homology", "ambient"):
-        Complex("boundary", False, (), "ambient_homology_description", "homology_dims", None),
-    ("homology", "surface"): Complex(
-        "boundary", False, ("koszul", "phi"), "surface_homology_description",
-        "surface_homology_dims", "quotient_boundary_well_defined"),
+    ("cohomology", "ambient"): Complex("delta", False, (), "coboundary_squared_vanishes"),
+    ("cohomology", "surface"): Complex("delta", True, ("phi",), "casimir_multiplication_commutes"),
+    ("homology", "ambient"): Complex("boundary", False, (), None),
+    ("homology", "surface"):
+        Complex("boundary", False, ("koszul", "phi"), "quotient_boundary_well_defined"),
 }
 
 
+def space_label(block: str, k: int) -> str:
+    """H^k as "H<k>" (block "cohomology"), H_k as "H_<k>" ("homology")."""
+    return ("H%d" if block == "cohomology" else "H_%d") % k
+
+
 def space_name(block: str, side: str, k: int) -> str:
-    return ("H%d_%s" if block == "cohomology" else "H_%d_%s") % (k, side)
+    """The name of one of the sixteen spaces, as "<label>_<side>"."""
+    return "%s_%s" % (space_label(block, k), side)
 
 
 def cochain_dim(P: PoissonStructure, p: int, j: int) -> int:
@@ -193,10 +193,10 @@ def target_relations(
     P: PoissonStructure, row: Complex, p: int, j: int
 ) -> list[GradedOperatorMatrix]:
     """The blocks of R_{p+1}; only the halves the row names are built."""
-    if not row.relations:
-        return []
     k, i = p + 2, j + P.coboundary_degree - P.degree
-    return [m for m in relation_blocks(P, k, i, "koszul" in row.relations) if m]
+    if "koszul" in row.relations:
+        return [m for m in relation_blocks(P, k, i) if m]
+    return [mult_phi_matrix(P, k - 1, i)] if row.relations else []
 
 
 def _target_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:

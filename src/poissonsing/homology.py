@@ -23,19 +23,9 @@ the gradients of u_1, ..., u_{mu-1}.
 
 from __future__ import annotations
 
-from .cohomology import (
-    FINITE,
-    GradedDims,
-    Generator,
-    ModuleDescription,
-    Window,
-    brute_force_dims,
-    closed_form,
-    complex_dims,
-    default_window,
-    _dims_from_map,
-)
-from .complexes import certificate
+from .cohomology import FINITE, GradedDims, Generator, ModuleDescription, Window, _dims_from_map
+from .cohomology import brute_force_dims, closed_form, complex_dims, default_window
+from .complexes import certificate, space_name
 from .milnor import MilnorData
 from .poisson import PoissonStructure
 from .vectorcalc import euler_field, grad
@@ -60,7 +50,7 @@ def homology_dims(P: PoissonStructure, k: int, window: Window) -> GradedDims:
     s = P.weight_sum
     co = brute_force_dims(P, 3 - k, (lo - s, hi - s))
     dims = {i + s: n for i, n in co.dims}
-    return _dims_from_map("H_%d_ambient" % k, window, dims)
+    return _dims_from_map(space_name("homology", "ambient", k), window, dims)
 
 
 def ambient_homology_description(
@@ -69,11 +59,9 @@ def ambient_homology_description(
     """Closed form of H_k of A: the H^{3-k} module re-graded by +|w|."""
     co = closed_form(P, M, 3 - k)
     s = P.weight_sum
-    gens = tuple(
-        Generator(g.label, g.representative, g.degree + s, g.kind)
-        for g in co.generators
-    )
-    return ModuleDescription("H_%d_ambient" % k, co.coefficient_ring, co.cas_period, gens)
+    gens = tuple(Generator(g.label, g.representative, g.degree + s, g.kind) for g in co.generators)
+    name = space_name("homology", "ambient", k)
+    return ModuleDescription(name, co.coefficient_ring, co.cas_period, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +91,7 @@ def surface_homology_description(
             gens.append(Generator("u%d" % j, u, deg_u + s, FINITE))
     else:
         raise ValueError("k must be in 0..3")
-    return ModuleDescription("H_%d_surface" % k, "F", None, tuple(gens))
+    return ModuleDescription(space_name("homology", "surface", k), "F", None, tuple(gens))
 
 
 def surface_homology_dims(P: PoissonStructure, k: int, window: Window) -> GradedDims:

@@ -56,6 +56,11 @@ class DegreeMismatch(ValueError):
     """An operator output fell outside the target graded piece."""
 
 
+class NegativeDimension(RuntimeError):
+    """A subquotient of negative dimension: the ranks that gave it are wrong,
+    as when a structure's boundary is not a differential."""
+
+
 def component_degrees(kind: str, i: int, w: WeightSystem) -> tuple[int, ...]:
     """Polynomial degrees of the components of the graded piece kind_i."""
     w1, w2, w3 = w.weights
@@ -301,9 +306,6 @@ class GradedOperatorMatrix:
             self._rank = rank_of_columns(self.columns)
         return self._rank
 
-    def kernel_basis(self) -> list[Vector]:
-        return kernel_of_columns(self.columns, self.target.dim)
-
 
 # ---------------------------------------------------------------------------
 # First-order symbols
@@ -452,11 +454,11 @@ def subquotient_dim(
     whole stack and constraint that of its top rows.  The ends of a complex
     are zero spaces, whose ranks the callers' rank helpers return, so every
     degree takes this one formula.  A negative result is a rank error; the
-    RuntimeError names the space, the degree and the five numbers.
+    NegativeDimension names the space, the degree and the five numbers.
     """
     dim = n - cycles + relations - (boundaries - constraint)
     if dim < 0:
-        raise RuntimeError(
+        raise NegativeDimension(
             "negative dimension %d of %s at degree %d: n %d - cycles %d + relations %d "
             "- (boundaries %d - constraint %d)"
             % (dim, space, i, n, cycles, relations, boundaries, constraint)

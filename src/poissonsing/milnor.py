@@ -84,7 +84,8 @@ def _quotient_monomials(P: PoissonStructure, i: int) -> list[Monomial]:
     The ideal's degree-i piece is the image of (a,b,c) -> a*phi_x + b*phi_y
     + c*phi_z, the Koszul map D_1 from X^1 at degree i - deg(phi).  Greedy
     scan in the fixed (descending) monomial order: a monomial is kept iff it
-    extends the echelon of that image plus the monomials already kept.
+    extends the echelon of that image plus the monomials already kept, so
+    each is inserted once (an insert that does not extend it changes nothing).
     """
     source = basis_of("X1", i - P.degree, P.weights)
     jacobian = operator_matrix(P, "koszul1", source, basis_of("X0", i, P.weights))
@@ -93,10 +94,8 @@ def _quotient_monomials(P: PoissonStructure, i: int) -> list[Monomial]:
         ech.insert(col)
     kept: list[Monomial] = []
     for j, m in enumerate(jacobian.target.monomials[0]):
-        e_j = {j: 1}
-        if not ech.contains(e_j):
+        if ech.insert({j: 1}):
             kept.append(m)
-            ech.insert(e_j)
     return kept
 
 

@@ -123,11 +123,12 @@ def de_rham_matrix(w: WeightSystem, k: int, i: int) -> GradedOperatorMatrix:
 
 
 def relation_blocks(
-    P: PoissonStructure, k: int, i: int, koszul: bool = True
+    P: PoissonStructure, k: int, i: int
 ) -> tuple[GradedOperatorMatrix | None, GradedOperatorMatrix]:
     """(D_k, phi on X^{k-1}) from degree i into X^{k-1} at degree i+deg(phi),
-    for k in 1..4; D_k is None for k = 4, as X^4 is zero, and is not built
-    when koszul is False.
+    for k in 1..4; D_k is None for k = 4, as X^4 is zero.  Both are cached
+    (koszul_matrix, mult_phi_matrix), so a reader of the phi half alone
+    takes mult_phi_matrix(P, k-1, i).
 
     Their columns, in order, span the constraint of the surface cochains of
     X^k (v with D_k(v) in phi*X^{k-1}) and the relations d(phi) ^
@@ -137,7 +138,7 @@ def relation_blocks(
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("relation blocks exist for k in 1..4")
-    return (koszul_matrix(P, k, i) if koszul and k < 4 else None), mult_phi_matrix(P, k - 1, i)
+    return (koszul_matrix(P, k, i) if k < 4 else None), mult_phi_matrix(P, k - 1, i)
 
 
 def relation_rank(P: PoissonStructure, k: int, i: int) -> int:

@@ -96,16 +96,11 @@ class PoissonStructure:
         return -dot(self.nabla_phi, curl(v))
 
     def delta(self, k: int, cochain):
-        """delta^k; k=3 is the zero map to the (trivial) space of 4-derivations."""
-        if k == 0:
-            return self.delta0(cochain)
-        if k == 1:
-            return self.delta1(cochain)
-        if k == 2:
-            return self.delta2(cochain)
-        if k == 3:
-            return Poly.zero()
-        raise ValueError("k must be in 0..3")
+        """delta^k for k in 0..2; delta^3 maps into the zero space X^4, and no
+        reader needs it, so k = 3 is refused like any other k."""
+        if k not in (0, 1, 2):
+            raise ValueError("k must be in 0..2")
+        return (self.delta0, self.delta1, self.delta2)[k](cochain)
 
     # -- homology boundary ----------------------------------------------------
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any
 
 from . import cohomology as ch
+from .complexes import space_label
 from .milnor import MilnorData, NotIsolated, check_isolated
 from .poisson import PoissonStructure
 from .poly import Poly
@@ -135,9 +136,12 @@ def build_report(
 
     report["milnor"] = milnor_section(P, milnor)
     results, spaces = run_suite(P, "all", window, milnor)
-    for block, label in (("cohomology", "H%d"), ("homology", "H_%d")):
+    for block in ("cohomology", "homology"):
         report[block] = {
-            side: {label % k: _space_entry(space) for k, space in enumerate(spaces[block, side])}
+            side: {
+                space_label(block, k): _space_entry(space)
+                for k, space in enumerate(spaces[block, side])
+            }
             for side in ("ambient", "surface")
         }
     report["invariants_summary"] = {r.name: "pass" if r.passed else "fail" for r in results}
@@ -189,7 +193,7 @@ def render_text(report: dict[str, Any]) -> str:
     )
     lines.append("quotient basis: " + ", ".join(
         "%s (deg %d)" % (b["monomial"], b["degree"]) for b in m["basis"]))
-    for block_name, label in (("cohomology", "H^"), ("homology", "H_")):
+    for block_name in ("cohomology", "homology"):
         for side in ("ambient", "surface"):
             for space, entry in report[block_name][side].items():
                 flag = "ok " if entry["match"] else "MISMATCH"

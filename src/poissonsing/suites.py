@@ -28,8 +28,9 @@ from itertools import product
 
 from . import cohomology as ch
 from . import homology as hm
-from .complexes import COMPLEXES, PROBES, VECTOR_PROBES, certificate, first_failure, stack_rank
-from .linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector, rank_of_columns
+from .complexes import PROBES, VECTOR_PROBES, certificate, first_failure, space_label, stack_rank
+from .linalg import Echelon, GradedOperatorMatrix, basis_of, kernel_of_columns, offset_vector
+from .linalg import rank_of_columns
 from .milnor import MilnorData, check_isolated
 from .operators import de_rham_matrix, delta_matrix, koszul_matrix
 from .poisson import PoissonStructure
@@ -107,13 +108,17 @@ def space_family(
     (side "ambient") or of A/<phi> (side "surface") on a derivation window.
 
     Homology is graded by form degree, on the window shifted by |w|.  The
-    closed form and the engine are the ones the (block, side) row of
-    complexes.COMPLEXES names, looked up on their module at call time, so a
-    wrapped or patched engine is the one that runs.
+    table of each family's closed form and engine is built at each call
+    from the attributes of cohomology and homology, so a wrapped or patched
+    one is the one that runs (a table built at import would keep the
+    functions it first saw).
     """
-    row = COMPLEXES[block, side]
-    module = ch if block == "cohomology" else hm
-    describe, compute = getattr(module, row.describe), getattr(module, row.compute)
+    describe, compute = {
+        ("cohomology", "ambient"): (ch.closed_form, ch.brute_force_dims),
+        ("cohomology", "surface"): (ch.surface_closed_form, ch.surface_brute_force_dims),
+        ("homology", "ambient"): (hm.ambient_homology_description, hm.homology_dims),
+        ("homology", "surface"): (hm.surface_homology_description, hm.surface_homology_dims),
+    }[block, side]
     grading, degrees = "derivation", window
     if block == "homology":
         s = P.weight_sum
@@ -237,15 +242,11 @@ def _second_part_witness(P: PoissonStructure, i: int) -> str:
     image = Echelon()
     for col in koszul_matrix(P, 2, i - P.degree).columns:
         image.insert(col)
-    for vec in dotm.kernel_basis():
+    for vec in kernel_of_columns(dotm.columns, dotm.target.dim):
         if not image.contains(vec):
             witness = dotm.source.element_from_coords(vec)
             check = dot(witness, P.nabla_phi)  # type: ignore[arg-type]
-            return "witness %s at degree %d, dot with grad(phi) = %s" % (
-                witness,
-                i,
-                check,
-            )
+            return "witness %s at degree %d, dot with grad(phi) = %s" % (witness, i, check)
     return "exactness defect at degree %d" % i
 
 
@@ -336,15 +337,16 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_results(side: str, label: str, spaces: tuple[Space, ...]) -> list[CheckResult]:
-    """One '<side>_<label>_matches_closed_form' result per space, detailing
-    the first degree where the predicted and computed dims differ."""
+def _closed_form_results(block: str, side: str, spaces: tuple[Space, ...]) -> list[CheckResult]:
+    """One '<side>_<label>_matches_closed_form' result per space (label
+    complexes.space_label), detailing the first degree where the predicted
+    and computed dims differ."""
     results = []
     for k, space in enumerate(spaces):
         lo, hi = space.predicted.window
-        text = space.difference()
-        name = "%s_%s_matches_closed_form" % (side, label % k)
-        results.append(CheckResult(name, not text, hi - lo + 1, text and "%s %s" % (label % k, text)))
+        text, label = space.difference(), space_label(block, k)
+        name = "%s_%s_matches_closed_form" % (side, label)
+        results.append(CheckResult(name, not text, hi - lo + 1, text and "%s %s" % (label, text)))
     return results
 
 
@@ -353,7 +355,7 @@ def cohomology_suite(
 ) -> list[CheckResult]:
     lo, hi = window
     d, s = P.degree, P.weight_sum
-    results = _closed_form_results("ambient", "H%d", spaces)
+    results = _closed_form_results("cohomology", "ambient", spaces)
 
     def casimir_bound(i):
         cocycles = basis_of("X0", i, P.weights).dim - stack_rank(P, "cohomology", "ambient", 0, i)
@@ -424,7 +426,7 @@ def surface_suite(
     P: PoissonStructure, window: ch.Window, spaces: tuple[Space, ...]
 ) -> list[CheckResult]:
     lo, hi = window
-    results = _closed_form_results("surface", "H%d", spaces)
+    results = _closed_form_results("cohomology", "surface", spaces)
 
     def top_vanishes(i):
         if ch.surface_cochain_dim(P, 3, i) != 0:
@@ -459,8 +461,8 @@ def homology_suite(
         ),
         _certified("boundary_equals_signed_coboundary", hm.duality_identity_holds(P)),
     ]
-    results += _closed_form_results("ambient", "H_%d", ambient)
-    results += _closed_form_results("surface", "H_%d", surface)
+    results += _closed_form_results("homology", "ambient", ambient)
+    results += _closed_form_results("homology", "surface", surface)
 
     milnor_dims = {i: n for i, n in M.graded_dims if i in degrees}
     ok = surface[0].computed.as_dict() == milnor_dims

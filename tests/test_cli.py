@@ -5,12 +5,13 @@ from collections import Counter
 
 import pytest
 
-from poissonsing import PoissonStructure, cli
+from poissonsing import PoissonStructure, VecPoly, check_isolated, cli
 from poissonsing import cohomology as ch
 from poissonsing import homology as hm
 from poissonsing.cli import main
+from poissonsing.suites import space_family
 
-from .conftest import planted
+from .conftest import boundary_plus, planted, structure
 
 # the top-level keys of every analyze report
 SCHEMA_KEYS = (
@@ -380,3 +381,57 @@ class TestMilnorCommand:
     def test_rejection_exit_code(self, capsys):
         code, _, err = run(capsys, "milnor", "--phi", "x*y*z")
         assert code == 3 and "witness degree 4" in err
+
+
+# The closed form and the engine of each (block, side) family, by module
+# and attribute name: space_family must run whatever is bound there now.
+FAMILIES = {
+    ("cohomology", "ambient"): (ch, "closed_form", "brute_force_dims"),
+    ("cohomology", "surface"): (ch, "surface_closed_form", "surface_brute_force_dims"),
+    ("homology", "ambient"): (hm, "ambient_homology_description", "homology_dims"),
+    ("homology", "surface"): (hm, "surface_homology_description", "surface_homology_dims"),
+}
+
+
+@pytest.mark.parametrize("block,side", list(FAMILIES), ids=["/".join(key) for key in FAMILIES])
+def test_space_family_runs_the_closed_form_and_engine_bound_now(monkeypatch, sphere, block, side):
+    module, describe, compute = FAMILIES[block, side]
+    milnor = check_isolated(sphere.phi, sphere.weights)
+    before = space_family(sphere, milnor, (0, 3), block, side)
+    monkeypatch.setattr(
+        module, describe, lambda P, M, k: ch.ModuleDescription("closed_%d" % k, "F", None, ())
+    )
+    monkeypatch.setattr(
+        module, compute, lambda P, k, window: ch.GradedDims("engine_%d" % k, window, ())
+    )
+    after = space_family(sphere, milnor, (0, 3), block, side)
+    assert [s.description.space for s in after] == ["closed_%d" % k for k in range(4)]
+    assert [s.computed.space for s in after] == ["engine_%d" % k for k in range(4)]
+    assert [s.computed.window for s in after] == [s.computed.window for s in before]
+    assert all(s.computed.dims == () for s in after)
+    assert any(s.computed.dims for s in before)
+
+
+CUBIC_BRACKETS = structure("x^3+y^3+z^3", (1, 1, 1)).d_brackets
+
+
+def twice_the_bracket_terms(chain):
+    """2 * sum_a d{x_u, x_v} * f_a on x^3+y^3+z^3: added to boundary_2, it
+    negates the -f d{x_u, x_v} terms, so boundary_1 o boundary_2 != 0."""
+    terms = sum((d * f for d, f in zip(CUBIC_BRACKETS, chain)), VecPoly.zero())
+    return terms + terms
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["verify", "--suite", "homology"]],
+                         ids=["analyze", "verify"])
+def test_a_negative_dimension_is_a_mismatch_not_a_traceback(capsys, monkeypatch, command):
+    boundary = boundary_plus(2, twice_the_bracket_terms)
+    monkeypatch.setattr(
+        cli, "PoissonStructure", lambda phi, w: planted(str(phi), w.weights, boundary=boundary)
+    )
+    code, out, err = run(capsys, *command, "--phi", "x^3+y^3+z^3", "--max-degree", "2")
+    assert (code, out) == (4, "")
+    assert err == (
+        "first mismatch: negative dimension -6 of H_1_surface at degree 5: n 45 - cycles 21 "
+        "+ relations 6 - (boundaries 36 - constraint 0)\n"
+    )

@@ -360,17 +360,3 @@ def test_cache_scan_sees_every_unbounded_form():
     )
     assert unbounded_caches(source) == [(4, "a"), (6, "b"), (8, "c"), (10, "d"), (18, "g")]
 
-
-def test_every_engine_name_of_the_table_resolves():
-    # suites.space_family looks these names up at run time, so the scans
-    # above cannot see them; a rename must fail here, not in a run
-    from poissonsing import cohomology, homology
-    from poissonsing.complexes import COMPLEXES
-
-    missing = [
-        "%s/%s: %s" % (block, side, name)
-        for (block, side), row in COMPLEXES.items()
-        for name in (row.describe, row.compute)
-        if not callable(getattr(cohomology if block == "cohomology" else homology, name, None))
-    ]
-    assert not missing, "names in COMPLEXES that resolve to no callable: %s" % ", ".join(missing)

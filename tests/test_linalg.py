@@ -112,14 +112,14 @@ class TestMatrices:
         m = matrix_of(symbol_of(lambda v: v, 3), b, b)
         assert m.shape == (b.dim, b.dim) and m.columns == identity_matrix(b).columns
         assert m.rank() == b.dim
-        assert m.kernel_basis() == []
+        assert kernel_of_columns(m.columns, m.target.dim) == []
 
     def test_zero_matrix(self):
         src = basis_of("X0", 2, W111)
         tgt = basis_of("X0", 3, W111)
         m = matrix_of(symbol_of(lambda p: Poly.zero(), 1), src, tgt)
         assert m.rank() == 0
-        assert len(m.kernel_basis()) == src.dim
+        assert len(kernel_of_columns(m.columns, m.target.dim)) == src.dim
 
     def test_multiplication_by_phi_column(self):
         phi = parse_poly("x^2+y^2+z^2")
@@ -359,7 +359,7 @@ class TestInPlaceReduction:
             ech.insert(col)
             ech.contains(col)
             ech.insert_int(col)
-        m.kernel_basis()
+        kernel_of_columns(m.columns, m.target.dim)
         rank_of_columns(m.columns)
         assert m.columns == snapshot
         assert delta_matrix(cubic, 1, 2).columns == snapshot

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -11,10 +12,11 @@ from poissonsing import (
     check_isolated,
     parse_poly,
 )
-from poissonsing.linalg import Echelon
+from poissonsing import milnor
+from poissonsing.linalg import Echelon, basis_of
 from poissonsing.cli import main
 from poissonsing.milnor import socle_bound
-from poissonsing.operators import koszul_matrix
+from poissonsing.operators import koszul_matrix, operator_matrix
 
 from .conftest import jacobian_columns, jacobian_graded_dim
 
@@ -153,3 +155,42 @@ class TestBasis:
             for b in by_degree.get(i, []):
                 ech.insert(target.coords_of(Poly.monomial(b)))
             assert ech.rank == target.dim
+
+
+def quotient_monomials_by_membership(P, i):
+    """The gate's scan with a membership test before each insert: the same
+    monomials, two echelon calls for each one kept."""
+    source = basis_of("X1", i - P.degree, P.weights)
+    jacobian = operator_matrix(P, "koszul1", source, basis_of("X0", i, P.weights))
+    ech = Echelon()
+    for col in jacobian.columns:
+        ech.insert(col)
+    kept = []
+    for j, m in enumerate(jacobian.target.monomials[0]):
+        if not ech.contains({j: 1}):
+            kept.append(m)
+            ech.insert({j: 1})
+    return kept
+
+
+def test_the_gate_reduces_each_monomial_once(monkeypatch, catalog_structures):
+    for P, mu in catalog_structures:
+        calls: Counter = Counter()
+        with monkeypatch.context() as patch:
+            for name in ("insert", "insert_int", "contains"):
+                def counted(self, vec, name=name, real=getattr(Echelon, name)):
+                    calls[name] += 1
+                    return real(self, vec)
+
+                patch.setattr(Echelon, name, counted)
+            data = check_isolated.__wrapped__(P.phi, P.weights)
+        top = socle_bound(P.degree, P.weights) + P.weights.max_weight
+        scanned = sum(
+            basis_of("X1", i - P.degree, P.weights).dim + basis_of("X0", i, P.weights).dim
+            for i in range(top + 1)
+        )
+        assert calls == {"insert": scanned}, P
+        with monkeypatch.context() as patch:
+            patch.setattr(milnor, "_quotient_monomials", quotient_monomials_by_membership)
+            assert check_isolated.__wrapped__(P.phi, P.weights) == data, P
+        assert data.mu == mu

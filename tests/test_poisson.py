@@ -131,6 +131,12 @@ class TestCoboundaries:
             symbol = symbol_of(lambda c: cubic.delta(k, c), len(src.monomials))
             matrix_of(symbol, src, tgt)  # DegreeMismatch would raise
 
+    def test_invalid_k(self, sphere):
+        # delta^3 would map into X^4 = 0; nothing defines it
+        for k in (-1, 3):
+            with pytest.raises(ValueError):
+                sphere.delta(k, Poly.one())
+
 
 class TestBoundary:
     def test_invalid_k(self, sphere):
