@@ -223,6 +223,6 @@ def surface_cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
     X^0 has no constraint), modulo the quotient relations phi*X^k at degree
     i-d."""
     return subquotient_dim(
-        "X%d_surface" % k, i, cochain_dim(P, k, i), relation_rank(P, k, i),
+        lambda: "X%d_surface" % k, i, cochain_dim(P, k, i), relation_rank(P, k, i),
         cochain_dim(P, k - 1, i), cochain_dim(P, k, i - P.degree), 0,
     )

@@ -262,6 +262,7 @@ def complex_dim(P: PoissonStructure, block: str, side: str, k: int, i: int) -> i
     N = P.coboundary_degree
     relations = (cochain_dim(P, p - 1, j) if row.constrained else 0) + _target_rank(P, row, p, j)
     return subquotient_dim(
-        space_name(block, side, k), i, cochain_dim(P, p, j), stack_rank(P, block, side, p, j),
-        relations, stack_rank(P, block, side, p - 1, j - N), _constraint_rank(P, row, p - 1, j - N),
+        lambda: space_name(block, side, k), i, cochain_dim(P, p, j),
+        stack_rank(P, block, side, p, j), relations,
+        stack_rank(P, block, side, p - 1, j - N), _constraint_rank(P, row, p - 1, j - N),
     )

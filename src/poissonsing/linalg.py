@@ -28,11 +28,12 @@ polynomial is built per column.
 
 Degree bookkeeping: X0..X3 are the only kinds of graded piece.  A vector
 (f1,f2,f3) of derivation degree i has component degrees i+w_j in X^1 and
-i+|w|-w_j in X^2, and X^3 at degree i is A at degree i+|w|.  The Kahler form
-spaces are not enumerated apart: Omega^k at form degree i is X^{3-k} at
-derivation degree i-|w| (same components), the Jacobian ideal is the
-image of X^1 under the dot product with grad(phi), and so every matrix of
-the engine maps between these four kinds.
+i+|w|-w_j in X^2, and X^3 at degree i is A at degree i+|w|; each component is
+a piece A_d, held once per weight system: X1..X3 share the X0 basis's monomial
+tuple and position map.  The Kahler form spaces are not enumerated apart:
+Omega^k at form degree i is X^{3-k} at derivation degree i-|w| (same
+components), the Jacobian ideal is the image of X^1 under the dot product
+with grad(phi), and so every matrix of the engine maps between these four kinds.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def component_degrees(kind: str, i: int, w: WeightSystem) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Monomial basis of one graded piece of X^k (X^0 is A itself)."""
+    """Monomial basis of one graded piece of X^k (X^0 is A itself), on basis_of's X0 tuples."""
 
     kind: str
     degree: int
@@ -87,11 +88,19 @@ class GradedBasis:
     monomials: tuple[tuple[Monomial, ...], ...]
 
     @cached_property
-    def _index(self) -> dict[tuple[int, Monomial], int]:
-        """The position of each (component, monomial), built on first use:
-        only target bases and coords_of read it."""
-        keys = ((comp, m) for comp, monos in enumerate(self.monomials) for m in monos)
-        return {key: j for j, key in enumerate(keys)}
+    def _index(self) -> tuple[tuple[int, dict[Monomial, int]], ...]:
+        """(offset, position map) per component, built on first use (only target
+        bases and coords_of read it): element offset + j is the monomial at place
+        j of its component.  A component that is the cached X0 tuple shares that
+        piece's map; a filtered one (from without()) gets its own."""
+        index, offset = [], 0
+        for d, monos in zip(self.component_degrees, self.monomials):
+            piece = self if self.kind == "X0" else basis_of("X0", d, self.weights)
+            shared = piece is not self and monos is piece.monomials[0]
+            positions = piece._index[0][1] if shared else {m: j for j, m in enumerate(monos)}
+            index.append((offset, positions))
+            offset += len(monos)
+        return tuple(index)
 
     def without(self, pivots: int) -> "GradedBasis":
         """This basis less its elements at the bits of pivots, in order: the
@@ -124,25 +133,28 @@ class GradedBasis:
         if not isinstance(obj, expected):
             raise DegreeMismatch("expected a %s cochain for %s" % (shape, self.kind))
         vec: Vector = {}
-        for comp, p in enumerate(obj.components if self.is_vector else (obj,)):
+        parts = obj.components if self.is_vector else (obj,)
+        for comp, ((offset, positions), p) in enumerate(zip(self._index, parts)):
             for m, c in p.terms.items():
-                j = self._index.get((comp, m))
+                j = positions.get(m)
                 if j is None:
                     raise DegreeMismatch(
                         "monomial %s in component %d does not lie in %s at degree %d"
                         % (m, comp + 1, self.kind, self.degree)
                     )
-                vec[j] = c
+                vec[offset + j] = c
         return vec
 
 
 @lru_cache(maxsize=None)
 def basis_of(kind: str, i: int, w: WeightSystem) -> GradedBasis:
     """The ordered monomial basis of the graded piece kind_i, for the kinds
-    X0..X3; ValueError for any other kind."""
+    X0..X3; ValueError for any other kind.  Each component of X1..X3 is the
+    monomial tuple of the cached X0 piece of its degree: one copy of each A_d."""
     degs = component_degrees(kind, i, w)
-    monos = tuple(tuple(monomials_of_degree(d, w)) for d in degs)
-    return GradedBasis(kind, i, w, degs, monos)
+    if kind == "X0":
+        return GradedBasis(kind, i, w, degs, (tuple(monomials_of_degree(i, w)),))
+    return GradedBasis(kind, i, w, degs, tuple(basis_of("X0", d, w).monomials[0] for d in degs))
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +429,16 @@ def matrix_of(symbol: Symbol, source: GradedBasis, target: GradedBasis) -> Grade
                         key = (t, (e0 + o0, e1 + o1, e2 + o2))
                         acc[key] = acc.get(key, 0) + k * c
             col: Vector = {}
-            for key, v in acc.items():
+            for (t, m), v in acc.items():
                 if v:
-                    j = index.get(key)
+                    offset, positions = index[t]
+                    j = positions.get(m)
                     if j is None:
                         raise DegreeMismatch(
                             "monomial %s in component %d does not lie in %s at degree %d"
-                            % (key[1], key[0] + 1, target.kind, target.degree)
+                            % (m, t + 1, target.kind, target.degree)
                         )
-                    col[j] = v
+                    col[offset + j] = v
             columns.append(col)
     return GradedOperatorMatrix(source, target, columns)
 
@@ -442,7 +455,8 @@ def offset_vector(vec: Vector, offset: int) -> Vector:
 
 
 def subquotient_dim(
-    space: str, i: int, n: int, cycles: int, relations: int, boundaries: int, constraint: int
+    space: Callable[[], str], i: int, n: int, cycles: int, relations: int, boundaries: int,
+    constraint: int,
 ) -> int:
     """dim Z/B at degree i: n - cycles + relations - (boundaries - constraint).
 
@@ -454,13 +468,13 @@ def subquotient_dim(
     whole stack and constraint that of its top rows.  The ends of a complex
     are zero spaces, whose ranks the callers' rank helpers return, so every
     degree takes this one formula.  A negative result is a rank error; the
-    NegativeDimension names the space, the degree and the five numbers.
+    NegativeDimension names space() (called only then), the degree and the five numbers.
     """
     dim = n - cycles + relations - (boundaries - constraint)
     if dim < 0:
         raise NegativeDimension(
             "negative dimension %d of %s at degree %d: n %d - cycles %d + relations %d "
             "- (boundaries %d - constraint %d)"
-            % (dim, space, i, n, cycles, relations, boundaries, constraint)
+            % (dim, space(), i, n, cycles, relations, boundaries, constraint)
         )
     return dim

@@ -154,17 +154,17 @@ def phi_multiple_pivots(P: PoissonStructure, k: int, i: int) -> int:
     """The pivots in X^k at degree i+deg(phi) of the phi-multiples of X^k_i,
     as the bits of one int: the indices of LM(phi)*m for the basis elements
     m of X^k_i, with LM(phi) the lex-largest exponent of the homogeneous
-    phi.  Each piece lists its monomials in descending lex order, so that
-    index is the smallest of the column of phi*m, and the indices are
-    distinct; no elimination is needed."""
+    phi, looked up in the target's (offset, shared X0 position map) pairs.
+    Each piece lists its monomials in descending lex order, so that index is
+    the smallest of the column of phi*m and the indices are distinct."""
     source = basis_of("X%d" % k, i, P.weights)
     if not source.dim:
         return 0
     index = basis_of("X%d" % k, i + P.degree, P.weights)._index
     a, b, c = max(P.phi.terms)
     return sum(
-        1 << index[t, (e0 + a, e1 + b, e2 + c)]
-        for t, monomials in enumerate(source.monomials)
+        1 << (offset + positions[e0 + a, e1 + b, e2 + c])
+        for (offset, positions), monomials in zip(index, source.monomials)
         for e0, e1, e2 in monomials
     )
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,9 @@ from poissonsing import (
     parse_poly,
     symbol_of,
 )
-from poissonsing.linalg import Echelon, columns_off_pivots, kernel_of_columns, rank_of_columns
+from poissonsing.cli import main
+from poissonsing.linalg import Echelon, GradedBasis, columns_off_pivots, kernel_of_columns
+from poissonsing.linalg import rank_of_columns
 from poissonsing.operators import delta_matrix
 
 from .conftest import (
@@ -104,6 +107,51 @@ class TestBases:
             match=r"monomial \(0, 2, 0\) in component 2 does not lie in X1 at degree 0",
         ):
             basis_of("X1", 0, W111).coords_of(VecPoly((x, y2, Poly.zero())))
+
+    def test_graded_pieces_of_a_are_held_once(self, capsys):
+        # after verify on a few Brieskorn-Pham inputs, every component of a
+        # cached X1..X3 basis is the monomial tuple of the cached X0 piece of
+        # its degree, so each monomial of each weight system is one object
+        screened = [("x^2+y^3+z^4", "6,4,3"), ("x^2+y^3+z^5", "15,10,6"),
+                    ("x^3+y^4+z^4", "4,3,3")]
+        for phi, weights in screened:
+            argv = ["verify", "--suite", "cohomology", "--phi", phi, "--weights", weights]
+            assert main(argv) == 0
+        capsys.readouterr()
+        systems = {WeightSystem(tuple(map(int, w.split(",")))) for _, w in screened}
+        gc.collect()
+        cached = [b for b in gc.get_objects() if isinstance(b, GradedBasis)
+                  and b.weights in systems and basis_of(b.kind, b.degree, b.weights) is b]
+        assert {b.kind for b in cached} == {"X0", "X1", "X2", "X3"}
+        for b in cached:
+            for d, monos in zip(b.component_degrees, b.monomials):
+                assert monos is basis_of("X0", d, b.weights).monomials[0], (b.kind, b.degree)
+        objects = {id(m) for b in cached for monos in b.monomials for m in monos}
+        pairs = {(b.weights, m) for b in cached for monos in b.monomials for m in monos}
+        assert len(objects) == len(pairs)
+
+    @pytest.mark.parametrize("kind,pivots", [("X1", 0b1000000000100101), ("X2", 0b1011000000011)])
+    def test_a_restricted_basis_keeps_its_own_positions(self, kind, pivots):
+        # a basis from without() has filtered components, so it must not read
+        # the shared position maps: its coordinates, from coords_of and from
+        # matrix_of into it, are those of a basis built directly on copies of
+        # its tuples, and a monomial it dropped lies outside it
+        whole = basis_of(kind, 1, W111)
+        part = whole.without(pivots)
+        copies = tuple(tuple(list(monos)) for monos in part.monomials)
+        direct = GradedBasis(kind, 1, W111, part.component_degrees, copies)
+        vec = {j: j + 1 for j in range(part.dim)}
+        element = direct.element_from_coords(vec)
+        assert part.coords_of(element) == direct.coords_of(element) == vec
+        identity = symbol_of(lambda v: v, 3)
+        columns = [{j: 1} for j in range(part.dim)]
+        assert matrix_of(identity, direct, part).columns == columns
+        assert matrix_of(identity, part, direct).columns == columns
+        dropped = whole.element_from_coords({(pivots & -pivots).bit_length() - 1: 1})
+        with pytest.raises(DegreeMismatch):
+            part.coords_of(dropped)
+        with pytest.raises(DegreeMismatch):
+            matrix_of(identity, whole, part)
 
 
 class TestMatrices:
