@@ -89,8 +89,9 @@ def _structure(args) -> PoissonStructure:
 
 
 def _window(args, P: PoissonStructure) -> ch.Window:
-    """The default window with the user's bounds applied; a window without
-    a degree would make every check vacuous, so it is refused."""
+    """The default window with the user's bounds applied; a window without a
+    degree, or below -|w| (where X^3_j = A_{j+|w|}, the lowest piece, starts),
+    would make every check vacuous, so it is refused."""
     lo, hi = ch.default_window(P)
     if args.min_degree is not None:
         lo = args.min_degree
@@ -99,6 +100,9 @@ def _window(args, P: PoissonStructure) -> ch.Window:
     if lo > hi:
         raise ValueError("empty degree window: min-degree %d exceeds max-degree %d"
                          % (lo, hi))
+    if hi < -P.weight_sum:
+        raise ValueError("degree window below every graded piece: max-degree %d is below "
+                         "-|w| = %d, so every space is zero" % (hi, -P.weight_sum))
     return (lo, hi)
 
 

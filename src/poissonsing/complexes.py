@@ -56,10 +56,11 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from sys import intern
 
 from .linalg import GradedOperatorMatrix, basis_of, columns_off_pivots, offset_vector
 from .linalg import pivots_of_columns, subquotient_dim
-from .operators import mult_phi_matrix, named_operator, operator_matrix, operator_symbol
+from .operators import kept_matrix, named_operator, operator_matrix, operator_symbol
 from .operators import phi_multiple_pivots, relation_blocks, relation_pivots, relation_rank
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
@@ -164,18 +165,20 @@ def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
 
     omega = (PROBES, VECTOR_PROBES, VECTOR_PROBES, PROBES)  # Omega^k = X^{3-k}
 
-    def dual(case):  # probe omega[k][n*i + s]: e_s (term group 3), then x_a*e_s (a = i - 1)
-        k, n, s, i = case
-        a = (i - 1) % 4
-        signed = operator_symbol(P, "delta%d" % (3 - k), n).scaled((-1) ** k)
-        if operator_symbol(P, "boundary%d" % k, n).terms[s][a] == signed.terms[s][a]:
+    def dual(case):  # probe omega[k][n*i + s]: e_s (term group 3, or -1), then x_a*e_s (a = i - 1)
+        k, s, i = case
+        boundary = operator_symbol(P, "boundary%d" % k)
+        signed = operator_symbol(P, "delta%d" % (3 - k)).scaled((-1) ** k)
+        if boundary.terms[s][i - 1] == signed.terms[s][i - 1]:
             return None
-        return "boundary_%d != (-1)^%d * delta%d at c=%s" % (k, k, 3 - k, omega[k][n * i + s])
+        c = omega[k][boundary.source_components * i + s]
+        return "boundary_%d != (-1)^%d * delta%d at c=%s" % (k, k, 3 - k, c)
 
     descent = [("phi", k, c) for k in (1, 2, 3) for c in omega[k]]
     descent += [("D", k, c) for k in (1, 2, 3) for c in omega[k - 1]]
-    duality = [(k, n, s, i) for k, n in ((1, 3), (2, 3), (3, 1)) for s in range(n)
-               for i in range(4)]
+    duality = ((k, s, i) for k in (1, 2, 3)  # lazy: no other family extracts a boundary symbol
+               for s in range(operator_symbol(P, "boundary%d" % k).source_components)
+               for i in range(4))
     cases, check = {
         "coboundary_squared_vanishes": (probes, delta_squared),
         "casimir_multiplication_commutes": (probes, casimir_commutes),
@@ -196,7 +199,7 @@ def target_relations(
     k, i = p + 2, j + P.coboundary_degree - P.degree
     if "koszul" in row.relations:
         return [m for m in relation_blocks(P, k, i) if m]
-    return [mult_phi_matrix(P, k - 1, i)] if row.relations else []
+    return [kept_matrix(P, intern("phi%d" % (k - 1)), i)] if row.relations else []
 
 
 def _target_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
@@ -223,16 +226,15 @@ def skipped(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
 def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
     """The pivots of an echelon of the cycle stack [[T; d] | [S; 0] | [0; R]]
     of X^p_j in the (block, side) complex, for p in 0..2, as the bits of one
-    int: its columns in that order, less the top ones at the skipped pivots,
-    whose columns of d are never filled (nor is d kept)."""
+    int: its columns in that order, less the top ones at the skipped pivots.
+    d is built by name and degree (operators.operator_matrix) on the source
+    less those pivots, so their columns are never filled, and is not kept."""
     row = COMPLEXES[block, side]
     skip, top = 0, []
     if cochain_dim(P, p, j):
         skip = skipped(P, block, side, p, j)
         name = "delta%d" % p if row.differential == "delta" else "boundary%d" % (3 - p)
-        source = basis_of("X%d" % p, j, P.weights).without(skip)
-        target = basis_of("X%d" % (p + 1), j + P.coboundary_degree, P.weights)
-        top = operator_matrix(P, name, source, target).columns
+        top = operator_matrix(P, name, j, skip).columns
     rows_top, s_cols = 0, []
     if row.constrained and p:
         T, S = relation_blocks(P, p, j)

@@ -189,10 +189,6 @@ class Echelon:
     def __init__(self):
         self._rows: dict[int, dict[int, int]] = {}
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
     def _reduced(self, row: dict[int, int]) -> dict[int, int]:
         """Reduce an owned row in place against the stored pivots.
 
@@ -300,23 +296,19 @@ class GradedOperatorMatrix:
 
     Column j holds the target coordinates of the operator applied to source
     basis element j.  Stored sparsely; entries are exact scalars (ints for an
-    integral phi).
+    integral phi).  A matrix is a value: it holds its bases and columns only,
+    so a cached one carries no state of its readers, who keep any rank of it
+    themselves.
     """
 
     def __init__(self, source: GradedBasis, target: GradedBasis, columns: Sequence[Vector]):
         self.source = source
         self.target = target
         self.columns = list(columns)
-        self._rank: int | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.target.dim, self.source.dim)
-
-    def rank(self) -> int:
-        if self._rank is None:
-            self._rank = rank_of_columns(self.columns)
-        return self._rank
 
 
 # ---------------------------------------------------------------------------

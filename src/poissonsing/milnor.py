@@ -15,9 +15,9 @@ socle.  Degree bound deg(phi) > max(w) is necessary for a singularity at the
 origin and is checked first.
 
 The ideal's degree-i piece is the image of the Koszul map D_1 (dot product
-with grad(phi)) from X^1 at degree i - deg(phi).  The gate fills these
-columns from the symbol of D_1 and keeps no matrix, so a rejected phi leaves
-none in the operator caches.
+with grad(phi)) from X^1 at degree i - deg(phi).  The gate builds these
+columns with operators.operator_matrix, which keeps no matrix, so a rejected
+phi leaves none in the kept operator matrices.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Echelon, basis_of
+from .linalg import Echelon
 from .operators import operator_matrix
 from .poisson import PoissonStructure
 from .poly import Monomial, Poly, WeightSystem, weighted_degree
@@ -87,8 +87,7 @@ def _quotient_monomials(P: PoissonStructure, i: int) -> list[Monomial]:
     extends the echelon of that image plus the monomials already kept, so
     each is inserted once (an insert that does not extend it changes nothing).
     """
-    source = basis_of("X1", i - P.degree, P.weights)
-    jacobian = operator_matrix(P, "koszul1", source, basis_of("X0", i, P.weights))
+    jacobian = operator_matrix(P, "koszul1", i - P.degree)
     ech = Echelon()
     for col in jacobian.columns:
         ech.insert(col)

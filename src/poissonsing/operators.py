@@ -1,35 +1,34 @@
 """Exact matrices of the graded operators used by the engines.
 
-Everything here is a pure function of (structure, degree).  The matrices of
-phi, the Koszul maps and de Rham are memoized, as the relation table, the
-Koszul suite and the surface cochains read them again; those of the
-coboundaries and boundaries are not, as each rank stack fills the columns it
-reduces itself (complexes.stack_pivots).  Every matrix maps between the
-pieces X^0..X^3 at derivation degrees; form spaces are the same pieces
-(Omega^k at form degree i is X^{3-k} at derivation degree i - |w|).  The
-horizontal operators (the Koszul maps of grad(phi) and multiplication by
-phi) raise the degree by deg(phi), the coboundaries by deg(phi) - |w|, and
-the vertical de Rham operators preserve it.
+Each operator of a structure is a family and k, whose grading is declared
+once (pieces): it maps X^p at derivation degree i into X^q at degree
+i + shift.  Form spaces are the same pieces (Omega^k at form degree i is
+X^{3-k} at derivation degree i - |w|); the coboundaries and boundaries shift
+the degree by N = deg(phi) - |w|, the Koszul maps of grad(phi) and
+multiplication by phi by deg(phi), and the de Rham operators preserve it.
 
-Every operator here (the coboundaries, the boundaries, multiplication by phi,
-the Koszul maps and grad/curl/div) is a linear differential operator of
-order at most one, so its symbol is extracted once per structure
-(operator_symbol) and every graded matrix is filled from it by linalg's
-matrix_of.  The relation table (relation_blocks) holds the blocks
-[D_k | phi] on X^{k-1}; relation_pivots keeps the pivot set of one echelon
-of each entry, not the echelon, and relation_rank is its size.  It skips
-the D_k columns at the pivots of the phi-multiples in X^k, which D_k's
-A-linearity puts in the span of the phi columns.  complexes
+Every operator here is a linear differential operator of order at most one,
+so its symbol is extracted once per structure (operator_symbol) and every
+matrix is filled from it by linalg's matrix_of, through one constructor
+(operator_matrix) that caches nothing: each rank stack fills only the
+columns it reduces (complexes.stack_pivots).  The blocks read more than
+once, of phi and the Koszul maps, are kept (kept_matrix), as are those of de
+Rham, keyed on the weights alone (de_rham_matrix).  A kept matrix is a value:
+its readers keep any rank of it themselves.  The relation table
+(relation_blocks) holds the blocks [D_k | phi] on X^{k-1}; relation_pivots
+keeps the pivot set of one echelon of each entry, and relation_rank is its
+size.  It skips the D_k columns at the pivots of the phi-multiples in X^k,
+which D_k's A-linearity puts in the span of the phi columns.  complexes
 describes how the entries serve the four (co)homology complexes.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from sys import intern
 from itertools import chain
 
 from .linalg import (
-    GradedBasis,
     GradedOperatorMatrix,
     Symbol,
     basis_of,
@@ -45,17 +44,13 @@ from .vectorcalc import cross, curl, divergence, dot, grad
 
 def named_operator(P: PoissonStructure | None, name: str):
     """The operator of the given name on polynomials (P is None for the
-    vertical de Rham operators)."""
+    vertical de Rham operators); "phi" is multiplication by phi on any X^k."""
     if P is None:
         return {"de_rham1": divergence, "de_rham2": curl, "de_rham3": grad}[name]
     nabla = P.nabla_phi
     return {
-        "delta0": P.delta0,
-        "delta1": P.delta1,
-        "delta2": P.delta2,
-        "boundary1": lambda c: P.boundary(1, c),
-        "boundary2": lambda c: P.boundary(2, c),
-        "boundary3": lambda c: P.boundary(3, c),
+        **{"delta%d" % k: partial(P.delta, k) for k in (0, 1, 2)},
+        **{"boundary%d" % k: partial(P.boundary, k) for k in (1, 2, 3)},
         "phi": lambda c: c * P.phi,
         "koszul1": lambda v: dot(v, nabla),
         "koszul2": lambda v: cross(v, nabla),
@@ -63,58 +58,63 @@ def named_operator(P: PoissonStructure | None, name: str):
     }[name]
 
 
+# Each operator by name: its source piece X^p, its target piece X^q, and
+# whether it shifts the degree by N (else by deg(phi)).
+PIECES: dict[str, tuple[int, int, bool]] = {
+    **{"delta%d" % k: (k, k + 1, True) for k in (0, 1, 2)},
+    **{"boundary%d" % k: (3 - k, 4 - k, True) for k in (1, 2, 3)},  # on Omega^k = X^{3-k}
+    **{"koszul%d" % k: (k, k - 1, False) for k in (1, 2, 3)},
+    **{"phi%d" % k: (k, k, False) for k in (0, 1, 2, 3)},  # phi times X^k
+}
+
+
+def pieces(P: PoissonStructure, name: str) -> tuple[int, int, int]:
+    """(p, q, shift): the named operator maps X^p at derivation degree i into
+    X^q at degree i + shift (PIECES); any other name raises ValueError."""
+    if name not in PIECES:
+        raise ValueError("no operator %r (delta0..2, boundary1..3, koszul1..3, phi0..3)" % name)
+    p, q, by_n = PIECES[name]
+    return p, q, P.coboundary_degree if by_n else P.degree
+
+
 @lru_cache(maxsize=None)
-def operator_symbol(P: PoissonStructure | None, name: str, source_components: int) -> Symbol:
-    """Symbol of a named operator on 1- or 3-component inputs, extracted once
+def _symbol(P: PoissonStructure | None, operator: str, source_components: int) -> Symbol:
+    """Symbol of named_operator(P, operator) on 1- or 3-component inputs, once
     per structure (P is None for the vertical de Rham operators)."""
-    return symbol_of(named_operator(P, name), source_components)
+    return symbol_of(named_operator(P, operator), source_components)
 
 
-def operator_matrix(
-    P: PoissonStructure | None, name: str, src: GradedBasis, tgt: GradedBasis
-) -> GradedOperatorMatrix:
-    """matrix_of the named operator's symbol from src into tgt."""
-    return matrix_of(operator_symbol(P, name, len(src.monomials)), src, tgt)
+def operator_symbol(P: PoissonStructure, name: str) -> Symbol:
+    """Symbol of the named operator on the components of its source piece;
+    phi on X^0 and X^3 shares one, and phi on X^1 and X^2 another."""
+    p = pieces(P, name)[0]
+    return _symbol(P, "phi" if name.startswith("phi") else name, 1 if p in (0, 3) else 3)
 
 
-def delta_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
-    """Matrix of delta^k from X^k at degree i into X^{k+1} at degree i+N."""
-    if k not in (0, 1, 2):
-        raise ValueError("delta matrices exist for k in 0..2")
-    n = P.coboundary_degree
-    src = basis_of("X%d" % k, i, P.weights)
-    tgt = basis_of("X%d" % (k + 1), i + n, P.weights)
-    return operator_matrix(P, "delta%d" % k, src, tgt)
-
-
-@lru_cache(maxsize=None)
-def mult_phi_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
-    """Multiplication by phi from X^k at degree i to X^k at degree i+deg(phi)."""
-    src = basis_of("X%d" % k, i, P.weights)
-    tgt = basis_of("X%d" % k, i + P.degree, P.weights)
-    return operator_matrix(P, "phi", src, tgt)
+def operator_matrix(P: PoissonStructure, name: str, i: int, skip: int = 0) -> GradedOperatorMatrix:
+    """Matrix of the named operator from X^p at degree i into X^q at i + shift
+    (pieces), on the source less its elements at the bits of skip; uncached.
+    The kinds are interned, so that each basis_of key holds no copy of one."""
+    p, q, shift = pieces(P, name)
+    source = basis_of(intern("X%d" % p), i, P.weights)
+    target = basis_of(intern("X%d" % q), i + shift, P.weights)
+    return matrix_of(operator_symbol(P, name), source.without(skip) if skip else source, target)
 
 
 @lru_cache(maxsize=None)
-def koszul_matrix(P: PoissonStructure, k: int, i: int) -> GradedOperatorMatrix:
-    """The Koszul map D_k of grad(phi) from X^k at degree i into X^{k-1} at
-    degree i+deg(phi): v . grad(phi) (k=1), v x grad(phi) (k=2) and
-    f*grad(phi) (k=3)."""
-    if k not in (1, 2, 3):
-        raise ValueError("Koszul matrices exist for k in 1..3")
-    src = basis_of("X%d" % k, i, P.weights)
-    tgt = basis_of("X%d" % (k - 1), i + P.degree, P.weights)
-    return operator_matrix(P, "koszul%d" % k, src, tgt)
+def kept_matrix(P: PoissonStructure, name: str, i: int) -> GradedOperatorMatrix:
+    """operator_matrix(P, name, i), kept for the blocks of phi and the Koszul
+    maps, read more than once (relation_blocks, the Koszul and cohomology suites)."""
+    return operator_matrix(P, name, i)
 
 
 @lru_cache(maxsize=None)
 def de_rham_matrix(w: WeightSystem, k: int, i: int) -> GradedOperatorMatrix:
     """The degree-0 vertical operator from X^k into X^{k-1} at degree i:
-    divergence (k=1), curl (k=2) and gradient (k=3)."""
-    if k not in (1, 2, 3):
-        raise ValueError("de Rham matrices exist for k in 1..3")
+    divergence (k=1), curl (k=2) and gradient (k=3); basis_of refuses any
+    other k, as X^4 and X^-1 are no pieces."""
     src, tgt = basis_of("X%d" % k, i, w), basis_of("X%d" % (k - 1), i, w)
-    return operator_matrix(None, "de_rham%d" % k, src, tgt)
+    return matrix_of(_symbol(None, "de_rham%d" % k, len(src.monomials)), src, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +126,8 @@ def relation_blocks(
     P: PoissonStructure, k: int, i: int
 ) -> tuple[GradedOperatorMatrix | None, GradedOperatorMatrix]:
     """(D_k, phi on X^{k-1}) from degree i into X^{k-1} at degree i+deg(phi),
-    for k in 1..4; D_k is None for k = 4, as X^4 is zero.  Both are cached
-    (koszul_matrix, mult_phi_matrix), so a reader of the phi half alone
-    takes mult_phi_matrix(P, k-1, i).
+    for k in 1..4; D_k is None for k = 4, as X^4 is zero.  Both are kept
+    (kept_matrix, under interned names), so a reader of phi alone takes phi<k-1>.
 
     Their columns, in order, span the constraint of the surface cochains of
     X^k (v with D_k(v) in phi*X^{k-1}) and the relations d(phi) ^
@@ -136,9 +135,8 @@ def relation_blocks(
     i+deg(phi)+|w| (the wedge of Omega^1 with d(phi) is -D_2, of the same
     span).
     """
-    if k not in (1, 2, 3, 4):
-        raise ValueError("relation blocks exist for k in 1..4")
-    return (koszul_matrix(P, k, i) if k < 4 else None), mult_phi_matrix(P, k - 1, i)
+    D = kept_matrix(P, intern("koszul%d" % k), i) if k != 4 else None
+    return D, kept_matrix(P, intern("phi%d" % (k - 1)), i)
 
 
 def relation_rank(P: PoissonStructure, k: int, i: int) -> int:
@@ -160,7 +158,7 @@ def phi_multiple_pivots(P: PoissonStructure, k: int, i: int) -> int:
     source = basis_of("X%d" % k, i, P.weights)
     if not source.dim:
         return 0
-    index = basis_of("X%d" % k, i + P.degree, P.weights)._index
+    index = basis_of("X%d" % k, i + pieces(P, "phi%d" % k)[2], P.weights)._index
     a, b, c = max(P.phi.terms)
     return sum(
         1 << (offset + positions[e0 + a, e1 + b, e2 + c])
@@ -172,7 +170,7 @@ def phi_multiple_pivots(P: PoissonStructure, k: int, i: int) -> int:
 @lru_cache(maxsize=None)
 def relation_pivots(P: PoissonStructure, k: int, i: int) -> int:
     """The pivots in X^{k-1} of an echelon of relation_blocks(P, k, i), as the
-    bits of one int (linalg.Echelon.pivots), for k in 1..3; 0 otherwise.
+    bits of one int (linalg.pivots_of_columns), for k in 1..3; 0 otherwise.
 
     The D_k columns at the pivots of phi*X^k_{i-d} (phi_multiple_pivots) are
     not reduced: D_k is A-linear, so D_k(phi*v) = phi*D_k(v) lies in the

@@ -28,11 +28,11 @@ from itertools import product
 
 from . import cohomology as ch
 from . import homology as hm
-from .complexes import PROBES, VECTOR_PROBES, certificate, first_failure, space_label, stack_rank
-from .linalg import Echelon, GradedOperatorMatrix, basis_of, kernel_of_columns, offset_vector
-from .linalg import rank_of_columns
+from .complexes import PROBES, VECTOR_PROBES, certificate, cochain_dim, first_failure
+from .complexes import space_label, stack_rank
+from .linalg import Echelon, GradedOperatorMatrix, kernel_of_columns, offset_vector, rank_of_columns
 from .milnor import MilnorData, check_isolated
-from .operators import de_rham_matrix, delta_matrix, koszul_matrix
+from .operators import de_rham_matrix, kept_matrix, operator_matrix
 from .poisson import PoissonStructure
 from .poly import Poly, monomials_of_degree
 from .vectorcalc import cross, curl, divergence, dot, euler_field, grad
@@ -238,9 +238,9 @@ def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult
 
 def _second_part_witness(P: PoissonStructure, i: int) -> str:
     """A vector killed by .grad(phi) but not hit by cross-with-grad(phi)."""
-    dotm = koszul_matrix(P, 1, i)
+    dotm = kept_matrix(P, "koszul1", i)
     image = Echelon()
-    for col in koszul_matrix(P, 2, i - P.degree).columns:
+    for col in kept_matrix(P, "koszul2", i - P.degree).columns:
         image.insert(col)
     for vec in kernel_of_columns(dotm.columns, dotm.target.dim):
         if not image.contains(vec):
@@ -250,71 +250,68 @@ def _second_part_witness(P: PoissonStructure, i: int) -> str:
     return "exactness defect at degree %d" % i
 
 
-def _exactness_defect(
-    i: int, outgoing: GradedOperatorMatrix, incoming: GradedOperatorMatrix
-) -> str | None:
-    """'degree i: kernel a vs image b' when dim ker(outgoing) differs from
-    rank(incoming) at degree i, else None."""
-    kernel = outgoing.source.dim - outgoing.rank()
-    image = incoming.rank()
-    return None if kernel == image else "degree %d: kernel %d vs image %d" % (i, kernel, image)
-
-
 def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
+    """The Koszul rows of grad(phi), the de Rham columns and the 2-cocycle
+    decomposition, degree by degree.  Rows share the kept Koszul and de Rham
+    blocks (D_3 at degree i serves injectivity at i and first exactness at
+    i + deg(phi)); each block is ranked once, in a memo of this call keyed by
+    the kept object, as a kept matrix holds no rank."""
     lo, hi = window
     degrees = range(lo, hi + 1)
     w = P.weights
     s = w.weight_sum
     d = P.degree
+    ranks: dict[GradedOperatorMatrix, int] = {}
+
+    def rank_of(m: GradedOperatorMatrix) -> int:
+        if m not in ranks:
+            ranks[m] = rank_of_columns(m.columns)
+        return ranks[m]
+
+    def defect(i, outgoing, incoming):
+        """'degree i: kernel a vs image b' when dim ker(outgoing) differs
+        from rank(incoming), else None."""
+        kernel, image = outgoing.source.dim - rank_of(outgoing), rank_of(incoming)
+        return None if kernel == image else "degree %d: kernel %d vs image %d" % (i, kernel, image)
 
     def injective(i):
-        m = koszul_matrix(P, 3, i)
-        return None if m.rank() == m.source.dim else "kernel at degree %d" % i
+        m = kept_matrix(P, "koszul3", i)
+        return None if rank_of(m) == m.source.dim else "kernel at degree %d" % i
 
     def first_exact(i):
-        return _exactness_defect(i, koszul_matrix(P, 2, i), koszul_matrix(P, 3, i - d))
+        return defect(i, kept_matrix(P, "koszul2", i), kept_matrix(P, "koszul3", i - d))
 
     def second_exact(i):
-        defect = _exactness_defect(i, koszul_matrix(P, 1, i), koszul_matrix(P, 2, i - d))
-        return defect and _second_part_witness(P, i)
+        found = defect(i, kept_matrix(P, "koszul1", i), kept_matrix(P, "koszul2", i - d))
+        return found and _second_part_witness(P, i)
 
     def grad_kernel(i):
         g = de_rham_matrix(w, 3, i)
-        expected = 1 if i == -s else 0
-        return (
-            None
-            if g.source.dim - g.rank() == expected
-            else "degree %d: constants mismatch" % i
-        )
+        ok = g.source.dim - rank_of(g) == (1 if i == -s else 0)
+        return None if ok else "degree %d: constants mismatch" % i
 
     def curl_exact(i):
-        return _exactness_defect(i, de_rham_matrix(w, 2, i), de_rham_matrix(w, 3, i))
+        return defect(i, de_rham_matrix(w, 2, i), de_rham_matrix(w, 3, i))
 
     def div_exact(i):
-        return _exactness_defect(i, de_rham_matrix(w, 1, i), de_rham_matrix(w, 2, i))
+        return defect(i, de_rham_matrix(w, 1, i), de_rham_matrix(w, 2, i))
 
     def div_onto(i):
         dv = de_rham_matrix(w, 1, i)
-        return (
-            None
-            if dv.rank() == dv.target.dim
-            else "degree %d: divergence misses a polynomial" % i
-        )
+        ok = rank_of(dv) == dv.target.dim
+        return None if ok else "degree %d: divergence misses a polynomial" % i
 
     def z2_spanned(case):
         kind, i = case  # a probe f, or a degree for "span"
         if kind != "span":
             image = grad(i) if kind == "gradient" else P.nabla_phi * i
             return None if P.delta2(image).is_zero() else "a %s is not a 2-cocycle at f=%s" % case
-        cocycles = basis_of("X2", i, w).dim - stack_rank(P, "cohomology", "ambient", 2, i)
+        cocycles = cochain_dim(P, 2, i) - stack_rank(P, "cohomology", "ambient", 2, i)
         gradients = de_rham_matrix(w, 3, i)
-        multiples = koszul_matrix(P, 3, i - d)
-        span = rank_of_columns(list(gradients.columns) + list(multiples.columns))
-        return (
-            None
-            if span == cocycles
-            else "degree %d: span %d vs cocycles %d" % (i, span, cocycles)
-        )
+        multiples = kept_matrix(P, "koszul3", i - d)
+        span = rank_of_columns(gradients.columns + multiples.columns)
+        ok = span == cocycles
+        return None if ok else "degree %d: span %d vs cocycles %d" % (i, span, cocycles)
 
     # f -> delta2(grad f) has order 2 and f -> delta2(f*grad phi) order 1, so
     # each vanishes iff it does on PROBES (see identities_suite)
@@ -358,7 +355,7 @@ def cohomology_suite(
     results = _closed_form_results("cohomology", "ambient", spaces)
 
     def casimir_bound(i):
-        cocycles = basis_of("X0", i, P.weights).dim - stack_rank(P, "cohomology", "ambient", 0, i)
+        cocycles = cochain_dim(P, 0, i) - stack_rank(P, "cohomology", "ambient", 0, i)
         expected = 1 if (i >= 0 and i % d == 0) else 0
         if cocycles != expected:
             return "degree %d: %d Casimir cocycles" % (i, cocycles)
@@ -373,7 +370,7 @@ def cohomology_suite(
     # divergence rigidity: g.grad(phi)=0 and div(g)=a*phi^r force a=0
     def rigid(r):
         i = r * d
-        dotm = koszul_matrix(P, 1, i)
+        dotm = kept_matrix(P, "koszul1", i)
         divm = de_rham_matrix(P.weights, 1, i)
         off = dotm.target.dim
         stacked = Echelon()
@@ -401,19 +398,12 @@ def cohomology_suite(
     results.append(_first_failure("euler_multiple_coboundary_formula", multiples, euler_multiple))
 
     # grad(phi) is a coboundary exactly when deg(phi) differs from |w|
-    d1 = delta_matrix(P, 1, 0)
-    target_vec = d1.target.coords_of(P.nabla_phi)
+    d1 = operator_matrix(P, "delta1", 0)
     base = stack_rank(P, "cohomology", "ambient", 1, 0)
-    exact = rank_of_columns(list(d1.columns) + [target_vec]) == base
-    expected_exact = d != s
-    results.append(
-        CheckResult(
-            "bracket_class_exact_iff_degree_differs",
-            exact == expected_exact,
-            1,
-            "" if exact == expected_exact else "exactness of the structure class is wrong",
-        )
-    )
+    exact = rank_of_columns(d1.columns + [d1.target.coords_of(P.nabla_phi)]) == base
+    ok = exact == (d != s)
+    text = "" if ok else "exactness of the structure class is wrong"
+    results.append(CheckResult("bracket_class_exact_iff_degree_differs", ok, 1, text))
     return results
 
 

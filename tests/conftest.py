@@ -10,7 +10,7 @@ from poissonsing import (
     parse_poly,
 )
 from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, rank_of_columns
-from poissonsing.operators import koszul_matrix, operator_matrix
+from poissonsing.operators import kept_matrix, operator_matrix
 
 # (phi, weights, expected Milnor number)
 CATALOG = [
@@ -74,9 +74,9 @@ def form_basis(P, k, i):
 
 def boundary_matrix(P, k, i):
     """Matrix of the k-th boundary from Omega^k at form degree i into
-    Omega^{k-1}, filled from P.boundary's own symbol (not from delta's)."""
-    target = form_basis(P, k - 1, i + P.coboundary_degree)
-    return operator_matrix(P, "boundary%d" % k, form_basis(P, k, i), target)
+    Omega^{k-1}, filled from P.boundary's own symbol (not from delta's):
+    Omega^k at form degree i is X^{3-k} at derivation degree i - |w|."""
+    return operator_matrix(P, "boundary%d" % k, i - P.weight_sum)
 
 
 def basis_element(basis, j):
@@ -127,7 +127,7 @@ def graded_components(f, w):
 def jacobian_columns(P, i):
     """(A_i, columns spanning the Jacobian ideal's degree-i piece): the image
     of (a,b,c) -> a*phi_x + b*phi_y + c*phi_z, the Koszul map from X^1."""
-    m = koszul_matrix(P, 1, i - P.degree)
+    m = kept_matrix(P, "koszul1", i - P.degree)
     return m.target, m.columns
 
 
@@ -142,6 +142,11 @@ def echelon_of(columns):
     for col in columns:
         ech.insert(col)
     return ech
+
+
+def echelon_rank(ech):
+    """The rank of an echelon: the number of its stored pivot rows."""
+    return len(ech._rows)
 
 
 def echelon_rows(ech):

@@ -31,7 +31,7 @@ from poissonsing import (
 )
 from poissonsing.homology import duality_identity_holds
 from poissonsing.linalg import Echelon
-from poissonsing.operators import koszul_matrix
+from poissonsing.operators import kept_matrix
 from poissonsing.suites import identities_suite, koszul_suite, run_suite
 
 from .conftest import CATALOG, structure
@@ -227,9 +227,9 @@ def test_criterion_7_koszul_caveat_for_xyz():
     # the classic counterexample: killed by .grad(phi), missed by x grad(phi)
     classic = VecPoly((parse_poly("x"), parse_poly("y"), parse_poly("-2*z")))
     ok = ok and dot(classic, P.nabla_phi).is_zero()
-    dotm = koszul_matrix(P, 1, 0)
+    dotm = kept_matrix(P, "koszul1", 0)
     image = Echelon()
-    for col in koszul_matrix(P, 2, -3).columns:
+    for col in kept_matrix(P, "koszul2", -3).columns:
         image.insert(col)
     ok = ok and not image.contains(dotm.source.coords_of(classic))
 

@@ -126,9 +126,8 @@ def test_analyze_exits_zero_on_the_default_windows(capsys, name, phi, weights, m
 def test_the_boundary_has_the_symbol_of_the_signed_coboundary(name, phi, weights, mu, modality):
     P = structure(phi, weights)
     for k in (1, 2, 3):
-        n = 1 if k == 3 else 3
-        signed = operator_symbol(P, "delta%d" % (3 - k), n).scaled((-1) ** k)
-        assert operator_symbol(P, "boundary%d" % k, n) == signed, k
+        signed = operator_symbol(P, "delta%d" % (3 - k)).scaled((-1) ** k)
+        assert operator_symbol(P, "boundary%d" % k) == signed, k
     assert duality_identity_holds(P) == (28, "")
 
 

@@ -152,6 +152,10 @@ class TestAnalyzeCommand:
         ("verify", "--phi", "x^3+y^3+z^3", "--suite", "identities", "--cases", "-5"),
         ("milnor", "--phi", "x^3+y^3+z^3", "--weights", ""),
         ("analyze", "--phi", "x^3+y^3+z^3", "--weights", ""),
+        # below -|w| = -3 every graded piece, and so every space, is zero
+        ("analyze", "--phi", "x^2+y^2+z^2", "--min-degree", "-100", "--max-degree", "-90"),
+        ("verify", "--phi", "x^2+y^2+z^2", "--suite", "identities", "--max-degree", "-4",
+         "--min-degree", "-10"),
     ])
     def test_vacuous_runs_are_invalid(self, capsys, argv):
         code, out, err = run(capsys, *argv)

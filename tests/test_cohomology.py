@@ -156,25 +156,25 @@ class TestStructuralChecks:
             assert res.passed, res.line()
 
     def test_coboundary_squared_zero_as_matrices(self, catalog_structures):
-        from poissonsing.operators import delta_matrix
+        from poissonsing.operators import operator_matrix
 
         for P, _ in catalog_structures[:2] + catalog_structures[3:4]:
             n = P.coboundary_degree
             for k in (0, 1):
                 for i in range(-P.weight_sum, P.degree + 3):
-                    inner = delta_matrix(P, k, i)
-                    outer = delta_matrix(P, k + 1, i + n)
+                    inner = operator_matrix(P, "delta%d" % k, i)
+                    outer = operator_matrix(P, "delta%d" % (k + 1), i + n)
                     assert not any(compose_columns(outer, inner)), (str(P.phi), k, i)
 
     def test_bracket_class_detection(self, sphere, cubic):
         # the structure class is a coboundary exactly when deg(phi) != |w|
         from poissonsing.linalg import rank_of_columns
-        from poissonsing.operators import delta_matrix
+        from poissonsing.operators import operator_matrix
 
         for P, expected_exact in ((sphere, True), (cubic, False)):
-            d1 = delta_matrix(P, 1, 0)
+            d1 = operator_matrix(P, "delta1", 0)
             vec = d1.target.coords_of(P.nabla_phi)
-            in_image = rank_of_columns(list(d1.columns) + [vec]) == d1.rank()
+            in_image = rank_of_columns(list(d1.columns) + [vec]) == rank_of_columns(d1.columns)
             assert in_image is expected_exact
 
     def test_a_delta2_that_misses_gradients_fails_on_a_probe(self):
@@ -196,13 +196,15 @@ class TestStructuralChecks:
         from poissonsing import suites
         from poissonsing.linalg import GradedOperatorMatrix
 
-        koszul_matrix = suites.koszul_matrix
+        kept_matrix = suites.kept_matrix
 
-        def koszul_without_dot(P, k, i):
-            m = koszul_matrix(P, k, i)
-            return GradedOperatorMatrix(m.source, m.target, [{}] * m.source.dim) if k == 1 else m
+        def koszul_without_dot(P, name, i):
+            m = kept_matrix(P, name, i)
+            if name != "koszul1":
+                return m
+            return GradedOperatorMatrix(m.source, m.target, [{}] * m.source.dim)
 
-        monkeypatch.setattr(suites, "koszul_matrix", koszul_without_dot)
+        monkeypatch.setattr(suites, "kept_matrix", koszul_without_dot)
         results, _ = run_suite(cubic, "cohomology", default_window(cubic))
         rigidity = [r for r in results if r.name == "divergence_rigidity_alpha_zero"]
         assert [(r.passed, r.cases, r.details) for r in rigidity] == [

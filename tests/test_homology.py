@@ -23,7 +23,7 @@ from poissonsing import complexes, operators
 from poissonsing.cohomology import default_window
 from poissonsing.homology import projection_commutes
 from poissonsing.linalg import Symbol
-from poissonsing.operators import delta_matrix
+from poissonsing.operators import operator_matrix
 from poissonsing.suites import homology_suite, run_suite
 
 from .conftest import basis_element, boundary_matrix, boundary_plus, form_basis, planted, structure
@@ -172,7 +172,7 @@ class TestDuality:
             step = max(1, (hi - lo) // 8)
             for k in (1, 2, 3):
                 for i in range(lo, hi + 1, step):
-                    delta = delta_matrix(P, 3 - k, i - P.weight_sum)
+                    delta = operator_matrix(P, "delta%d" % (3 - k), i - P.weight_sum)
                     signed = [{r: (-1) ** k * c for r, c in col.items()} for col in delta.columns]
                     assert boundary_matrix(P, k, i).columns == signed, (str(P.phi), k, i)
 
@@ -205,19 +205,19 @@ class TestDuality:
         # the certificate needs no degree and names the probe x*e_0
         P = planted("x^3+y^3+z^3", (1, 1, 1))
         symbol = operators.operator_symbol
-        d_terms = symbol(P, "boundary2", 3).terms
+        d_terms = symbol(P, "boundary2").terms
         (t, o0, o1, o2, c), *rest = d_terms[0][0]
         perturbed = Symbol(3, 3, ((((t, o0, o1, o2, c + 1), *rest), *d_terms[0][1:]), *d_terms[1:]))
 
-        def perturbing(Q, name, components):
-            return perturbed if (Q, name) == (P, "boundary2") else symbol(Q, name, components)
+        def perturbing(Q, name):
+            return perturbed if (Q, name) == (P, "boundary2") else symbol(Q, name)
 
         for module in (operators, complexes):
             monkeypatch.setattr(module, "operator_symbol", perturbing)
         lo, hi = default_form_window(P)  # (0, 12)
         differs = [
             i for i in range(lo, hi + 1)
-            if boundary_matrix(P, 2, i).columns != delta_matrix(P, 1, i - 3).columns
+            if boundary_matrix(P, 2, i).columns != operator_matrix(P, "delta1", i - 3).columns
         ]
         assert differs[0] == 3 and boundary_matrix(P, 2, 2).shape == (9, 3)
         # 12 probes of boundary_1 pass, then e_0 and x*e_0 of boundary_2

@@ -291,10 +291,9 @@ UNBOUNDED_CACHES = {
     "complexes.stack_pivots",
     "linalg.basis_of",
     "milnor.check_isolated",
+    "operators._symbol",
     "operators.de_rham_matrix",
-    "operators.koszul_matrix",
-    "operators.mult_phi_matrix",
-    "operators.operator_symbol",
+    "operators.kept_matrix",
     "operators.relation_pivots",
 }
 

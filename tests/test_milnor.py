@@ -16,9 +16,9 @@ from poissonsing import milnor
 from poissonsing.linalg import Echelon, basis_of
 from poissonsing.cli import main
 from poissonsing.milnor import socle_bound
-from poissonsing.operators import koszul_matrix, operator_matrix
+from poissonsing.operators import kept_matrix, operator_matrix
 
-from .conftest import jacobian_columns, jacobian_graded_dim
+from .conftest import echelon_rank, jacobian_columns, jacobian_graded_dim
 
 W111 = WeightSystem((1, 1, 1))
 
@@ -87,12 +87,12 @@ class TestGate:
         assert err.value.witness_degree == 0
 
     def test_a_rejected_verify_leaves_no_koszul_matrix(self, capsys):
-        # the gate fills its Jacobian columns from the symbol of D_1, so the
-        # rejection keeps none of them
-        before = koszul_matrix.cache_info().currsize
+        # the gate builds its Jacobian columns with operator_matrix, which
+        # keeps nothing, so the rejection leaves no kept matrix
+        before = kept_matrix.cache_info().currsize
         assert main(["verify", "--suite", "cohomology", "--phi", "x^2*y+z^3"]) == 3
         assert "rejected by the gate" in capsys.readouterr().err
-        assert koszul_matrix.cache_info().currsize == before
+        assert kept_matrix.cache_info().currsize == before
 
     def test_weighted_catalog_entry(self):
         data = check_isolated(parse_poly("x^2+y^3+z^5"), WeightSystem((15, 10, 6)))
@@ -154,14 +154,13 @@ class TestBasis:
                 ech.insert(col)
             for b in by_degree.get(i, []):
                 ech.insert(target.coords_of(Poly.monomial(b)))
-            assert ech.rank == target.dim
+            assert echelon_rank(ech) == target.dim
 
 
 def quotient_monomials_by_membership(P, i):
     """The gate's scan with a membership test before each insert: the same
     monomials, two echelon calls for each one kept."""
-    source = basis_of("X1", i - P.degree, P.weights)
-    jacobian = operator_matrix(P, "koszul1", source, basis_of("X0", i, P.weights))
+    jacobian = operator_matrix(P, "koszul1", i - P.degree)
     ech = Echelon()
     for col in jacobian.columns:
         ech.insert(col)

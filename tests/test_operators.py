@@ -3,6 +3,8 @@
 The engine fills matrices from first-order symbols (linalg.matrix_of); the
 oracle here evaluates the operator itself on every source basis element of
 every graded piece of the default windows and reads off target coordinates.
+The grading of each named operator (operators.pieces) is checked against the
+pieces its matrices map between.
 """
 
 from __future__ import annotations
@@ -26,15 +28,15 @@ from poissonsing import (
 )
 from poissonsing.operators import (
     de_rham_matrix,
-    delta_matrix,
-    koszul_matrix,
-    mult_phi_matrix,
+    kept_matrix,
+    operator_matrix,
     operator_symbol,
+    pieces,
     relation_blocks,
     relation_rank,
 )
 
-from .conftest import boundary_matrix, echelon_of, oracle_columns, structure
+from .conftest import boundary_matrix, echelon_of, echelon_rank, oracle_columns, structure
 
 
 def _window(window):
@@ -50,7 +52,7 @@ def test_coboundaries(catalog_structures):
     for P, _ in catalog_structures:
         for i in _window(default_window(P)):
             for k in (0, 1, 2):
-                _check(delta_matrix(P, k, i), lambda c: P.delta(k, c))
+                _check(operator_matrix(P, "delta%d" % k, i), lambda c: P.delta(k, c))
 
 
 def test_boundaries(catalog_structures):
@@ -71,9 +73,9 @@ def test_horizontal_products(catalog_structures):
         koszul = _koszul_operators(P)
         for i in _window(default_window(P)):
             for k in (0, 1, 2, 3):
-                _check(mult_phi_matrix(P, k, i), lambda c: c * P.phi)
+                _check(kept_matrix(P, "phi%d" % k, i), lambda c: c * P.phi)
             for k in (1, 2, 3):
-                _check(koszul_matrix(P, k, i), koszul[k])
+                _check(kept_matrix(P, "koszul%d" % k, i), koszul[k])
 
 
 def test_vertical_operators(catalog_structures):
@@ -106,7 +108,7 @@ def test_relation_presentations(catalog_structures):
                     assert (D.source.kind, D.target) == ("X%d" % k, phi.target)
                     _check(D, koszul[k])
                     columns = D.columns + phi.columns
-                assert relation_rank(P, k, i) == echelon_of(columns).rank, (k, i)
+                assert relation_rank(P, k, i) == echelon_rank(echelon_of(columns)), (k, i)
 
 
 def test_second_order_operator_is_rejected():
@@ -132,7 +134,7 @@ def test_rational_coefficients_are_probed_exactly():
 
 def test_wrong_target_degree_raises():
     P = structure("x^3+y^3+z^3", (1, 1, 1))
-    symbol = operator_symbol(P, "phi", 1)
+    symbol = operator_symbol(P, "phi0")
     with pytest.raises(DegreeMismatch, match=r"component 1 does not lie in X0 at degree 4"):
         matrix_of(symbol, basis_of("X0", 0, P.weights), basis_of("X0", 4, P.weights))
 
@@ -140,8 +142,66 @@ def test_wrong_target_degree_raises():
 def test_wrong_arity_raises():
     P = structure("x^3+y^3+z^3", (1, 1, 1))
     with pytest.raises(DegreeMismatch, match="expected a vector cochain for X2"):
-        matrix_of(operator_symbol(P, "phi", 1), basis_of("X0", 0, P.weights),
+        matrix_of(operator_symbol(P, "phi0"), basis_of("X0", 0, P.weights),
                   basis_of("X2", 3, P.weights))
     with pytest.raises(DegreeMismatch):
-        matrix_of(operator_symbol(P, "phi", 1), basis_of("X1", 0, P.weights),
+        matrix_of(operator_symbol(P, "phi0"), basis_of("X1", 0, P.weights),
                   basis_of("X1", 3, P.weights))
+
+
+# Each named operator: its source and target pieces and its shift, N for the
+# (co)boundaries and deg(phi) for the horizontal operators.
+GRADING = {
+    "delta0": (0, 1, "N"),
+    "delta1": (1, 2, "N"),
+    "delta2": (2, 3, "N"),
+    "boundary1": (2, 3, "N"),
+    "boundary2": (1, 2, "N"),
+    "boundary3": (0, 1, "N"),
+    "koszul1": (1, 0, "d"),
+    "koszul2": (2, 1, "d"),
+    "koszul3": (3, 2, "d"),
+    "phi0": (0, 0, "d"),
+    "phi1": (1, 1, "d"),
+    "phi2": (2, 2, "d"),
+    "phi3": (3, 3, "d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADING))
+def test_each_matrix_maps_the_declared_pieces(name):
+    # a weighted structure, where N = -1 and deg(phi) = 30 differ in sign
+    P = structure("x^2+y^3+z^5", (15, 10, 6))
+    p, q, unit = GRADING[name]
+    shift = P.coboundary_degree if unit == "N" else P.degree
+    assert pieces(P, name) == (p, q, shift)
+    for i in range(-P.weight_sum, P.degree + 2, 7):
+        m = operator_matrix(P, name, i)
+        assert (m.source.kind, m.source.degree) == ("X%d" % p, i), i
+        assert (m.target.kind, m.target.degree) == ("X%d" % q, i + shift), i
+        assert operator_symbol(P, name).source_components == len(m.source.monomials)
+
+
+@pytest.mark.parametrize("name", ["delta3", "koszul0", "phi4", "curl1", "phi", "delta-1"])
+def test_an_operator_outside_the_table_is_refused(name):
+    P = structure("x^3+y^3+z^3", (1, 1, 1))
+    for build in (lambda: pieces(P, name), lambda: operator_matrix(P, name, 0),
+                  lambda: operator_symbol(P, name), lambda: kept_matrix(P, name, 0)):
+        with pytest.raises(ValueError, match="no operator %r" % name):
+            build()
+
+
+def test_phi_shares_one_symbol_per_component_count():
+    P = structure("x^3+y^3+z^3", (1, 1, 1))
+    assert operator_symbol(P, "phi0") is operator_symbol(P, "phi3")
+    assert operator_symbol(P, "phi1") is operator_symbol(P, "phi2")
+    assert operator_symbol(P, "phi0") != operator_symbol(P, "phi1")
+
+
+def test_a_skipped_source_fills_the_other_columns():
+    P = structure("x^3+y^3+z^3", (1, 1, 1))
+    whole = operator_matrix(P, "delta1", 2)
+    skip = 0b1000101
+    part = operator_matrix(P, "delta1", 2, skip)
+    assert part.source.dim == whole.source.dim - 3 and part.target is whole.target
+    assert part.columns == [c for j, c in enumerate(whole.columns) if not skip >> j & 1]

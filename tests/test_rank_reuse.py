@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -29,15 +30,9 @@ from poissonsing.complexes import complex_dim
 from poissonsing.homology import default_form_window, homology_dims, projection_commutes
 from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector
 from poissonsing.linalg import pivots_of_columns, rank_of_columns
-from poissonsing.operators import (
-    delta_matrix,
-    koszul_matrix,
-    mult_phi_matrix,
-    phi_multiple_pivots,
-    relation_blocks,
-)
+from poissonsing.operators import kept_matrix, operator_matrix, phi_multiple_pivots, relation_blocks
 
-from .conftest import boundary_matrix, boundary_plus, form_basis, planted, structure
+from .conftest import boundary_matrix, boundary_plus, echelon_rank, form_basis, planted, structure
 
 REFERENCE_PHI = [
     ("x^3+y^3+z^3", (1, 1, 1)),
@@ -54,8 +49,8 @@ def _constraint_blocks(P, k, i):
     n = basis_of("X%d" % k, i, P.weights).dim
     if k == 0:
         return n, 0, [], []
-    D = koszul_matrix(P, k, i)
-    return n, D.target.dim, D.columns, mult_phi_matrix(P, k - 1, i).columns
+    D = kept_matrix(P, "koszul%d" % k, i)
+    return n, D.target.dim, D.columns, kept_matrix(P, "phi%d" % (k - 1), i).columns
 
 
 def _constraint_rank(P, k, i):
@@ -68,14 +63,14 @@ def _omega_relation_columns(P, k, i):
     basis of Omega^{k-1}, then phi times that of Omega^k, both at form degree
     i - deg(phi); d(phi) ^ Omega^{k-1} is the Koszul map D_{4-k}."""
     j = i - P.weight_sum - P.degree
-    wedges = koszul_matrix(P, 4 - k, j).columns if k else []
-    return [*wedges, *mult_phi_matrix(P, 3 - k, j).columns]
+    wedges = kept_matrix(P, "koszul%d" % (4 - k), j).columns if k else []
+    return [*wedges, *kept_matrix(P, "phi%d" % (3 - k), j).columns]
 
 
 def _stack_rank(P, k, i, extra_k, extra_degree):
     """rank of [D | delta ; P | 0 ; 0 | phi-multiples of X^extra_k]."""
     n, rows_top, d_cols, p_cols = _constraint_blocks(P, k, i)
-    delta_cols = delta_matrix(P, k, i).columns if n else []
+    delta_cols = operator_matrix(P, "delta%d" % k, i).columns if n else []
     ech = Echelon()
     for j in range(n):
         merged = dict(d_cols[j]) if d_cols else {}
@@ -83,9 +78,9 @@ def _stack_rank(P, k, i, extra_k, extra_degree):
         ech.insert(merged)
     for col in p_cols:
         ech.insert(col)
-    for col in mult_phi_matrix(P, extra_k, extra_degree).columns:
+    for col in kept_matrix(P, "phi%d" % extra_k, extra_degree).columns:
         ech.insert(offset_vector(col, rows_top))
-    return ech.rank
+    return echelon_rank(ech)
 
 
 def two_stack_surface_cohomology_dim(P, k, i):
@@ -95,7 +90,7 @@ def two_stack_surface_cohomology_dim(P, k, i):
         ech = Echelon()
         for col in list(d_cols) + list(p_cols):
             ech.insert(col)
-        z_ambient = n + len(p_cols) - ech.rank
+        z_ambient = n + len(p_cols) - echelon_rank(ech)
     else:
         n_p2 = basis_of("X%d" % (k + 1), i + N - d, P.weights).dim
         z_ambient = n + len(p_cols) + n_p2 - _stack_rank(P, k, i, k + 1, i + N - d)
@@ -119,14 +114,14 @@ def two_stack_surface_homology_dim(P, k, i):
         relations = _omega_relation_columns(P, k - 1, i + N)
         for col in relations:
             ech.insert(col)
-        cycles = n - ech.rank + rank_of_columns(relations)
+        cycles = n - echelon_rank(ech) + rank_of_columns(relations)
     echb = Echelon()
     if k < 3 and form_basis(P, k + 1, i - N).dim:
         for col in boundary_matrix(P, k + 1, i - N).columns:
             echb.insert(col)
     for col in _omega_relation_columns(P, k, i):
         echb.insert(col)
-    return cycles - echb.rank
+    return cycles - echelon_rank(echb)
 
 
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
@@ -235,8 +230,10 @@ def whole_stack_rank(P, block, side, p, j):
     row = complexes.COMPLEXES[block, side]
     top = []
     if basis_of("X%d" % p, j, P.weights).dim:
-        is_delta = row.differential == "delta"
-        d = delta_matrix(P, p, j) if is_delta else boundary_matrix(P, 3 - p, j + P.weight_sum)
+        if row.differential == "delta":
+            d = operator_matrix(P, "delta%d" % p, j)
+        else:
+            d = boundary_matrix(P, 3 - p, j + P.weight_sum)
         top = d.columns
     rows_top, s_cols = 0, []
     if row.constrained and p:
@@ -324,7 +321,7 @@ def test_each_stack_fills_only_its_unskipped_top_columns(monkeypatch, phi, weigh
     for block, side, p, j in sorted(keys):
         row = complexes.COMPLEXES[block, side]
         name = "delta%d" % p if row.differential == "delta" else "boundary%d" % (3 - p)
-        d = operators.operator_symbol(P, name, 3 if p in (1, 2) else 1)
+        d = operators.operator_symbol(P, name)
         built.clear()
         pivots = complexes.stack_pivots.__wrapped__(P, block, side, p, j)
         filled = sum(n for symbol, n in built if symbol is d)
@@ -363,6 +360,38 @@ def test_verify_leaves_matrices_only_in_the_operator_caches(capsys):
     assert [ref() for ref in refs if ref() is not None] == []
 
 
+def test_kept_matrices_hold_no_state_and_the_koszul_suite_ranks_each_block_once(
+    monkeypatch, cubic
+):
+    # the Koszul suite keeps its ranks in a memo of its own call: every kept
+    # matrix it reads holds its bases and columns only, and although rows
+    # share blocks, no block is ranked twice
+    read, ranked = [], []
+    rank_of_columns = suites.rank_of_columns
+
+    def reading(cached):
+        def read_matrix(*args):
+            read.append(cached(*args))
+            return read[-1]
+
+        return read_matrix
+
+    def counting(columns):
+        ranked.append(columns)
+        return rank_of_columns(columns)
+
+    for name in ("kept_matrix", "de_rham_matrix"):
+        monkeypatch.setattr(suites, name, reading(getattr(suites, name)))
+    monkeypatch.setattr(suites, "rank_of_columns", counting)
+    results, _ = suites.run_suite(cubic, "koszul")
+    assert all(r.passed for r in results)
+    assert read and all(set(vars(m)) == {"source", "target", "columns"} for m in read)
+    blocks = {id(m.columns) for m in read}
+    assert len(blocks) < len(read)
+    ranks = Counter(id(columns) for columns in ranked if id(columns) in blocks)
+    assert ranks and set(ranks.values()) == {1}
+
+
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
 def test_phi_multiple_pivots_are_the_column_minima(phi, weights):
     # the indices of LM(phi)*m, found without elimination, are where each
@@ -370,7 +399,7 @@ def test_phi_multiple_pivots_are_the_column_minima(phi, weights):
     P = structure(phi, weights)
     for k in range(4):
         for i in range(-5, 25):
-            minima = [min(col) for col in mult_phi_matrix(P, k, i).columns]
+            minima = [min(col) for col in kept_matrix(P, "phi%d" % k, i).columns]
             assert phi_multiple_pivots(P, k, i) == sum(1 << q for q in minima), (k, i)
             assert len(set(minima)) == len(minima), (k, i)
 
