@@ -6,7 +6,7 @@ phi = 0.  When phi is weight homogeneous with an isolated singularity at the
 origin, all Poisson cohomology and homology spaces of both algebras are
 finitely described by the Jacobian quotient of phi; this package builds
 those descriptions and verifies them degree by degree with exact linear
-algebra over the rationals (in integers when phi has integer coefficients).
+algebra over the rationals, in integers.
 """
 
 from .cohomology import (

@@ -58,7 +58,7 @@ from functools import lru_cache
 from itertools import chain
 from sys import intern
 
-from .linalg import GradedOperatorMatrix, basis_of, columns_off_pivots, offset_vector
+from .linalg import KINDS, GradedOperatorMatrix, basis_of, columns_off_pivots, offset_vector
 from .linalg import pivots_of_columns, subquotient_dim
 from .operators import kept_matrix, named_operator, operator_matrix, operator_symbol
 from .operators import phi_multiple_pivots, relation_blocks, relation_pivots, relation_rank
@@ -98,7 +98,7 @@ def space_name(block: str, side: str, k: int) -> str:
 
 def cochain_dim(P: PoissonStructure, p: int, j: int) -> int:
     """dim X^p at derivation degree j; X^p is zero outside p in 0..3."""
-    return basis_of("X%d" % p, j, P.weights).dim if 0 <= p <= 3 else 0
+    return basis_of(KINDS[p], j, P.weights).dim if 0 <= p <= 3 else 0
 
 
 # The ten monomials of total degree at most 2, and the thirty vectors m*e_j.

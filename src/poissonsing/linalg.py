@@ -1,17 +1,16 @@
-"""Graded bases and exact linear algebra over the rationals.
+"""Graded bases and exact linear algebra over the rationals, in integers.
 
 The graded pieces of the multiderivation spaces X^0..X^3 over A = F[x,y,z]
-(X^0 is A itself) are finite dimensional; their bases are
-monomials placed in a single component, enumerated in the fixed monomial
-order (component 1 < 2 < 3).  Operators between graded pieces become exact
-sparse matrices, with ``int`` entries whenever phi has integer coefficients
-(``Fraction`` entries appear only for a non-integral phi), and all dimension
-counts reduce to ranks, kernels and cokernels computed by fraction-free
-integer row reduction (rows kept primitive via gcd normalization, so no
-rounding and no coefficient blowup in practice).  Rows are reduced in place,
-and only rows the echelon owns are: every entry point first makes a fresh
-integer copy of its input, and stored pivot rows are never changed, so a
-caller's (possibly cached) column is never touched.  Every computed
+(X^0 is A itself) are finite dimensional; their bases are monomials placed
+in a single component, enumerated in the fixed monomial order (component 1
+< 2 < 3).  Operators between graded pieces become exact sparse matrices with
+int entries, filled from the symbols of an integral multiple of phi
+(PoissonStructure.integral; no rank depends on the scale).  A Vector has int
+entries and no zeros and is never mutated once built.  Every dimension count
+reduces to ranks, kernels and cokernels computed by fraction-free integer
+row reduction (rows kept primitive via gcd normalization, so no rounding and
+no coefficient blowup in practice); an echelon reduces only its own copies,
+in place, and raises TypeError on an entry that is no int.  Every computed
 (co)homology dimension is one formula in five such ranks (subquotient_dim),
 with the zero spaces at the ends of each complex contributing rank 0.
 
@@ -40,16 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
 from .poly import Monomial, Poly, Scalar, WeightSystem, monomials_of_degree
 from .vectorcalc import VecPoly
 
-# Sparse coordinates; the entries are ints unless phi has a non-integral
-# coefficient.
-Vector = dict[int, Scalar]
+Vector = dict[int, int]  # sparse coordinates (see the module docstring)
+KINDS = ("X0", "X1", "X2", "X3")  # the kinds of graded piece, X^k at index k
 Cochain = Union[Poly, VecPoly]
 
 
@@ -65,16 +62,10 @@ class NegativeDimension(RuntimeError):
 def component_degrees(kind: str, i: int, w: WeightSystem) -> tuple[int, ...]:
     """Polynomial degrees of the components of the graded piece kind_i."""
     w1, w2, w3 = w.weights
-    s = w.weight_sum
-    if kind == "X0":
-        return (i,)
-    if kind == "X1":
-        return (i + w1, i + w2, i + w3)
-    if kind == "X2":
-        return (i + w2 + w3, i + w1 + w3, i + w1 + w2)
-    if kind == "X3":
-        return (i + s,)
-    raise ValueError("unknown space kind %r" % kind)
+    shifts = dict(zip(KINDS, ((0,), (w1, w2, w3), (w2 + w3, w1 + w3, w1 + w2), (w1 + w2 + w3,))))
+    if kind not in shifts:
+        raise ValueError("unknown space kind %r" % kind)
+    return tuple(i + shift for shift in shifts[kind])
 
 
 @dataclass(frozen=True)
@@ -163,7 +154,7 @@ def basis_of(kind: str, i: int, w: WeightSystem) -> GradedBasis:
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """Divide the owned row in place by the gcd of its entries."""
+    """Divide the owned row in place by the gcd of its entries (int only)."""
     g = math.gcd(*row.values())
     if g > 1:
         for k, v in row.items():
@@ -171,26 +162,17 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def to_int_vector(vec: Vector) -> dict[int, int]:
-    """Primitive integer multiple of vec as a fresh dict, zero entries
-    dropped; denominators are cleared only when a Fraction is present
-    (column scaling preserves span and rank)."""
-    if Fraction in map(type, vec.values()):
-        lcm = math.lcm(*(c.denominator for c in vec.values()))
-        vec = {k: int(c * lcm) for k, c in vec.items()}
-    return _primitive({k: c for k, c in vec.items() if c})
-
-
 class Echelon:
-    """Incremental integer row echelon; spans a subspace of Q^n exactly."""
+    """Incremental integer row echelon over Q.  A stored row is primitive, with a positive
+    entry at its pivot (its smallest index); a vector that brings a new pivot is stored at once."""
 
     __slots__ = ("_rows",)
 
     def __init__(self):
         self._rows: dict[int, dict[int, int]] = {}
 
-    def _reduced(self, row: dict[int, int]) -> dict[int, int]:
-        """Reduce an owned row in place against the stored pivots.
+    def _reduced(self, row: dict[int, int]) -> int | None:
+        """Reduce an owned row in place; the pivot of the residual, or None.
 
         Each step is row <- (b/g)*row - (a/g)*pivot with a, b the entries at
         the pivot column and g = gcd(a, b), then row <- row/gcd(row); the
@@ -201,7 +183,7 @@ class Echelon:
             p = min(row)
             piv = rows.get(p)
             if piv is None:
-                return row
+                return p
             a = row[p]
             b = piv[p]
             if b != 1:
@@ -218,35 +200,41 @@ class Echelon:
                 else:
                     del row[k]
             _primitive(row)
-        return row
+        return None
 
-    def _store(self, row: dict[int, int]) -> dict[int, int]:
-        """Store a reduced row under its pivot, with a positive pivot entry."""
-        p = min(row)
+    def _store(self, row: dict[int, int], p: int) -> dict[int, int]:
+        """Store an owned primitive row under its pivot p, with a positive entry there."""
         if row[p] < 0:
             for k, v in row.items():
                 row[k] = -v
         self._rows[p] = row
         return row
 
+    def _placed(self, vec: Vector) -> dict[int, int] | None:
+        """Reduce a primitive copy of vec; its stored residual, or None if zero."""
+        row = _primitive(dict(vec))
+        p = self._reduced(row)
+        return None if p is None else self._store(row, p)
+
     def insert(self, vec: Vector) -> bool:
-        """Add an exact vector to the span; True if the rank grew."""
-        row = self._reduced(to_int_vector(vec))
-        if not row:
+        """Add vec to the span; True if the rank grew."""
+        if not vec:
             return False
-        self._store(row)
+        p = min(vec)
+        if p in self._rows:
+            return self._placed(vec) is not None
+        g = math.gcd(*vec.values())
+        if vec[p] < 0:
+            g = -g
+        self._rows[p] = dict(vec) if g == 1 else {k: v // g for k, v in vec.items()}
         return True
 
-    def insert_int(self, row: dict[int, int]) -> dict[int, int] | None:
-        """Insert a copy of an already-integer row; returns the stored
-        residual (or None)."""
-        row = self._reduced(dict(row))
-        if not row:
-            return None
-        return self._store(row)
+    def insert_int(self, vec: Vector) -> dict[int, int] | None:
+        """Add vec to the span; the stored row, or None if the rank did not grow."""
+        return self._placed(vec)
 
     def contains(self, vec: Vector) -> bool:
-        return not self._reduced(to_int_vector(vec))
+        return self._reduced(_primitive(dict(vec))) is None
 
 
 def pivots_of_columns(columns: Iterable[Vector]) -> int:
@@ -271,16 +259,14 @@ def rank_of_columns(columns: Iterable[Vector]) -> int:
 def kernel_of_columns(columns: Sequence[Vector], rows: int) -> list[Vector]:
     """Basis of {x : sum_j x_j * col_j = 0}, via integer tracking columns.
 
-    Each column is scaled to integers and augmented with its scale factor in a
-    tracking coordinate; rows of the echelon supported entirely in the
-    tracking zone read off integer kernel vectors directly.
+    Each column is augmented with a 1 in a tracking coordinate; rows of the
+    echelon supported entirely in the tracking zone read off integer kernel
+    vectors directly.
     """
     ech = Echelon()
     kernel: list[Vector] = []
     for j, col in enumerate(columns):
-        aug = dict(col)
-        aug[rows + j] = 1
-        res = ech.insert_int(to_int_vector(aug))
+        res = ech.insert_int({**col, rows + j: 1})
         if res is not None and min(res) >= rows:
             kernel.append({k - rows: v for k, v in res.items()})
     return kernel
@@ -295,8 +281,8 @@ class GradedOperatorMatrix:
     """Exact matrix of a linear operator between two graded bases.
 
     Column j holds the target coordinates of the operator applied to source
-    basis element j.  Stored sparsely; entries are exact scalars (ints for an
-    integral phi).  A matrix is a value: it holds its bases and columns only,
+    basis element j.  Stored sparsely; the entries are ints for an integral
+    symbol.  A matrix is a value: it holds its bases and columns only,
     so a cached one carries no state of its readers, who keep any rank of it
     themselves.
     """
@@ -395,9 +381,9 @@ def symbol_of(op: Callable[[Cochain], Cochain], source_components: int) -> Symbo
 def matrix_of(symbol: Symbol, source: GradedBasis, target: GradedBasis) -> GradedOperatorMatrix:
     """Matrix of the operator with this symbol from source into target.
 
-    Each column comes from exponent arithmetic and target index lookups;
-    zero sums are dropped, and a nonzero entry outside the target piece
-    raises DegreeMismatch.
+    Each column is summed directly on target indices, from exponent
+    arithmetic and index lookups; zero sums are dropped, and a nonzero sum
+    outside the target piece raises DegreeMismatch.
     """
     if symbol.source_components != len(source.monomials):
         raise DegreeMismatch(
@@ -411,27 +397,36 @@ def matrix_of(symbol: Symbol, source: GradedBasis, target: GradedBasis) -> Grade
         )
     index = target._index
     columns: list[Vector] = []
+    outside: dict = {}  # (column, t, monomial) -> a sum off the target, which must vanish
     for groups, monos in zip(symbol.terms, source.monomials):
-        for e in monos:
-            e0, e1, e2 = e
-            acc: dict = {}
-            for k, group in zip((e0, e1, e2, 1), groups):
-                if k:
-                    for t, o0, o1, o2, c in group:
-                        key = (t, (e0 + o0, e1 + o1, e2 + o2))
-                        acc[key] = acc.get(key, 0) + k * c
+        if not monos:
+            continue
+        # each term with the (offset, position map) of its target component
+        gx, gy, gz, g0 = [[(t, *index[t], o0, o1, o2, c) for t, o0, o1, o2, c in g] for g in groups]
+        for e0, e1, e2 in monos:
             col: Vector = {}
-            for (t, m), v in acc.items():
-                if v:
-                    offset, positions = index[t]
-                    j = positions.get(m)
-                    if j is None:
-                        raise DegreeMismatch(
-                            "monomial %s in component %d does not lie in %s at degree %d"
-                            % (m, t + 1, target.kind, target.degree)
-                        )
-                    col[offset + j] = v
+            for k, group in ((e0, gx), (e1, gy), (e2, gz), (1, g0)):
+                if k:
+                    for t, offset, positions, o0, o1, o2, c in group:
+                        m = (e0 + o0, e1 + o1, e2 + o2)
+                        j = positions.get(m)
+                        if j is None:
+                            key = (len(columns), t, m)
+                            outside[key] = outside.get(key, 0) + k * c
+                            continue
+                        j += offset
+                        s = col.get(j, 0) + k * c
+                        if s:
+                            col[j] = s
+                        else:
+                            del col[j]
             columns.append(col)
+    for (_, t, m), v in outside.items():
+        if v:
+            raise DegreeMismatch(
+                "monomial %s in component %d does not lie in %s at degree %d"
+                % (m, t + 1, target.kind, target.degree)
+            )
     return GradedOperatorMatrix(source, target, columns)
 
 

@@ -8,8 +8,9 @@ the degree by N = deg(phi) - |w|, the Koszul maps of grad(phi) and
 multiplication by phi by deg(phi), and the de Rham operators preserve it.
 
 Every operator here is a linear differential operator of order at most one,
-so its symbol is extracted once per structure (operator_symbol) and every
-matrix is filled from it by linalg's matrix_of, through one constructor
+so its symbol is extracted once per structure (operator_symbol), from
+P.integral (an integral multiple of phi, of the same ranks), and every matrix
+is filled from it in ints by linalg's matrix_of, through one constructor
 (operator_matrix) that caches nothing: each rank stack fills only the
 columns it reduces (complexes.stack_pivots).  The blocks read more than
 once, of phi and the Koszul maps, are kept (kept_matrix), as are those of de
@@ -29,6 +30,7 @@ from sys import intern
 from itertools import chain
 
 from .linalg import (
+    KINDS,
     GradedOperatorMatrix,
     Symbol,
     basis_of,
@@ -85,19 +87,18 @@ def _symbol(P: PoissonStructure | None, operator: str, source_components: int) -
 
 
 def operator_symbol(P: PoissonStructure, name: str) -> Symbol:
-    """Symbol of the named operator on the components of its source piece;
-    phi on X^0 and X^3 shares one, and phi on X^1 and X^2 another."""
+    """Symbol of the named operator of P.integral on the components of its
+    source piece; phi on X^0 and X^3 shares one, and phi on X^1 and X^2 another."""
     p = pieces(P, name)[0]
-    return _symbol(P, "phi" if name.startswith("phi") else name, 1 if p in (0, 3) else 3)
+    return _symbol(P.integral, "phi" if name.startswith("phi") else name, 1 if p in (0, 3) else 3)
 
 
 def operator_matrix(P: PoissonStructure, name: str, i: int, skip: int = 0) -> GradedOperatorMatrix:
     """Matrix of the named operator from X^p at degree i into X^q at i + shift
-    (pieces), on the source less its elements at the bits of skip; uncached.
-    The kinds are interned, so that each basis_of key holds no copy of one."""
+    (pieces), on the source less its elements at the bits of skip; uncached."""
     p, q, shift = pieces(P, name)
-    source = basis_of(intern("X%d" % p), i, P.weights)
-    target = basis_of(intern("X%d" % q), i + shift, P.weights)
+    source = basis_of(KINDS[p], i, P.weights)
+    target = basis_of(KINDS[q], i + shift, P.weights)
     return matrix_of(operator_symbol(P, name), source.without(skip) if skip else source, target)
 
 
@@ -113,7 +114,7 @@ def de_rham_matrix(w: WeightSystem, k: int, i: int) -> GradedOperatorMatrix:
     """The degree-0 vertical operator from X^k into X^{k-1} at degree i:
     divergence (k=1), curl (k=2) and gradient (k=3); basis_of refuses any
     other k, as X^4 and X^-1 are no pieces."""
-    src, tgt = basis_of("X%d" % k, i, w), basis_of("X%d" % (k - 1), i, w)
+    src, tgt = basis_of(KINDS[k], i, w), basis_of(KINDS[k - 1], i, w)
     return matrix_of(_symbol(None, "de_rham%d" % k, len(src.monomials)), src, tgt)
 
 
@@ -155,10 +156,10 @@ def phi_multiple_pivots(P: PoissonStructure, k: int, i: int) -> int:
     phi, looked up in the target's (offset, shared X0 position map) pairs.
     Each piece lists its monomials in descending lex order, so that index is
     the smallest of the column of phi*m and the indices are distinct."""
-    source = basis_of("X%d" % k, i, P.weights)
+    source = basis_of(KINDS[k], i, P.weights)
     if not source.dim:
         return 0
-    index = basis_of("X%d" % k, i + pieces(P, "phi%d" % k)[2], P.weights)._index
+    index = basis_of(KINDS[k], i + P.degree, P.weights)._index
     a, b, c = max(P.phi.terms)
     return sum(
         1 << (offset + positions[e0 + a, e1 + b, e2 + c])

@@ -20,6 +20,8 @@ convention is echoed in reports.
 
 from __future__ import annotations
 
+import math
+
 from .poly import Poly, WeightSystem, weighted_degree
 from .vectorcalc import VecPoly, cross, curl, divergence, dot, grad
 
@@ -28,15 +30,15 @@ CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 class PoissonStructure:
-    """Immutable bundle of phi, its weights, degree data, cached gradient and
-    the differentials of the coordinate brackets.
+    """Immutable bundle of phi, its weights, degree data, cached gradient, the differentials of
+    the coordinate brackets, and integral: c*phi's structure (c = lcm of phi's denominators).
 
     The constructor only requires weight homogeneity; whether phi has an
     isolated singularity is a separate gate (see the milnor module).
     """
 
     __slots__ = ("phi", "weights", "degree", "coboundary_degree", "nabla_phi", "d_brackets",
-                 "_hash")
+                 "integral", "_hash")
 
     def __init__(self, phi: Poly, weights: WeightSystem):
         d = weighted_degree(phi, weights)
@@ -50,6 +52,8 @@ class PoissonStructure:
         xs = [Poly.variable(a) for a in range(3)]
         # d{x_u, x_v} for the (a, u, v) of CYCLIC: the coordinate brackets' differentials
         self.d_brackets = tuple(grad(self.bracket(xs[u], xs[v])) for _, u, v in CYCLIC)
+        c = math.lcm(*(v.denominator for v in phi.terms.values()))
+        self.integral = type(self)(Poly((c * phi).terms), weights) if c > 1 else self
         self._hash: int | None = None
 
     @property

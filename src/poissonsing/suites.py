@@ -377,7 +377,7 @@ def cohomology_suite(
         for j in range(dotm.source.dim):
             stacked.insert({**dotm.columns[j], **offset_vector(divm.columns[j], off)})
         # phi^r is a constrained divergence iff it adds nothing to the span
-        if not stacked.insert(offset_vector(divm.target.coords_of(P.phi**r), off)):
+        if not stacked.insert(offset_vector(divm.target.coords_of(P.integral.phi**r), off)):
             return "phi^%d is a constrained divergence" % r
         return None
 
@@ -400,7 +400,7 @@ def cohomology_suite(
     # grad(phi) is a coboundary exactly when deg(phi) differs from |w|
     d1 = operator_matrix(P, "delta1", 0)
     base = stack_rank(P, "cohomology", "ambient", 1, 0)
-    exact = rank_of_columns(d1.columns + [d1.target.coords_of(P.nabla_phi)]) == base
+    exact = rank_of_columns(d1.columns + [d1.target.coords_of(P.integral.nabla_phi)]) == base
     ok = exact == (d != s)
     text = "" if ok else "exactness of the structure class is wrong"
     results.append(CheckResult("bracket_class_exact_iff_degree_differs", ok, 1, text))

@@ -178,6 +178,26 @@ class TestAnalyzeCommand:
         assert len(tables[0]) == 16
         assert tables[0] == tables[1]
 
+    def test_unequal_denominators_give_the_tables_of_the_integral_multiple(self, capsys):
+        # the engine ranks the matrices of 6*phi; the report keeps the user's phi
+        args = ("--max-degree", "6", "--format", "json")
+        reports = []
+        for phi in ("1/2*x^3+1/3*y^3+z^3", "3*x^3+2*y^3+6*z^3"):
+            code, out, _ = run(capsys, "analyze", "--phi", phi, *args)
+            assert code == 0
+            reports.append(json.loads(out))
+        tables = [
+            {(block, side, space): entry["computed"]
+             for block in ("cohomology", "homology")
+             for side, spaces in report[block].items()
+             for space, entry in spaces.items()}
+            for report in reports
+        ]
+        assert len(tables[0]) == 16
+        assert tables[0] == tables[1]
+        assert all(entry["match"] for table in (reports[0]["cohomology"], reports[0]["homology"])
+                   for spaces in table.values() for entry in spaces.values())
+
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         # force a wrong computed table to exercise the exit-4 path
         from poissonsing import report as rp

@@ -1,6 +1,7 @@
 """Source hygiene that needs no linter: no unused import in src/ or tests/,
 no package export and no definition under src/ that only the tests use, no
-sampling in src/, and no boundary defined through the coboundary.
+sampling in src/, no boundary defined through the coboundary, and no
+Fraction in linalg.
 
 An imported name counts as used when it is read anywhere in its module,
 appears in a string annotation, or is listed in the module's __all__ (the
@@ -9,7 +10,9 @@ function, method or class defined under src/ and any name a module-level
 assignment under src/ binds (dunders aside) counts as used when src/ or
 demos/ read it outside its own definition.  The engine and its
 certificates are exact and deterministic, so no module under src/ imports
-random; random inputs belong to the tests.  An unbounded cache keeps its
+random; random inputs belong to the tests.  The engine works on an
+integral multiple of phi, so linalg neither imports nor reads Fraction and
+clears no denominator (no to_int_vector).  An unbounded cache keeps its
 entries for the life of the process, so every one under src/ is listed in
 UNBOUNDED_CACHES, and a new one fails until it is listed.
 """
@@ -283,6 +286,44 @@ def test_method_scan_sees_names_and_attributes():
         "        return self.delta1\n"
     )
     assert names_in_method(source, "P", "boundary") & COBOUNDARIES == {"delta", "delta2"}
+
+
+def fraction_uses(source: str) -> list[int]:
+    """Lines that import the fractions module, or bind or read the name
+    Fraction (imported from anywhere, or as an attribute)."""
+    tree = ast.parse(source)
+    lines = set(imports_of(source, "fractions"))
+    lines |= {line for name, line in _imported(tree).items() if name == "Fraction"}
+    lines |= {
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    }
+    return sorted(lines)
+
+
+def test_linalg_works_in_integers_only():
+    # the engine's matrices come from an integral multiple of phi, so the
+    # echelon takes int vectors alone and clears no denominator
+    source = (ROOT / "src" / "poissonsing" / "linalg.py").read_text()
+    assert fraction_uses(source) == [], "linalg uses Fraction"
+    assert "to_int_vector" not in {name for _, name in definitions(source)}
+
+
+def test_fraction_scan_sees_every_form():
+    source = (
+        "import fractions\n"
+        "from fractions import Fraction as F\n"
+        "from .poly import Fraction\n"
+        "x = poly.Fraction(1, 2)\n"
+        "def f(v: Fraction):\n"
+        "    return Fraction\n"
+        "text = 'Fraction'\n"
+        "def to_int_vector(vec):\n"
+        "    return vec\n"
+    )
+    assert fraction_uses(source) == [1, 2, 3, 4, 5, 6]
+    assert (8, "to_int_vector") in definitions(source)
 
 
 # Every unbounded cache under src/, as "module.function".

@@ -22,7 +22,7 @@ from poissonsing import (
 )
 from poissonsing.cli import main
 from poissonsing.linalg import Echelon, GradedBasis, columns_off_pivots, kernel_of_columns
-from poissonsing.linalg import rank_of_columns
+from poissonsing.linalg import pivots_of_columns, rank_of_columns
 from poissonsing.operators import operator_matrix
 
 from .conftest import (
@@ -226,7 +226,7 @@ class TestMatrices:
         for _ in range(40):
             rows, cols = rng.randint(1, 7), rng.randint(1, 7)
             columns = [
-                {i: Fraction(rng.randint(-3, 3)) for i in range(rows) if rng.random() < 0.6}
+                {i: rng.randint(-3, 3) for i in range(rows) if rng.random() < 0.6}
                 for _ in range(cols)
             ]
             columns = [{i: c for i, c in col.items() if c} for col in columns]
@@ -234,10 +234,10 @@ class TestMatrices:
             kernel = kernel_of_columns(columns, rows)
             assert r + len(kernel) == cols
             for vec in kernel:
-                image: dict[int, Fraction] = {}
+                image: dict[int, int] = {}
                 for j, c in vec.items():
                     for i, v in columns[j].items():
-                        image[i] = image.get(i, Fraction(0)) + c * v
+                        image[i] = image.get(i, 0) + c * v
                 assert all(v == 0 for v in image.values())
 
     def test_cokernel_representatives_greedy(self):
@@ -265,20 +265,23 @@ class TestMatrices:
 class TestEchelon:
     def test_membership(self):
         ech = Echelon()
-        ech.insert({0: Fraction(1), 1: Fraction(1)})
-        assert ech.contains({0: Fraction(2), 1: Fraction(2)})
-        assert not ech.contains({0: Fraction(1)})
+        ech.insert({0: 1, 1: 1})
+        assert ech.contains({0: 2, 1: 2})
+        assert not ech.contains({0: 1})
 
     def test_fractional_input(self):
+        # the span of (1/3, 0, 5/7), given by its integer multiple: a
+        # fractional column is scaled to integers above the echelon
         ech = Echelon()
-        assert ech.insert({0: Fraction(1, 3), 2: Fraction(5, 7)})
-        assert ech.contains({0: Fraction(7), 2: Fraction(15)})
+        assert ech.insert({0: 7, 2: 15})
+        assert ech.contains({0: 7, 2: 15})
+        assert ech.contains({0: -14, 2: -30})
 
     def test_rank_stops_growing(self):
         ech = Echelon()
-        ech.insert({0: Fraction(1)})
-        ech.insert({1: Fraction(1)})
-        assert not ech.insert({0: Fraction(3), 1: Fraction(-2)})
+        ech.insert({0: 1})
+        ech.insert({1: 1})
+        assert not ech.insert({0: 3, 1: -2})
         assert echelon_rank(ech) == 2
 
 
@@ -302,9 +305,6 @@ class _CopyingEchelon:
 
     @classmethod
     def _int_vector(cls, vec):
-        if Fraction in map(type, vec.values()):
-            lcm = math.lcm(*(c.denominator for c in vec.values()))
-            vec = {k: int(c * lcm) for k, c in vec.items()}
         return cls._primitive({k: c for k, c in vec.items() if c})
 
     def _reduced(self, row):
@@ -360,8 +360,9 @@ def _fraction_rank(columns, rows):
 
 
 def _random_columns(rng, rows, cols):
-    """Sparse columns with int and Fraction entries; some are combinations
-    of earlier ones, so that reductions reach zero."""
+    """Sparse integer columns, each the integer multiple (by the lcm of its
+    denominators) of one whose entries are ints and Fractions; some are
+    combinations of earlier ones, so that reductions reach zero."""
     columns = []
     for _ in range(cols):
         if columns and rng.random() < 0.3:
@@ -374,7 +375,8 @@ def _random_columns(rng, rows, cols):
                 if rng.random() < 0.5:
                     c = rng.randint(-9, 9)
                     col[i] = Fraction(c, rng.randint(1, 6)) if rng.random() < 0.3 else c
-        columns.append({i: c for i, c in col.items() if c})
+        lcm = math.lcm(*(c.denominator for c in col.values()))
+        columns.append({i: int(c * lcm) for i, c in col.items() if c})
     return columns
 
 
@@ -414,3 +416,82 @@ class TestInPlaceReduction:
         assert operator_matrix(cubic, "delta1", 2).columns == snapshot
         stored = {id(row) for row in ech._rows.values()}
         assert not stored & {id(col) for col in m.columns}
+
+
+def _oracle_pivots(columns, rows):
+    """The pivots of the span of the columns, by the dense oracle: index i
+    leads a vector of the span iff coordinate i is independent of those
+    before it, that is, iff it raises the rank of the first rows."""
+    ranks = [_fraction_rank(columns, n) for n in range(rows + 1)]
+    return {i for i in range(rows) if ranks[i + 1] > ranks[i]}
+
+
+def _contract_columns(rng, rows, cols):
+    """Sparse integer columns: negative leading entries, leading entries
+    with a common factor, repeated and empty columns, and combinations."""
+    columns = []
+    for _ in range(cols):
+        kind = rng.random()
+        if kind < 0.1:
+            col = {}
+        elif columns and kind < 0.25:
+            col = dict(rng.choice(columns))
+        elif columns and kind < 0.45:
+            base = rng.choice(columns)
+            k = rng.choice((-6, -3, -2, -1, 2, 4))
+            col = {i: k * v for i, v in base.items()}
+        elif columns and kind < 0.6:
+            a, b = rng.sample((-3, -2, -1, 1, 2, 3), 2)
+            u, v = rng.choice(columns), rng.choice(columns)
+            col = {i: a * u.get(i, 0) + b * v.get(i, 0) for i in set(u) | set(v)}
+        else:
+            k = rng.choice((1, 2, 3, -1, -4))
+            col = {i: k * rng.randint(-5, 5) for i in range(rows) if rng.random() < 0.5}
+        columns.append({i: c for i, c in sorted(col.items()) if c})
+    return columns
+
+
+class TestEchelonContract:
+    def test_generator_covers_the_contract(self):
+        rng = random.Random(21)
+        columns = [c for _ in range(60) for c in _contract_columns(rng, 8, 10) if c]
+        leading = [col[min(col)] for col in columns]
+        assert any(a < 0 for a in leading)
+        assert any(math.gcd(*col.values()) > 1 for col in columns)
+        rng = random.Random(21)
+        batches = [_contract_columns(rng, 8, 10) for _ in range(60)]
+        assert any({} in batch for batch in batches)
+        assert any(len(batch) > len({tuple(c.items()) for c in batch}) for batch in batches)
+
+    def test_pivots_ranks_and_stored_rows(self):
+        rng = random.Random(21)
+        for _ in range(120):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 12)
+            columns = _contract_columns(rng, rows, cols)
+            new, old = Echelon(), _CopyingEchelon()
+            grew = [new.insert(col) for col in columns]
+            assert grew == [old.insert(col) for col in columns]
+            assert new._rows == old._rows
+            pivots = _oracle_pivots(columns, rows)
+            assert set(new._rows) == pivots
+            assert pivots_of_columns(columns) == sum(1 << p for p in pivots)
+            assert rank_of_columns(columns) == sum(grew) == _fraction_rank(columns, rows)
+            for p, row in new._rows.items():
+                assert min(row) == p and row[p] > 0 and math.gcd(*row.values()) == 1
+                assert all(type(v) is int and v for v in row.values())
+            for col in columns:
+                assert new.contains(col)
+
+    def test_a_fraction_entry_raises(self):
+        ech = Echelon()
+        ech.insert({0: 1, 1: 6})
+        stored = {p: dict(row) for p, row in ech._rows.items()}
+        # a new pivot, an existing one, and one whose reduction would cancel
+        for vec in ({1: Fraction(1, 2)}, {2: Fraction(3)}, {0: Fraction(1, 2), 1: 3},
+                    {0: 2, 1: Fraction(1, 3)}):
+            for call in (ech.insert, ech.insert_int, ech.contains):
+                with pytest.raises(TypeError):
+                    call(vec)
+            with pytest.raises(TypeError):
+                rank_of_columns([vec])
+            assert ech._rows == stored

@@ -27,8 +27,10 @@ from poissonsing import (
     symbol_of,
 )
 from poissonsing.operators import (
+    PIECES,
     de_rham_matrix,
     kept_matrix,
+    named_operator,
     operator_matrix,
     operator_symbol,
     pieces,
@@ -130,6 +132,24 @@ def test_rational_coefficients_are_probed_exactly():
     assert matrix_of(symbol_of(op, 1), source, target).columns == oracle_columns(
         op, source, target
     )
+
+
+def test_a_rational_phi_builds_integer_matrices():
+    # unequal denominators: the engine works on the integral multiple c*phi
+    # (c = lcm(2, 3) = 6), so every column of every operator has int entries,
+    # c times the user's operator applied to the basis element
+    P = structure("1/2*x^3+1/3*y^3+z^3", (1, 1, 1))
+    assert P.integral.phi == parse_poly("3*x^3+2*y^3+6*z^3")
+    assert P.phi == parse_poly("1/2*x^3+1/3*y^3+z^3")
+    assert sorted(PIECES) == sorted(
+        ["delta0", "delta1", "delta2", "boundary1", "boundary2", "boundary3",
+         "koszul1", "koszul2", "koszul3", "phi0", "phi1", "phi2", "phi3"])
+    for name in PIECES:
+        op = named_operator(P, "phi" if name.startswith("phi") else name)
+        for i in _window(default_window(P)):
+            m = operator_matrix(P, name, i)
+            assert all(type(v) is int for col in m.columns for v in col.values()), (name, i)
+            assert m.columns == oracle_columns(lambda c: op(c) * 6, m.source, m.target), (name, i)
 
 
 def test_wrong_target_degree_raises():
