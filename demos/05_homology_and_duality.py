@@ -9,10 +9,12 @@ Koszul-Brylinski formula in the bracket, is the signed coboundary.  So H_k
 at form degree i is H^{3-k} at derivation degree i - |w|.  Both operators
 have order at most one, so the identity holds in every degree once their
 symbols agree on the probes e_s and x_a*e_s: duality_identity_holds checks
-that once per structure, and homology_dims computes the shifted cohomology
-without checking it again.
-Its closed form (ambient_homology_description) is the H^{3-k} module
-regraded by |w|.
+that once per structure.  homology_dims runs ambient homology on its own row
+of the table of complexes: while the certificate holds, the row reads the
+ranks of the cohomology stacks (the two stacks have one span); were it to
+fail, the row would rank the boundary itself, and a wrong boundary would
+show as a mismatch.  The closed form (ambient_homology_description) is the
+H^{3-k} module regraded by |w|.
 
 On the surface the four homology spaces are finite dimensional of dims
 (mu, mu-1, mu, mu): two shifted copies of the Jacobian quotient at the ends,

@@ -15,13 +15,7 @@ from . import cohomology as ch
 from .linalg import NegativeDimension
 from .milnor import NotIsolated, check_isolated
 from .poisson import PoissonStructure
-from .poly import (
-    NotHomogeneous,
-    Poly,
-    PolyParseError,
-    WeightSystem,
-    parse_poly,
-)
+from .poly import NotHomogeneous, Poly, PolyParseError, WeightSystem, parse_poly
 from .report import build_report, first_mismatch, milnor_section, render_text, suite_lines
 from .suites import SUITE_NAMES, run_suite
 
@@ -125,10 +119,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    P = _structure(args)
-    f = parse_poly(args.f)
-    g = parse_poly(args.g)
-    print(P.bracket(f, g))
+    print(_structure(args).bracket(parse_poly(args.f), parse_poly(args.g)))
     return EXIT_OK
 
 

@@ -13,11 +13,12 @@ it does only for surface cohomology, whose cochains are the v with D_p(v)
 in phi*X^{p-1}; the halves of the entry relation_blocks(P, p+2, j+N-d) that
 make the target relations R_{p+1}: none on A, the phi half phi*X^{p+1} for
 surface cohomology, both (d(phi) ^ . + phi*.) for surface homology; and the
-certificate that licenses its skipped columns.  The closed forms and
-engines are bound in suites.space_family, and every space is named by
-space_name.  Ambient homology is ambient cohomology re-indexed, licensed by
-the certificate boundary_equals_signed_coboundary, so its engine never
-ranks its own row, which stays as the unlicensed reference.
+certificate that licenses its skipped columns (for ambient homology, its
+shared stacks).  The closed forms and engines are bound in
+suites.space_family, and every space is named by space_name.  While
+boundary_equals_signed_coboundary holds, boundary_{3-p} = +-delta^p on X^p_j
+gives both stacks one span, so stack_rank reads ambient homology off the
+ambient cohomology stacks; when it fails, the row ranks the boundary.
 
 The cycle stack of X^p_j is [[T; d] | [S; 0] | [0; R]], ranked once by the
 one memo stack_pivots, which keeps the pivot set of its echelon (stack_rank
@@ -35,9 +36,8 @@ Skipped columns.  stack_pivots reduces only the top columns off the pivots
 of an echelon of a subspace W of X^p_j whose stack columns lie in the span
 of the relation columns (so each skipped column is a combination of those
 and of columns of larger index), once the identity that proves it holds:
-  ambient cohomology (which ambient homology re-indexes): W = im
-    delta^{p-1}, the pivots of the stack at (p-1, j-N), by delta o delta
-    = 0 (coboundary_squared_vanishes);
+  ambient cohomology: W = im delta^{p-1}, the pivots of the stack at
+    (p-1, j-N), by delta o delta = 0 (coboundary_squared_vanishes);
   surface cohomology: W = phi*X^p_{j-d}, whose pivots are the indices of
     LM(phi)*m (operators.phi_multiple_pivots, no elimination), as
     stack(phi*x) = [S(D_p x); R(delta x)] by [delta, phi] = 0
@@ -74,13 +74,13 @@ class Complex:
     differential: str
     constrained: bool
     relations: tuple[str, ...]
-    licence: str | None
+    licence: str
 
 
 COMPLEXES: dict[tuple[str, str], Complex] = {
     ("cohomology", "ambient"): Complex("delta", False, (), "coboundary_squared_vanishes"),
     ("cohomology", "surface"): Complex("delta", True, ("phi",), "casimir_multiplication_commutes"),
-    ("homology", "ambient"): Complex("boundary", False, (), None),
+    ("homology", "ambient"): Complex("boundary", False, (), "boundary_equals_signed_coboundary"),
     ("homology", "surface"):
         Complex("boundary", False, ("koszul", "phi"), "quotient_boundary_well_defined"),
 }
@@ -211,15 +211,17 @@ def _target_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
 
 
 def skipped(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
-    """The pivots in X^p_j of the row's W; 0 until its licence holds for P."""
+    """The pivots in X^p_j of the row's W; 0 until its licence holds, or if it grants no W."""
     licence = COMPLEXES[block, side].licence
-    if licence is None or certificate(P, licence)[1]:
+    if certificate(P, licence)[1]:
         return 0
     if licence == "coboundary_squared_vanishes":
         return stack_pivots(P, block, side, p - 1, j - P.coboundary_degree) if p else 0
     if licence == "quotient_boundary_well_defined":
         return relation_pivots(P, p + 1, j - P.degree)
-    return phi_multiple_pivots(P, p, j - P.degree)
+    if licence == "casimir_multiplication_commutes":
+        return phi_multiple_pivots(P, p, j - P.degree)
+    return 0
 
 
 @lru_cache(maxsize=None)
@@ -247,8 +249,11 @@ def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> 
 
 def stack_rank(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
     """rank of the cycle stack of X^p_j in the (block, side) complex, for p
-    in -1..3; the ends need no elimination (see the module docstring)."""
+    in -1..3; the ends need no elimination, and a licensed ambient homology
+    row reads the ambient cohomology stack (see the module docstring)."""
     row = COMPLEXES[block, side]
+    if row.licence == "boundary_equals_signed_coboundary" and not certificate(P, row.licence)[1]:
+        return stack_rank(P, "cohomology", side, p, j)
     if p == 3:
         return _constraint_rank(P, row, p, j)
     if p < 0:

@@ -1,12 +1,12 @@
 """Poisson homology of the ambient algebra and of the quotient surface.
 
 On A the chain spaces Omega^k identify with X^{3-k} (form degree = derivation
-degree + |w|), and the boundary, defined by the Koszul-Brylinski formula
-(PoissonStructure.boundary), is (-1)^k * delta^{3-k} there: an identity of
-operators of order at most one, which duality_identity_holds certifies
-once per structure on their symbols.  So the homology H_k at form degree i
-equals the cohomology H^{3-k} at derivation degree i - |w|, and
-homology_dims re-indexes the cohomology engine accordingly.
+degree + |w|, form_window), and the boundary, defined by the Koszul-Brylinski
+formula (PoissonStructure.boundary), is (-1)^k * delta^{3-k} there: an
+identity of operators of order at most one, which duality_identity_holds
+certifies once per structure on their symbols.  homology_dims reads H_k from
+its row of the table in complexes, which shares the stacks of H^{3-k} while
+that certificate holds and ranks the boundary itself when it fails.
 
 On A/<phi> the form spaces are presented as quotients of A and A^3 by the
 relations generated by phi and by wedging with d(phi), the entries of the
@@ -23,18 +23,22 @@ the gradients of u_1, ..., u_{mu-1}.
 
 from __future__ import annotations
 
-from .cohomology import FINITE, GradedDims, Generator, ModuleDescription, Window, _dims_from_map
-from .cohomology import brute_force_dims, closed_form, complex_dims, default_window
+from .cohomology import FINITE, GradedDims, Generator, ModuleDescription, Window
+from .cohomology import closed_form, complex_dims, default_window
 from .complexes import certificate, space_name
 from .milnor import MilnorData
 from .poisson import PoissonStructure
 from .vectorcalc import euler_field, grad
 
 
-def default_form_window(P: PoissonStructure) -> Window:
-    lo, hi = default_window(P)
+def form_window(P: PoissonStructure, window: Window) -> Window:
+    """The form degrees of a derivation window: both ends shifted by |w|."""
     s = P.weight_sum
-    return (lo + s, hi + s)
+    return (window[0] + s, window[1] + s)
+
+
+def default_form_window(P: PoissonStructure) -> Window:
+    return form_window(P, default_window(P))
 
 
 def duality_identity_holds(P: PoissonStructure) -> tuple[int, str]:
@@ -45,12 +49,8 @@ def duality_identity_holds(P: PoissonStructure) -> tuple[int, str]:
 
 
 def homology_dims(P: PoissonStructure, k: int, window: Window) -> GradedDims:
-    """dim H_k at each form degree in the window, via the degree shift."""
-    lo, hi = window
-    s = P.weight_sum
-    co = brute_force_dims(P, 3 - k, (lo - s, hi - s))
-    dims = {i + s: n for i, n in co.dims}
-    return _dims_from_map(space_name("homology", "ambient", k), window, dims)
+    """dim H_k of A at each form degree in the window."""
+    return complex_dims(P, "homology", "ambient", k, window)
 
 
 def ambient_homology_description(

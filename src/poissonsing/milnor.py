@@ -135,16 +135,8 @@ def check_isolated(phi: Poly, w: WeightSystem) -> MilnorData:
                     witness_degree=i,
                     witness_monomial=kept[0],
                 )
-    dims = tuple((i, len(kept)) for i, kept in sorted(per_degree.items()))
-    mu = sum(n for _, n in dims)
-    basis: list[tuple[Monomial, int]] = []
-    for i, kept in sorted(per_degree.items()):
-        # presentation within a degree is ascending in the monomial order
-        for m in reversed(kept):
-            basis.append((m, i))
-    return MilnorData(
-        socle_bound=bound,
-        graded_dims=dims,
-        mu=mu,
-        basis=tuple(basis),
-    )
+    degrees = sorted(per_degree.items())
+    dims = tuple((i, len(kept)) for i, kept in degrees)
+    # presentation within a degree is ascending in the monomial order
+    basis = tuple((m, i) for i, kept in degrees for m in reversed(kept))
+    return MilnorData(socle_bound=bound, graded_dims=dims, mu=sum(n for _, n in dims), basis=basis)

@@ -53,7 +53,7 @@ class PoissonStructure:
         # d{x_u, x_v} for the (a, u, v) of CYCLIC: the coordinate brackets' differentials
         self.d_brackets = tuple(grad(self.bracket(xs[u], xs[v])) for _, u, v in CYCLIC)
         c = math.lcm(*(v.denominator for v in phi.terms.values()))
-        self.integral = type(self)(Poly((c * phi).terms), weights) if c > 1 else self
+        self.integral = type(self)(c * phi, weights) if c > 1 else self
         self._hash: int | None = None
 
     @property

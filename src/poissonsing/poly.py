@@ -1,11 +1,11 @@
 """Exact polynomial arithmetic in the three variables x, y, z over the rationals.
 
 A polynomial is a finite map from exponent triples (a, b, c), meaning
-x^a y^b z^c, to nonzero exact rational coefficients.  The constructor stores
-an integral coefficient as a plain ``int`` and only a non-integral one as a
-``Fraction``; the two mix exactly, so a polynomial with integer coefficients
-computes in integers throughout.  No floating point is used anywhere in this
-package.
+x^a y^b z^c, to nonzero exact rational coefficients.  Every polynomial, built
+or computed, stores an integral coefficient as a plain ``int`` and only a
+non-integral one as a ``Fraction``; the two mix exactly, so a polynomial with
+integer coefficients computes in integers throughout.  No floating point is
+used anywhere in this package.
 
 The probe certificates multiply mostly zero and single-term operands, so the
 ring operations take fast paths for them: a product with a zero operand is
@@ -95,10 +95,11 @@ class Poly:
     """An exact polynomial in x, y, z with rational coefficients.
 
     Immutable; supports +, -, *, ** and scalar multiplication.  Zero
-    coefficients are never stored.
+    coefficients are never stored.  Each records whether it holds a Fraction,
+    so arithmetic on integer polynomials never looks for an integral one.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_fractions")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         clean: dict[Monomial, Scalar] = {}
@@ -112,6 +113,7 @@ class Poly:
                     clean[m] = c
         self._terms = clean
         self._hash: int | None = None
+        self._fractions = Fraction in map(type, clean.values())
 
     # -- constructors -----------------------------------------------------
 
@@ -174,7 +176,7 @@ class Poly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return Poly._raw(out)
+        return Poly._raw(out, self._fractions or other._fractions)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -190,10 +192,10 @@ class Poly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return Poly._raw(out)
+        return Poly._raw(out, self._fractions or other._fractions)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw({m: -c for m, c in self._terms.items()})
+        return Poly._raw({m: -c for m, c in self._terms.items()}, self._fractions)
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if type(other) is Poly or isinstance(other, Poly):
@@ -214,11 +216,12 @@ class Poly:
                         out[m] = s
                     else:
                         out.pop(m, None)
-            return Poly._raw(out)
+            return Poly._raw(out, self._fractions or other._fractions)
         if type(other) is int or isinstance(other, (int, Fraction)):
             if not other:
                 return Poly.zero()
-            return Poly._raw({m: c * other for m, c in self._terms.items()})
+            products = {m: c * other for m, c in self._terms.items()}
+            return Poly._raw(products, self._fractions or type(other) is not int)
         return NotImplemented
 
     def _times_term(self, term: "Poly") -> "Poly":
@@ -227,15 +230,14 @@ class Poly:
         nonzero, so nothing merges or cancels, and the terms keep their
         order."""
         ((a2, b2, c2), cb), = term._terms.items()
+        terms = self._terms.items()
         if type(cb) is int and cb == 1:
             if not (a2 or b2 or c2):
                 return self
-            return Poly._raw(
-                {(a1 + a2, b1 + b2, c1 + c2): ca for (a1, b1, c1), ca in self._terms.items()}
-            )
-        return Poly._raw(
-            {(a1 + a2, b1 + b2, c1 + c2): ca * cb for (a1, b1, c1), ca in self._terms.items()}
-        )
+            out = {(a1 + a2, b1 + b2, c1 + c2): ca for (a1, b1, c1), ca in terms}
+        else:
+            out = {(a1 + a2, b1 + b2, c1 + c2): ca * cb for (a1, b1, c1), ca in terms}
+        return Poly._raw(out, self._fractions or term._fractions)
 
     def __rmul__(self, other: Scalar) -> "Poly":
         if type(other) is int or isinstance(other, (int, Fraction)):
@@ -267,13 +269,21 @@ class Poly:
             out = {(a, b, c - 1): k * c for (a, b, c), k in terms.items() if c}
         else:
             raise IndexError("partial derivatives are taken along index 0, 1 or 2")
-        return Poly._raw(out)
+        return Poly._raw(out, self._fractions)
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Scalar]) -> "Poly":
+    def _raw(cls, terms: dict[Monomial, Scalar], fractions: bool) -> "Poly":
+        """The polynomial of a fresh map of nonzero terms, which it takes over;
+        if an operand held a Fraction, each integral term is stored as an int."""
+        if fractions:
+            for m, c in terms.items():
+                if type(c) is not int and c.denominator == 1:
+                    terms[m] = c.numerator
+            fractions = Fraction in map(type, terms.values())
         p = cls.__new__(cls)
         p._terms = terms
         p._hash = None
+        p._fractions = fractions
         return p
 
     # -- equality / hashing --------------------------------------------------

@@ -121,8 +121,7 @@ def space_family(
     }[block, side]
     grading, degrees = "derivation", window
     if block == "homology":
-        s = P.weight_sum
-        grading, degrees = "form", (window[0] + s, window[1] + s)
+        grading, degrees = "form", hm.form_window(P, window)
     spaces = []
     for k in range(4):
         desc = describe(P, M, k)
@@ -434,8 +433,8 @@ def homology_suite(
     ambient: tuple[Space, ...],
     surface: tuple[Space, ...],
 ) -> list[CheckResult]:
-    s = P.weight_sum
-    degrees = range(window[0] + s, window[1] + s + 1)
+    lo, hi = hm.form_window(P, window)
+    degrees = range(lo, hi + 1)
 
     def squared_vanishes(case):
         k, c = case

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from poissonsing import PoissonStructure, VecPoly, check_isolated, cli
+from poissonsing import PoissonStructure, Poly, VecPoly, check_isolated, cli
 from poissonsing import cohomology as ch
 from poissonsing import homology as hm
 from poissonsing.cli import main
@@ -32,8 +32,7 @@ def run(capsys, *argv):
 
 
 def count_engine_calls(monkeypatch) -> Counter:
-    """Count the calls of each (co)homology engine, under its name; the
-    binding of brute_force_dims inside homology is counted too."""
+    """Count the calls of each (co)homology engine, under its name."""
     calls: Counter = Counter()
 
     def counted(name, fn):
@@ -44,8 +43,7 @@ def count_engine_calls(monkeypatch) -> Counter:
 
     for module, names in (
         (ch, ("brute_force_dims", "surface_brute_force_dims")),
-        (hm, ("brute_force_dims", "duality_identity_holds", "homology_dims",
-              "surface_homology_dims")),
+        (hm, ("duality_identity_holds", "homology_dims", "surface_homology_dims")),
     ):
         for name in names:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -265,6 +263,24 @@ class TestAnalyzeCommand:
         assert failed == ["boundary_equals_signed_coboundary"]
         assert "first mismatch: invariant boundary_equals_signed_coboundary" in err
 
+    def test_a_zero_boundary_is_an_ambient_homology_mismatch(self, capsys, monkeypatch):
+        # the zero map fails the duality certificate, so ambient homology
+        # ranks it on its own row: every cycle survives, and no H_k of A
+        # matches its closed form (copied from cohomology, all four matched)
+        def boundary(self, k, chain):
+            return Poly.zero() if k == 1 else VecPoly.zero()
+
+        monkeypatch.setattr(
+            cli, "PoissonStructure", lambda phi, w: planted(str(phi), w.weights, boundary=boundary)
+        )
+        code, out, err = run(capsys, "analyze", "--phi", "x^2+y^2+z^2", "--max-degree", "4")
+        assert code == 4
+        ambient = json.loads(out)["homology"]["ambient"]
+        assert [entry["match"] for entry in ambient.values()] == [False] * 4
+        assert err == (
+            "first mismatch: homology/ambient/H_0 at form degree 1: predicted 0, computed 3\n"
+        )
+
     def test_window_may_be_a_list(self, sphere):
         from poissonsing.report import build_report
 
@@ -276,15 +292,16 @@ class TestAnalyzeCommand:
         calls = count_engine_calls(monkeypatch)
         code, _, _ = run(capsys, "analyze", "--phi", "x^3+y^3+z^3", "--cases", "5")
         assert code == 0
-        # the default window holds 13 degrees; brute_force_dims runs four
-        # times directly and four times inside homology_dims, and the
-        # duality certificate once per structure, for every degree
+        # the default window holds 13 degrees; each engine runs once per
+        # space (homology_dims on its own row of the table, not through
+        # brute_force_dims), and the duality certificate once per structure,
+        # for every degree
         assert calls == {
             "duality_identity_holds": 1,
             "homology_dims": 4,
             "surface_homology_dims": 4,
             "surface_brute_force_dims": 4,
-            "brute_force_dims": 8,
+            "brute_force_dims": 4,
         }
 
 
@@ -449,6 +466,8 @@ def twice_the_bracket_terms(chain):
 @pytest.mark.parametrize("command", [["analyze"], ["verify", "--suite", "homology"]],
                          ids=["analyze", "verify"])
 def test_a_negative_dimension_is_a_mismatch_not_a_traceback(capsys, monkeypatch, command):
+    # the broken boundary fails the duality certificate, so ambient homology
+    # ranks it on its own row, and is the first space to raise
     boundary = boundary_plus(2, twice_the_bracket_terms)
     monkeypatch.setattr(
         cli, "PoissonStructure", lambda phi, w: planted(str(phi), w.weights, boundary=boundary)
@@ -456,6 +475,6 @@ def test_a_negative_dimension_is_a_mismatch_not_a_traceback(capsys, monkeypatch,
     code, out, err = run(capsys, *command, "--phi", "x^3+y^3+z^3", "--max-degree", "2")
     assert (code, out) == (4, "")
     assert err == (
-        "first mismatch: negative dimension -6 of H_1_surface at degree 5: n 45 - cycles 21 "
-        "+ relations 6 - (boundaries 36 - constraint 0)\n"
+        "first mismatch: negative dimension -3 of H_1_ambient at degree 5: n 45 - cycles 18 "
+        "+ relations 0 - (boundaries 30 - constraint 0)\n"
     )

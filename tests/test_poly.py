@@ -50,6 +50,20 @@ class TestParse:
         half = Poly.monomial((1, 0, 0), Fraction(1, 2))
         assert [type(c) for _, c in half] == [Fraction]
 
+    def test_arithmetic_stores_integral_coefficients_as_ints(self):
+        half = parse_poly("1/2*x")
+        for p, expected in (
+            (2 * half, "x"),
+            (half * 2, "x"),
+            (half * parse_poly("2*y"), "x*y"),
+            (half + half, "x"),
+            (parse_poly("3/2*x") - half, "x"),
+            (parse_poly("1/2*x^2").partial(0), "x"),
+            (parse_poly("1/2*x+y") ** 2, "1/4*x^2+x*y+y^2"),
+        ):
+            assert p == parse_poly(expected) and str(p) == expected
+            assert [type(c) for _, c in p] == [type(c) for _, c in parse_poly(expected)], expected
+
     def test_leading_minus_and_whitespace(self):
         assert parse_poly(" - x + 2 * y ") == Poly.monomial((0, 1, 0), 2) - Poly.variable(0)
 

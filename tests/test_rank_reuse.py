@@ -12,6 +12,12 @@ stack it ranks has the rank of the whole stack, and a structure whose
 certificate fails skips nothing and gets the dims of the whole stacks.  A
 stack fills only those columns of its differential and keeps none, so after
 a run the only matrices alive are those the operator caches hold.
+
+Ambient homology ranks no stack of its own while the duality certificate
+holds: it reads the ambient cohomology stacks.  With that certificate
+failed, its row ranks the boundary and agrees with the shifted cohomology.
+Every licence of the table is a certificate family that holds on the
+catalog.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ from poissonsing.linalg import pivots_of_columns, rank_of_columns
 from poissonsing.operators import kept_matrix, operator_matrix, phi_multiple_pivots, relation_blocks
 
 from .conftest import boundary_matrix, boundary_plus, echelon_rank, form_basis, planted, structure
+
+# the licence under which ambient homology shares the cohomology stacks
+DUALITY = "boundary_equals_signed_coboundary"
 
 REFERENCE_PHI = [
     ("x^3+y^3+z^3", (1, 1, 1)),
@@ -147,15 +156,30 @@ def test_surface_homology_matches_two_stack_reference(phi, weights):
 
 
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
-def test_ambient_homology_row_agrees_with_the_reindexed_cohomology(phi, weights):
-    # the engine reads ambient homology off the cohomology engine; its own
-    # row of the table ranks the boundary matrices instead
+def test_ambient_homology_row_agrees_with_the_reindexed_cohomology(monkeypatch, phi, weights):
+    # while the duality certificate holds, ambient homology reads the
+    # cohomology stacks; with it failed by force, the row ranks the boundary
+    # matrices itself, and its dims are the cohomology engine's, |w| lower
     P = structure(phi, weights)
-    window = default_form_window(P)
+    certify, fill, filled = complexes.certificate, complexes.operator_matrix, set()
+
+    def failing(P, family):
+        if family == DUALITY:
+            return 1, "forced"
+        return certify(P, family)
+
+    def recording(P, name, i, skip=0):
+        filled.add(name[:-1])
+        return fill(P, name, i, skip)
+
+    monkeypatch.setattr(complexes, "certificate", failing)
+    monkeypatch.setattr(complexes, "operator_matrix", recording)
+    complexes.stack_pivots.cache_clear()
+    window, s = default_form_window(P), P.weight_sum
     for k in range(4):
-        dims = homology_dims(P, k, window)
-        for i in range(window[0], window[1] + 1):
-            assert complex_dim(P, "homology", "ambient", k, i) == dims.dim_at(i), (k, i)
+        co = cohomology.brute_force_dims(P, 3 - k, (window[0] - s, window[1] - s))
+        assert homology_dims(P, k, window).as_dict() == {i + s: n for i, n in co.dims}, k
+    assert "boundary" in filled
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +314,12 @@ def test_skipped_stacks_keep_the_rank_of_the_whole_stack(monkeypatch, phi, weigh
     keys, _, relations = engine_run(monkeypatch, P)
     for key in sorted(keys):
         assert complexes.stack_rank(P, *key) == whole_stack_rank(P, *key), key
-    # every row with a licence skips somewhere
+    # every row whose licence grants a skip set skips somewhere; ambient
+    # homology shares the ambient cohomology stacks and ranks none of its own
     skipping = {key[:2] for key in keys if complexes.skipped(P, *key)}
-    licensed = {row for row, c in complexes.COMPLEXES.items() if c.licence}
+    licensed = {row for row, c in complexes.COMPLEXES.items() if c.licence != DUALITY}
     assert skipping == licensed
+    assert [key for key in keys if key[:2] == ("homology", "ambient")] == []
     # the relation memo skips the D_k columns of the phi-multiples, and keeps
     # the pivots of the whole [D_k | phi]
     assert relations
@@ -301,6 +327,16 @@ def test_skipped_stacks_keep_the_rank_of_the_whole_stack(monkeypatch, phi, weigh
         whole = [] if not 1 <= k <= 3 else [c for m in relation_blocks(P, k, i) for c in m.columns]
         assert operators.relation_pivots(P, k, i) == pivots_of_columns(whole), (k, i)
     assert any(phi_multiple_pivots(P, k, i - P.degree) for k, i in relations if 1 <= k <= 3)
+
+
+def test_every_licence_is_a_certificate_that_holds_on_the_catalog(catalog_structures):
+    # a licence that names no certificate family would raise KeyError only
+    # when the engine first reads it
+    licences = sorted({row.licence for row in complexes.COMPLEXES.values()})
+    for P, _ in catalog_structures:
+        for licence in licences:
+            cases, failure = complexes.certificate(P, licence)
+            assert cases > 0 and failure == "", (P, licence)
 
 
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
@@ -451,11 +487,12 @@ def test_a_failed_certificate_skips_nothing(monkeypatch, methods, row, family_fa
 
 
 # Echelon.insert calls of complex_dims over the four rows on x^3+y^3+z^3, on
-# the default windows, from empty rank memos: 12,864 with the skip sets of
-# the stacks and of the relation memo, 13,939 with those of the stacks
-# alone, and 17,198 with every stack column reduced.
-INSERTS_WITHOUT_SKIPPING = 17198
-INSERTS = 12864
+# the default windows, from empty rank memos: 10,694 with the skip sets of
+# the stacks and of the relation memo, 11,769 with those of the stacks
+# alone, and 15,028 with every stack column reduced.  Ambient homology reads
+# the ambient cohomology stacks and inserts nothing of its own.
+INSERTS_WITHOUT_SKIPPING = 15028
+INSERTS = 10694
 
 
 def test_skip_sets_save_echelon_inserts(monkeypatch, cubic):
