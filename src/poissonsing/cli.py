@@ -85,8 +85,13 @@ def _structure(args) -> PoissonStructure:
 def _window(args, P: PoissonStructure) -> ch.Window:
     """The default window with the user's bounds applied; a window without a
     degree, or below -|w| (where X^3_j = A_{j+|w|}, the lowest piece, starts),
-    would make every check vacuous, so it is refused."""
+    would make every check vacuous, so it is refused.  An empty default
+    window (phi of degree below |w|/5, a constant say) is named as such."""
     lo, hi = ch.default_window(P)
+    if lo > hi and args.min_degree is None and args.max_degree is None:
+        raise ValueError("empty default degree window: phi has degree %d and |w| = %d, so "
+                         "[-|w|, 5*deg(phi) - 2*|w|] = [%d, %d] holds no degree"
+                         % (P.degree, P.weight_sum, lo, hi))
     if args.min_degree is not None:
         lo = args.min_degree
     if args.max_degree is not None:

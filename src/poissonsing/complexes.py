@@ -42,12 +42,19 @@ and of columns of larger index), once the identity that proves it holds:
     LM(phi)*m (operators.phi_multiple_pivots, no elimination), as
     stack(phi*x) = [S(D_p x); R(delta x)] by [delta, phi] = 0
     (casimir_multiplication_commutes);
-  surface homology: W = the source relations, relation_pivots(P, p+1, j-d),
-    by descent to the quotient (quotient_boundary_well_defined).
+  surface homology: for p >= 1, W = the boundaries plus the source
+    relations of X^p_j, the pivots of the row's own stack at (p-1, j-N),
+    whose columns are exactly those (the same span), by boundary o boundary
+    = 0 (boundary_squared_vanishes) and descent to the quotient
+    (quotient_boundary_well_defined); with descent alone, or for p = 0, W =
+    the source relations, relation_pivots(P, p+1, j-d).
 Each identity is certified once per structure on its probe set
 (certificate); until it holds nothing is skipped.  The relation memo
-operators.relation_pivots skips the D_k columns at the same phi-multiple
-pivots, on the A-linearity of D_k alone.
+operators.relation_pivots and the relation columns [D_k | phi] of the
+surface homology stacks skip the D_k columns at the phi-multiple pivots
+(operators.relation_skip), on the A-linearity of D_k alone.  When N < 0 the
+surface homology skip ranks stacks above the window, as the ambient
+cohomology skip does.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ from .linalg import KINDS, GradedOperatorMatrix, basis_of, columns_off_pivots, o
 from .linalg import pivots_of_columns, subquotient_dim
 from .operators import kept_matrix, named_operator, operator_matrix, operator_symbol
 from .operators import phi_multiple_pivots, relation_blocks, relation_pivots, relation_rank
+from .operators import relation_skip
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
 from .vectorcalc import VecPoly
@@ -125,7 +133,12 @@ def first_failure(cases: Iterable, check: Callable) -> tuple[int, str]:
 @lru_cache(maxsize=None)
 def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
     """(cases run, first failure or "") of an identity family on its probe
-    set: the delta families as in suites.identities_suite; for descent, on
+    set: the delta families as in suites.identities_suite; for
+    boundary_squared_vanishes, koszul_squared_vanishes and
+    de_rham_squared_vanishes, D_k o D_{k+1} = 0 for boundary_1 o boundary_2,
+    D_1 o D_2 and div o curl on VECTOR_PROBES (each acts on a vector
+    piece), then boundary_2 o boundary_3, D_2 o D_3 and curl o grad on
+    PROBES (operators of order at most 2); for descent, on
     the probes of Omega^k = X^{3-k}, boundary_k(phi*c) = phi*boundary_k(c),
     then on those of Omega^{k-1}, boundary_k(D_{4-k} eta) =
     D_{5-k}(boundary_{k-1} eta) (boundary_0 = 0), k = 1..3; for duality,
@@ -149,6 +162,17 @@ def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
 
     def koszul(k, c):
         return named_operator(P, "koszul%d" % k)(c)
+
+    def squared(prefix, Q):  # <prefix>_k o <prefix>_{k+1}: k = 1 on vectors, k = 2 on scalars
+        op = {n: named_operator(Q, "%s%d" % (prefix, n)) for n in (1, 2, 3)}
+
+        def vanishes(case):
+            k, c = case
+            if op[k](op[k + 1](c)).is_zero():
+                return None
+            return "%s_%d o %s_%d on %s=%s" % (prefix, k, prefix, k + 1, "v" if k == 1 else "f", c)
+
+        return vanishes
 
     def descends(case):
         identity, k, c = case
@@ -179,9 +203,13 @@ def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
     duality = ((k, s, i) for k in (1, 2, 3)  # lazy: no other family extracts a boundary symbol
                for s in range(operator_symbol(P, "boundary%d" % k).source_components)
                for i in range(4))
+    chained = [(1, v) for v in VECTOR_PROBES] + [(2, f) for f in PROBES]
     cases, check = {
         "coboundary_squared_vanishes": (probes, delta_squared),
         "casimir_multiplication_commutes": (probes, casimir_commutes),
+        "boundary_squared_vanishes": (chained, squared("boundary", P)),
+        "koszul_squared_vanishes": (chained, squared("koszul", P)),
+        "de_rham_squared_vanishes": (chained, squared("de_rham", None)),
         "quotient_boundary_well_defined": (descent, descends),
         "boundary_equals_signed_coboundary": (duality, dual),
     }[family]
@@ -218,6 +246,8 @@ def skipped(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
     if licence == "coboundary_squared_vanishes":
         return stack_pivots(P, block, side, p - 1, j - P.coboundary_degree) if p else 0
     if licence == "quotient_boundary_well_defined":
+        if p and not certificate(P, "boundary_squared_vanishes")[1]:
+            return stack_pivots(P, block, side, p - 1, j - P.coboundary_degree)
         return relation_pivots(P, p + 1, j - P.degree)
     if licence == "casimir_multiplication_commutes":
         return phi_multiple_pivots(P, p, j - P.degree)
@@ -243,7 +273,11 @@ def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> 
         rows_top, s_cols = T.target.dim, S.columns
         t_cols = columns_off_pivots(T.columns, skip)
         top = [{**t, **offset_vector(c, rows_top)} for t, c in zip(t_cols, top)]
-    r_cols = (offset_vector(c, rows_top) for m in target_relations(P, row, p, j) for c in m.columns)
+    relations = [m.columns for m in target_relations(P, row, p, j)]
+    if len(relations) == 2:  # [D_k | phi]
+        k, i = p + 2, j + P.coboundary_degree - P.degree
+        relations[0] = columns_off_pivots(relations[0], relation_skip(P, k, i))
+    r_cols = (offset_vector(c, rows_top) for cols in relations for c in cols)
     return pivots_of_columns(chain(top, s_cols, r_cols))
 
 

@@ -15,7 +15,8 @@ projection_commutes certifies it once per structure, for every degree, on
 the probe set of two order-one intertwinings (boundary_k commutes with phi,
 and carries D_{4-k} to D_{5-k} o boundary_{k-1}); surface_homology_dims
 reads the dims of the quotient complex from its row of the table in
-complexes, whose stacks skip the source relations once descent holds.
+complexes, whose stacks skip the boundaries and the source relations once
+boundary o boundary = 0 and descent hold (the relations alone under descent).
 The closed forms are: H_0 and H_3 are copies of the Jacobian quotient, H_2
 is its image under multiplication by the Euler field, and H_1 is spanned by
 the gradients of u_1, ..., u_{mu-1}.

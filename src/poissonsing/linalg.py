@@ -153,96 +153,92 @@ def basis_of(kind: str, i: int, w: WeightSystem) -> GradedBasis:
 # ---------------------------------------------------------------------------
 
 
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """Divide the owned row in place by the gcd of its entries (int only)."""
-    g = math.gcd(*row.values())
-    if g > 1:
-        for k, v in row.items():
-            row[k] = v // g
-    return row
-
-
 class Echelon:
     """Incremental integer row echelon over Q.  A stored row is primitive, with a positive
-    entry at its pivot (its smallest index); a vector that brings a new pivot is stored at once."""
+    entry at its pivot (its smallest index).  insert stores a vector whose smallest index is
+    a new pivot at once; every other vector is reduced by _reduce, one loop over a primitive
+    copy.  insert, insert_int and contains are the only ways in."""
 
     __slots__ = ("_rows",)
 
     def __init__(self):
         self._rows: dict[int, dict[int, int]] = {}
 
-    def _reduced(self, row: dict[int, int]) -> int | None:
-        """Reduce an owned row in place; the pivot of the residual, or None.
+    def _reduce(self, vec: Vector, store: bool) -> dict[int, int] | None:
+        """Reduce a primitive copy of vec in place; the residual, or None if it is zero.
+        With store, the residual is stored under its pivot, with a positive entry there.
 
         Each step is row <- (b/g)*row - (a/g)*pivot with a, b the entries at
         the pivot column and g = gcd(a, b), then row <- row/gcd(row); the
         scaling is skipped when b/g = 1, the common case.
         """
+        gcd = math.gcd
         rows = self._rows
-        while row:
+        row = dict(vec)
+        get = row.get
+        g = gcd(*row.values())
+        while True:
+            if g > 1:
+                for k, v in row.items():
+                    row[k] = v // g
+            if not row:
+                return None
             p = min(row)
             piv = rows.get(p)
             if piv is None:
-                return p
+                break
             a = row[p]
             b = piv[p]
             if b != 1:
-                g = math.gcd(a, b)
+                g = gcd(a, b)
                 a //= g
                 b //= g
                 if b != 1:
                     for k, v in row.items():
                         row[k] = b * v
             for k, v in piv.items():
-                s = row.get(k, 0) - a * v
+                s = get(k, 0) - a * v
                 if s:
                     row[k] = s
                 else:
                     del row[k]
-            _primitive(row)
-        return None
-
-    def _store(self, row: dict[int, int], p: int) -> dict[int, int]:
-        """Store an owned primitive row under its pivot p, with a positive entry there."""
-        if row[p] < 0:
-            for k, v in row.items():
-                row[k] = -v
-        self._rows[p] = row
+            g = gcd(*row.values())
+        if store:
+            if row[p] < 0:
+                for k, v in row.items():
+                    row[k] = -v
+            rows[p] = row
         return row
-
-    def _placed(self, vec: Vector) -> dict[int, int] | None:
-        """Reduce a primitive copy of vec; its stored residual, or None if zero."""
-        row = _primitive(dict(vec))
-        p = self._reduced(row)
-        return None if p is None else self._store(row, p)
 
     def insert(self, vec: Vector) -> bool:
         """Add vec to the span; True if the rank grew."""
         if not vec:
             return False
         p = min(vec)
-        if p in self._rows:
-            return self._placed(vec) is not None
+        rows = self._rows
+        if p in rows:
+            return self._reduce(vec, True) is not None
         g = math.gcd(*vec.values())
         if vec[p] < 0:
             g = -g
-        self._rows[p] = dict(vec) if g == 1 else {k: v // g for k, v in vec.items()}
+        rows[p] = dict(vec) if g == 1 else {k: v // g for k, v in vec.items()}
         return True
 
     def insert_int(self, vec: Vector) -> dict[int, int] | None:
         """Add vec to the span; the stored row, or None if the rank did not grow."""
-        return self._placed(vec)
+        return self._reduce(vec, True)
 
     def contains(self, vec: Vector) -> bool:
-        return self._reduced(_primitive(dict(vec))) is None
+        return self._reduce(vec, False) is None
 
 
 def pivots_of_columns(columns: Iterable[Vector]) -> int:
     """The pivot rows of an echelon of the columns, as the bits of one int;
     its bit_count() is their rank."""
     ech = Echelon()
+    insert = ech.insert
     for col in columns:
-        ech.insert(col)
+        insert(col)
     return sum(1 << p for p in ech._rows)
 
 
@@ -382,8 +378,10 @@ def matrix_of(symbol: Symbol, source: GradedBasis, target: GradedBasis) -> Grade
     """Matrix of the operator with this symbol from source into target.
 
     Each column is summed directly on target indices, from exponent
-    arithmetic and index lookups; zero sums are dropped, and a nonzero sum
-    outside the target piece raises DegreeMismatch.
+    arithmetic and index lookups, one symbol term at a time over all the
+    columns of a source component (so each column takes its terms in the
+    symbol's order); zero sums are dropped, and a nonzero sum outside the
+    target piece raises DegreeMismatch.
     """
     if symbol.source_components != len(source.monomials):
         raise DegreeMismatch(
@@ -401,32 +399,38 @@ def matrix_of(symbol: Symbol, source: GradedBasis, target: GradedBasis) -> Grade
     for groups, monos in zip(symbol.terms, source.monomials):
         if not monos:
             continue
-        # each term with the (offset, position map) of its target component
-        gx, gy, gz, g0 = [[(t, *index[t], o0, o1, o2, c) for t, o0, o1, o2, c in g] for g in groups]
-        for e0, e1, e2 in monos:
-            col: Vector = {}
-            for k, group in ((e0, gx), (e1, gy), (e2, gz), (1, g0)):
-                if k:
-                    for t, offset, positions, o0, o1, o2, c in group:
-                        m = (e0 + o0, e1 + o1, e2 + o2)
-                        j = positions.get(m)
-                        if j is None:
-                            key = (len(columns), t, m)
-                            outside[key] = outside.get(key, 0) + k * c
-                            continue
-                        j += offset
-                        s = col.get(j, 0) + k * c
-                        if s:
-                            col[j] = s
-                        else:
-                            del col[j]
-            columns.append(col)
-    for (_, t, m), v in outside.items():
-        if v:
-            raise DegreeMismatch(
-                "monomial %s in component %d does not lie in %s at degree %d"
-                % (m, t + 1, target.kind, target.degree)
-            )
+        cols: list[Vector] = [{} for _ in monos]
+        numbered = list(enumerate(zip(cols, monos), len(columns)))
+        for axis, group in enumerate(groups):  # d/dx, d/dy, d/dz, then order 0
+            if not group:
+                continue
+            factors = [e[axis] for e in monos] if axis < 3 else [1] * len(monos)
+            for t, o0, o1, o2, c in group:
+                offset, positions = index[t]
+                get = positions.get
+                for (n, (col, (e0, e1, e2))), k in zip(numbered, factors):
+                    if not k:
+                        continue
+                    m = (e0 + o0, e1 + o1, e2 + o2)
+                    j = get(m)
+                    if j is None:
+                        key = (n, t, m)
+                        outside[key] = outside.get(key, 0) + k * c
+                        continue
+                    j += offset
+                    s = col.get(j, 0) + k * c
+                    if s:
+                        col[j] = s
+                    else:
+                        del col[j]
+        columns += cols
+    offenders = [key for key, v in outside.items() if v]
+    if offenders:  # the first offender of the lowest column, whatever the fill order
+        _, t, m = min(offenders, key=lambda key: key[0])
+        raise DegreeMismatch(
+            "monomial %s in component %d does not lie in %s at degree %d"
+            % (m, t + 1, target.kind, target.degree)
+        )
     return GradedOperatorMatrix(source, target, columns)
 
 

@@ -18,8 +18,9 @@ Rham, keyed on the weights alone (de_rham_matrix).  A kept matrix is a value:
 its readers keep any rank of it themselves.  The relation table
 (relation_blocks) holds the blocks [D_k | phi] on X^{k-1}; relation_pivots
 keeps the pivot set of one echelon of each entry, and relation_rank is its
-size.  It skips the D_k columns at the pivots of the phi-multiples in X^k,
-which D_k's A-linearity puts in the span of the phi columns.  complexes
+size.  It skips the D_k columns at the pivots of the phi-multiples in X^k
+(relation_skip), which D_k's A-linearity puts in the span of the phi
+columns; the surface homology stacks skip them too.  complexes
 describes how the entries serve the four (co)homology complexes.
 """
 
@@ -168,17 +169,23 @@ def phi_multiple_pivots(P: PoissonStructure, k: int, i: int) -> int:
     )
 
 
+def relation_skip(P: PoissonStructure, k: int, i: int) -> int:
+    """The D_k columns of relation_blocks(P, k, i), k in 1..3, that no
+    echelon of the entry reduces, as the bits of one int: those at the
+    pivots of phi*X^k_{i-d} (phi_multiple_pivots).  D_k is A-linear, so
+    D_k(phi*v) = phi*D_k(v) lies in the span of the phi columns, and each
+    such column is a combination of those and of D_k columns of larger
+    index; no pivot set changes."""
+    return phi_multiple_pivots(P, k, i - P.degree)
+
+
 @lru_cache(maxsize=None)
 def relation_pivots(P: PoissonStructure, k: int, i: int) -> int:
     """The pivots in X^{k-1} of an echelon of relation_blocks(P, k, i), as the
     bits of one int (linalg.pivots_of_columns), for k in 1..3; 0 otherwise.
-
-    The D_k columns at the pivots of phi*X^k_{i-d} (phi_multiple_pivots) are
-    not reduced: D_k is A-linear, so D_k(phi*v) = phi*D_k(v) lies in the
-    span of the phi columns, and each skipped column is a combination of
-    those and of D_k columns of larger index.  The pivots are unchanged."""
+    The D_k columns at relation_skip are not reduced."""
     if not 1 <= k <= 3:
         return 0
     D, phi = relation_blocks(P, k, i)
-    skip = phi_multiple_pivots(P, k, i - P.degree)
+    skip = relation_skip(P, k, i)
     return pivots_of_columns(chain(columns_off_pivots(D.columns, skip), phi.columns))

@@ -160,6 +160,17 @@ class TestAnalyzeCommand:
         assert code == 2 and out == ""
         assert "invalid input:" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_an_empty_default_window_names_phi_not_bounds(self, capsys, command):
+        # a constant phi has degree 0, so its default window [-3, -6] is
+        # empty; the user passed no bound, so no bound is blamed
+        code, out, err = run(capsys, command, "--phi", "1")
+        assert code == 2 and out == ""
+        assert err == (
+            "invalid input: empty default degree window: phi has degree 0 and |w| = 3, "
+            "so [-|w|, 5*deg(phi) - 2*|w|] = [-3, -6] holds no degree\n"
+        )
+
     def test_rational_phi_gives_the_integral_dims(self, capsys):
         args = ("--max-degree", "6", "--cases", "20")
         tables = []

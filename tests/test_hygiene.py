@@ -1,7 +1,8 @@
 """Source hygiene that needs no linter: no unused import in src/ or tests/,
 no package export and no definition under src/ that only the tests use, no
-sampling in src/, no boundary defined through the coboundary, and no
-Fraction in linalg.
+sampling in src/, no boundary defined through the coboundary, no Fraction
+in linalg, and no certificate family named under src/ that fails on a
+catalog structure.
 
 An imported name counts as used when it is read anywhere in its module,
 appears in a string annotation, or is listed in the module's __all__ (the
@@ -23,6 +24,7 @@ import ast
 from pathlib import Path
 
 import poissonsing
+from poissonsing import complexes
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src").rglob("*.py"))
@@ -324,6 +326,60 @@ def test_fraction_scan_sees_every_form():
     )
     assert fraction_uses(source) == [1, 2, 3, 4, 5, 6]
     assert (8, "to_int_vector") in definitions(source)
+
+
+def certificate_families(source: str) -> list[tuple[int, str]]:
+    """(line, family) of every string literal passed as the family of a call
+    to certificate, bare or as an attribute, by position or by keyword."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "certificate":
+            continue
+        args = [*node.args[1:2], *(kw.value for kw in node.keywords if kw.arg == "family")]
+        found += [
+            (node.lineno, arg.value) for arg in args
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+        ]
+    return sorted(found)
+
+
+def test_every_certificate_family_named_under_src_holds_on_a_catalog_structure(cubic):
+    # a misspelled family would raise KeyError only on the path that reads it
+    found = [
+        (path.relative_to(ROOT), line, family)
+        for path in SRC
+        for line, family in certificate_families(path.read_text())
+    ]
+    assert found
+    bad = []
+    for path, line, family in found:
+        try:
+            cases, failure = complexes.certificate(cubic, family)
+        except KeyError:
+            cases, failure = 0, "no such family"
+        if not cases or failure:
+            bad.append("%s:%d names %r: %d cases, %r" % (path, line, family, cases, failure))
+    assert not bad, "\n".join(bad)
+
+
+def test_certificate_scan_sees_every_call_form():
+    source = (
+        "certificate(P, 'delta_family')\n"
+        "complexes.certificate(P, \"boundary_family\")[1]\n"
+        "certificate(P, family='keyword_family')\n"
+        "certificate(P, name)\n"
+        "certify(P, 'other')\n"
+        "x = 'not_passed'\n"
+        "def f(P):\n"
+        "    return not certificate(P, 'nested_family')[1]\n"
+    )
+    assert certificate_families(source) == [
+        (1, "delta_family"), (2, "boundary_family"), (3, "keyword_family"), (8, "nested_family")
+    ]
 
 
 # Every unbounded cache under src/, as "module.function".

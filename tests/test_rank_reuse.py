@@ -18,6 +18,11 @@ holds: it reads the ambient cohomology stacks.  With that certificate
 failed, its row ranks the boundary and agrees with the shifted cohomology.
 Every licence of the table is a certificate family that holds on the
 catalog.
+
+The Koszul suite ranks each outgoing map off the pivots of the incoming
+image while D o D = 0 is certified: each block it skips keeps the pivots of
+the whole block, and with either licence failed it skips nothing of that
+family and gives the same results.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from poissonsing.complexes import complex_dim
 from poissonsing.homology import default_form_window, homology_dims, projection_commutes
 from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector
 from poissonsing.linalg import pivots_of_columns, rank_of_columns
-from poissonsing.operators import kept_matrix, operator_matrix, phi_multiple_pivots, relation_blocks
+from poissonsing.operators import de_rham_matrix, kept_matrix, operator_matrix, phi_multiple_pivots
+from poissonsing.operators import relation_blocks
 
 from .conftest import boundary_matrix, boundary_plus, echelon_rank, form_basis, planted, structure
 
@@ -399,11 +405,12 @@ def test_verify_leaves_matrices_only_in_the_operator_caches(capsys):
 def test_kept_matrices_hold_no_state_and_the_koszul_suite_ranks_each_block_once(
     monkeypatch, cubic
 ):
-    # the Koszul suite keeps its ranks in a memo of its own call: every kept
-    # matrix it reads holds its bases and columns only, and although rows
-    # share blocks, no block is ranked twice
+    # the Koszul suite keeps its pivot sets in a memo of its own call: every
+    # kept matrix it reads holds its bases and columns only, and although rows
+    # share blocks, no block is ranked twice (each block is ranked by reading
+    # its columns off a skip set, maybe empty)
     read, ranked = [], []
-    rank_of_columns = suites.rank_of_columns
+    columns_off_pivots = suites.columns_off_pivots
 
     def reading(cached):
         def read_matrix(*args):
@@ -412,13 +419,13 @@ def test_kept_matrices_hold_no_state_and_the_koszul_suite_ranks_each_block_once(
 
         return read_matrix
 
-    def counting(columns):
+    def counting(columns, skip):
         ranked.append(columns)
-        return rank_of_columns(columns)
+        return columns_off_pivots(columns, skip)
 
     for name in ("kept_matrix", "de_rham_matrix"):
         monkeypatch.setattr(suites, name, reading(getattr(suites, name)))
-    monkeypatch.setattr(suites, "rank_of_columns", counting)
+    monkeypatch.setattr(suites, "columns_off_pivots", counting)
     results, _ = suites.run_suite(cubic, "koszul")
     assert all(r.passed for r in results)
     assert read and all(set(vars(m)) == {"source", "target", "columns"} for m in read)
@@ -426,6 +433,62 @@ def test_kept_matrices_hold_no_state_and_the_koszul_suite_ranks_each_block_once(
     assert len(blocks) < len(read)
     ranks = Counter(id(columns) for columns in ranked if id(columns) in blocks)
     assert ranks and set(ranks.values()) == {1}
+
+
+# the certificates that license the Koszul suite's skips
+KOSZUL_LICENCES = ("koszul_squared_vanishes", "de_rham_squared_vanishes")
+
+
+def koszul_run(monkeypatch, P):
+    """The Koszul suite's results on P's default window, the (columns, skip)
+    of every block it ranks, and the ids of the column lists of the blocks
+    that may skip under each licence: D_1 and D_2, and div and curl."""
+    window, ranked = default_window(P), []
+    columns_off_pivots = suites.columns_off_pivots
+
+    def recording(columns, skip):
+        ranked.append((columns, skip))
+        return columns_off_pivots(columns, skip)
+
+    monkeypatch.setattr(suites, "columns_off_pivots", recording)
+    results = suites.koszul_suite(P, window)
+    monkeypatch.setattr(suites, "columns_off_pivots", columns_off_pivots)
+    degrees = range(window[0] - P.degree, window[1] + 1)
+    blocks = {
+        "koszul_squared_vanishes":
+            {id(kept_matrix(P, "koszul%d" % k, i).columns) for k in (1, 2) for i in degrees},
+        "de_rham_squared_vanishes":
+            {id(de_rham_matrix(P.weights, k, i).columns) for k in (1, 2) for i in degrees},
+    }
+    return results, ranked, blocks
+
+
+def test_koszul_suite_skips_keep_the_rank_of_each_block(monkeypatch, catalog_structures):
+    # D_2 skips the pivots of im D_3, D_1 those of im D_2, curl those of
+    # im grad and div those of im curl; each skipped block keeps its pivots
+    for P, _ in catalog_structures:
+        results, ranked, blocks = koszul_run(monkeypatch, P)
+        assert all(r.passed for r in results), P
+        for licence in KOSZUL_LICENCES:
+            assert any(skip for columns, skip in ranked if id(columns) in blocks[licence]), P
+        for columns, skip in ranked:
+            whole = pivots_of_columns(columns)
+            assert pivots_of_columns(linalg.columns_off_pivots(columns, skip)) == whole, P
+
+
+@pytest.mark.parametrize("licence", KOSZUL_LICENCES)
+def test_a_failed_koszul_licence_skips_nothing(monkeypatch, cubic, licence):
+    results, _, _ = koszul_run(monkeypatch, cubic)
+    certify = suites.certificate
+    monkeypatch.setattr(
+        suites, "certificate",
+        lambda P, family: (1, "forced") if family == licence else certify(P, family),
+    )
+    forced, ranked, blocks = koszul_run(monkeypatch, cubic)
+    assert forced == results
+    assert [skip for columns, skip in ranked if id(columns) in blocks[licence] and skip] == []
+    other, = set(KOSZUL_LICENCES) - {licence}
+    assert any(skip for columns, skip in ranked if id(columns) in blocks[other])
 
 
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
@@ -450,31 +513,68 @@ def descent_failure(P):
     return [projection_commutes(P)[1]]
 
 
-# A planted structure of x^3+y^3+z^3 (N = 0), the row its fault concerns, the
-# failed family that certifies the row, and its first failing probe.
+def squared_failure(P):
+    # what homology_suite reports as boundary_squared_vanishes
+    return [complexes.certificate(P, "boundary_squared_vanishes")[1]]
+
+
+def no_skip(P, p, j):
+    return 0
+
+
+def source_relations(P, p, j):
+    # the surface homology skip of descent alone: the relations of X^p_j
+    return operators.relation_pivots(P, p + 1, j - P.degree)
+
+
+# A planted structure of x^3+y^3+z^3 (N = 0), or that structure with a
+# certificate failed by force, the row its fault concerns, the failed family
+# that certifies the row, its first failing probe, and the skip set the row
+# keeps at (p, j): none, or for boundary o boundary alone, the skip of descent.
 FAULTS = [
     (
         "delta_squared_nonzero",
-        {"delta1": lambda self, v: PoissonStructure.delta1(self, v) + v * Poly.variable(0)},
-        ("cohomology", "ambient"), identities_failure, "delta1 o delta0 on f=x",
+        {"delta1": lambda self, v: PoissonStructure.delta1(self, v) + v * Poly.variable(0)}, None,
+        ("cohomology", "ambient"), identities_failure, "delta1 o delta0 on f=x", no_skip,
     ),
     (
         "boundary_not_commuting_with_phi",
-        {"boundary": boundary_plus(3, lambda f: grad(f) * Poly.variable(0) ** 2)},
+        {"boundary": boundary_plus(3, lambda f: grad(f) * Poly.variable(0) ** 2)}, None,
         ("homology", "surface"), descent_failure, "boundary_3(phi*c) != phi*boundary_3(c) at c=1",
+        no_skip,
+    ),
+    (
+        "boundary_squared_failed_with_descent_holding",
+        {}, "boundary_squared_vanishes",
+        ("homology", "surface"), squared_failure, "forced", source_relations,
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "methods,row,family_failure,failure", [case[1:] for case in FAULTS],
+    "methods,forced,row,family_failure,failure,skip", [case[1:] for case in FAULTS],
     ids=[case[0] for case in FAULTS],
 )
-def test_a_failed_certificate_skips_nothing(monkeypatch, methods, row, family_failure, failure):
+def test_a_failed_certificate_skips_nothing(
+    monkeypatch, methods, forced, row, family_failure, failure, skip
+):
+    # nothing that the failed family certifies is skipped: a row whose only
+    # licence failed skips nothing, and surface homology with descent still
+    # holding skips the source relations alone
     P = planted("x^3+y^3+z^3", (1, 1, 1), **methods)
+    if forced:
+        certify = complexes.certificate
+        monkeypatch.setattr(
+            complexes, "certificate",
+            lambda P, family: (1, "forced") if family == forced else certify(P, family),
+        )
     # the default window ends at 9; without its certificate a row costs more
     keys, dims, _ = engine_run(monkeypatch, P, (-3, 6))
-    assert [key for key in keys if key[:2] == row and complexes.skipped(P, *key)] == []
+    stacks = sorted(key for key in keys if key[:2] == row)
+    assert stacks
+    assert [complexes.skipped(P, *key) for key in stacks] == [skip(P, *key[2:]) for key in stacks]
+    if forced:
+        assert any(skip(P, *key[2:]) for key in stacks)
     # the dims of the whole stacks, as when no column was ever skipped
     ends = complexes.stack_rank
 
@@ -487,12 +587,13 @@ def test_a_failed_certificate_skips_nothing(monkeypatch, methods, row, family_fa
 
 
 # Echelon.insert calls of complex_dims over the four rows on x^3+y^3+z^3, on
-# the default windows, from empty rank memos: 10,694 with the skip sets of
-# the stacks and of the relation memo, 11,769 with those of the stacks
-# alone, and 15,028 with every stack column reduced.  Ambient homology reads
-# the ambient cohomology stacks and inserts nothing of its own.
+# the default windows, from empty rank memos: 10,215 with the skip sets of
+# the stacks and the D_k columns at the phi-multiple pivots dropped from the
+# relation memo and from the surface homology stacks, 13,701 with those D_k
+# columns dropped alone, and 15,028 with every column reduced.  Ambient
+# homology reads the ambient cohomology stacks and inserts nothing of its own.
 INSERTS_WITHOUT_SKIPPING = 15028
-INSERTS = 10694
+INSERTS = 10215
 
 
 def test_skip_sets_save_echelon_inserts(monkeypatch, cubic):
