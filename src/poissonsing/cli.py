@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import cohomology as ch
 from .linalg import NegativeDimension
@@ -43,6 +44,7 @@ def _add_cases(p: argparse.ArgumentParser) -> None:
                    "families run fixed probe sets)")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poissonsing",

@@ -12,7 +12,7 @@ On A/<phi> the form spaces are presented as quotients of A and A^3 by the
 relations generated by phi and by wedging with d(phi), the entries of the
 relation table (operators.relation_blocks).  The boundaries descend:
 projection_commutes certifies it once per structure, for every degree, on
-the probe set of two order-one intertwinings (boundary_k commutes with phi,
+the symbols and probe set of two order-one intertwinings (boundary_k commutes with phi,
 and carries D_{4-k} to D_{5-k} o boundary_{k-1}); surface_homology_dims
 reads the dims of the quotient complex from its row of the table in
 complexes, whose stacks skip the boundaries and the source relations once

@@ -23,7 +23,8 @@ so it is read off once as its symbol (symbol_of: the coefficients c0_st and
 c_ast, probed on 1, x, y, z in each source component and checked on the
 quadratic monomials), and matrix_of fills every column of every graded
 piece from that symbol by exponent arithmetic and basis index lookups; no
-polynomial is built per column.
+polynomial is built per column.  apply_symbol runs the operator on one
+cochain's term maps (term_maps) the same way, for the identity certificates.
 
 Degree bookkeeping: X0..X3 are the only kinds of graded piece.  A vector
 (f1,f2,f3) of derivation degree i has component degrees i+w_j in X^1 and
@@ -372,6 +373,29 @@ def symbol_of(op: Callable[[Cochain], Cochain], source_components: int) -> Symbo
             for a, coefficients in enumerate((*c1, c0))
         ))
     return Symbol(source_components, target_components, tuple(terms))  # type: ignore[arg-type]
+
+
+def term_maps(c: Cochain) -> tuple[dict[Monomial, Scalar], ...]:
+    """A Poly or VecPoly as apply_symbol reads it: one term map per component."""
+    return tuple(p.terms for p in c.components) if isinstance(c, VecPoly) else (c.terms,)
+
+
+def apply_symbol(symbol: Symbol, parts: Sequence[dict]) -> tuple[dict[Monomial, Scalar], ...]:
+    """The operator with this symbol on a cochain's term maps, one per source component (a
+    ValueError for any other count), by matrix_of's exponent arithmetic; zeros dropped."""
+    out: list[dict] = [{} for _ in range(symbol.target_components)]
+    for groups, part in zip(symbol.terms, parts, strict=True):
+        for axis, group in enumerate(groups if part else ()):  # d/dx, d/dy, d/dz, order 0
+            items = part.items() if group else ()
+            scaled = items if axis == 3 else [(e, e[axis] * c) for e, c in items if e[axis]]
+            for t, o0, o1, o2, c in group:
+                acc = out[t]
+                for (e0, e1, e2), k in scaled:
+                    m = (e0 + o0, e1 + o1, e2 + o2)
+                    s = acc.pop(m, 0) + k * c
+                    if s:
+                        acc[m] = s
+    return tuple(out)
 
 
 def matrix_of(symbol: Symbol, source: GradedBasis, target: GradedBasis) -> GradedOperatorMatrix:

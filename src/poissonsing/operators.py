@@ -9,19 +9,20 @@ multiplication by phi by deg(phi), and the de Rham operators preserve it.
 
 Every operator here is a linear differential operator of order at most one,
 so its symbol is extracted once per structure (operator_symbol), from
-P.integral (an integral multiple of phi, of the same ranks), and every matrix
-is filled from it in ints by linalg's matrix_of, through one constructor
-(operator_matrix) that caches nothing: each rank stack fills only the
-columns it reduces (complexes.stack_pivots).  The blocks read more than
-once, of phi and the Koszul maps, are kept (kept_matrix), as are those of de
-Rham, keyed on the weights alone (de_rham_matrix).  A kept matrix is a value:
-its readers keep any rank of it themselves.  The relation table
-(relation_blocks) holds the blocks [D_k | phi] on X^{k-1}; relation_pivots
-keeps the pivot set of one echelon of each entry, and relation_rank is its
-size.  It skips the D_k columns at the pivots of the phi-multiples in X^k
-(relation_skip), which D_k's A-linearity puts in the span of the phi
-columns; the surface homology stacks skip them too.  complexes
-describes how the entries serve the four (co)homology complexes.
+P.integral (an integral multiple of phi, of the same ranks); named_operator
+is read only there (_symbol), and the certificates run the symbol itself
+(linalg.apply_symbol).  Every matrix is filled from it in ints by linalg's
+matrix_of, through one constructor (operator_matrix) that caches nothing:
+each rank stack fills only the columns it reduces (complexes.stack_pivots).
+The blocks read more than once, of phi and the Koszul maps, are kept
+(kept_matrix), as are those of de Rham, keyed on the weights alone
+(de_rham_matrix).  A kept matrix is a value: its readers keep any rank of it
+themselves.  The relation table (relation_blocks) holds the blocks
+[D_k | phi] on X^{k-1}; relation_pivots keeps the pivot set of one echelon of
+each entry, and relation_rank is its size.  It skips the D_k columns at the pivots
+of the phi-multiples in X^k (relation_skip), which D_k's A-linearity puts in
+the span of the phi columns; the surface homology stacks skip them too.
+complexes describes how the entries serve the four (co)homology complexes.
 """
 
 from __future__ import annotations
@@ -116,7 +117,12 @@ def de_rham_matrix(w: WeightSystem, k: int, i: int) -> GradedOperatorMatrix:
     divergence (k=1), curl (k=2) and gradient (k=3); basis_of refuses any
     other k, as X^4 and X^-1 are no pieces."""
     src, tgt = basis_of(KINDS[k], i, w), basis_of(KINDS[k - 1], i, w)
-    return matrix_of(_symbol(None, "de_rham%d" % k, len(src.monomials)), src, tgt)
+    return matrix_of(de_rham_symbol(k), src, tgt)
+
+
+def de_rham_symbol(k: int) -> Symbol:
+    """Symbol of divergence (k=1), curl (k=2) or gradient (k=3), from X^k into X^{k-1}."""
+    return _symbol(None, "de_rham%d" % k, 1 if k == 3 else 3)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ non-integral one as a ``Fraction``; the two mix exactly, so a polynomial with
 integer coefficients computes in integers throughout.  No floating point is
 used anywhere in this package.
 
-The probe certificates multiply mostly zero and single-term operands, so the
+The identity families multiply mostly zero and single-term operands, so the
 ring operations take fast paths for them: a product with a zero operand is
 that operand, a product with a single term shifts the other operand's
 exponents (nothing can merge or cancel), and a sum, difference or partial

@@ -11,7 +11,10 @@ operators of order at most 2 take probes, not degrees:
 boundary_squared_vanishes has 40 cases (30 VECTOR_PROBES, then 10 PROBES),
 two_cocycles_are_gradients_plus_multiples 20 (PROBES through delta^2 o grad
 and delta^2(f*grad(phi))) and then one per window degree, and
-boundary_equals_signed_coboundary 28.  Certified families are evaluated once
+boundary_equals_signed_coboundary 28.  Every delta^k, here and in the
+certificates, runs on the symbol of c*phi's structure (P.integral, through
+linalg.apply_symbol): both sides of each check scale by one power of c, so it
+checks what phi does.  Certified families are evaluated once
 per structure by complexes.certificate and shared with the engine, which
 skips columns on their strength; koszul_squared_vanishes and
 de_rham_squared_vanishes license the Koszul suite's skips and are not
@@ -34,10 +37,10 @@ from . import cohomology as ch
 from . import homology as hm
 from .complexes import PROBES, VECTOR_PROBES, certificate, cochain_dim, first_failure
 from .complexes import space_label, stack_rank
-from .linalg import Echelon, GradedOperatorMatrix, columns_off_pivots, kernel_of_columns
-from .linalg import offset_vector, pivots_of_columns, rank_of_columns
+from .linalg import Echelon, GradedOperatorMatrix, apply_symbol, columns_off_pivots
+from .linalg import kernel_of_columns, offset_vector, pivots_of_columns, rank_of_columns, term_maps
 from .milnor import MilnorData, check_isolated
-from .operators import de_rham_matrix, kept_matrix, operator_matrix
+from .operators import de_rham_matrix, kept_matrix, operator_matrix, operator_symbol
 from .poisson import PoissonStructure
 from .poly import Poly, monomials_of_degree
 from .vectorcalc import cross, curl, divergence, dot, euler_field, grad
@@ -159,8 +162,9 @@ def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult
     window degree.  The gradient, curl, divergence and partials of each
     probe are computed once per call, not once per pair.  A failure names
     the first failing probe.  The two delta families are
-    complexes.certificate, evaluated once per structure and shared with the
-    engine, which skips stack columns on their strength.
+    complexes.certificate, evaluated once per structure on the symbols of
+    delta^k and shared with the engine, which skips stack columns on their
+    strength.
     """
     w = P.weights
     e_w = euler_field(w)
@@ -329,8 +333,9 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
     def z2_spanned(case):
         kind, i = case  # a probe f, or a degree for "span"
         if kind != "span":
-            image = grad(i) if kind == "gradient" else P.nabla_phi * i
-            return None if P.delta2(image).is_zero() else "a %s is not a 2-cocycle at f=%s" % case
+            image = grad(i) if kind == "gradient" else P.integral.nabla_phi * i
+            zero = not any(apply_symbol(operator_symbol(P, "delta2"), term_maps(image)))
+            return None if zero else "a %s is not a 2-cocycle at f=%s" % case
         cocycles = cochain_dim(P, 2, i) - stack_rank(P, "cohomology", "ambient", 2, i)
         gradients = de_rham_matrix(w, 3, i)
         multiples = kept_matrix(P, "koszul3", i - d)
@@ -384,7 +389,8 @@ def cohomology_suite(
         expected = 1 if (i >= 0 and i % d == 0) else 0
         if cocycles != expected:
             return "degree %d: %d Casimir cocycles" % (i, cocycles)
-        if expected and not P.delta0(P.phi ** (i // d)).is_zero():
+        if expected and any(apply_symbol(
+                operator_symbol(P, "delta0"), term_maps(P.integral.phi ** (i // d)))):
             return "phi^%d is not a cocycle" % (i // d)
         return None
 
@@ -411,14 +417,14 @@ def cohomology_suite(
     # one-form of the Euler multiples: delta1(phi^i u_j e_w) in closed form
     e_w = euler_field(P.weights)
 
-    powers = [P.phi**i for i in range(3)]  # phi^i and phi^(i+1), i = 0, 1
+    powers = [P.integral.phi**i for i in range(3)]  # (c*phi)^i: both sides scale by c^(i+1)
 
     def euler_multiple(case):
         j, u, grad_u, deg_u, i = case
         f = powers[i] * u
-        lhs = P.delta1(e_w * f)
-        rhs = (P.nabla_phi * f) * (deg_u - d + s) - (grad_u * powers[i + 1]) * d
-        return None if lhs == rhs else "u%d, power %d" % (j, i)
+        lhs = apply_symbol(operator_symbol(P, "delta1"), term_maps(e_w * f))
+        rhs = (P.integral.nabla_phi * f) * (deg_u - d + s) - (grad_u * powers[i + 1]) * d
+        return None if lhs == term_maps(rhs) else "u%d, power %d" % (j, i)
 
     multiples = [
         (j, u, grad_u, deg_u, i)

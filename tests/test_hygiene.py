@@ -290,6 +290,62 @@ def test_method_scan_sees_names_and_attributes():
     assert names_in_method(source, "P", "boundary") & COBOUNDARIES == {"delta", "delta2"}
 
 
+# The structure's operators, as methods of PoissonStructure.
+STRUCTURE_METHODS = {"delta", "delta0", "delta1", "delta2", "boundary"}
+
+
+def operator_calls(source: str) -> list[tuple[int, str, str]]:
+    """(line, name, enclosing top-level definition or "") of every call of a
+    STRUCTURE_METHODS attribute and of named_operator, bare or as an attribute."""
+    found = []
+    for statement in ast.parse(source).body:
+        owner = getattr(statement, "name", "")
+        for node in ast.walk(statement):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            method = isinstance(func, ast.Attribute) and name in STRUCTURE_METHODS
+            if method or name == "named_operator":
+                found.append((node.lineno, name, owner))
+    return sorted(found)
+
+
+def test_structure_operators_run_only_on_their_symbols():
+    # every evaluation of an operator reads its symbol (linalg.matrix_of,
+    # linalg.apply_symbol): only PoissonStructure calls its own methods, and
+    # named_operator is called only to extract a symbol
+    found = [
+        "%s:%d calls %s" % (path.relative_to(ROOT), line, name)
+        for path in SRC
+        for line, name, owner in operator_calls(path.read_text())
+        if not (path.name == "poisson.py" and name != "named_operator")
+        and (path.name, name, owner) != ("operators.py", "named_operator", "_symbol")
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_operator_call_scan_sees_every_call_form():
+    source = (
+        "def _symbol(P, name):\n"
+        "    return named_operator(P, name)\n"
+        "def other(P, c):\n"
+        "    op = operators.named_operator(P, 'delta0')\n"
+        "    return P.delta(0, c), P.delta1(c), self.boundary(1, c)\n"
+        "def fine(P, c):\n"
+        "    return partial(P.delta, 0), P.delta3(c), P.bracket(c, c), delta2(c), named_operator\n"
+        "class K:\n"
+        "    def m(self, c):\n"
+        "        return self.delta2(c)\n"
+        "x = named_operator(None, 'de_rham1')\n"
+    )
+    assert operator_calls(source) == [
+        (2, "named_operator", "_symbol"), (4, "named_operator", "other"), (5, "boundary", "other"),
+        (5, "delta", "other"), (5, "delta1", "other"), (10, "delta2", "K"),
+        (11, "named_operator", ""),
+    ]
+
+
 def fraction_uses(source: str) -> list[int]:
     """Lines that import the fractions module, or bind or read the name
     Fraction (imported from anywhere, or as an attribute)."""
