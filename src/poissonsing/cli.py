@@ -99,8 +99,9 @@ def _window(args, P: PoissonStructure) -> ch.Window:
     if args.max_degree is not None:
         hi = args.max_degree
     if lo > hi:
-        raise ValueError("empty degree window: min-degree %d exceeds max-degree %d"
-                         % (lo, hi))
+        top = ("max-degree %d" if args.max_degree is not None
+               else "the default max-degree %d (5*deg(phi) - 2*|w|)") % hi
+        raise ValueError("empty degree window: min-degree %d exceeds %s" % (lo, top))
     if hi < -P.weight_sum:
         raise ValueError("degree window below every graded piece: max-degree %d is below "
                          "-|w| = %d, so every space is zero" % (hi, -P.weight_sum))

@@ -51,8 +51,9 @@ and of columns of larger index), once the identity that proves it holds:
 Each identity is certified once per structure on its probe set, on the
 operators' symbols (certificate); until it holds nothing is skipped.  The
 relation memo operators.relation_pivots and the relation columns [D_k | phi]
-of the surface homology stacks skip the D_k columns at the phi-multiple
-pivots (operators.relation_skip), on the A-linearity of D_k alone.  When
+of the surface homology stacks reduce the same operators.relation_columns,
+which skip the D_k columns at the phi-multiple pivots
+(operators.relation_skip), on the A-linearity of D_k alone.  When
 N < 0 the surface homology skip ranks stacks above the window, as the
 ambient cohomology skip does.
 """
@@ -65,11 +66,10 @@ from functools import lru_cache
 from itertools import chain
 from sys import intern
 
-from .linalg import KINDS, GradedOperatorMatrix, Symbol, apply_symbol, basis_of, columns_off_pivots
+from .linalg import KINDS, Symbol, Vector, apply_symbol, basis_of, columns_off_pivots
 from .linalg import offset_vector, pivots_of_columns, subquotient_dim, term_maps
-from .operators import de_rham_symbol, kept_matrix, operator_matrix, operator_symbol, pieces
-from .operators import phi_multiple_pivots, relation_blocks, relation_pivots, relation_rank
-from .operators import relation_skip
+from .operators import kept_matrix, operator_matrix, operator_symbol, pieces, phi_multiple_pivots
+from .operators import relation_blocks, relation_columns, relation_pivots, relation_rank
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
 from .vectorcalc import VecPoly
@@ -150,10 +150,9 @@ def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
 
     symbols: dict[str, Symbol] = {}  # on first use: a family extracts only its own
 
-    def run(name, parts):  # a named operator of P.integral (operators.PIECES), or of de Rham
+    def run(name, parts):  # a named operator of P.integral (operators.PIECES)
         if name not in symbols:
-            vertical = name.startswith("de_rham")
-            symbols[name] = de_rham_symbol(int(name[-1])) if vertical else operator_symbol(P, name)
+            symbols[name] = operator_symbol(P, name)
         return apply_symbol(symbols[name], parts)
 
     def commutes(name, parts):  # name(phi*c) == phi*name(c)
@@ -229,14 +228,13 @@ def _constraint_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
     return relation_rank(P, p, j) if row.constrained else 0
 
 
-def target_relations(
-    P: PoissonStructure, row: Complex, p: int, j: int
-) -> list[GradedOperatorMatrix]:
-    """The blocks of R_{p+1}; only the halves the row names are built."""
+def target_relations(P: PoissonStructure, row: Complex, p: int, j: int) -> Iterable[Vector]:
+    """The columns of R_{p+1} that the stack reduces, built only for the halves
+    the row names: relation_columns, or phi's (also for k = 4: D_4 is None)."""
     k, i = p + 2, j + P.coboundary_degree - P.degree
-    if "koszul" in row.relations:
-        return [m for m in relation_blocks(P, k, i) if m]
-    return [kept_matrix(P, intern("phi%d" % (k - 1)), i)] if row.relations else []
+    if "koszul" in row.relations and k < 4:
+        return relation_columns(P, k, i)
+    return kept_matrix(P, intern("phi%d" % (k - 1)), i).columns if row.relations else ()
 
 
 def _target_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
@@ -267,9 +265,10 @@ def skipped(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
 def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
     """The pivots of an echelon of the cycle stack [[T; d] | [S; 0] | [0; R]]
     of X^p_j in the (block, side) complex, for p in 0..2, as the bits of one
-    int: its columns in that order, less the top ones at the skipped pivots.
-    d is built by name and degree (operators.operator_matrix) on the source
-    less those pivots, so their columns are never filled, and is not kept."""
+    int: its columns in that order, less the top ones at the skipped pivots,
+    with R's columns as target_relations gives them.  d is built by name and
+    degree (operators.operator_matrix) on the source less those pivots, so
+    their columns are never filled, and is not kept."""
     row = COMPLEXES[block, side]
     skip, top = 0, []
     if cochain_dim(P, p, j):
@@ -282,11 +281,7 @@ def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> 
         rows_top, s_cols = T.target.dim, S.columns
         t_cols = columns_off_pivots(T.columns, skip)
         top = [{**t, **offset_vector(c, rows_top)} for t, c in zip(t_cols, top)]
-    relations = [m.columns for m in target_relations(P, row, p, j)]
-    if len(relations) == 2:  # [D_k | phi]
-        k, i = p + 2, j + P.coboundary_degree - P.degree
-        relations[0] = columns_off_pivots(relations[0], relation_skip(P, k, i))
-    r_cols = (offset_vector(c, rows_top) for cols in relations for c in cols)
+    r_cols = (offset_vector(c, rows_top) for c in target_relations(P, row, p, j))
     return pivots_of_columns(chain(top, s_cols, r_cols))
 
 

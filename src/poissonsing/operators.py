@@ -5,51 +5,46 @@ once (pieces): it maps X^p at derivation degree i into X^q at degree
 i + shift.  Form spaces are the same pieces (Omega^k at form degree i is
 X^{3-k} at derivation degree i - |w|); the coboundaries and boundaries shift
 the degree by N = deg(phi) - |w|, the Koszul maps of grad(phi) and
-multiplication by phi by deg(phi), and the de Rham operators preserve it.
+multiplication by phi by deg(phi), and the de Rham operators (divergence,
+curl and gradient, from X^k into X^{k-1}) preserve it.
 
 Every operator here is a linear differential operator of order at most one,
 so its symbol is extracted once per structure (operator_symbol), from
-P.integral (an integral multiple of phi, of the same ranks); named_operator
-is read only there (_symbol), and the certificates run the symbol itself
+P.integral (an integral multiple of phi, of the same ranks), and once per
+process for de Rham, which reads no structure; named_operator is read only
+there (_symbol), and the certificates run the symbol itself
 (linalg.apply_symbol).  Every matrix is filled from it in ints by linalg's
 matrix_of, through one constructor (operator_matrix) that caches nothing:
 each rank stack fills only the columns it reduces (complexes.stack_pivots).
-The blocks read more than once, of phi and the Koszul maps, are kept
-(kept_matrix), as are those of de Rham, keyed on the weights alone
-(de_rham_matrix).  A kept matrix is a value: its readers keep any rank of it
-themselves.  The relation table (relation_blocks) holds the blocks
+The blocks read more than once, of phi, the Koszul maps and de Rham, are
+kept (kept_matrix).  A kept matrix is a value: its readers keep any rank of
+it themselves.  The relation table (relation_blocks) holds the blocks
 [D_k | phi] on X^{k-1}; relation_pivots keeps the pivot set of one echelon of
-each entry, and relation_rank is its size.  It skips the D_k columns at the pivots
-of the phi-multiples in X^k (relation_skip), which D_k's A-linearity puts in
-the span of the phi columns; the surface homology stacks skip them too.
-complexes describes how the entries serve the four (co)homology complexes.
+each entry, and relation_rank is its size.  The echelon reduces the entry's
+relation_columns: it skips the D_k columns at the pivots of the phi-multiples
+in X^k (relation_skip), which D_k's A-linearity puts in the span of the phi
+columns; the surface homology stacks read the same columns.  complexes
+describes how the entries serve the four (co)homology complexes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache, partial
-from sys import intern
 from itertools import chain
+from sys import intern
 
-from .linalg import (
-    KINDS,
-    GradedOperatorMatrix,
-    Symbol,
-    basis_of,
-    columns_off_pivots,
-    matrix_of,
-    pivots_of_columns,
-    symbol_of,
-)
+from .linalg import KINDS, GradedOperatorMatrix, Symbol, Vector, basis_of, columns_off_pivots
+from .linalg import matrix_of, pivots_of_columns, symbol_of
 from .poisson import PoissonStructure
-from .poly import WeightSystem
 from .vectorcalc import cross, curl, divergence, dot, grad
 
 
 def named_operator(P: PoissonStructure | None, name: str):
-    """The operator of the given name on polynomials (P is None for the
-    vertical de Rham operators); "phi" is multiplication by phi on any X^k."""
-    if P is None:
+    """The operator of the given name on polynomials; "phi" is
+    multiplication by phi on any X^k, and the de Rham operators read no P
+    (it may be None)."""
+    if name.startswith("de_rham"):
         return {"de_rham1": divergence, "de_rham2": curl, "de_rham3": grad}[name]
     nabla = P.nabla_phi
     return {
@@ -63,12 +58,13 @@ def named_operator(P: PoissonStructure | None, name: str):
 
 
 # Each operator by name: its source piece X^p, its target piece X^q, and
-# whether it shifts the degree by N (else by deg(phi)).
-PIECES: dict[str, tuple[int, int, bool]] = {
-    **{"delta%d" % k: (k, k + 1, True) for k in (0, 1, 2)},
-    **{"boundary%d" % k: (3 - k, 4 - k, True) for k in (1, 2, 3)},  # on Omega^k = X^{3-k}
-    **{"koszul%d" % k: (k, k - 1, False) for k in (1, 2, 3)},
-    **{"phi%d" % k: (k, k, False) for k in (0, 1, 2, 3)},  # phi times X^k
+# the unit of its degree shift: N ("N"), deg(phi) ("d") or none ("").
+PIECES: dict[str, tuple[int, int, str]] = {
+    **{"delta%d" % k: (k, k + 1, "N") for k in (0, 1, 2)},
+    **{"boundary%d" % k: (3 - k, 4 - k, "N") for k in (1, 2, 3)},  # on Omega^k = X^{3-k}
+    **{"koszul%d" % k: (k, k - 1, "d") for k in (1, 2, 3)},
+    **{"phi%d" % k: (k, k, "d") for k in (0, 1, 2, 3)},  # phi times X^k
+    **{"de_rham%d" % k: (k, k - 1, "") for k in (1, 2, 3)},  # divergence, curl, gradient
 }
 
 
@@ -76,23 +72,25 @@ def pieces(P: PoissonStructure, name: str) -> tuple[int, int, int]:
     """(p, q, shift): the named operator maps X^p at derivation degree i into
     X^q at degree i + shift (PIECES); any other name raises ValueError."""
     if name not in PIECES:
-        raise ValueError("no operator %r (delta0..2, boundary1..3, koszul1..3, phi0..3)" % name)
-    p, q, by_n = PIECES[name]
-    return p, q, P.coboundary_degree if by_n else P.degree
+        raise ValueError("no operator %r (one of %s)" % (name, ", ".join(PIECES)))
+    p, q, unit = PIECES[name]
+    return p, q, {"N": P.coboundary_degree, "d": P.degree}.get(unit, 0)
 
 
 @lru_cache(maxsize=None)
 def _symbol(P: PoissonStructure | None, operator: str, source_components: int) -> Symbol:
     """Symbol of named_operator(P, operator) on 1- or 3-component inputs, once
-    per structure (P is None for the vertical de Rham operators)."""
+    per structure (P is None for the de Rham operators)."""
     return symbol_of(named_operator(P, operator), source_components)
 
 
 def operator_symbol(P: PoissonStructure, name: str) -> Symbol:
     """Symbol of the named operator of P.integral on the components of its
-    source piece; phi on X^0 and X^3 shares one, and phi on X^1 and X^2 another."""
+    source piece; phi on X^0 and X^3 shares one, and phi on X^1 and X^2
+    another.  De Rham's is keyed on no structure, so every P shares it."""
     p = pieces(P, name)[0]
-    return _symbol(P.integral, "phi" if name.startswith("phi") else name, 1 if p in (0, 3) else 3)
+    owner = None if name.startswith("de_rham") else P.integral
+    return _symbol(owner, "phi" if name.startswith("phi") else name, 1 if p in (0, 3) else 3)
 
 
 def operator_matrix(P: PoissonStructure, name: str, i: int, skip: int = 0) -> GradedOperatorMatrix:
@@ -106,23 +104,10 @@ def operator_matrix(P: PoissonStructure, name: str, i: int, skip: int = 0) -> Gr
 
 @lru_cache(maxsize=None)
 def kept_matrix(P: PoissonStructure, name: str, i: int) -> GradedOperatorMatrix:
-    """operator_matrix(P, name, i), kept for the blocks of phi and the Koszul
-    maps, read more than once (relation_blocks, the Koszul and cohomology suites)."""
+    """operator_matrix(P, name, i), kept for the blocks of phi, the Koszul
+    maps and de Rham, read more than once (relation_blocks, the Koszul and
+    cohomology suites)."""
     return operator_matrix(P, name, i)
-
-
-@lru_cache(maxsize=None)
-def de_rham_matrix(w: WeightSystem, k: int, i: int) -> GradedOperatorMatrix:
-    """The degree-0 vertical operator from X^k into X^{k-1} at degree i:
-    divergence (k=1), curl (k=2) and gradient (k=3); basis_of refuses any
-    other k, as X^4 and X^-1 are no pieces."""
-    src, tgt = basis_of(KINDS[k], i, w), basis_of(KINDS[k - 1], i, w)
-    return matrix_of(de_rham_symbol(k), src, tgt)
-
-
-def de_rham_symbol(k: int) -> Symbol:
-    """Symbol of divergence (k=1), curl (k=2) or gradient (k=3), from X^k into X^{k-1}."""
-    return _symbol(None, "de_rham%d" % k, 1 if k == 3 else 3)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +170,16 @@ def relation_skip(P: PoissonStructure, k: int, i: int) -> int:
     return phi_multiple_pivots(P, k, i - P.degree)
 
 
+def relation_columns(P: PoissonStructure, k: int, i: int) -> Iterable[Vector]:
+    """The columns of relation_blocks(P, k, i), k in 1..3, that an echelon of
+    the entry reduces: D_k's off relation_skip, then phi's."""
+    D, phi = relation_blocks(P, k, i)
+    return chain(columns_off_pivots(D.columns, relation_skip(P, k, i)), phi.columns)
+
+
 @lru_cache(maxsize=None)
 def relation_pivots(P: PoissonStructure, k: int, i: int) -> int:
     """The pivots in X^{k-1} of an echelon of relation_blocks(P, k, i), as the
     bits of one int (linalg.pivots_of_columns), for k in 1..3; 0 otherwise.
-    The D_k columns at relation_skip are not reduced."""
-    if not 1 <= k <= 3:
-        return 0
-    D, phi = relation_blocks(P, k, i)
-    skip = relation_skip(P, k, i)
-    return pivots_of_columns(chain(columns_off_pivots(D.columns, skip), phi.columns))
+    Only relation_columns are reduced."""
+    return pivots_of_columns(relation_columns(P, k, i)) if 1 <= k <= 3 else 0

@@ -32,15 +32,16 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import product
+from sys import intern
 
 from . import cohomology as ch
 from . import homology as hm
 from .complexes import PROBES, VECTOR_PROBES, certificate, cochain_dim, first_failure
 from .complexes import space_label, stack_rank
-from .linalg import Echelon, GradedOperatorMatrix, apply_symbol, columns_off_pivots
+from .linalg import Echelon, apply_symbol, columns_off_pivots
 from .linalg import kernel_of_columns, offset_vector, pivots_of_columns, rank_of_columns, term_maps
 from .milnor import MilnorData, check_isolated
-from .operators import de_rham_matrix, kept_matrix, operator_matrix, operator_symbol
+from .operators import kept_matrix, operator_matrix, operator_symbol, pieces
 from .poisson import PoissonStructure
 from .poly import Poly, monomials_of_degree
 from .vectorcalc import cross, curl, divergence, dot, euler_field, grad
@@ -263,71 +264,67 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
     decomposition, degree by degree.  Rows share the kept Koszul and de Rham
     blocks (D_3 at degree i serves injectivity at i and first exactness at
     i + deg(phi)); each block is ranked once, in a memo of this call keyed by
-    the kept object that holds its pivot set, as a kept matrix holds no rank.
+    its operator name and degree, as a kept matrix holds no rank.
 
-    The outgoing map of an exactness row kills the incoming image, so it
-    reduces only its columns off that image's pivots: D_2 at i off those of
-    D_3 at i - deg(phi) and D_1 at i off those of D_2 at i - deg(phi)
-    (koszul_squared_vanishes), curl off grad and div off curl
-    (de_rham_squared_vanishes).  A skipped column is a combination of
-    columns of larger index, so no pivot set changes; until its certificate
-    holds a map skips nothing.  D o D = 0 holds for any phi, so a phi whose
-    Koszul row is not exact (x*y*z) keeps its ranks and its witness."""
+    An exactness row compares the kernel of the named block k at degree i
+    with the image of its incoming block, the same family at k+1 at degree
+    i - shift (operators.pieces): D_3 and D_2 at i - deg(phi), grad and curl
+    at i.  The outgoing map kills the incoming image, so it reduces only its
+    columns off that image's pivots (koszul_squared_vanishes,
+    de_rham_squared_vanishes); the incoming block is ranked in full.  A
+    skipped column is a combination of columns of larger index, so no pivot
+    set changes; until its certificate holds a map skips nothing.  D o D = 0
+    holds for any phi, so a phi whose Koszul row is not exact (x*y*z) keeps
+    its ranks and its witness."""
     lo, hi = window
     degrees = range(lo, hi + 1)
-    w = P.weights
-    s = w.weight_sum
+    s = P.weights.weight_sum
     d = P.degree
-    pivots: dict[GradedOperatorMatrix, int] = {}
+    pivots: dict[tuple[str, int], int] = {}
     koszul_licensed = not certificate(P, "koszul_squared_vanishes")[1]
     de_rham_licensed = not certificate(P, "de_rham_squared_vanishes")[1]
 
-    def pivots_of(m: GradedOperatorMatrix, incoming: GradedOperatorMatrix | None = None) -> int:
-        """The pivots of m's columns; given incoming, with m o incoming = 0,
-        only the columns off the pivots of incoming's image are reduced."""
-        if m not in pivots:
-            skip = pivots_of(incoming) if incoming is not None else 0
-            pivots[m] = pivots_of_columns(columns_off_pivots(m.columns, skip))
-        return pivots[m]
+    def pivots_of(name: str, i: int, incoming: tuple[str, int] | None = None) -> int:
+        """The pivots of the kept block (name, i); given its incoming block,
+        whose image it kills, only its columns off that image's pivots are
+        reduced."""
+        if (name, i) not in pivots:
+            skip = pivots_of(*incoming) if incoming else 0
+            columns = kept_matrix(P, name, i).columns
+            pivots[name, i] = pivots_of_columns(columns_off_pivots(columns, skip))
+        return pivots[name, i]
 
-    def rank_of(m: GradedOperatorMatrix) -> int:
-        return pivots_of(m).bit_count()
+    def exactness(name: str, licensed: bool) -> Callable[[int], str | None]:
+        """defect(i): 'degree i: kernel a vs image b' when dim ker of the
+        block (name, i) differs from the rank of its incoming block, else
+        None; the block skips the incoming image while licensed."""
+        incoming = intern(name[:-1] + str(int(name[-1]) + 1))
+        shift = pieces(P, incoming)[2]
 
-    def defect(i, outgoing, incoming, licensed):
-        """'degree i: kernel a vs image b' when dim ker(outgoing) differs
-        from rank(incoming), else None; outgoing skips incoming's image
-        while licensed."""
-        rank = pivots_of(outgoing, incoming if licensed else None).bit_count()
-        kernel, image = outgoing.source.dim - rank, rank_of(incoming)
-        return None if kernel == image else "degree %d: kernel %d vs image %d" % (i, kernel, image)
+        def defect(i):
+            before = incoming, i - shift
+            rank = pivots_of(name, i, before if licensed else None).bit_count()
+            ker, im = kept_matrix(P, name, i).source.dim - rank, pivots_of(*before).bit_count()
+            return None if ker == im else "degree %d: kernel %d vs image %d" % (i, ker, im)
+
+        return defect
 
     def injective(i):
-        m = kept_matrix(P, "koszul3", i)
-        return None if rank_of(m) == m.source.dim else "kernel at degree %d" % i
+        ok = pivots_of("koszul3", i).bit_count() == kept_matrix(P, "koszul3", i).source.dim
+        return None if ok else "kernel at degree %d" % i
 
-    def first_exact(i):
-        incoming = kept_matrix(P, "koszul3", i - d)
-        return defect(i, kept_matrix(P, "koszul2", i), incoming, koszul_licensed)
+    second_defect = exactness("koszul1", koszul_licensed)
 
     def second_exact(i):
-        incoming = kept_matrix(P, "koszul2", i - d)
-        found = defect(i, kept_matrix(P, "koszul1", i), incoming, koszul_licensed)
-        return found and _second_part_witness(P, i)
+        return second_defect(i) and _second_part_witness(P, i)
 
     def grad_kernel(i):
-        g = de_rham_matrix(w, 3, i)
-        ok = g.source.dim - rank_of(g) == (1 if i == -s else 0)
+        g = kept_matrix(P, "de_rham3", i)
+        ok = g.source.dim - pivots_of("de_rham3", i).bit_count() == (1 if i == -s else 0)
         return None if ok else "degree %d: constants mismatch" % i
 
-    def curl_exact(i):
-        return defect(i, de_rham_matrix(w, 2, i), de_rham_matrix(w, 3, i), de_rham_licensed)
-
-    def div_exact(i):
-        return defect(i, de_rham_matrix(w, 1, i), de_rham_matrix(w, 2, i), de_rham_licensed)
-
     def div_onto(i):
-        dv = de_rham_matrix(w, 1, i)
-        ok = rank_of(dv) == dv.target.dim
+        ok = pivots_of("de_rham1", i).bit_count() == kept_matrix(P, "de_rham1", i).target.dim
         return None if ok else "degree %d: divergence misses a polynomial" % i
 
     def z2_spanned(case):
@@ -337,7 +334,7 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
             zero = not any(apply_symbol(operator_symbol(P, "delta2"), term_maps(image)))
             return None if zero else "a %s is not a 2-cocycle at f=%s" % case
         cocycles = cochain_dim(P, 2, i) - stack_rank(P, "cohomology", "ambient", 2, i)
-        gradients = de_rham_matrix(w, 3, i)
+        gradients = kept_matrix(P, "de_rham3", i)
         multiples = kept_matrix(P, "koszul3", i - d)
         span = rank_of_columns(gradients.columns + multiples.columns)
         ok = span == cocycles
@@ -348,11 +345,11 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
     z2_cases = [*product(("gradient", "grad(phi) multiple"), PROBES), *product(("span",), degrees)]
     families = [
         ("koszul_multiplication_injective", degrees, injective),
-        ("koszul_first_exactness", degrees, first_exact),
+        ("koszul_first_exactness", degrees, exactness("koszul2", koszul_licensed)),
         ("koszul_second_exactness", degrees, second_exact),
         ("de_rham_gradient_kernel", degrees, grad_kernel),
-        ("de_rham_curl_exactness", degrees, curl_exact),
-        ("de_rham_divergence_exactness", degrees, div_exact),
+        ("de_rham_curl_exactness", degrees, exactness("de_rham2", de_rham_licensed)),
+        ("de_rham_divergence_exactness", degrees, exactness("de_rham1", de_rham_licensed)),
         ("de_rham_divergence_onto", degrees, div_onto),
         ("two_cocycles_are_gradients_plus_multiples", z2_cases, z2_spanned),
     ]
@@ -402,7 +399,7 @@ def cohomology_suite(
     def rigid(r):
         i = r * d
         dotm = kept_matrix(P, "koszul1", i)
-        divm = de_rham_matrix(P.weights, 1, i)
+        divm = kept_matrix(P, "de_rham1", i)
         off = dotm.target.dim
         stacked = Echelon()
         for j in range(dotm.source.dim):

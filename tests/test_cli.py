@@ -171,6 +171,15 @@ class TestAnalyzeCommand:
             "so [-|w|, 5*deg(phi) - 2*|w|] = [-3, -6] holds no degree\n"
         )
 
+    def test_a_min_degree_above_the_default_top_names_the_default(self, capsys):
+        # the user passed no max-degree, so the message names the default one
+        code, out, err = run(capsys, "analyze", "--phi", "x^2+y^2+z^2", "--min-degree", "50")
+        assert code == 2 and out == ""
+        assert err == (
+            "invalid input: empty degree window: min-degree 50 exceeds the default "
+            "max-degree 4 (5*deg(phi) - 2*|w|)\n"
+        )
+
     def test_rational_phi_gives_the_integral_dims(self, capsys):
         args = ("--max-degree", "6", "--cases", "20")
         tables = []

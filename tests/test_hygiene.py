@@ -1,7 +1,8 @@
 """Source hygiene that needs no linter: no unused import in src/ or tests/,
 no package export and no definition under src/ that only the tests use, no
 sampling in src/, no boundary defined through the coboundary, no Fraction
-in linalg, and no certificate family named under src/ that fails on a
+in linalg, no engine matrix or symbol built outside its one constructor
+(BUILDERS), and no certificate family named under src/ that fails on a
 catalog structure.
 
 An imported name counts as used when it is read anywhere in its module,
@@ -294,21 +295,26 @@ def test_method_scan_sees_names_and_attributes():
 STRUCTURE_METHODS = {"delta", "delta0", "delta1", "delta2", "boundary"}
 
 
-def operator_calls(source: str) -> list[tuple[int, str, str]]:
-    """(line, name, enclosing top-level definition or "") of every call of a
-    STRUCTURE_METHODS attribute and of named_operator, bare or as an attribute."""
-    found = []
+def calls(source: str):
+    """(line, name, whether called as an attribute, enclosing top-level
+    definition or "") of every call of a name."""
     for statement in ast.parse(source).body:
         owner = getattr(statement, "name", "")
         for node in ast.walk(statement):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            method = isinstance(func, ast.Attribute) and name in STRUCTURE_METHODS
-            if method or name == "named_operator":
-                found.append((node.lineno, name, owner))
-    return sorted(found)
+            if isinstance(node, ast.Call):
+                func = node.func
+                attribute = isinstance(func, ast.Attribute)
+                name = func.attr if attribute else getattr(func, "id", None)
+                yield node.lineno, name, attribute, owner
+
+
+def operator_calls(source: str) -> list[tuple[int, str, str]]:
+    """(line, name, enclosing top-level definition or "") of every call of a
+    STRUCTURE_METHODS attribute and of named_operator, bare or as an attribute."""
+    return sorted(
+        (line, name, owner) for line, name, attribute, owner in calls(source)
+        if (attribute and name in STRUCTURE_METHODS) or name == "named_operator"
+    )
 
 
 def test_structure_operators_run_only_on_their_symbols():
@@ -343,6 +349,50 @@ def test_operator_call_scan_sees_every_call_form():
         (2, "named_operator", "_symbol"), (4, "named_operator", "other"), (5, "boundary", "other"),
         (5, "delta", "other"), (5, "delta1", "other"), (10, "delta2", "K"),
         (11, "named_operator", ""),
+    ]
+
+
+# The one place under src/ that may call each builder of linalg, as (module,
+# top-level definition): every engine matrix is filled by operator_matrix
+# from the grading table, and every symbol is extracted by the cached _symbol.
+BUILDERS = {
+    "matrix_of": ("operators", "operator_matrix"),
+    "symbol_of": ("operators", "_symbol"),
+}
+
+
+def builder_calls(source: str) -> list[tuple[int, str, str]]:
+    """(line, name, enclosing top-level definition or "") of every call of a
+    BUILDERS name, bare or as an attribute."""
+    return sorted((line, name, owner) for line, name, _, owner in calls(source) if name in BUILDERS)
+
+
+def test_matrices_and_symbols_are_built_in_one_place_each():
+    found = [
+        (name, path.stem, owner, "%s:%d" % (path.relative_to(ROOT), line))
+        for path in SRC
+        for line, name, owner in builder_calls(path.read_text())
+    ]
+    stray = ["%s calls %s" % (where, name) for name, module, owner, where in found
+             if (module, owner) != BUILDERS[name]]
+    assert not stray, "\n".join(stray)
+    assert sorted(name for name, *_ in found) == sorted(BUILDERS)
+
+
+def test_builder_call_scan_sees_every_call_form():
+    source = (
+        "def operator_matrix(P, name, i):\n"
+        "    return matrix_of(symbol, source, target)\n"
+        "def other(op):\n"
+        "    return linalg.symbol_of(op, 1), matrix_of\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        return self.matrix_of(s, a, b)\n"
+        "x = symbol_of(grad, 1)\n"
+    )
+    assert builder_calls(source) == [
+        (2, "matrix_of", "operator_matrix"), (4, "symbol_of", "other"), (7, "matrix_of", "K"),
+        (8, "symbol_of", ""),
     ]
 
 
@@ -445,7 +495,6 @@ UNBOUNDED_CACHES = {
     "linalg.basis_of",
     "milnor.check_isolated",
     "operators._symbol",
-    "operators.de_rham_matrix",
     "operators.kept_matrix",
     "operators.relation_pivots",
 }

@@ -28,7 +28,6 @@ from poissonsing import (
 )
 from poissonsing.operators import (
     PIECES,
-    de_rham_matrix,
     kept_matrix,
     named_operator,
     operator_matrix,
@@ -81,12 +80,12 @@ def test_horizontal_products(catalog_structures):
 
 
 def test_vertical_operators(catalog_structures):
-    for w in sorted({P.weights for P, _ in catalog_structures}, key=str):
-        lo = -w.weight_sum
+    for P, _ in catalog_structures:
+        lo = -P.weight_sum
         for i in range(lo, lo + 20):
-            _check(de_rham_matrix(w, 3, i), grad)
-            _check(de_rham_matrix(w, 2, i), curl)
-            _check(de_rham_matrix(w, 1, i), divergence)
+            _check(kept_matrix(P, "de_rham3", i), grad)
+            _check(kept_matrix(P, "de_rham2", i), curl)
+            _check(kept_matrix(P, "de_rham1", i), divergence)
 
 
 def test_relation_presentations(catalog_structures):
@@ -137,19 +136,23 @@ def test_rational_coefficients_are_probed_exactly():
 def test_a_rational_phi_builds_integer_matrices():
     # unequal denominators: the engine works on the integral multiple c*phi
     # (c = lcm(2, 3) = 6), so every column of every operator has int entries,
-    # c times the user's operator applied to the basis element
+    # c times the user's operator applied to the basis element; de Rham reads
+    # no phi, so it does not scale with c
     P = structure("1/2*x^3+1/3*y^3+z^3", (1, 1, 1))
     assert P.integral.phi == parse_poly("3*x^3+2*y^3+6*z^3")
     assert P.phi == parse_poly("1/2*x^3+1/3*y^3+z^3")
     assert sorted(PIECES) == sorted(
         ["delta0", "delta1", "delta2", "boundary1", "boundary2", "boundary3",
-         "koszul1", "koszul2", "koszul3", "phi0", "phi1", "phi2", "phi3"])
+         "koszul1", "koszul2", "koszul3", "phi0", "phi1", "phi2", "phi3",
+         "de_rham1", "de_rham2", "de_rham3"])
     for name in PIECES:
         op = named_operator(P, "phi" if name.startswith("phi") else name)
+        factor = 1 if name.startswith("de_rham") else 6
         for i in _window(default_window(P)):
             m = operator_matrix(P, name, i)
             assert all(type(v) is int for col in m.columns for v in col.values()), (name, i)
-            assert m.columns == oracle_columns(lambda c: op(c) * 6, m.source, m.target), (name, i)
+            expected = oracle_columns(lambda c: op(c) * factor, m.source, m.target)
+            assert m.columns == expected, (name, i)
 
 
 def test_wrong_target_degree_raises():
@@ -170,7 +173,7 @@ def test_wrong_arity_raises():
 
 
 # Each named operator: its source and target pieces and its shift, N for the
-# (co)boundaries and deg(phi) for the horizontal operators.
+# (co)boundaries, deg(phi) for the horizontal operators and 0 for de Rham.
 GRADING = {
     "delta0": (0, 1, "N"),
     "delta1": (1, 2, "N"),
@@ -185,6 +188,9 @@ GRADING = {
     "phi1": (1, 1, "d"),
     "phi2": (2, 2, "d"),
     "phi3": (3, 3, "d"),
+    "de_rham1": (1, 0, 0),
+    "de_rham2": (2, 1, 0),
+    "de_rham3": (3, 2, 0),
 }
 
 
@@ -193,7 +199,7 @@ def test_each_matrix_maps_the_declared_pieces(name):
     # a weighted structure, where N = -1 and deg(phi) = 30 differ in sign
     P = structure("x^2+y^3+z^5", (15, 10, 6))
     p, q, unit = GRADING[name]
-    shift = P.coboundary_degree if unit == "N" else P.degree
+    shift = {"N": P.coboundary_degree, "d": P.degree, 0: 0}[unit]
     assert pieces(P, name) == (p, q, shift)
     for i in range(-P.weight_sum, P.degree + 2, 7):
         m = operator_matrix(P, name, i)
@@ -202,7 +208,9 @@ def test_each_matrix_maps_the_declared_pieces(name):
         assert operator_symbol(P, name).source_components == len(m.source.monomials)
 
 
-@pytest.mark.parametrize("name", ["delta3", "koszul0", "phi4", "curl1", "phi", "delta-1"])
+@pytest.mark.parametrize(
+    "name", ["delta3", "koszul0", "phi4", "curl1", "phi", "delta-1", "de_rham0", "de_rham4"]
+)
 def test_an_operator_outside_the_table_is_refused(name):
     P = structure("x^3+y^3+z^3", (1, 1, 1))
     for build in (lambda: pieces(P, name), lambda: operator_matrix(P, name, 0),

@@ -41,7 +41,7 @@ from poissonsing.complexes import complex_dim
 from poissonsing.homology import default_form_window, homology_dims, projection_commutes
 from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector
 from poissonsing.linalg import pivots_of_columns, rank_of_columns
-from poissonsing.operators import de_rham_matrix, kept_matrix, operator_matrix, phi_multiple_pivots
+from poissonsing.operators import kept_matrix, operator_matrix, phi_multiple_pivots
 from poissonsing.operators import relation_blocks
 
 from .conftest import boundary_matrix, boundary_plus, echelon_rank, form_basis, planted, structure
@@ -270,7 +270,13 @@ def whole_stack_rank(P, block, side, p, j):
         T, S = relation_blocks(P, p, j)
         rows_top, s_cols = T.target.dim, S.columns
         top = [{**t, **offset_vector(c, rows_top)} for t, c in zip(T.columns, top)]
-    relations = complexes.target_relations(P, row, p, j)
+    # the whole relation blocks of R_{p+1}, none of their columns skipped
+    k, i = p + 2, j + P.coboundary_degree - P.degree
+    relations = []
+    if "koszul" in row.relations:
+        relations = [m for m in relation_blocks(P, k, i) if m]
+    elif row.relations:
+        relations = [kept_matrix(P, "phi%d" % (k - 1), i)]
     r_cols = [offset_vector(c, rows_top) for m in relations for c in m.columns]
     return rank_of_columns([*top, *s_cols, *r_cols])
 
@@ -423,8 +429,7 @@ def test_kept_matrices_hold_no_state_and_the_koszul_suite_ranks_each_block_once(
         ranked.append(columns)
         return columns_off_pivots(columns, skip)
 
-    for name in ("kept_matrix", "de_rham_matrix"):
-        monkeypatch.setattr(suites, name, reading(getattr(suites, name)))
+    monkeypatch.setattr(suites, "kept_matrix", reading(suites.kept_matrix))
     monkeypatch.setattr(suites, "columns_off_pivots", counting)
     results, _ = suites.run_suite(cubic, "koszul")
     assert all(r.passed for r in results)
@@ -458,7 +463,7 @@ def koszul_run(monkeypatch, P):
         "koszul_squared_vanishes":
             {id(kept_matrix(P, "koszul%d" % k, i).columns) for k in (1, 2) for i in degrees},
         "de_rham_squared_vanishes":
-            {id(de_rham_matrix(P.weights, k, i).columns) for k in (1, 2) for i in degrees},
+            {id(kept_matrix(P, "de_rham%d" % k, i).columns) for k in (1, 2) for i in degrees},
     }
     return results, ranked, blocks
 

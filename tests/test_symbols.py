@@ -17,7 +17,7 @@ import pytest
 from poissonsing import PoissonStructure, Poly, VecPoly, complexes, operators, parse_poly
 from poissonsing.complexes import PROBES, VECTOR_PROBES, first_failure
 from poissonsing.linalg import apply_symbol, symbol_of, term_maps
-from poissonsing.operators import de_rham_symbol, named_operator, operator_symbol
+from poissonsing.operators import named_operator, operator_symbol
 from poissonsing.vectorcalc import cross, curl, divergence, dot, grad
 
 from .conftest import CATALOG, boundary_plus, planted, structure
@@ -62,18 +62,24 @@ def test_apply_symbol_is_the_operator(text, weights):
     # does not depend on phi
     P = structure(text, weights)
     c = scale(P)
-    named = [(n, operator_symbol(P, n), named_operator(P, n), c) for n in operators.PIECES
-             if not n.startswith("phi")]
+    named = [(n, operator_symbol(P, n), named_operator(P, n), 1 if n.startswith("de_rham") else c)
+             for n in operators.PIECES if not n.startswith("phi")]
     named += [("phi%d" % p, operator_symbol(P, "phi%d" % p), named_operator(P, "phi"), c)
               for p in (0, 1)]
-    named += [("de_rham%d" % k, de_rham_symbol(k), named_operator(None, "de_rham%d" % k), 1)
-              for k in (1, 2, 3)]
     assert len(named) == 14
     for name, symbol, op, factor in named:
         for cochain in inputs(symbol.source_components):
             out = apply_symbol(symbol, term_maps(cochain))
             assert out == term_maps(op(cochain) * factor), (name, str(cochain))
             assert all(type(v) is int for part in out for v in part.values()), name
+
+
+def test_every_structure_shares_the_de_rham_symbols(cubic):
+    # de Rham reads no phi: its symbols are keyed on no structure, so each is
+    # extracted once per process
+    other = structure("x^2+y^3+z^5", (15, 10, 6))
+    for k in (1, 2, 3):
+        assert operator_symbol(cubic, "de_rham%d" % k) is operator_symbol(other, "de_rham%d" % k)
 
 
 def test_apply_symbol_refuses_a_cochain_of_another_arity(cubic):
