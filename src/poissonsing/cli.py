@@ -99,9 +99,11 @@ def _window(args, P: PoissonStructure) -> ch.Window:
     if args.max_degree is not None:
         hi = args.max_degree
     if lo > hi:
+        bottom = ("min-degree %d" if args.min_degree is not None
+                  else "the default min-degree %d (-|w|)") % lo
         top = ("max-degree %d" if args.max_degree is not None
                else "the default max-degree %d (5*deg(phi) - 2*|w|)") % hi
-        raise ValueError("empty degree window: min-degree %d exceeds %s" % (lo, top))
+        raise ValueError("empty degree window: %s exceeds %s" % (bottom, top))
     if hi < -P.weight_sum:
         raise ValueError("degree window below every graded piece: max-degree %d is below "
                          "-|w| = %d, so every space is zero" % (hi, -P.weight_sum))

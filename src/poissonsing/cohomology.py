@@ -219,7 +219,7 @@ def surface_brute_force_dims(P: PoissonStructure, k: int, window: Window) -> Gra
 def surface_cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
     """dim of the degree-i piece of the multiderivation space of A/<phi>:
     V = {v in X^k_i : D_k(v) lies in phi*X^{k-1}}, the projection to X^k of
-    the kernel of the constraint stack [D_k | phi] (operators.relation_blocks;
+    the kernel of the constraint stack [D_k | phi] (operators' relation entry (k, i);
     X^0 has no constraint), modulo the quotient relations phi*X^k at degree
     i-d."""
     return subquotient_dim(

@@ -1,61 +1,67 @@
-"""The four (co)homology complexes of the engine, as one table.
+"""The complexes of the engine, as one table.
 
 Each computed (co)homology space, of A = F[x,y,z] (side "ambient") or of
 A/<phi> (side "surface"), is a subquotient of a complex of graded pieces of
 X^0..X^3.  Homology H_k at form degree i is indexed by p = 3-k at
 derivation degree j = i - |w| (Omega^k_i is X^{3-k}_j), so that delta^p and
 boundary_k both map X^p_j to X^{p+1}_{j+N}, with N = d - |w| and d = deg(phi).
+The Koszul complex of grad(phi) (D_p: X^p_j -> X^{p-1}_{j+d}) and the de
+Rham complex (divergence, curl, gradient: X^p_j -> X^{p-1}_j) of A, whose
+exactness the Koszul suite checks, are two more rows.
 
 COMPLEXES has one row per (block, side), and a row holds only data: the
-name of the differential; whether a constraint T_p = D_p with allowed
-values S_p = phi*X^{p-1} (the entry relation_blocks(P, p, j)) applies, as
-it does only for surface cohomology, whose cochains are the v with D_p(v)
-in phi*X^{p-1}; the halves of the entry relation_blocks(P, p+2, j+N-d) that
-make the target relations R_{p+1}: none on A, the phi half phi*X^{p+1} for
-surface cohomology, both (d(phi) ^ . + phi*.) for surface homology; and the
-certificate that licenses its skipped columns (for ambient homology, its
-shared stacks).  The closed forms and engines are bound in
-suites.space_family, and every space is named by space_name.  While
-boundary_equals_signed_coboundary holds, boundary_{3-p} = +-delta^p on X^p_j
-gives both stacks one span, so stack_rank reads ambient homology off the
-ambient cohomology stacks; when it fails, the row ranks the boundary.
+family of its differential, whose map out of X^p (operators.OUTGOING) and
+step X^p_j -> X^{p+e}_{j+s} (operators.step) come from the grading table;
+whether a constraint T_p = D_p with allowed values S_p = phi*X^{p-1} (the
+relation entry (p, j)) applies, as it does only for surface cohomology,
+whose cochains are the v with D_p(v) in phi*X^{p-1}; the halves of the
+relation entry (p+e+1, j+s-d) that make the relations R of the target: none
+on A, the phi half for surface cohomology, both (d(phi) ^ . + phi*.) for
+surface homology; and the certificate that licenses its skipped columns
+(for ambient homology, its shared stacks).  The closed forms and engines
+are bound in suites.space_family, and every space is named by space_name.
+While boundary_equals_signed_coboundary holds, boundary_{3-p} = +-delta^p
+on X^p_j gives both stacks one span, so stack_rank reads ambient homology
+off the ambient cohomology stacks; when it fails, the row ranks the boundary.
 
 The cycle stack of X^p_j is [[T; d] | [S; 0] | [0; R]], ranked once by the
 one memo stack_pivots, which keeps the pivot set of its echelon (stack_rank
-is its size) and no matrix: it fills from the symbol of d only the columns
-it reduces.  The boundary stack at (p, j) is the cycle stack at (p-1, j-N).
-So every dimension is one linalg.subquotient_dim call
-(complex_dim) in n = dim X^p_j, the rank of the stack, the rank of its
-relation columns [S; 0] | [0; R], the rank of the stack one step down and
-the rank [T | S] of that stack's top rows.  At the ends of the complex no
-elimination is needed: for p = -1, X^p is zero and the stack is R alone
-(relation_rank, or the source dim of an injective phi block); for p = 3 the
-target of d is zero and the stack is [T | S] (relation_rank).
+is its size) and no matrix.  The boundary stack at (p, j) is the cycle
+stack one step before, at (p-e, j-s).  So every dimension is one
+linalg.subquotient_dim call (complex_dim) in n = dim X^p_j, the rank of the
+stack, the rank of its relation columns [S; 0] | [0; R], the rank of the
+stack one step before and the rank [T | S] of that stack's top rows.  At
+the ends, where the family has no map out of X^p, d is zero and the rank
+is rank [T | S] + rank R (relation_rank, or an injective phi block's source
+dim), with no elimination.
 
-Skipped columns.  stack_pivots reduces only the top columns off the pivots
-of an echelon of a subspace W of X^p_j whose stack columns lie in the span
-of the relation columns (so each skipped column is a combination of those
-and of columns of larger index), once the identity that proves it holds:
-  ambient cohomology: W = im delta^{p-1}, the pivots of the stack at
-    (p-1, j-N), by delta o delta = 0 (coboundary_squared_vanishes);
+Skipped columns.  A stack may leave out its columns at coordinates C when
+a subspace of its kernel projects onto C: the kernel then holds, for each c
+in C, a vector that is 1 at c and 0 on the rest of C, so column c is a
+combination of the columns off C, whatever rule picks an echelon's pivots.
+stack_pivots leaves out the top columns at the pivots of an echelon of a
+subspace W of X^p_j that the stack maps into the span of its relation
+columns; W then lies in the kernel's projection, onto those pivots.  A row
+takes its W once the identity that proves this holds:
+  delta, Koszul and de Rham rows: W = the image of the map into X^p_j, the
+    pivots of the row's own stack one step before, by D o D = 0
+    (coboundary_, koszul_ and de_rham_squared_vanishes);
   surface cohomology: W = phi*X^p_{j-d}, whose pivots are the indices of
     LM(phi)*m (operators.phi_multiple_pivots, no elimination), as
     stack(phi*x) = [S(D_p x); R(delta x)] by [delta, phi] = 0
     (casimir_multiplication_commutes);
   surface homology: for p >= 1, W = the boundaries plus the source
-    relations of X^p_j, the pivots of the row's own stack at (p-1, j-N),
-    whose columns are exactly those (the same span), by boundary o boundary
-    = 0 (boundary_squared_vanishes) and descent to the quotient
-    (quotient_boundary_well_defined); with descent alone, or for p = 0, W =
-    the source relations, relation_pivots(P, p+1, j-d).
+    relations of X^p_j, the pivots of the row's own stack one step before
+    (the same span), by boundary o boundary = 0 (boundary_squared_vanishes)
+    and descent to the quotient (quotient_boundary_well_defined); with
+    descent alone, or for p = 0, W = the source relations,
+    relation_pivots(P, p+1, j-d).
 Each identity is certified once per structure on its probe set, on the
 operators' symbols (certificate); until it holds nothing is skipped.  The
-relation memo operators.relation_pivots and the relation columns [D_k | phi]
-of the surface homology stacks reduce the same operators.relation_columns,
-which skip the D_k columns at the phi-multiple pivots
-(operators.relation_skip), on the A-linearity of D_k alone.  When
-N < 0 the surface homology skip ranks stacks above the window, as the
-ambient cohomology skip does.
+relation memo and the surface homology stacks reduce the same
+operators.relation_columns, which skip D_k's columns at the phi-multiple
+pivots on D_k's A-linearity alone (operators.relation_skip).  When N < 0
+the delta and surface homology rows skip off stacks above the window.
 """
 
 from __future__ import annotations
@@ -64,12 +70,11 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from sys import intern
 
-from .linalg import KINDS, Symbol, Vector, apply_symbol, basis_of, columns_off_pivots
-from .linalg import offset_vector, pivots_of_columns, subquotient_dim, term_maps
-from .operators import kept_matrix, operator_matrix, operator_symbol, pieces, phi_multiple_pivots
-from .operators import relation_blocks, relation_columns, relation_pivots, relation_rank
+from .linalg import KINDS, Symbol, Vector, apply_symbol, basis_of, offset_vector
+from .linalg import pivots_of_columns, subquotient_dim, term_maps
+from .operators import OUTGOING, operator_columns, operator_symbol, phi_multiple_pivots, pieces
+from .operators import relation_columns, relation_pivots, relation_rank, step
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
 from .vectorcalc import VecPoly
@@ -91,6 +96,8 @@ COMPLEXES: dict[tuple[str, str], Complex] = {
     ("homology", "ambient"): Complex("boundary", False, (), "boundary_equals_signed_coboundary"),
     ("homology", "surface"):
         Complex("boundary", False, ("koszul", "phi"), "quotient_boundary_well_defined"),
+    ("koszul", "ambient"): Complex("koszul", False, (), "koszul_squared_vanishes"),
+    ("de_rham", "ambient"): Complex("de_rham", False, (), "de_rham_squared_vanishes"),
 }
 
 
@@ -228,18 +235,24 @@ def _constraint_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
     return relation_rank(P, p, j) if row.constrained else 0
 
 
+def _relation_entry(P: PoissonStructure, row: Complex, p: int, j: int) -> tuple[int, int]:
+    """The relation entry (k, i) whose halves make R, on the target of X^p_j."""
+    e, s = step(P, row.differential)
+    return p + e + 1, j + s - P.degree
+
+
 def target_relations(P: PoissonStructure, row: Complex, p: int, j: int) -> Iterable[Vector]:
-    """The columns of R_{p+1} that the stack reduces, built only for the halves
-    the row names: relation_columns, or phi's (also for k = 4: D_4 is None)."""
-    k, i = p + 2, j + P.coboundary_degree - P.degree
+    """The columns of R that the stack reduces, built only for the halves
+    the row names: relation_columns, or phi's (also for k = 4: D_4 is none)."""
+    k, i = _relation_entry(P, row, p, j)
     if "koszul" in row.relations and k < 4:
         return relation_columns(P, k, i)
-    return kept_matrix(P, intern("phi%d" % (k - 1)), i).columns if row.relations else ()
+    return operator_columns(P, OUTGOING["phi", k - 1], i) if row.relations else ()
 
 
 def _target_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
-    """rank R_{p+1}; the phi half alone is injective, of rank its source dim."""
-    k, i = p + 2, j + P.coboundary_degree - P.degree
+    """rank R; the phi half alone is injective, of rank its source dim."""
+    k, i = _relation_entry(P, row, p, j)
     if "koszul" in row.relations:
         return relation_rank(P, k, i)
     return cochain_dim(P, k - 1, i) if row.relations else 0
@@ -247,67 +260,63 @@ def _target_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
 
 def skipped(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
     """The pivots in X^p_j of the row's W; 0 until its licence holds, or if it grants no W."""
-    licence = COMPLEXES[block, side].licence
-    if certificate(P, licence)[1]:
+    row = COMPLEXES[block, side]
+    if certificate(P, row.licence)[1] or row.licence == "boundary_equals_signed_coboundary":
         return 0
-    if licence == "coboundary_squared_vanishes":
-        return stack_pivots(P, block, side, p - 1, j - P.coboundary_degree) if p else 0
-    if licence == "quotient_boundary_well_defined":
-        if p and not certificate(P, "boundary_squared_vanishes")[1]:
-            return stack_pivots(P, block, side, p - 1, j - P.coboundary_degree)
-        return relation_pivots(P, p + 1, j - P.degree)
-    if licence == "casimir_multiplication_commutes":
+    if row.licence == "casimir_multiplication_commutes":
         return phi_multiple_pivots(P, p, j - P.degree)
-    return 0
+    e, s = step(P, row.differential)
+    before = (row.differential, p - e) in OUTGOING  # a map lands in X^p_j
+    if row.licence == "quotient_boundary_well_defined" and (
+            not before or certificate(P, "boundary_squared_vanishes")[1]):
+        return relation_pivots(P, p + 1, j - P.degree)
+    return stack_pivots(P, block, side, p - e, j - s) if before else 0
 
 
 @lru_cache(maxsize=None)
 def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
     """The pivots of an echelon of the cycle stack [[T; d] | [S; 0] | [0; R]]
-    of X^p_j in the (block, side) complex, for p in 0..2, as the bits of one
-    int: its columns in that order, less the top ones at the skipped pivots,
-    with R's columns as target_relations gives them.  d is built by name and
-    degree (operators.operator_matrix) on the source less those pivots, so
-    their columns are never filled, and is not kept."""
+    of X^p_j in the (block, side) complex, for p where the family has a map
+    out of X^p, as the bits of one int: its columns in that order, less the
+    top ones at the skipped pivots, with R's columns as target_relations
+    gives them.  No column of d at a skipped pivot is filled or kept."""
     row = COMPLEXES[block, side]
     skip, top = 0, []
     if cochain_dim(P, p, j):
         skip = skipped(P, block, side, p, j)
-        name = "delta%d" % p if row.differential == "delta" else "boundary%d" % (3 - p)
-        top = operator_matrix(P, name, j, skip).columns
+        top = operator_columns(P, OUTGOING[row.differential, p], j, skip)
     rows_top, s_cols = 0, []
     if row.constrained and p:
-        T, S = relation_blocks(P, p, j)
-        rows_top, s_cols = T.target.dim, S.columns
-        t_cols = columns_off_pivots(T.columns, skip)
+        rows_top = cochain_dim(P, p - 1, j + P.degree)
+        s_cols = operator_columns(P, OUTGOING["phi", p - 1], j)
+        t_cols = operator_columns(P, OUTGOING["koszul", p], j, skip)
         top = [{**t, **offset_vector(c, rows_top)} for t, c in zip(t_cols, top)]
     r_cols = (offset_vector(c, rows_top) for c in target_relations(P, row, p, j))
     return pivots_of_columns(chain(top, s_cols, r_cols))
 
 
 def stack_rank(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
-    """rank of the cycle stack of X^p_j in the (block, side) complex, for p
-    in -1..3; the ends need no elimination, and a licensed ambient homology
-    row reads the ambient cohomology stack (see the module docstring)."""
+    """rank of the cycle stack of X^p_j in the (block, side) complex; the
+    ends need no elimination, and a licensed ambient homology row reads the
+    ambient cohomology stack (see the module docstring)."""
     row = COMPLEXES[block, side]
     if row.licence == "boundary_equals_signed_coboundary" and not certificate(P, row.licence)[1]:
         return stack_rank(P, "cohomology", side, p, j)
-    if p == 3:
-        return _constraint_rank(P, row, p, j)
-    if p < 0:
-        return _target_rank(P, row, p, j)
+    if (row.differential, p) not in OUTGOING:  # d = 0
+        return _constraint_rank(P, row, p, j) + _target_rank(P, row, p, j)
     return stack_pivots(P, block, side, p, j).bit_count()
 
 
 def complex_dim(P: PoissonStructure, block: str, side: str, k: int, i: int) -> int:
     """dim H^k at derivation degree i (block "cohomology") or H_k at form
-    degree i ("homology") of A (side "ambient") or A/<phi> ("surface")."""
+    degree i ("homology") of A (side "ambient") or A/<phi> ("surface"); on
+    the Koszul and de Rham rows, the homology at X^k_i."""
     row = COMPLEXES[block, side]
-    p, j = (k, i) if block == "cohomology" else (3 - k, i - P.weight_sum)
-    N = P.coboundary_degree
+    p, j = (3 - k, i - P.weight_sum) if block == "homology" else (k, i)
+    e, s = step(P, row.differential)
     relations = (cochain_dim(P, p - 1, j) if row.constrained else 0) + _target_rank(P, row, p, j)
     return subquotient_dim(
         lambda: space_name(block, side, k), i, cochain_dim(P, p, j),
         stack_rank(P, block, side, p, j), relations,
-        stack_rank(P, block, side, p - 1, j - N), _constraint_rank(P, row, p - 1, j - N),
+        stack_rank(P, block, side, p - e, j - s), _constraint_rank(P, row, p - e, j - s),
     )

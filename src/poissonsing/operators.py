@@ -14,17 +14,21 @@ P.integral (an integral multiple of phi, of the same ranks), and once per
 process for de Rham, which reads no structure; named_operator is read only
 there (_symbol), and the certificates run the symbol itself
 (linalg.apply_symbol).  Every matrix is filled from it in ints by linalg's
-matrix_of, through one constructor (operator_matrix) that caches nothing:
-each rank stack fills only the columns it reduces (complexes.stack_pivots).
-The blocks read more than once, of phi, the Koszul maps and de Rham, are
-kept (kept_matrix).  A kept matrix is a value: its readers keep any rank of
-it themselves.  The relation table (relation_blocks) holds the blocks
-[D_k | phi] on X^{k-1}; relation_pivots keeps the pivot set of one echelon of
-each entry, and relation_rank is its size.  The echelon reduces the entry's
-relation_columns: it skips the D_k columns at the pivots of the phi-multiples
-in X^k (relation_skip), which D_k's A-linearity puts in the span of the phi
-columns; the surface homology stacks read the same columns.  complexes
-describes how the entries serve the four (co)homology complexes.
+matrix_of, through one constructor (operator_matrix) that caches nothing.
+The engines read a block's columns through one reader, operator_columns,
+off a skip set: the blocks of phi, the Koszul maps and de Rham are read
+more than once and are kept (kept_matrix, a value: its readers keep any
+rank of it themselves); a coboundary or boundary block is filled afresh at
+each read, on its unskipped columns alone (complexes.stack_pivots).
+OUTGOING and STEPS read off PIECES each family's map out of X^p and its
+step, from which complexes finds every spot of its complexes.  The
+relation table holds the entries [D_k | phi] on X^{k-1}; relation_pivots
+keeps the pivot set of one echelon of each entry, and relation_rank is its
+size.  The echelon reduces the entry's relation_columns: it skips the D_k
+columns at the pivots of the phi-multiples in X^k (relation_skip), which
+D_k's A-linearity puts in the span of the other columns; the surface
+homology stacks read the same columns.  complexes describes how the entries
+serve the (co)homology complexes.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache, partial
 from itertools import chain
-from sys import intern
 
 from .linalg import KINDS, GradedOperatorMatrix, Symbol, Vector, basis_of, columns_off_pivots
 from .linalg import matrix_of, pivots_of_columns, symbol_of
@@ -73,8 +76,25 @@ def pieces(P: PoissonStructure, name: str) -> tuple[int, int, int]:
     X^q at degree i + shift (PIECES); any other name raises ValueError."""
     if name not in PIECES:
         raise ValueError("no operator %r (one of %s)" % (name, ", ".join(PIECES)))
-    p, q, unit = PIECES[name]
-    return p, q, {"N": P.coboundary_degree, "d": P.degree}.get(unit, 0)
+    p, q, _ = PIECES[name]
+    return p, q, step(P, name.rstrip("0123"))[1]
+
+
+# Each family's operator out of X^p, and the step of its maps: the piece
+# direction q - p and the unit of the degree shift, read once from PIECES.
+OUTGOING: dict[tuple[str, int], str] = {
+    (name.rstrip("0123"), p): name for name, (p, _, _) in PIECES.items()
+}
+STEPS: dict[str, tuple[int, str]] = {
+    name.rstrip("0123"): (q - p, unit) for name, (p, q, unit) in PIECES.items()
+}
+
+
+def step(P: PoissonStructure, family: str) -> tuple[int, int]:
+    """(q - p, shift): every map of the family (OUTGOING) takes X^p at
+    degree j into X^q at degree j + shift."""
+    direction, unit = STEPS[family]
+    return direction, {"N": P.coboundary_degree, "d": P.degree}.get(unit, 0)
 
 
 @lru_cache(maxsize=None)
@@ -105,40 +125,37 @@ def operator_matrix(P: PoissonStructure, name: str, i: int, skip: int = 0) -> Gr
 @lru_cache(maxsize=None)
 def kept_matrix(P: PoissonStructure, name: str, i: int) -> GradedOperatorMatrix:
     """operator_matrix(P, name, i), kept for the blocks of phi, the Koszul
-    maps and de Rham, read more than once (relation_blocks, the Koszul and
-    cohomology suites)."""
+    maps and de Rham, which are read more than once; read through
+    operator_columns alone."""
     return operator_matrix(P, name, i)
 
 
+def operator_columns(P: PoissonStructure, name: str, i: int, skip: int = 0) -> list[Vector]:
+    """The columns of the named block at degree i off the bits of skip: the
+    kept block's for phi, Koszul and de Rham (its own list if skip is 0; no
+    reader changes it); for delta and the boundary, filled on those alone."""
+    if name.startswith(("delta", "boundary")):
+        return operator_matrix(P, name, i, skip).columns
+    columns = kept_matrix(P, name, i).columns
+    return columns_off_pivots(columns, skip) if skip else columns
+
+
 # ---------------------------------------------------------------------------
-# The relation table: surface constraints of X^k, relations of Omega^{4-k}
+# The relation table: entry (k, i), k in 1..4, is [D_k | phi] from X^k_i and
+# X^{k-1}_i into X^{k-1}_{i+d} (no D_4), which spans the surface constraint
+# of X^k (v with D_k(v) in phi*X^{k-1}) and the relations d(phi) ^
+# Omega^{3-k} + phi*Omega^{4-k} of Omega^{4-k} of A/<phi> at form degree
+# i+d+|w| (the wedge of Omega^1 with d(phi) is -D_2, of the same span).
 # ---------------------------------------------------------------------------
-
-
-def relation_blocks(
-    P: PoissonStructure, k: int, i: int
-) -> tuple[GradedOperatorMatrix | None, GradedOperatorMatrix]:
-    """(D_k, phi on X^{k-1}) from degree i into X^{k-1} at degree i+deg(phi),
-    for k in 1..4; D_k is None for k = 4, as X^4 is zero.  Both are kept
-    (kept_matrix, under interned names), so a reader of phi alone takes phi<k-1>.
-
-    Their columns, in order, span the constraint of the surface cochains of
-    X^k (v with D_k(v) in phi*X^{k-1}) and the relations d(phi) ^
-    Omega^{3-k} + phi*Omega^{4-k} of Omega^{4-k} of A/<phi> at form degree
-    i+deg(phi)+|w| (the wedge of Omega^1 with d(phi) is -D_2, of the same
-    span).
-    """
-    D = kept_matrix(P, intern("koszul%d" % k), i) if k != 4 else None
-    return D, kept_matrix(P, intern("phi%d" % (k - 1)), i)
 
 
 def relation_rank(P: PoissonStructure, k: int, i: int) -> int:
-    """rank [D_k | phi] of relation_blocks(P, k, i); 0 for k outside 1..4
-    (X^{k-1} is zero there), and dim X^3_i for k = 4, where the stack is the
-    phi-multiples of X^3 alone, which are independent."""
+    """rank of the entry (k, i); 0 for k outside 1..4 (X^{k-1} is zero
+    there), and dim X^3_i for k = 4, where the entry is the phi-multiples of
+    X^3 alone, which are independent."""
     if k == 4:
         return basis_of("X3", i, P.weights).dim
-    return relation_pivots(P, k, i).bit_count()
+    return relation_pivots(P, k, i).bit_count() if 1 <= k <= 3 else 0
 
 
 def phi_multiple_pivots(P: PoissonStructure, k: int, i: int) -> int:
@@ -161,25 +178,26 @@ def phi_multiple_pivots(P: PoissonStructure, k: int, i: int) -> int:
 
 
 def relation_skip(P: PoissonStructure, k: int, i: int) -> int:
-    """The D_k columns of relation_blocks(P, k, i), k in 1..3, that no
-    echelon of the entry reduces, as the bits of one int: those at the
-    pivots of phi*X^k_{i-d} (phi_multiple_pivots).  D_k is A-linear, so
-    D_k(phi*v) = phi*D_k(v) lies in the span of the phi columns, and each
-    such column is a combination of those and of D_k columns of larger
-    index; no pivot set changes."""
+    """The D_k columns of the entry (k, i), k in 1..3, that no echelon of it
+    reduces, as the bits of one int: the phi_multiple_pivots of X^k_{i-d}.
+    D_k is A-linear, so the kernel of [D_k | phi] holds (phi*v, -D_k(v)) for
+    every v in X^k_{i-d}; these project onto the D_k coordinates at those
+    pivots (phi*v starts there, and the starts are distinct), so each such
+    column is a combination of the entry's other columns, whatever rule
+    picks an echelon's pivots, and no rank changes."""
     return phi_multiple_pivots(P, k, i - P.degree)
 
 
 def relation_columns(P: PoissonStructure, k: int, i: int) -> Iterable[Vector]:
-    """The columns of relation_blocks(P, k, i), k in 1..3, that an echelon of
-    the entry reduces: D_k's off relation_skip, then phi's."""
-    D, phi = relation_blocks(P, k, i)
-    return chain(columns_off_pivots(D.columns, relation_skip(P, k, i)), phi.columns)
+    """The columns of the entry (k, i), k in 1..3, that an echelon of it
+    reduces: D_k's off relation_skip, then phi's."""
+    D, phi = OUTGOING["koszul", k], OUTGOING["phi", k - 1]
+    return chain(operator_columns(P, D, i, relation_skip(P, k, i)), operator_columns(P, phi, i))
 
 
 @lru_cache(maxsize=None)
 def relation_pivots(P: PoissonStructure, k: int, i: int) -> int:
-    """The pivots in X^{k-1} of an echelon of relation_blocks(P, k, i), as the
-    bits of one int (linalg.pivots_of_columns), for k in 1..3; 0 otherwise.
-    Only relation_columns are reduced."""
-    return pivots_of_columns(relation_columns(P, k, i)) if 1 <= k <= 3 else 0
+    """The pivots in X^{k-1} of an echelon of the entry (k, i), k in 1..3, as
+    the bits of one int (linalg.pivots_of_columns); only relation_columns
+    are reduced."""
+    return pivots_of_columns(relation_columns(P, k, i))

@@ -17,8 +17,8 @@ linalg.apply_symbol): both sides of each check scale by one power of c, so it
 checks what phi does.  Certified families are evaluated once
 per structure by complexes.certificate and shared with the engine, which
 skips columns on their strength; koszul_squared_vanishes and
-de_rham_squared_vanishes license the Koszul suite's skips and are not
-reported.
+de_rham_squared_vanishes license the skips of the table's Koszul and de Rham
+rows, whose ranks the Koszul suite reads, and are not reported.
 
 The sixteen (co)homology spaces are Space records in four families of four
 (space_family).  run_suite computes each family its suites need once per
@@ -32,16 +32,15 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import product
-from sys import intern
 
 from . import cohomology as ch
 from . import homology as hm
 from .complexes import PROBES, VECTOR_PROBES, certificate, cochain_dim, first_failure
 from .complexes import space_label, stack_rank
-from .linalg import Echelon, apply_symbol, columns_off_pivots
-from .linalg import kernel_of_columns, offset_vector, pivots_of_columns, rank_of_columns, term_maps
+from .linalg import KINDS, Echelon, apply_symbol, basis_of, kernel_of_columns, offset_vector
+from .linalg import rank_of_columns, term_maps
 from .milnor import MilnorData, check_isolated
-from .operators import kept_matrix, operator_matrix, operator_symbol, pieces
+from .operators import operator_columns, operator_symbol, step
 from .poisson import PoissonStructure
 from .poly import Poly, monomials_of_degree
 from .vectorcalc import cross, curl, divergence, dot, euler_field, grad
@@ -247,13 +246,13 @@ def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult
 
 def _second_part_witness(P: PoissonStructure, i: int) -> str:
     """A vector killed by .grad(phi) but not hit by cross-with-grad(phi)."""
-    dotm = kept_matrix(P, "koszul1", i)
     image = Echelon()
-    for col in kept_matrix(P, "koszul2", i - P.degree).columns:
+    for col in operator_columns(P, "koszul2", i - P.degree):
         image.insert(col)
-    for vec in kernel_of_columns(dotm.columns, dotm.target.dim):
+    rows = cochain_dim(P, 0, i + P.degree)
+    for vec in kernel_of_columns(operator_columns(P, "koszul1", i), rows):
         if not image.contains(vec):
-            witness = dotm.source.element_from_coords(vec)
+            witness = basis_of(KINDS[1], i, P.weights).element_from_coords(vec)
             check = dot(witness, P.nabla_phi)  # type: ignore[arg-type]
             return "witness %s at degree %d, dot with grad(phi) = %s" % (witness, i, check)
     return "exactness defect at degree %d" % i
@@ -261,70 +260,42 @@ def _second_part_witness(P: PoissonStructure, i: int) -> str:
 
 def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
     """The Koszul rows of grad(phi), the de Rham columns and the 2-cocycle
-    decomposition, degree by degree.  Rows share the kept Koszul and de Rham
-    blocks (D_3 at degree i serves injectivity at i and first exactness at
-    i + deg(phi)); each block is ranked once, in a memo of this call keyed by
-    its operator name and degree, as a kept matrix holds no rank.
+    decomposition, degree by degree.  Every rank is a stack of the Koszul or
+    de Rham row of the table (complexes.stack_rank), ranked once however
+    many rows read it (D_3 at degree i serves injectivity at i and first
+    exactness at i + deg(phi)).  An exactness row compares the kernel of the
+    map out of X^p at degree i with the image of the map into it, one step
+    before (operators.step): D_3 and D_2 at i - deg(phi), grad and curl at
+    i.  D o D = 0 holds for any phi, so a phi whose Koszul row is not exact
+    (x*y*z) keeps its ranks and its witness."""
+    degrees = range(window[0], window[1] + 1)
 
-    An exactness row compares the kernel of the named block k at degree i
-    with the image of its incoming block, the same family at k+1 at degree
-    i - shift (operators.pieces): D_3 and D_2 at i - deg(phi), grad and curl
-    at i.  The outgoing map kills the incoming image, so it reduces only its
-    columns off that image's pivots (koszul_squared_vanishes,
-    de_rham_squared_vanishes); the incoming block is ranked in full.  A
-    skipped column is a combination of columns of larger index, so no pivot
-    set changes; until its certificate holds a map skips nothing.  D o D = 0
-    holds for any phi, so a phi whose Koszul row is not exact (x*y*z) keeps
-    its ranks and its witness."""
-    lo, hi = window
-    degrees = range(lo, hi + 1)
-    s = P.weights.weight_sum
-    d = P.degree
-    pivots: dict[tuple[str, int], int] = {}
-    koszul_licensed = not certificate(P, "koszul_squared_vanishes")[1]
-    de_rham_licensed = not certificate(P, "de_rham_squared_vanishes")[1]
+    def rank(family: str, p: int, i: int) -> int:
+        return stack_rank(P, family, "ambient", p, i)
 
-    def pivots_of(name: str, i: int, incoming: tuple[str, int] | None = None) -> int:
-        """The pivots of the kept block (name, i); given its incoming block,
-        whose image it kills, only its columns off that image's pivots are
-        reduced."""
-        if (name, i) not in pivots:
-            skip = pivots_of(*incoming) if incoming else 0
-            columns = kept_matrix(P, name, i).columns
-            pivots[name, i] = pivots_of_columns(columns_off_pivots(columns, skip))
-        return pivots[name, i]
-
-    def exactness(name: str, licensed: bool) -> Callable[[int], str | None]:
-        """defect(i): 'degree i: kernel a vs image b' when dim ker of the
-        block (name, i) differs from the rank of its incoming block, else
-        None; the block skips the incoming image while licensed."""
-        incoming = intern(name[:-1] + str(int(name[-1]) + 1))
-        shift = pieces(P, incoming)[2]
+    def exactness(family: str, p: int) -> Callable[[int], str | None]:
+        """defect(i): 'degree i: kernel a vs image b' if they differ, else None."""
+        e, shift = step(P, family)
 
         def defect(i):
-            before = incoming, i - shift
-            rank = pivots_of(name, i, before if licensed else None).bit_count()
-            ker, im = kept_matrix(P, name, i).source.dim - rank, pivots_of(*before).bit_count()
+            ker, im = cochain_dim(P, p, i) - rank(family, p, i), rank(family, p - e, i - shift)
             return None if ker == im else "degree %d: kernel %d vs image %d" % (i, ker, im)
 
         return defect
 
     def injective(i):
-        ok = pivots_of("koszul3", i).bit_count() == kept_matrix(P, "koszul3", i).source.dim
+        ok = rank("koszul", 3, i) == cochain_dim(P, 3, i)
         return None if ok else "kernel at degree %d" % i
 
-    second_defect = exactness("koszul1", koszul_licensed)
-
-    def second_exact(i):
-        return second_defect(i) and _second_part_witness(P, i)
+    def second_exact(i, defect=exactness("koszul", 1)):
+        return defect(i) and _second_part_witness(P, i)
 
     def grad_kernel(i):
-        g = kept_matrix(P, "de_rham3", i)
-        ok = g.source.dim - pivots_of("de_rham3", i).bit_count() == (1 if i == -s else 0)
+        ok = cochain_dim(P, 3, i) - rank("de_rham", 3, i) == (1 if i == -P.weight_sum else 0)
         return None if ok else "degree %d: constants mismatch" % i
 
     def div_onto(i):
-        ok = pivots_of("de_rham1", i).bit_count() == kept_matrix(P, "de_rham1", i).target.dim
+        ok = rank("de_rham", 1, i) == cochain_dim(P, 0, i)
         return None if ok else "degree %d: divergence misses a polynomial" % i
 
     def z2_spanned(case):
@@ -334,9 +305,8 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
             zero = not any(apply_symbol(operator_symbol(P, "delta2"), term_maps(image)))
             return None if zero else "a %s is not a 2-cocycle at f=%s" % case
         cocycles = cochain_dim(P, 2, i) - stack_rank(P, "cohomology", "ambient", 2, i)
-        gradients = kept_matrix(P, "de_rham3", i)
-        multiples = kept_matrix(P, "koszul3", i - d)
-        span = rank_of_columns(gradients.columns + multiples.columns)
+        gradients = operator_columns(P, "de_rham3", i)
+        span = rank_of_columns([*gradients, *operator_columns(P, "koszul3", i - P.degree)])
         ok = span == cocycles
         return None if ok else "degree %d: span %d vs cocycles %d" % (i, span, cocycles)
 
@@ -345,11 +315,11 @@ def koszul_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult]:
     z2_cases = [*product(("gradient", "grad(phi) multiple"), PROBES), *product(("span",), degrees)]
     families = [
         ("koszul_multiplication_injective", degrees, injective),
-        ("koszul_first_exactness", degrees, exactness("koszul2", koszul_licensed)),
+        ("koszul_first_exactness", degrees, exactness("koszul", 2)),
         ("koszul_second_exactness", degrees, second_exact),
         ("de_rham_gradient_kernel", degrees, grad_kernel),
-        ("de_rham_curl_exactness", degrees, exactness("de_rham2", de_rham_licensed)),
-        ("de_rham_divergence_exactness", degrees, exactness("de_rham1", de_rham_licensed)),
+        ("de_rham_curl_exactness", degrees, exactness("de_rham", 2)),
+        ("de_rham_divergence_exactness", degrees, exactness("de_rham", 1)),
         ("de_rham_divergence_onto", degrees, div_onto),
         ("two_cocycles_are_gradients_plus_multiples", z2_cases, z2_spanned),
     ]
@@ -398,14 +368,13 @@ def cohomology_suite(
     # divergence rigidity: g.grad(phi)=0 and div(g)=a*phi^r force a=0
     def rigid(r):
         i = r * d
-        dotm = kept_matrix(P, "koszul1", i)
-        divm = kept_matrix(P, "de_rham1", i)
-        off = dotm.target.dim
+        off = cochain_dim(P, 0, i + d)
         stacked = Echelon()
-        for j in range(dotm.source.dim):
-            stacked.insert({**dotm.columns[j], **offset_vector(divm.columns[j], off)})
+        for t, c in zip(operator_columns(P, "koszul1", i), operator_columns(P, "de_rham1", i)):
+            stacked.insert({**t, **offset_vector(c, off)})
         # phi^r is a constrained divergence iff it adds nothing to the span
-        if not stacked.insert(offset_vector(divm.target.coords_of(P.integral.phi**r), off)):
+        phi_r = basis_of(KINDS[0], i, P.weights).coords_of(P.integral.phi**r)
+        if not stacked.insert(offset_vector(phi_r, off)):
             return "phi^%d is a constrained divergence" % r
         return None
 
@@ -430,9 +399,10 @@ def cohomology_suite(
     results.append(_first_failure("euler_multiple_coboundary_formula", multiples, euler_multiple))
 
     # grad(phi) is a coboundary exactly when deg(phi) differs from |w|
-    d1 = operator_matrix(P, "delta1", 0)
+    structure_class = basis_of(KINDS[2], P.coboundary_degree, P.weights).coords_of(
+        P.integral.nabla_phi)
     base = stack_rank(P, "cohomology", "ambient", 1, 0)
-    exact = rank_of_columns(d1.columns + [d1.target.coords_of(P.integral.nabla_phi)]) == base
+    exact = rank_of_columns([*operator_columns(P, "delta1", 0), structure_class]) == base
     ok = exact == (d != s)
     text = "" if ok else "exactness of the structure class is wrong"
     results.append(CheckResult("bracket_class_exact_iff_degree_differs", ok, 1, text))

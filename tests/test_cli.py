@@ -180,6 +180,15 @@ class TestAnalyzeCommand:
             "max-degree 4 (5*deg(phi) - 2*|w|)\n"
         )
 
+    def test_a_max_degree_below_the_default_bottom_names_the_default(self, capsys):
+        # the user passed no min-degree, so the message names the default one
+        code, out, err = run(capsys, "analyze", "--phi", "x^2+y^2+z^2", "--max-degree", "-5")
+        assert code == 2 and out == ""
+        assert err == (
+            "invalid input: empty degree window: the default min-degree -3 (-|w|) "
+            "exceeds max-degree -5\n"
+        )
+
     def test_rational_phi_gives_the_integral_dims(self, capsys):
         args = ("--max-degree", "6", "--cases", "20")
         tables = []

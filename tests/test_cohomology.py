@@ -194,17 +194,14 @@ class TestStructuralChecks:
         # with the constraint g . grad(phi) = 0 dropped (a zero Koszul map on
         # X^1), every g counts, and phi^0 = 1 = div(x, 0, 0) is a divergence
         from poissonsing import suites
-        from poissonsing.linalg import GradedOperatorMatrix
 
-        kept_matrix = suites.kept_matrix
+        operator_columns = suites.operator_columns
 
-        def koszul_without_dot(P, name, i):
-            m = kept_matrix(P, name, i)
-            if name != "koszul1":
-                return m
-            return GradedOperatorMatrix(m.source, m.target, [{}] * m.source.dim)
+        def koszul_without_dot(P, name, i, skip=0):
+            columns = operator_columns(P, name, i, skip)
+            return [{}] * len(columns) if name == "koszul1" else columns
 
-        monkeypatch.setattr(suites, "kept_matrix", koszul_without_dot)
+        monkeypatch.setattr(suites, "operator_columns", koszul_without_dot)
         results, _ = run_suite(cubic, "cohomology", default_window(cubic))
         rigidity = [r for r in results if r.name == "divergence_rigidity_alpha_zero"]
         assert [(r.passed, r.cases, r.details) for r in rigidity] == [

@@ -2,8 +2,8 @@
 no package export and no definition under src/ that only the tests use, no
 sampling in src/, no boundary defined through the coboundary, no Fraction
 in linalg, no engine matrix or symbol built outside its one constructor
-(BUILDERS), and no certificate family named under src/ that fails on a
-catalog structure.
+(BUILDERS), no block read past operator_columns (READERS), and no
+certificate family named under src/ that fails on a catalog structure.
 
 An imported name counts as used when it is read anywhere in its module,
 appears in a string annotation, or is listed in the module's __all__ (the
@@ -393,6 +393,71 @@ def test_builder_call_scan_sees_every_call_form():
     assert builder_calls(source) == [
         (2, "matrix_of", "operator_matrix"), (4, "symbol_of", "other"), (7, "matrix_of", "K"),
         (8, "symbol_of", ""),
+    ]
+
+
+# The places under src/ that may read each block constructor of operators,
+# as (module, top-level definition): every engine block is read off its
+# skip set through operator_columns, the one reader of the kept blocks, and
+# outside operators only the gate fills a matrix itself, as it must keep
+# nothing for a phi it rejects.
+READERS = {
+    "kept_matrix": {("operators", "operator_columns")},
+    "operator_matrix": {
+        ("operators", "kept_matrix"), ("operators", "operator_columns"),
+        ("milnor", "_quotient_monomials"),
+    },
+}
+
+
+def reader_uses(source: str) -> list[tuple[int, str, str]]:
+    """(line, name, enclosing top-level definition or "") of every read of a
+    READERS name, bare or as an attribute, called or not."""
+    found = []
+    for statement in ast.parse(source).body:
+        owner = getattr(statement, "name", "")
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name in READERS:
+                found.append((node.lineno, name, owner))
+    return sorted(found)
+
+
+def test_blocks_are_read_through_one_reader():
+    found = [
+        (name, path.stem, owner, "%s:%d" % (path.relative_to(ROOT), line))
+        for path in SRC
+        for line, name, owner in reader_uses(path.read_text())
+    ]
+    stray = ["%s reads %s" % (where, name) for name, module, owner, where in found
+             if (module, owner) not in READERS[name]]
+    assert not stray, "\n".join(stray)
+    assert {(name, module, owner) for name, module, owner, _ in found} == {
+        (name, *place) for name, places in READERS.items() for place in places
+    }
+
+
+def test_reader_scan_sees_every_read_form():
+    source = (
+        "def operator_columns(P, name, i):\n"
+        "    return kept_matrix(P, name, i).columns\n"
+        "def other(P):\n"
+        "    build = operators.operator_matrix\n"
+        "    return [kept_matrix], build(P, 'delta0', 0)\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        return self.kept_matrix(None, 'phi0', 0)\n"
+        "kept_matrix = 'a binding, not a read'\n"
+        "x = operator_matrix(None, 'delta0', 0)\n"
+    )
+    assert reader_uses(source) == [
+        (2, "kept_matrix", "operator_columns"), (4, "operator_matrix", "other"),
+        (5, "kept_matrix", "other"), (8, "kept_matrix", "K"), (10, "operator_matrix", ""),
     ]
 
 

@@ -26,15 +26,18 @@ from poissonsing import (
     parse_poly,
     symbol_of,
 )
+from poissonsing.linalg import columns_off_pivots
 from poissonsing.operators import (
     PIECES,
     kept_matrix,
     named_operator,
+    operator_columns,
     operator_matrix,
     operator_symbol,
     pieces,
-    relation_blocks,
+    relation_columns,
     relation_rank,
+    relation_skip,
 )
 
 from .conftest import boundary_matrix, echelon_of, echelon_rank, oracle_columns, structure
@@ -89,27 +92,46 @@ def test_vertical_operators(catalog_structures):
 
 
 def test_relation_presentations(catalog_structures):
-    """relation_blocks(P, k, i) is [D_k | phi on X^{k-1}] into X^{k-1} at
+    """The relation entry (k, i) is [D_k | phi on X^{k-1}] into X^{k-1} at
     degree i + deg(phi), for k = 1..4 (no D_4), on every degree that the
     surface cochains of the default window and the relations of the form
-    window (one deg(phi) lower) read; relation_rank is the rank of its
-    columns."""
+    window (one deg(phi) lower) read: relation_columns are its columns less
+    D_k's at relation_skip, and relation_rank is the rank of all of them."""
     for P, _ in catalog_structures:
         koszul = _koszul_operators(P)
         lo, hi = default_window(P)
         for i in range(lo - P.degree, hi + 1):
             for k in (1, 2, 3, 4):
-                D, phi = relation_blocks(P, k, i)
+                phi = kept_matrix(P, "phi%d" % (k - 1), i)
                 assert (phi.source.kind, phi.target.kind) == ("X%d" % (k - 1),) * 2
                 _check(phi, lambda c: c * P.phi)
                 if k == 4:
-                    assert D is None
                     columns = phi.columns
                 else:
+                    D = kept_matrix(P, "koszul%d" % k, i)
                     assert (D.source.kind, D.target) == ("X%d" % k, phi.target)
                     _check(D, koszul[k])
                     columns = D.columns + phi.columns
+                    kept = columns_off_pivots(D.columns, relation_skip(P, k, i)) + phi.columns
+                    assert list(relation_columns(P, k, i)) == kept, (k, i)
                 assert relation_rank(P, k, i) == echelon_rank(echelon_of(columns)), (k, i)
+
+
+@pytest.mark.parametrize("name", sorted(PIECES))
+def test_operator_columns_read_kept_blocks_and_fill_the_others(name):
+    # phi, Koszul and de Rham blocks are read off the kept block; a
+    # coboundary or boundary block is filled on its unskipped columns and
+    # is not kept
+    P = structure("x^3+y^3+z^3", (1, 1, 1))
+    whole = operator_matrix(P, name, 2)
+    skip = 0b101 & ((1 << whole.source.dim) - 1)
+    before = kept_matrix.cache_info().currsize
+    assert operator_columns(P, name, 2) == whole.columns
+    assert operator_columns(P, name, 2, skip) == columns_off_pivots(whole.columns, skip)
+    if name.startswith(("delta", "boundary")):
+        assert kept_matrix.cache_info().currsize == before
+    else:
+        assert operator_columns(P, name, 2) is kept_matrix(P, name, 2).columns
 
 
 def test_second_order_operator_is_rejected():
@@ -214,7 +236,8 @@ def test_each_matrix_maps_the_declared_pieces(name):
 def test_an_operator_outside_the_table_is_refused(name):
     P = structure("x^3+y^3+z^3", (1, 1, 1))
     for build in (lambda: pieces(P, name), lambda: operator_matrix(P, name, 0),
-                  lambda: operator_symbol(P, name), lambda: kept_matrix(P, name, 0)):
+                  lambda: operator_symbol(P, name), lambda: kept_matrix(P, name, 0),
+                  lambda: operator_columns(P, name, 0)):
         with pytest.raises(ValueError, match="no operator %r" % name):
             build()
 

@@ -19,10 +19,11 @@ failed, its row ranks the boundary and agrees with the shifted cohomology.
 Every licence of the table is a certificate family that holds on the
 catalog.
 
-The Koszul suite ranks each outgoing map off the pivots of the incoming
-image while D o D = 0 is certified: each block it skips keeps the pivots of
-the whole block, and with either licence failed it skips nothing of that
-family and gives the same results.
+The Koszul suite reads its ranks off the Koszul and de Rham rows of the
+table, which rank each map off the pivots of the image of the map into its
+source while D o D = 0 is certified: each block is ranked once, each block
+it skips keeps the pivots of the whole block, and with either licence
+failed it skips nothing of that family and gives the same results.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from poissonsing.complexes import complex_dim
 from poissonsing.homology import default_form_window, homology_dims, projection_commutes
 from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector
 from poissonsing.linalg import pivots_of_columns, rank_of_columns
-from poissonsing.operators import kept_matrix, operator_matrix, phi_multiple_pivots
-from poissonsing.operators import relation_blocks
+from poissonsing.operators import OUTGOING, kept_matrix, operator_matrix, phi_multiple_pivots
 
 from .conftest import boundary_matrix, boundary_plus, echelon_rank, form_basis, planted, structure
 
@@ -167,7 +167,7 @@ def test_ambient_homology_row_agrees_with_the_reindexed_cohomology(monkeypatch, 
     # cohomology stacks; with it failed by force, the row ranks the boundary
     # matrices itself, and its dims are the cohomology engine's, |w| lower
     P = structure(phi, weights)
-    certify, fill, filled = complexes.certificate, complexes.operator_matrix, set()
+    certify, read, filled = complexes.certificate, complexes.operator_columns, set()
 
     def failing(P, family):
         if family == DUALITY:
@@ -176,10 +176,10 @@ def test_ambient_homology_row_agrees_with_the_reindexed_cohomology(monkeypatch, 
 
     def recording(P, name, i, skip=0):
         filled.add(name[:-1])
-        return fill(P, name, i, skip)
+        return read(P, name, i, skip)
 
     monkeypatch.setattr(complexes, "certificate", failing)
-    monkeypatch.setattr(complexes, "operator_matrix", recording)
+    monkeypatch.setattr(complexes, "operator_columns", recording)
     complexes.stack_pivots.cache_clear()
     window, s = default_form_window(P), P.weight_sum
     for k in range(4):
@@ -255,28 +255,31 @@ def test_negative_dimension_names_the_space_degree_and_ranks(
 
 
 def whole_stack_rank(P, block, side, p, j):
-    """rank of the cycle stack [[T; d] | [S; 0] | [0; R]] of X^p_j, p in
-    0..2, with every column reduced, from the engine's matrices."""
+    """rank of the cycle stack [[T; d] | [S; 0] | [0; R]] of X^p_j, for p
+    where the row's family has a map out of X^p (0..2 for delta and the
+    boundary, 1..3 for Koszul and de Rham), with every column reduced, from
+    the engine's matrices."""
     row = complexes.COMPLEXES[block, side]
     top = []
     if basis_of("X%d" % p, j, P.weights).dim:
-        if row.differential == "delta":
-            d = operator_matrix(P, "delta%d" % p, j)
-        else:
+        if row.differential == "boundary":
             d = boundary_matrix(P, 3 - p, j + P.weight_sum)
+        else:
+            d = operator_matrix(P, "%s%d" % (row.differential, p), j)
         top = d.columns
     rows_top, s_cols = 0, []
     if row.constrained and p:
-        T, S = relation_blocks(P, p, j)
+        T, S = kept_matrix(P, "koszul%d" % p, j), kept_matrix(P, "phi%d" % (p - 1), j)
         rows_top, s_cols = T.target.dim, S.columns
         top = [{**t, **offset_vector(c, rows_top)} for t, c in zip(T.columns, top)]
-    # the whole relation blocks of R_{p+1}, none of their columns skipped
+    # the whole relation blocks [D_k | phi] of R_{p+1}, none of their columns
+    # skipped (no D_4)
     k, i = p + 2, j + P.coboundary_degree - P.degree
     relations = []
-    if "koszul" in row.relations:
-        relations = [m for m in relation_blocks(P, k, i) if m]
-    elif row.relations:
-        relations = [kept_matrix(P, "phi%d" % (k - 1), i)]
+    if "koszul" in row.relations and k < 4:
+        relations.append(kept_matrix(P, "koszul%d" % k, i))
+    if row.relations:
+        relations.append(kept_matrix(P, "phi%d" % (k - 1), i))
     r_cols = [offset_vector(c, rows_top) for m in relations for c in m.columns]
     return rank_of_columns([*top, *s_cols, *r_cols])
 
@@ -289,8 +292,8 @@ def dim_or_error(P, block, side, k, i):
 
 
 def engine_run(monkeypatch, P, window=None):
-    """The (block, side, p, j) of every stack the memo holds after the four
-    rows ran on a derivation window (default: P's), homology on the window
+    """The (block, side, p, j) of every stack the memo holds after every
+    row ran on a derivation window (default: P's), homology on the window
     shifted by |w|, the dims (or errors) they gave, and the (k, i) of every
     relation entry the relation memo holds."""
     keys, relations = set(), set()
@@ -310,7 +313,7 @@ def engine_run(monkeypatch, P, window=None):
     dims = {}
     lo, hi = window or default_window(P)
     for block, side in complexes.COMPLEXES:
-        shift = 0 if block == "cohomology" else P.weight_sum
+        shift = P.weight_sum if block == "homology" else 0
         for k in range(4):
             for i in range(lo + shift, hi + shift + 1):
                 dims[block, side, k, i] = dim_or_error(P, block, side, k, i)
@@ -336,9 +339,11 @@ def test_skipped_stacks_keep_the_rank_of_the_whole_stack(monkeypatch, phi, weigh
     # the pivots of the whole [D_k | phi]
     assert relations
     for k, i in sorted(relations):
-        whole = [] if not 1 <= k <= 3 else [c for m in relation_blocks(P, k, i) for c in m.columns]
-        assert operators.relation_pivots(P, k, i) == pivots_of_columns(whole), (k, i)
-    assert any(phi_multiple_pivots(P, k, i - P.degree) for k, i in relations if 1 <= k <= 3)
+        assert 1 <= k <= 3, (k, i)
+        D, phi = kept_matrix(P, "koszul%d" % k, i), kept_matrix(P, "phi%d" % (k - 1), i)
+        whole = pivots_of_columns(D.columns + phi.columns)
+        assert operators.relation_pivots(P, k, i) == whole, (k, i)
+    assert any(phi_multiple_pivots(P, k, i - P.degree) for k, i in relations)
 
 
 def test_every_licence_is_a_certificate_that_holds_on_the_catalog(catalog_structures):
@@ -353,8 +358,10 @@ def test_every_licence_is_a_certificate_that_holds_on_the_catalog(catalog_struct
 
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
 def test_each_stack_fills_only_its_unskipped_top_columns(monkeypatch, phi, weights):
-    # the columns of d that each stack fills, counted where they are built;
-    # the memo is bypassed, and every entry it reads is held already
+    # the columns of d that each stack fills, counted where they are built:
+    # a coboundary or boundary stack fills its unskipped columns, and a
+    # Koszul or de Rham stack none, as it reads the kept block; the memo is
+    # bypassed, and every entry it reads is held already
     P = structure(phi, weights)
     keys, _, _ = engine_run(monkeypatch, P)
     built = []
@@ -368,13 +375,15 @@ def test_each_stack_fills_only_its_unskipped_top_columns(monkeypatch, phi, weigh
     monkeypatch.setattr(operators, "matrix_of", counted)
     for block, side, p, j in sorted(keys):
         row = complexes.COMPLEXES[block, side]
-        name = "delta%d" % p if row.differential == "delta" else "boundary%d" % (3 - p)
+        name = OUTGOING[row.differential, p]
         d = operators.operator_symbol(P, name)
         built.clear()
         pivots = complexes.stack_pivots.__wrapped__(P, block, side, p, j)
         filled = sum(n for symbol, n in built if symbol is d)
-        skip = complexes.skipped(P, block, side, p, j)
-        assert filled == basis_of("X%d" % p, j, P.weights).dim - skip.bit_count(), (p, j)
+        unskipped = basis_of("X%d" % p, j, P.weights).dim
+        unskipped -= complexes.skipped(P, block, side, p, j).bit_count()
+        kept = row.differential in ("koszul", "de_rham")
+        assert filled == (0 if kept else unskipped), (block, side, p, j)
         assert pivots.bit_count() == whole_stack_rank(P, block, side, p, j), (block, side, p, j)
 
 
@@ -408,92 +417,90 @@ def test_verify_leaves_matrices_only_in_the_operator_caches(capsys):
     assert [ref() for ref in refs if ref() is not None] == []
 
 
-def test_kept_matrices_hold_no_state_and_the_koszul_suite_ranks_each_block_once(
-    monkeypatch, cubic
-):
-    # the Koszul suite keeps its pivot sets in a memo of its own call: every
-    # kept matrix it reads holds its bases and columns only, and although rows
-    # share blocks, no block is ranked twice (each block is ranked by reading
-    # its columns off a skip set, maybe empty)
-    read, ranked = [], []
-    columns_off_pivots = suites.columns_off_pivots
-
-    def reading(cached):
-        def read_matrix(*args):
-            read.append(cached(*args))
-            return read[-1]
-
-        return read_matrix
-
-    def counting(columns, skip):
-        ranked.append(columns)
-        return columns_off_pivots(columns, skip)
-
-    monkeypatch.setattr(suites, "kept_matrix", reading(suites.kept_matrix))
-    monkeypatch.setattr(suites, "columns_off_pivots", counting)
-    results, _ = suites.run_suite(cubic, "koszul")
-    assert all(r.passed for r in results)
-    assert read and all(set(vars(m)) == {"source", "target", "columns"} for m in read)
-    blocks = {id(m.columns) for m in read}
-    assert len(blocks) < len(read)
-    ranks = Counter(id(columns) for columns in ranked if id(columns) in blocks)
-    assert ranks and set(ranks.values()) == {1}
-
-
-# the certificates that license the Koszul suite's skips
-KOSZUL_LICENCES = ("koszul_squared_vanishes", "de_rham_squared_vanishes")
+# the Koszul and de Rham rows of the table, and the certificates that
+# license their skips
+KOSZUL_ROWS = {"koszul_squared_vanishes": "koszul", "de_rham_squared_vanishes": "de_rham"}
 
 
 def koszul_run(monkeypatch, P):
-    """The Koszul suite's results on P's default window, the (columns, skip)
-    of every block it ranks, and the ids of the column lists of the blocks
-    that may skip under each licence: D_1 and D_2, and div and curl."""
-    window, ranked = default_window(P), []
-    columns_off_pivots = suites.columns_off_pivots
+    """The Koszul suite's results on P's default window, from an empty stack
+    memo; the (block, p, j) of every rank it reads off the Koszul and de
+    Rham rows; and the (block, p, j, skip) of every stack of those rows
+    ranked, with the kept matrices whose columns it read."""
+    complexes.stack_pivots.cache_clear()
+    reads, ranked, kept = [], [], []
+    rank, read, keep = suites.stack_rank, complexes.operator_columns, operators.kept_matrix
 
-    def recording(columns, skip):
-        ranked.append((columns, skip))
-        return columns_off_pivots(columns, skip)
+    def reading(P, block, side, p, j):
+        if block in KOSZUL_ROWS.values():
+            reads.append((block, p, j))
+        return rank(P, block, side, p, j)
 
-    monkeypatch.setattr(suites, "columns_off_pivots", recording)
-    results = suites.koszul_suite(P, window)
-    monkeypatch.setattr(suites, "columns_off_pivots", columns_off_pivots)
-    degrees = range(window[0] - P.degree, window[1] + 1)
-    blocks = {
-        "koszul_squared_vanishes":
-            {id(kept_matrix(P, "koszul%d" % k, i).columns) for k in (1, 2) for i in degrees},
-        "de_rham_squared_vanishes":
-            {id(kept_matrix(P, "de_rham%d" % k, i).columns) for k in (1, 2) for i in degrees},
-    }
-    return results, ranked, blocks
+    def ranking(P, name, i, skip=0):
+        family = name.rstrip("0123")
+        if family in KOSZUL_ROWS.values():
+            ranked.append((family, operators.PIECES[name][0], i, skip))
+        return read(P, name, i, skip)
+
+    def keeping(*args):
+        kept.append(keep(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(suites, "stack_rank", reading)
+    monkeypatch.setattr(complexes, "operator_columns", ranking)
+    monkeypatch.setattr(operators, "kept_matrix", keeping)
+    results = suites.koszul_suite(P, default_window(P))
+    monkeypatch.setattr(suites, "stack_rank", rank)
+    monkeypatch.setattr(complexes, "operator_columns", read)
+    monkeypatch.setattr(operators, "kept_matrix", keep)
+    complexes.stack_pivots.cache_clear()
+    return results, reads, ranked, kept
+
+
+def test_kept_matrices_hold_no_state_and_the_koszul_suite_ranks_each_block_once(
+    monkeypatch, cubic
+):
+    # the Koszul suite keeps no rank of its own: it reads the stack memo,
+    # each kept matrix it reads holds its bases and columns only, and
+    # although rows share blocks, no block is ranked twice
+    results, reads, ranked, kept = koszul_run(monkeypatch, cubic)
+    assert all(r.passed for r in results)
+    assert kept and all(set(vars(m)) == {"source", "target", "columns"} for m in kept)
+    blocks = Counter((block, p, j) for block, p, j, _ in ranked)
+    assert set(blocks.values()) == {1}
+    nonzero = [(b, p, j) for b, p, j in reads if complexes.cochain_dim(cubic, p, j)]
+    assert set(blocks) == set(nonzero) and len(blocks) < len(nonzero)
 
 
 def test_koszul_suite_skips_keep_the_rank_of_each_block(monkeypatch, catalog_structures):
     # D_2 skips the pivots of im D_3, D_1 those of im D_2, curl those of
     # im grad and div those of im curl; each skipped block keeps its pivots
     for P, _ in catalog_structures:
-        results, ranked, blocks = koszul_run(monkeypatch, P)
+        results, _, ranked, _ = koszul_run(monkeypatch, P)
         assert all(r.passed for r in results), P
-        for licence in KOSZUL_LICENCES:
-            assert any(skip for columns, skip in ranked if id(columns) in blocks[licence]), P
-        for columns, skip in ranked:
+        for block in KOSZUL_ROWS.values():
+            assert any(skip for family, _, _, skip in ranked if family == block), P
+        for block, p, j, skip in ranked:
+            columns = kept_matrix(P, "%s%d" % (block, p), j).columns
             whole = pivots_of_columns(columns)
             assert pivots_of_columns(linalg.columns_off_pivots(columns, skip)) == whole, P
+            assert complexes.stack_pivots(P, block, "ambient", p, j) == whole, P
 
 
-@pytest.mark.parametrize("licence", KOSZUL_LICENCES)
+@pytest.mark.parametrize("licence", sorted(KOSZUL_ROWS))
 def test_a_failed_koszul_licence_skips_nothing(monkeypatch, cubic, licence):
-    results, _, _ = koszul_run(monkeypatch, cubic)
-    certify = suites.certificate
-    monkeypatch.setattr(
-        suites, "certificate",
-        lambda P, family: (1, "forced") if family == licence else certify(P, family),
-    )
-    forced, ranked, blocks = koszul_run(monkeypatch, cubic)
+    results, _, _, _ = koszul_run(monkeypatch, cubic)
+    certify = complexes.certificate
+
+    def failing(P, family):
+        return (1, "forced") if family == licence else certify(P, family)
+
+    monkeypatch.setattr(complexes, "certificate", failing)
+    forced, _, ranked, _ = koszul_run(monkeypatch, cubic)
     assert forced == results
-    assert [skip for columns, skip in ranked if id(columns) in blocks[licence] and skip] == []
-    other, = set(KOSZUL_LICENCES) - {licence}
-    assert any(skip for columns, skip in ranked if id(columns) in blocks[other])
+    assert [skip for block, _, _, skip in ranked if block == KOSZUL_ROWS[licence] and skip] == []
+    other, = set(KOSZUL_ROWS.values()) - {KOSZUL_ROWS[licence]}
+    assert any(skip for block, _, _, skip in ranked if block == other)
 
 
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
@@ -584,21 +591,27 @@ def test_a_failed_certificate_skips_nothing(
     ends = complexes.stack_rank
 
     def whole(P, block, side, p, j):
-        return whole_stack_rank(P, block, side, p, j) if 0 <= p <= 2 else ends(P, block, side, p, j)
+        if (complexes.COMPLEXES[block, side].differential, p) in OUTGOING:
+            return whole_stack_rank(P, block, side, p, j)
+        return ends(P, block, side, p, j)
 
     monkeypatch.setattr(complexes, "stack_rank", whole)
     assert dims == {key: dim_or_error(P, *key) for key in dims}
     assert family_failure(P) == [failure]
 
 
-# Echelon.insert calls of complex_dims over the four rows on x^3+y^3+z^3, on
-# the default windows, from empty rank memos: 10,215 with the skip sets of
-# the stacks and the D_k columns at the phi-multiple pivots dropped from the
-# relation memo and from the surface homology stacks, 13,701 with those D_k
-# columns dropped alone, and 15,028 with every column reduced.  Ambient
-# homology reads the ambient cohomology stacks and inserts nothing of its own.
+# Echelon.insert calls of complex_dims over the four (co)homology rows on
+# x^3+y^3+z^3, on the default windows, from empty rank memos: 10,215 with
+# the skip sets of the stacks and the D_k columns at the phi-multiple pivots
+# dropped from the relation memo and from the surface homology stacks,
+# 13,701 with those D_k columns dropped alone, and 15,028 with every column
+# reduced.  Ambient homology reads the ambient cohomology stacks and inserts
+# nothing of its own.  The Koszul and de Rham rows then add 3,087 with their
+# skip sets and 4,810 with every column reduced.
 INSERTS_WITHOUT_SKIPPING = 15028
 INSERTS = 10215
+KOSZUL_INSERTS_WITHOUT_SKIPPING = 4810
+KOSZUL_INSERTS = 3087
 
 
 def test_skip_sets_save_echelon_inserts(monkeypatch, cubic):
@@ -612,8 +625,12 @@ def test_skip_sets_save_echelon_inserts(monkeypatch, cubic):
         return insert(self, vec)
 
     monkeypatch.setattr(linalg.Echelon, "insert", counted)
+    rows = Counter()
     for block, side in complexes.COMPLEXES:
-        window = default_window(cubic) if block == "cohomology" else default_form_window(cubic)
+        window = default_form_window(cubic) if block == "homology" else default_window(cubic)
+        before = len(calls)
         for k in range(4):
             cohomology.complex_dims(cubic, block, side, k, window)
-    assert len(calls) <= INSERTS < INSERTS_WITHOUT_SKIPPING
+        rows[block in ("koszul", "de_rham")] += len(calls) - before
+    assert rows[False] <= INSERTS < INSERTS_WITHOUT_SKIPPING
+    assert rows[True] <= KOSZUL_INSERTS < KOSZUL_INSERTS_WITHOUT_SKIPPING
