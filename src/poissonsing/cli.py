@@ -8,7 +8,6 @@ rank computation that contradicts itself (linalg.NegativeDimension).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 
@@ -17,7 +16,8 @@ from .linalg import NegativeDimension
 from .milnor import NotIsolated, check_isolated
 from .poisson import PoissonStructure
 from .poly import NotHomogeneous, Poly, PolyParseError, WeightSystem, parse_poly
-from .report import build_report, first_mismatch, milnor_section, render_text, suite_lines
+from .report import build_report, first_mismatch, milnor_section, render_json, render_text
+from .report import suite_lines
 from .suites import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -120,7 +120,7 @@ def cmd_analyze(args) -> int:
     _check_cases(args)
     report, code = build_report(args.phi, P, window=_window(args, P), seed=args.seed)
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(render_json(report))
     else:
         print(render_text(report), end="")
     if code == EXIT_MISMATCH:
@@ -160,7 +160,7 @@ def cmd_milnor(args) -> int:
     if args.format == "json":
         section = milnor_section(P, data)
         payload = {key: section[key] for key in ("mu", "socle_bound", "graded_dims", "basis")}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(render_json(payload))
     else:
         print("mu = %d, socle bound = %d" % (data.mu, data.socle_bound))
         print("dims: " + " ".join("%d:%d" % (i, n) for i, n in data.graded_dims))

@@ -102,13 +102,18 @@ COMPLEXES: dict[tuple[str, str], Complex] = {
 
 
 def space_label(block: str, k: int) -> str:
-    """H^k as "H<k>" (block "cohomology"), H_k as "H_<k>" ("homology")."""
-    return ("H%d" if block == "cohomology" else "H_%d") % k
+    """H^k as "H<k>" (block "cohomology"), H_k as "H_<k>" ("homology"), and
+    the homology at X^k of the Koszul or de Rham row as "<block>_H<k>"."""
+    if block == "homology":
+        return "H_%d" % k
+    return ("H%d" if block == "cohomology" else block + "_H%d") % k
 
 
 def space_name(block: str, side: str, k: int) -> str:
-    """The name of one of the sixteen spaces, as "<label>_<side>"."""
-    return "%s_%s" % (space_label(block, k), side)
+    """The name of one of the sixteen spaces, as "<label>_<side>"; a Koszul
+    or de Rham space, of A alone, by its label."""
+    label = space_label(block, k)
+    return "%s_%s" % (label, side) if block in ("cohomology", "homology") else label
 
 
 def cochain_dim(P: PoissonStructure, p: int, j: int) -> int:

@@ -3,7 +3,8 @@ with predicted and computed Hilbert functions, suite summary, conventions.
 
 Reports are plain dicts of JSON-serializable values, deterministic given the
 input (every check and every dim is exact; the seed is only echoed), so two
-runs with the same flags produce byte-identical output.  The gate runs once,
+runs with the same flags produce byte-identical output; render_json writes
+them as json.dumps(report, indent=2, sort_keys=True) would.  The gate runs once,
 in gate_section, and its Milnor data goes to the one run_suite call, which
 runs every suite and hands back the four space families it computed; the
 sixteen entries are built from those Space records, so each space is
@@ -14,6 +15,8 @@ before a failed family, such as the boundary's duality certificate).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import cohomology as ch
@@ -206,6 +209,54 @@ def render_text(report: dict[str, Any]) -> str:
     for name, status in sorted(report["invariants_summary"].items()):
         lines.append("  %-45s %s" % (name, status))
     return "\n".join(lines) + "\n"
+
+
+def render_json(obj: Any) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for dicts
+    with str keys, lists, tuples (rendered as lists), str, int, bool and
+    None; TypeError on any other type.  With indent set, json.dumps runs the
+    standard library's pure-Python encoder; this writes the same text in one
+    pass, escaping strings with its C escaper."""
+    chunks: list[str] = []
+    _write_json(obj, "\n", chunks.append)
+    return "".join(chunks)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(obj: Any, newline: str, write: Callable[[str], Any]) -> None:
+    """Write obj as render_json does; newline opens the line of its closing bracket."""
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        write(_JSON_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner, opening = newline + "  ", "{"
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            write(opening + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(obj[key], inner, write)
+            opening = ","
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner, opening = newline + "  ", "["
+        for item in obj:
+            write(opening + inner)
+            _write_json(item, inner, write)
+            opening = ","
+        write(newline + "]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
 def suite_lines(results: list[CheckResult]) -> str:

@@ -6,7 +6,11 @@ delta o delta = 0, Casimir commutation; see identities_suite) or checks an
 exactness/dimension statement on every degree of a window (Koszul rows, de
 Rham columns, the 2-cocycle decomposition, the closed-form (co)homology
 against the rank computations).  All checks are exact and deterministic; a
-failed check carries its first counterexample in its details.  Identities of
+failed check carries its first counterexample in its details.  The Euler
+formulas are checked on the operators the engine ranks: the kept de Rham
+blocks (operators.operator_columns), so they certify matrix_of's exponent
+factors, while vectorcalc's Poly grad, curl and divergence are checked by the
+phi-free families.  Identities of
 operators of order at most 2 take probes, not degrees:
 boundary_squared_vanishes has 40 cases (30 VECTOR_PROBES, then 10 PROBES),
 two_cocycles_are_gradients_plus_multiples 20 (PROBES through delta^2 o grad
@@ -42,7 +46,7 @@ from .linalg import rank_of_columns, term_maps
 from .milnor import MilnorData, check_isolated
 from .operators import operator_columns, operator_symbol, step
 from .poisson import PoissonStructure
-from .poly import Poly, monomials_of_degree
+from .poly import Poly
 from .vectorcalc import cross, curl, divergence, dot, euler_field, grad
 
 SUITE_NAMES = ("identities", "koszul", "cohomology", "homology", "surface")
@@ -158,16 +162,19 @@ def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult
     probes through delta^0..2 (delta^{k+1} o delta^k has order 2, and
     [delta^k, phi] order 0); Jacobi once on (x, y, z), since the Jacobiator
     of a biderivation is an alternating triderivation.  The Euler formulas
-    are linear in f on each degree, so they run on every monomial of every
-    window degree.  The gradient, curl, divergence and partials of each
+    are linear in f on each degree, so they run on every monomial m of every
+    window degree i, on the de Rham blocks the Koszul suite ranks: grad(m).e_w
+    = i*m on the de_rham3 column of m in X^3_{i-|w|}, and div(m*e_w) =
+    (i+|w|)*m on the weighted sum of the de_rham1 columns of x_a*m*e_a in
+    X^1_i, by index and exponent arithmetic, the bases looked up once per
+    degree.  The gradient, curl, divergence and partials of each
     probe are computed once per call, not once per pair.  A failure names
     the first failing probe.  The two delta families are
     complexes.certificate, evaluated once per structure on the symbols of
     delta^k and shared with the engine, which skips stack columns on their
     strength.
     """
-    w = P.weights
-    e_w = euler_field(w)
+    w, s = P.weights, P.weight_sum
     px, py, pz = P.nabla_phi
     # the derivatives of each probe, once per call (looked up at call time)
     scalars = [(f, grad(f)) for f in PROBES]
@@ -189,18 +196,48 @@ def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult
         ok = divergence(cross(f, g)) == dot(curl_f, g) - dot(f, curl_g)
         return None if ok else "f=%s, g=%s" % (f, g)
 
-    def window_monomials():
+    def raised(m, a):  # the exponent of x_a * x^m
+        return m[:a] + (m[a] + 1,) + m[a + 1:]
+
+    def summed(terms):  # the sum of (key, value) terms as a map, zeros dropped
+        total: dict = {}
+        for key, v in terms:
+            total[key] = total.get(key, 0) + v
+        return {key: v for key, v in total.items() if v}
+
+    def window_pieces():  # (i, the monomials of A_i) for each window degree that has one
         for i in range(window[0], window[1] + 1):
-            for m in monomials_of_degree(i, w):
-                yield i, Poly.monomial(m)
+            monomials = basis_of("X0", i, w).monomials[0]
+            if monomials:
+                yield i, monomials
 
-    def euler_degree(case):
-        i, f = case
-        return None if dot(grad(f), e_w) == f * i else "f=%s" % f
+    def gradients():
+        """(i, m, grad(m): its column in X^2_{i-|w|}, and x_a*n and w_a at each target index)"""
+        for i, monomials in window_pieces():
+            target = basis_of("X2", i - s, w).monomials
+            slots = [(raised(n, a), w_a) for a, w_a in enumerate(w.weights) for n in target[a]]
+            for m, column in zip(monomials, operator_columns(P, "de_rham3", i - s)):
+                yield i, m, column, slots
 
-    def euler_div(case):
-        i, f = case
-        return None if divergence(e_w * f) == f * (i + w.weight_sum) else "f=%s" % f
+    def euler_degree(case):  # grad(m).e_w = sum_a w_a * x_a * d(m)/dx_a = i * m
+        i, m, column, slots = case
+        dot_e_w = summed((slots[k][0], slots[k][1] * v) for k, v in column.items())
+        return None if dot_e_w == ({m: i} if i else {}) else "f=%s" % Poly.monomial(m)
+
+    def euler_fields():
+        """(i, m's index in A_i, m, div(x_a*m*e_a): three columns of X^1_i)"""
+        for i, monomials in window_pieces():
+            columns = operator_columns(P, "de_rham1", i)
+            index = basis_of("X1", i, w)._index  # (offset, position map) per component
+            for t, m in enumerate(monomials):
+                fields = [columns[offset + positions[raised(m, a)]]
+                          for a, (offset, positions) in enumerate(index)]
+                yield i, t, m, fields
+
+    def euler_div(case):  # div(m*e_w) = sum_a w_a * div(x_a*m*e_a) = (i + |w|) * m
+        i, t, m, fields = case
+        div = summed((k, w_a * v) for w_a, col in zip(w.weights, fields) for k, v in col.items())
+        return None if div == {t: i + s} else "f=%s" % Poly.monomial(m)
 
     def curl_grad(case):
         f, grad_f = case
@@ -224,8 +261,8 @@ def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult
         ("curl_of_scalar_product", product(scalars, vectors), curl_product),
         ("div_of_scalar_product", product(scalars, vectors), div_product),
         ("div_of_cross_product", product(vectors, vectors), div_cross),
-        ("euler_degree_formula", window_monomials(), euler_degree),
-        ("euler_divergence_formula", window_monomials(), euler_div),
+        ("euler_degree_formula", gradients(), euler_degree),
+        ("euler_divergence_formula", euler_fields(), euler_div),
         ("curl_of_gradient_vanishes", scalars, curl_grad),
         ("div_of_gradient_cross_vanishes", product(scalars, scalars), div_cross_grads),
         ("jacobi_identity", (coordinates,), jacobi),

@@ -12,7 +12,7 @@ from poissonsing import (
     surface_brute_force_dims,
     surface_closed_form,
 )
-from poissonsing.cohomology import FINITE, FREE
+from poissonsing.cohomology import FINITE, FREE, complex_dims
 from poissonsing.complexes import complex_dim
 from poissonsing.suites import run_suite
 
@@ -83,6 +83,13 @@ class TestBruteForce:
 
     def test_sphere_h3_bottom(self, sphere):
         assert complex_dim(sphere, "cohomology", "ambient", 3, -3) == 1
+
+    def test_koszul_and_de_rham_spaces_are_named_after_their_row(self, cubic):
+        # the Koszul homology at X^0 is the Jacobian quotient, dims 1, 3, 3, 1
+        koszul = complex_dims(cubic, "koszul", "ambient", 0, (0, 3))
+        assert (koszul.space, koszul.dims) == ("koszul_H0", ((0, 1), (1, 3), (2, 3), (3, 1)))
+        assert complex_dims(cubic, "de_rham", "ambient", 3, (-3, 0)).space == "de_rham_H3"
+        assert complex_dims(cubic, "homology", "ambient", 0, (0, 0)).space == "H_0_ambient"
 
     def test_match_on_default_windows(self, catalog_structures):
         for P, _ in catalog_structures:

@@ -2,8 +2,9 @@
 no package export and no definition under src/ that only the tests use, no
 sampling in src/, no boundary defined through the coboundary, no Fraction
 in linalg, no engine matrix or symbol built outside its one constructor
-(BUILDERS), no block read past operator_columns (READERS), and no
-certificate family named under src/ that fails on a catalog structure.
+(BUILDERS), no block read past operator_columns (READERS), no certificate
+family named under src/ that fails on a catalog structure, and no JSON
+indented by json.dumps under src/ (report.render_json is the one writer).
 
 An imported name counts as used when it is read anywhere in its module,
 appears in a string annotation, or is listed in the module's __all__ (the
@@ -551,6 +552,44 @@ def test_certificate_scan_sees_every_call_form():
     assert certificate_families(source) == [
         (1, "delta_family"), (2, "boundary_family"), (3, "keyword_family"), (8, "nested_family")
     ]
+
+
+def indented_dumps(source: str) -> list[int]:
+    """Lines of every call of dumps or dump, bare or as an attribute, that
+    passes indent (a keyword-only argument): the standard library then takes
+    its pure-Python encoder, and report.render_json writes the same bytes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("dumps", "dump") and any(kw.arg == "indent" for kw in node.keywords):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_reports_have_one_json_writer():
+    found = [
+        "%s:%d indents JSON through json.dumps" % (path.relative_to(ROOT), line)
+        for path in SRC
+        for line in indented_dumps(path.read_text())
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_indented_dumps_scan_sees_every_call_form():
+    source = (
+        "import json\n"
+        "from json import dumps\n"
+        "a = json.dumps(report, indent=2, sort_keys=True)\n"
+        "b = json.dumps(report, sort_keys=True)\n"
+        "def f(x):\n"
+        "    return dumps(x, indent=None)\n"
+        "json.dump(x, stream, indent=1)\n"
+        "render_json(report)\n"
+    )
+    assert indented_dumps(source) == [3, 6, 7]
 
 
 # Every unbounded cache under src/, as "module.function".

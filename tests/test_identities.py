@@ -55,12 +55,30 @@ def grad_without_exponent_factor(f: Poly) -> VecPoly:
 
 
 def test_gradient_without_exponent_factor(monkeypatch, sphere):
-    # only the degree-2 probes see it, which is why the probe box goes to degree 2
+    # only the degree-2 probes see it, which is why the probe box goes to
+    # degree 2; the Euler families read the de Rham blocks, not suites.grad
     monkeypatch.setattr(suites, "grad", grad_without_exponent_factor)
     assert failures(sphere) == {
         "curl_of_scalar_product": "f=x^2, g=(0, 1, 0)",
         "div_of_scalar_product": "f=x^2, g=(1, 0, 0)",
+    }
+
+
+def test_de_rham_blocks_without_exponent_factor(monkeypatch, sphere):
+    # the same fault in the blocks the engine ranks: every entry of a
+    # gradient or divergence column taken as 1, as if d(x^n)/dx were x^(n-1)
+    columns = suites.operator_columns
+
+    def without_exponent_factor(P, name, i, skip=0):
+        out = columns(P, name, i, skip)
+        if name in ("de_rham3", "de_rham1"):
+            out = [{k: 1 for k in column} for column in out]
+        return out
+
+    monkeypatch.setattr(suites, "operator_columns", without_exponent_factor)
+    assert failures(sphere) == {
         "euler_degree_formula": "f=x^2",
+        "euler_divergence_formula": "f=x",
     }
 
 

@@ -148,9 +148,11 @@ def test_vecpoly_operations_act_componentwise():
 # ---------------------------------------------------------------------------
 
 # Calls of suites.grad, curl and divergence while identities_suite runs on
-# x^2+y^2+z^2 over the window (0, 4): 45, 340 and 1,365 now; 845, 2,410 and
-# 1,635 when every probe pair recomputed its probes' derivatives.
-DERIVATIVE_CALLS = {"grad": 45, "curl": 340, "divergence": 1365}
+# x^2+y^2+z^2 over the window (0, 4): 10, 340 and 1,330 now, as the Euler
+# families read the de Rham blocks; 45, 340 and 1,365 when they ran the 35
+# window monomials through Poly grad and divergence; 845, 2,410 and 1,635
+# when every probe pair recomputed its probes' derivatives.
+DERIVATIVE_CALLS = {"grad": 10, "curl": 340, "divergence": 1330}
 
 
 def test_identity_suite_differentiates_each_probe_once(monkeypatch, sphere):
