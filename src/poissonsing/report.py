@@ -222,15 +222,12 @@ def render_json(obj: Any) -> str:
     return "".join(chunks)
 
 
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
 def _write_json(obj: Any, newline: str, write: Callable[[str], Any]) -> None:
     """Write obj as render_json does; newline opens the line of its closing bracket."""
     if isinstance(obj, str):
         write(encode_basestring_ascii(obj))
     elif obj is None or obj is True or obj is False:
-        write(_JSON_CONSTANTS[obj])
+        write("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, int):
         write(int.__repr__(obj))
     elif isinstance(obj, dict):
