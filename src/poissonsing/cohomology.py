@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Union
 
-from .complexes import cochain_dim, complex_dim, space_name
+from .complexes import cochain_dim, complex_dim, space_name, stack_rank
 from .linalg import subquotient_dim
 from .milnor import MilnorData
-from .operators import relation_rank
 from .poisson import PoissonStructure
 from .poly import Poly
 from .vectorcalc import VecPoly, grad
@@ -219,10 +218,11 @@ def surface_brute_force_dims(P: PoissonStructure, k: int, window: Window) -> Gra
 def surface_cochain_dim(P: PoissonStructure, k: int, i: int) -> int:
     """dim of the degree-i piece of the multiderivation space of A/<phi>:
     V = {v in X^k_i : D_k(v) lies in phi*X^{k-1}}, the projection to X^k of
-    the kernel of the constraint stack [D_k | phi] (operators' relation entry (k, i);
-    X^0 has no constraint), modulo the quotient relations phi*X^k at degree
-    i-d."""
+    the kernel of the constraint stack [D_k | phi] (the cycle stack of the
+    Koszul row of A/<phi> at (k, i); X^0 has no constraint), modulo the
+    quotient relations phi*X^k at degree i-d."""
     return subquotient_dim(
-        lambda: "X%d_surface" % k, i, cochain_dim(P, k, i), relation_rank(P, k, i),
+        lambda: "X%d_surface" % k, i, cochain_dim(P, k, i),
+        stack_rank(P, "koszul", "surface", k, i),
         cochain_dim(P, k - 1, i), cochain_dim(P, k, i - P.degree), 0,
     )

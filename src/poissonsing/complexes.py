@@ -7,7 +7,12 @@ derivation degree j = i - |w| (Omega^k_i is X^{3-k}_j), so that delta^p and
 boundary_k both map X^p_j to X^{p+1}_{j+N}, with N = d - |w| and d = deg(phi).
 The Koszul complex of grad(phi) (D_p: X^p_j -> X^{p-1}_{j+d}) and the de
 Rham complex (divergence, curl, gradient: X^p_j -> X^{p-1}_j) of A, whose
-exactness the Koszul suite checks, are two more rows.
+exactness the Koszul suite checks, are two more rows.  The Koszul complex
+over A/<phi> is a seventh: its cycle stack at (p, j), the relation entry
+[D_p | phi] from X^p_j and X^{p-1}_j into X^{p-1}_{j+d}, spans the surface
+constraint of X^p (v with D_p(v) in phi*X^{p-1}) and the relations d(phi) ^
+Omega^{3-p} + phi*Omega^{4-p} of Omega^{4-p} of A/<phi> at form degree
+j+d+|w| (d(phi) ^ Omega^1 is -D_2, of the same span).
 
 COMPLEXES has one row per (block, side), and a row holds only data: the
 family of its differential, whose map out of X^p (operators.OUTGOING) and
@@ -16,24 +21,26 @@ whether a constraint T_p = D_p with allowed values S_p = phi*X^{p-1} (the
 relation entry (p, j)) applies, as it does only for surface cohomology,
 whose cochains are the v with D_p(v) in phi*X^{p-1}; the halves of the
 relation entry (p+e+1, j+s-d) that make the relations R of the target: none
-on A, the phi half for surface cohomology, both (d(phi) ^ . + phi*.) for
-surface homology; and the certificate that licenses its skipped columns
-(for ambient homology, its shared stacks).  The closed forms and engines
-are bound in suites.space_family, and every space is named by space_name.
+on A, the phi half for surface cohomology and the Koszul row of A/<phi>,
+both (d(phi) ^ . + phi*., the stack of that row) for surface homology; and
+the certificate that licenses its skipped columns (for ambient homology,
+its shared stacks).  The closed forms and engines are bound in
+suites.space_family, and every space is named by space_name.
 While boundary_equals_signed_coboundary holds, boundary_{3-p} = +-delta^p
 on X^p_j gives both stacks one span, so stack_rank reads ambient homology
 off the ambient cohomology stacks; when it fails, the row ranks the boundary.
 
-The cycle stack of X^p_j is [[T; d] | [S; 0] | [0; R]], ranked once by the
-one memo stack_pivots, which keeps the pivot set of its echelon (stack_rank
-is its size) and no matrix.  The boundary stack at (p, j) is the cycle
-stack one step before, at (p-e, j-s).  So every dimension is one
-linalg.subquotient_dim call (complex_dim) in n = dim X^p_j, the rank of the
-stack, the rank of its relation columns [S; 0] | [0; R], the rank of the
-stack one step before and the rank [T | S] of that stack's top rows.  At
-the ends, where the family has no map out of X^p, d is zero and the rank
-is rank [T | S] + rank R (relation_rank, or an injective phi block's source
-dim), with no elimination.
+The cycle stack of X^p_j is [[T; d] | [S; 0] | [0; R]] (stack_columns),
+ranked once by the one memo stack_pivots, which keeps the pivot set of its
+echelon (stack_rank is its size) and no matrix.  The boundary stack at
+(p, j) is the cycle stack one step before, at (p-e, j-s).  So every
+dimension is one linalg.subquotient_dim call (complex_dim) in n = dim
+X^p_j, the rank of the stack, the rank of its relation columns [S; 0] |
+[0; R], the rank of the stack one step before and the rank [T | S] of that
+stack's top rows.  At the ends, where the family has no map out of X^p, d
+is zero and the rank is rank [T | S] + rank R (a stack rank of the Koszul
+row of A/<phi>, or an injective phi block's source dim), with no
+elimination.
 
 Skipped columns.  A stack may leave out its columns at coordinates C when
 a subspace of its kernel projects onto C: the kernel then holds, for each c
@@ -50,18 +57,19 @@ takes its W once the identity that proves this holds:
     LM(phi)*m (operators.phi_multiple_pivots, no elimination), as
     stack(phi*x) = [S(D_p x); R(delta x)] by [delta, phi] = 0
     (casimir_multiplication_commutes);
+  the Koszul row of A/<phi>: the same W, as [D_p | phi](phi*x, -D_p x) = 0
+    by [D_p, phi] = 0 (koszul_multiplication_commutes);
   surface homology: for p >= 1, W = the boundaries plus the source
     relations of X^p_j, the pivots of the row's own stack one step before
     (the same span), by boundary o boundary = 0 (boundary_squared_vanishes)
     and descent to the quotient (quotient_boundary_well_defined); with
-    descent alone, or for p = 0, W = the source relations,
-    relation_pivots(P, p+1, j-d).
+    descent alone, or for p = 0, W = the source relations, the pivots of
+    the stack of the Koszul row of A/<phi> at (p+1, j-d).
 Each identity is certified once per structure on its probe set, on the
 operators' symbols (certificate); until it holds nothing is skipped.  The
-relation memo and the surface homology stacks reduce the same
-operators.relation_columns, which skip D_k's columns at the phi-multiple
-pivots on D_k's A-linearity alone (operators.relation_skip).  When N < 0
-the delta and surface homology rows skip off stacks above the window.
+surface homology stacks reduce the stack_columns of the Koszul row of
+A/<phi>, off that row's skip set.  When N < 0 the delta and surface
+homology rows skip off stacks above the window.
 """
 
 from __future__ import annotations
@@ -74,7 +82,7 @@ from itertools import chain
 from .linalg import KINDS, Symbol, Vector, apply_symbol, basis_of, offset_vector
 from .linalg import pivots_of_columns, subquotient_dim, term_maps
 from .operators import OUTGOING, operator_columns, operator_symbol, phi_multiple_pivots, pieces
-from .operators import relation_columns, relation_pivots, relation_rank, step
+from .operators import step
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
 from .vectorcalc import VecPoly
@@ -97,6 +105,7 @@ COMPLEXES: dict[tuple[str, str], Complex] = {
     ("homology", "surface"):
         Complex("boundary", False, ("koszul", "phi"), "quotient_boundary_well_defined"),
     ("koszul", "ambient"): Complex("koszul", False, (), "koszul_squared_vanishes"),
+    ("koszul", "surface"): Complex("koszul", False, ("phi",), "koszul_multiplication_commutes"),
     ("de_rham", "ambient"): Complex("de_rham", False, (), "de_rham_squared_vanishes"),
 }
 
@@ -110,10 +119,10 @@ def space_label(block: str, k: int) -> str:
 
 
 def space_name(block: str, side: str, k: int) -> str:
-    """The name of one of the sixteen spaces, as "<label>_<side>"; a Koszul
-    or de Rham space, of A alone, by its label."""
+    """The name of a space, as "<label>_<side>"; a Koszul or de Rham space of
+    A by its label alone."""
     label = space_label(block, k)
-    return "%s_%s" % (label, side) if block in ("cohomology", "homology") else label
+    return label if side == "ambient" and block in ("koszul", "de_rham") else label + "_" + side
 
 
 def cochain_dim(P: PoissonStructure, p: int, j: int) -> int:
@@ -156,8 +165,11 @@ def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
     phi*boundary_k(c), then on those of Omega^{k-1}, boundary_k(D_{4-k} eta) =
     D_{5-k}(boundary_{k-1} eta) (boundary_0 = 0), k = 1..3; for duality,
     boundary_k = (-1)^k * delta^{3-k}, k = 1..3, on the symbol term groups
-    read from the probes e_s and x_a*e_s of Omega^k.  All are operators of
-    order at most one; equal symbols give equal matrices in every degree."""
+    read from the probes e_s and x_a*e_s of Omega^k; D_k(phi*c) =
+    phi*D_k(c) (koszul_multiplication_commutes) on the units of X^k (1 for
+    k = 3, e_s for k = 1, 2), as [D_k, phi] has order 0.  All are operators
+    of order at most one; equal symbols give equal matrices in every
+    degree."""
     probes = [(0, "f", f) for f in PROBES] + [(1, "v", v) for v in VECTOR_PROBES]
 
     symbols: dict[str, Symbol] = {}  # on first use: a family extracts only its own
@@ -183,6 +195,11 @@ def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
             if not commutes("delta%d" % j, term_maps(c)):
                 return "k=%d, %s=%s" % (j, name, c)
         return None
+
+    def koszul_commutes(case):
+        k, c = case
+        ok = commutes("koszul%d" % k, term_maps(c))
+        return None if ok else "D_%d(phi*c) != phi*D_%d(c) at c=%s" % (k, k, c)
 
     def squared(prefix):  # <prefix>_k o <prefix>_{k+1}: k = 1 on vectors, k = 2 on scalars
         def vanishes(case):
@@ -224,9 +241,11 @@ def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
                for s in range(operator_symbol(P, "boundary%d" % k).source_components)
                for i in range(4))
     chained = [(1, v) for v in VECTOR_PROBES] + [(2, f) for f in PROBES]
+    units = [(k, v) for k in (1, 2) for v in VECTOR_PROBES[:3]] + [(3, PROBES[0])]
     cases, check = {
         "coboundary_squared_vanishes": (probes, delta_squared),
         "casimir_multiplication_commutes": (probes, casimir_commutes),
+        "koszul_multiplication_commutes": (units, koszul_commutes),
         "boundary_squared_vanishes": (chained, squared("boundary")),
         "koszul_squared_vanishes": (chained, squared("koszul")),
         "de_rham_squared_vanishes": (chained, squared("de_rham")),
@@ -237,7 +256,7 @@ def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
 
 
 def _constraint_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
-    return relation_rank(P, p, j) if row.constrained else 0
+    return stack_rank(P, "koszul", "surface", p, j) if row.constrained else 0
 
 
 def _relation_entry(P: PoissonStructure, row: Complex, p: int, j: int) -> tuple[int, int]:
@@ -248,10 +267,11 @@ def _relation_entry(P: PoissonStructure, row: Complex, p: int, j: int) -> tuple[
 
 def target_relations(P: PoissonStructure, row: Complex, p: int, j: int) -> Iterable[Vector]:
     """The columns of R that the stack reduces, built only for the halves
-    the row names: relation_columns, or phi's (also for k = 4: D_4 is none)."""
+    the row names: both, the stack_columns of the Koszul row of A/<phi>
+    (phi's alone for k = 4: D_4 is none), or phi's."""
     k, i = _relation_entry(P, row, p, j)
-    if "koszul" in row.relations and k < 4:
-        return relation_columns(P, k, i)
+    if "koszul" in row.relations:
+        return stack_columns(P, "koszul", "surface", k, i)
     return operator_columns(P, OUTGOING["phi", k - 1], i) if row.relations else ()
 
 
@@ -259,7 +279,7 @@ def _target_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
     """rank R; the phi half alone is injective, of rank its source dim."""
     k, i = _relation_entry(P, row, p, j)
     if "koszul" in row.relations:
-        return relation_rank(P, k, i)
+        return stack_rank(P, "koszul", "surface", k, i)
     return cochain_dim(P, k - 1, i) if row.relations else 0
 
 
@@ -268,23 +288,22 @@ def skipped(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
     row = COMPLEXES[block, side]
     if certificate(P, row.licence)[1] or row.licence == "boundary_equals_signed_coboundary":
         return 0
-    if row.licence == "casimir_multiplication_commutes":
+    if row.licence in ("casimir_multiplication_commutes", "koszul_multiplication_commutes"):
         return phi_multiple_pivots(P, p, j - P.degree)
     e, s = step(P, row.differential)
     before = (row.differential, p - e) in OUTGOING  # a map lands in X^p_j
     if row.licence == "quotient_boundary_well_defined" and (
             not before or certificate(P, "boundary_squared_vanishes")[1]):
-        return relation_pivots(P, p + 1, j - P.degree)
+        return stack_pivots(P, "koszul", "surface", p + 1, j - P.degree)
     return stack_pivots(P, block, side, p - e, j - s) if before else 0
 
 
-@lru_cache(maxsize=None)
-def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
-    """The pivots of an echelon of the cycle stack [[T; d] | [S; 0] | [0; R]]
-    of X^p_j in the (block, side) complex, for p where the family has a map
-    out of X^p, as the bits of one int: its columns in that order, less the
-    top ones at the skipped pivots, with R's columns as target_relations
-    gives them.  No column of d at a skipped pivot is filled or kept."""
+def stack_columns(P: PoissonStructure, block: str, side: str, p: int, j: int) -> Iterable[Vector]:
+    """The columns of the cycle stack [[T; d] | [S; 0] | [0; R]] of X^p_j in
+    the (block, side) complex that an echelon of it reduces, in that order:
+    the top ones less those at the skipped pivots, then S's, then R's as
+    target_relations gives them.  No column of d at a skipped pivot is
+    filled, and no block out of an empty X^p_j."""
     row = COMPLEXES[block, side]
     skip, top = 0, []
     if cochain_dim(P, p, j):
@@ -297,7 +316,15 @@ def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> 
         t_cols = operator_columns(P, OUTGOING["koszul", p], j, skip)
         top = [{**t, **offset_vector(c, rows_top)} for t, c in zip(t_cols, top)]
     r_cols = (offset_vector(c, rows_top) for c in target_relations(P, row, p, j))
-    return pivots_of_columns(chain(top, s_cols, r_cols))
+    return chain(top, s_cols, r_cols)
+
+
+@lru_cache(maxsize=None)
+def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
+    """The pivots of an echelon of the stack_columns of X^p_j in the (block,
+    side) complex, for p where the family has a map out of X^p, as the bits
+    of one int; the one rank memo, which keeps no matrix."""
+    return pivots_of_columns(stack_columns(P, block, side, p, j))
 
 
 def stack_rank(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:

@@ -21,24 +21,18 @@ more than once and are kept (kept_matrix, a value: its readers keep any
 rank of it themselves); a coboundary or boundary block is filled afresh at
 each read, on its unskipped columns alone (complexes.stack_pivots).
 OUTGOING and STEPS read off PIECES each family's map out of X^p and its
-step, from which complexes finds every spot of its complexes.  The
-relation table holds the entries [D_k | phi] on X^{k-1}; relation_pivots
-keeps the pivot set of one echelon of each entry, and relation_rank is its
-size.  The echelon reduces the entry's relation_columns: it skips the D_k
-columns at the pivots of the phi-multiples in X^k (relation_skip), which
-D_k's A-linearity puts in the span of the other columns; the surface
-homology stacks read the same columns.  complexes describes how the entries
-serve the (co)homology complexes.
+step, from which complexes finds every spot of its complexes.  This module
+holds operators only: every rank is kept by complexes.stack_pivots, and
+phi_multiple_pivots, the pivots of the phi-multiples found without
+elimination, serves the skip sets that complexes.skipped licenses.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import lru_cache, partial
-from itertools import chain
 
 from .linalg import KINDS, GradedOperatorMatrix, Symbol, Vector, basis_of, columns_off_pivots
-from .linalg import matrix_of, pivots_of_columns, symbol_of
+from .linalg import matrix_of, symbol_of
 from .poisson import PoissonStructure
 from .vectorcalc import cross, curl, divergence, dot, grad
 
@@ -140,24 +134,6 @@ def operator_columns(P: PoissonStructure, name: str, i: int, skip: int = 0) -> l
     return columns_off_pivots(columns, skip) if skip else columns
 
 
-# ---------------------------------------------------------------------------
-# The relation table: entry (k, i), k in 1..4, is [D_k | phi] from X^k_i and
-# X^{k-1}_i into X^{k-1}_{i+d} (no D_4), which spans the surface constraint
-# of X^k (v with D_k(v) in phi*X^{k-1}) and the relations d(phi) ^
-# Omega^{3-k} + phi*Omega^{4-k} of Omega^{4-k} of A/<phi> at form degree
-# i+d+|w| (the wedge of Omega^1 with d(phi) is -D_2, of the same span).
-# ---------------------------------------------------------------------------
-
-
-def relation_rank(P: PoissonStructure, k: int, i: int) -> int:
-    """rank of the entry (k, i); 0 for k outside 1..4 (X^{k-1} is zero
-    there), and dim X^3_i for k = 4, where the entry is the phi-multiples of
-    X^3 alone, which are independent."""
-    if k == 4:
-        return basis_of("X3", i, P.weights).dim
-    return relation_pivots(P, k, i).bit_count() if 1 <= k <= 3 else 0
-
-
 def phi_multiple_pivots(P: PoissonStructure, k: int, i: int) -> int:
     """The pivots in X^k at degree i+deg(phi) of the phi-multiples of X^k_i,
     as the bits of one int: the indices of LM(phi)*m for the basis elements
@@ -175,29 +151,3 @@ def phi_multiple_pivots(P: PoissonStructure, k: int, i: int) -> int:
         for (offset, positions), monomials in zip(index, source.monomials)
         for e0, e1, e2 in monomials
     )
-
-
-def relation_skip(P: PoissonStructure, k: int, i: int) -> int:
-    """The D_k columns of the entry (k, i), k in 1..3, that no echelon of it
-    reduces, as the bits of one int: the phi_multiple_pivots of X^k_{i-d}.
-    D_k is A-linear, so the kernel of [D_k | phi] holds (phi*v, -D_k(v)) for
-    every v in X^k_{i-d}; these project onto the D_k coordinates at those
-    pivots (phi*v starts there, and the starts are distinct), so each such
-    column is a combination of the entry's other columns, whatever rule
-    picks an echelon's pivots, and no rank changes."""
-    return phi_multiple_pivots(P, k, i - P.degree)
-
-
-def relation_columns(P: PoissonStructure, k: int, i: int) -> Iterable[Vector]:
-    """The columns of the entry (k, i), k in 1..3, that an echelon of it
-    reduces: D_k's off relation_skip, then phi's."""
-    D, phi = OUTGOING["koszul", k], OUTGOING["phi", k - 1]
-    return chain(operator_columns(P, D, i, relation_skip(P, k, i)), operator_columns(P, phi, i))
-
-
-@lru_cache(maxsize=None)
-def relation_pivots(P: PoissonStructure, k: int, i: int) -> int:
-    """The pivots in X^{k-1} of an echelon of the entry (k, i), k in 1..3, as
-    the bits of one int (linalg.pivots_of_columns); only relation_columns
-    are reduced."""
-    return pivots_of_columns(relation_columns(P, k, i))

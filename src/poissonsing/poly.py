@@ -62,10 +62,13 @@ class WeightSystem:
 
     @classmethod
     def from_string(cls, text: str) -> "WeightSystem":
-        parts = text.split(",")
-        if len(parts) != 3:
+        try:
+            weights = tuple(int(p) for p in text.split(","))
+        except ValueError:
+            weights = ()
+        if len(weights) != 3:
             raise ValueError("weights must be given as three comma-separated integers")
-        return cls(tuple(int(p.strip()) for p in parts))  # type: ignore[arg-type]
+        return cls(weights)  # type: ignore[arg-type]
 
     @property
     def weight_sum(self) -> int:

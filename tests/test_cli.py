@@ -114,6 +114,12 @@ class TestAnalyzeCommand:
         code, _, err = run(capsys, "analyze", "--phi", "x^2+y^2+z^2", "--weights", "2,4,6")
         assert code == 2
 
+    @pytest.mark.parametrize("weights", ["1,1,a", "1,1,1.5", "1,,1", "1,1,a,b"])
+    def test_weights_that_are_not_three_integers_name_the_format(self, capsys, weights):
+        code, out, err = run(capsys, "analyze", "--phi", "x^3+y^3+z^3", "--weights", weights)
+        assert (code, out) == (2, "")
+        assert err == "invalid input: weights must be given as three comma-separated integers\n"
+
     def test_byte_identical_reports(self, capsys):
         args = (
             "analyze", "--phi", "x^2+y^2+z^2", "--seed", "5",

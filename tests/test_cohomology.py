@@ -13,7 +13,7 @@ from poissonsing import (
     surface_closed_form,
 )
 from poissonsing.cohomology import FINITE, FREE, complex_dims
-from poissonsing.complexes import complex_dim
+from poissonsing.complexes import complex_dim, space_name
 from poissonsing.suites import run_suite
 
 from .conftest import compose_columns, planted, structure
@@ -90,6 +90,12 @@ class TestBruteForce:
         assert (koszul.space, koszul.dims) == ("koszul_H0", ((0, 1), (1, 3), (2, 3), (3, 1)))
         assert complex_dims(cubic, "de_rham", "ambient", 3, (-3, 0)).space == "de_rham_H3"
         assert complex_dims(cubic, "homology", "ambient", 0, (0, 0)).space == "H_0_ambient"
+        # every row of A/<phi> names its side, the Koszul row as the others
+        assert space_name("koszul", "surface", 1) == "koszul_H1_surface"
+        assert complex_dims(cubic, "koszul", "surface", 1, (0, 0)).space == "koszul_H1_surface"
+        assert [space_name(block, "ambient", 2) for block in ("koszul", "de_rham")] == [
+            "koszul_H2", "de_rham_H2"
+        ]
 
     def test_match_on_default_windows(self, catalog_structures):
         for P, _ in catalog_structures:

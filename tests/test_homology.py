@@ -339,13 +339,12 @@ class TestSurfaceHomology:
         ]
 
     def test_chain_space_models(self, cubic, cubic_milnor):
-        from poissonsing.operators import relation_rank
-
         def quotient_dim(k, i):
             # Omega^k = X^{3-k} modulo d(phi) ^ Omega^{k-1} + phi*Omega^k,
-            # the relation table of X^{4-k} one deg(phi) below
-            ambient = form_basis(cubic, k, i).dim
-            return ambient - relation_rank(cubic, 4 - k, i - cubic.weight_sum - cubic.degree)
+            # the stack of the Koszul row of A/<phi> at X^{4-k} one deg(phi) below
+            j = i - cubic.weight_sum - cubic.degree
+            relations = complexes.stack_rank(cubic, "koszul", "surface", 4 - k, j)
+            return form_basis(cubic, k, i).dim - relations
 
         s = cubic.weight_sum
         milnor = {i: n for i, n in cubic_milnor.graded_dims}

@@ -411,9 +411,10 @@ READERS = {
 }
 
 
-def reader_uses(source: str) -> list[tuple[int, str, str]]:
-    """(line, name, enclosing top-level definition or "") of every read of a
-    READERS name, bare or as an attribute, called or not."""
+def reader_uses(source: str, names=READERS) -> list[tuple[int, str, str]]:
+    """(line, name, enclosing top-level definition or "") of every read of
+    one of names (default: a READERS name), bare or as an attribute, called
+    or not."""
     found = []
     for statement in ast.parse(source).body:
         owner = getattr(statement, "name", "")
@@ -424,7 +425,7 @@ def reader_uses(source: str) -> list[tuple[int, str, str]]:
                 name = node.attr
             else:
                 continue
-            if name in READERS:
+            if name in names:
                 found.append((node.lineno, name, owner))
     return sorted(found)
 
@@ -459,6 +460,47 @@ def test_reader_scan_sees_every_read_form():
     assert reader_uses(source) == [
         (2, "kept_matrix", "operator_columns"), (4, "operator_matrix", "other"),
         (5, "kept_matrix", "other"), (8, "kept_matrix", "K"), (10, "operator_matrix", ""),
+    ]
+
+
+# The one place under src/ that may read operators.phi_multiple_pivots, as
+# (module, top-level definition): the pivots of the phi-multiples are a
+# skip set only where a row's licence grants them, which complexes.skipped
+# checks, so that no column is skipped without a certificate.
+PHI_MULTIPLE_READERS = {("complexes", "skipped")}
+
+
+def test_phi_multiple_pivots_are_read_only_where_a_licence_is_checked():
+    found = [
+        (path.stem, owner, "%s:%d" % (path.relative_to(ROOT), line))
+        for path in SRC
+        for line, _, owner in reader_uses(path.read_text(), {"phi_multiple_pivots"})
+    ]
+    stray = ["%s reads phi_multiple_pivots" % where for module, owner, where in found
+             if (module, owner) not in PHI_MULTIPLE_READERS]
+    assert not stray, "\n".join(stray)
+    assert {(module, owner) for module, owner, _ in found} == PHI_MULTIPLE_READERS
+
+
+def test_phi_multiple_scan_sees_every_read_form():
+    source = (
+        "from .operators import phi_multiple_pivots\n"
+        "def phi_multiple_pivots(P, k, i):\n"
+        "    return 0\n"
+        "def skipped(P, p, j):\n"
+        "    return phi_multiple_pivots(P, p, j - P.degree)\n"
+        "def other(P):\n"
+        "    read = operators.phi_multiple_pivots\n"
+        "    return [phi_multiple_pivots], read(P, 0, 0)\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        return self.phi_multiple_pivots(None, 0, 0)\n"
+        "x = phi_multiple_pivots(None, 0, 0)\n"
+    )
+    assert reader_uses(source, {"phi_multiple_pivots"}) == [
+        (5, "phi_multiple_pivots", "skipped"), (7, "phi_multiple_pivots", "other"),
+        (8, "phi_multiple_pivots", "other"), (11, "phi_multiple_pivots", "K"),
+        (12, "phi_multiple_pivots", ""),
     ]
 
 
@@ -600,7 +642,6 @@ UNBOUNDED_CACHES = {
     "milnor.check_isolated",
     "operators._symbol",
     "operators.kept_matrix",
-    "operators.relation_pivots",
 }
 
 

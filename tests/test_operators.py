@@ -26,6 +26,7 @@ from poissonsing import (
     parse_poly,
     symbol_of,
 )
+from poissonsing.complexes import skipped, stack_columns, stack_rank
 from poissonsing.linalg import columns_off_pivots
 from poissonsing.operators import (
     PIECES,
@@ -35,9 +36,6 @@ from poissonsing.operators import (
     operator_matrix,
     operator_symbol,
     pieces,
-    relation_columns,
-    relation_rank,
-    relation_skip,
 )
 
 from .conftest import boundary_matrix, echelon_of, echelon_rank, oracle_columns, structure
@@ -92,11 +90,12 @@ def test_vertical_operators(catalog_structures):
 
 
 def test_relation_presentations(catalog_structures):
-    """The relation entry (k, i) is [D_k | phi on X^{k-1}] into X^{k-1} at
-    degree i + deg(phi), for k = 1..4 (no D_4), on every degree that the
-    surface cochains of the default window and the relations of the form
-    window (one deg(phi) lower) read: relation_columns are its columns less
-    D_k's at relation_skip, and relation_rank is the rank of all of them."""
+    """The relation entry (k, i), the cycle stack of the Koszul row of
+    A/<phi>, is [D_k | phi on X^{k-1}] into X^{k-1} at degree i + deg(phi),
+    for k = 1..4 (no D_4), on every degree that the surface cochains of the
+    default window and the relations of the form window (one deg(phi)
+    lower) read: the row's stack_columns are its columns less D_k's at the
+    row's skip set, and its stack_rank is the rank of all of them."""
     for P, _ in catalog_structures:
         koszul = _koszul_operators(P)
         lo, hi = default_window(P)
@@ -112,9 +111,11 @@ def test_relation_presentations(catalog_structures):
                     assert (D.source.kind, D.target) == ("X%d" % k, phi.target)
                     _check(D, koszul[k])
                     columns = D.columns + phi.columns
-                    kept = columns_off_pivots(D.columns, relation_skip(P, k, i)) + phi.columns
-                    assert list(relation_columns(P, k, i)) == kept, (k, i)
-                assert relation_rank(P, k, i) == echelon_rank(echelon_of(columns)), (k, i)
+                    kept = columns_off_pivots(D.columns, skipped(P, "koszul", "surface", k, i))
+                    kept += phi.columns
+                    assert list(stack_columns(P, "koszul", "surface", k, i)) == kept, (k, i)
+                rank = stack_rank(P, "koszul", "surface", k, i)
+                assert rank == echelon_rank(echelon_of(columns)), (k, i)
 
 
 @pytest.mark.parametrize("name", sorted(PIECES))

@@ -17,7 +17,9 @@ Ambient homology ranks no stack of its own while the duality certificate
 holds: it reads the ambient cohomology stacks.  With that certificate
 failed, its row ranks the boundary and agrees with the shifted cohomology.
 Every licence of the table is a certificate family that holds on the
-catalog.
+catalog.  The relation entries [D_k | phi] are the stacks of the Koszul row
+of A/<phi>, which skips the D_k columns at the phi-multiple pivots only
+while [D_k, phi] = 0 is certified.
 
 The Koszul suite reads its ranks off the Koszul and de Rham rows of the
 table, which rank each map off the pivots of the image of the map into its
@@ -200,7 +202,9 @@ QUARTIC = ("x^4+y^4+z^4", (1, 1, 1))
 # test id, caller and its leading arguments, patched rank helpers, and the
 # message they must give: n - cycles + relations - (boundaries - constraint)
 # is negative.  The stack ranks are patched on stack_rank (P, block, side,
-# p, j), which complex_dim reads; homology H_k sits at p = 3 - k.
+# p, j), which complex_dim reads; homology H_k sits at p = 3 - k.  The
+# constraint of surface cohomology, the relations of surface homology and
+# the cycles of the surface cochains are ranks of the Koszul row of A/<phi>.
 NEGATIVE = [
     (
         "cohomology_dim", complexes, complex_dim, ("cohomology", "ambient", 1, 2),
@@ -211,23 +215,23 @@ NEGATIVE = [
     (
         "surface_cohomology_dim", complexes, complex_dim, ("cohomology", "surface", 2, 3),
         {
-            "stack_rank": lambda P, block, side, p, j: 999 if p == 1 else 50,
-            "relation_rank": lambda P, k, i: 7,
+            "stack_rank":
+                lambda P, block, side, p, j: 7 if block == "koszul" else 999 if p == 1 else 50,
         },
         "-924 of H2_surface at degree 3: n 63 - cycles 50 + relations 55 "
         "- (boundaries 999 - constraint 7)",
     ),
     (
         "surface_cochain_dim", cohomology, cohomology.surface_cochain_dim, (3, 5),
-        {"relation_rank": lambda P, k, i: 999},
+        {"stack_rank": lambda P, block, side, p, j: 999},
         "-861 of X3_surface at degree 5: n 45 - cycles 999 + relations 108 "
         "- (boundaries 15 - constraint 0)",
     ),
     (
         "surface_homology_dim", complexes, complex_dim, ("homology", "surface", 1, 5),
         {
-            "stack_rank": lambda P, block, side, p, j: 777 if p == 1 else 3,
-            "relation_rank": lambda P, k, i: 4,
+            "stack_rank":
+                lambda P, block, side, p, j: 4 if block == "koszul" else 777 if p == 1 else 3,
         },
         "-731 of H_1_surface at degree 5: n 45 - cycles 3 + relations 4 "
         "- (boundaries 777 - constraint 0)",
@@ -258,7 +262,7 @@ def whole_stack_rank(P, block, side, p, j):
     """rank of the cycle stack [[T; d] | [S; 0] | [0; R]] of X^p_j, for p
     where the row's family has a map out of X^p (0..2 for delta and the
     boundary, 1..3 for Koszul and de Rham), with every column reduced, from
-    the engine's matrices."""
+    the engine's matrices: the Koszul row of A/<phi> stacks [D_p | phi]."""
     row = complexes.COMPLEXES[block, side]
     top = []
     if basis_of("X%d" % p, j, P.weights).dim:
@@ -272,9 +276,13 @@ def whole_stack_rank(P, block, side, p, j):
         T, S = kept_matrix(P, "koszul%d" % p, j), kept_matrix(P, "phi%d" % (p - 1), j)
         rows_top, s_cols = T.target.dim, S.columns
         top = [{**t, **offset_vector(c, rows_top)} for t, c in zip(T.columns, top)]
-    # the whole relation blocks [D_k | phi] of R_{p+1}, none of their columns
-    # skipped (no D_4)
-    k, i = p + 2, j + P.coboundary_degree - P.degree
+    # the whole relation blocks [D_k | phi] of R, on the target of X^p_j,
+    # none of their columns skipped (no D_4): R_{p+1} one deg(phi) below
+    # for the (co)homology rows, phi on X^{p-1}_j for the Koszul row
+    if row.differential == "koszul":
+        k, i = p, j
+    else:
+        k, i = p + 2, j + P.coboundary_degree - P.degree
     relations = []
     if "koszul" in row.relations and k < 4:
         relations.append(kept_matrix(P, "koszul%d" % k, i))
@@ -294,22 +302,16 @@ def dim_or_error(P, block, side, k, i):
 def engine_run(monkeypatch, P, window=None):
     """The (block, side, p, j) of every stack the memo holds after every
     row ran on a derivation window (default: P's), homology on the window
-    shifted by |w|, the dims (or errors) they gave, and the (k, i) of every
-    relation entry the relation memo holds."""
-    keys, relations = set(), set()
-    memo, relation_memo = complexes.stack_pivots, operators.relation_pivots
+    shifted by |w|, and the dims (or errors) they gave; the relation
+    entries are the stacks of the Koszul row of A/<phi>."""
+    keys = set()
+    memo = complexes.stack_pivots
 
     def recording(P, block, side, p, j):
         keys.add((block, side, p, j))
         return memo(P, block, side, p, j)
 
-    def recording_relations(P, k, i):
-        relations.add((k, i))
-        return relation_memo(P, k, i)
-
     monkeypatch.setattr(complexes, "stack_pivots", recording)
-    for module in (complexes, operators):
-        monkeypatch.setattr(module, "relation_pivots", recording_relations)
     dims = {}
     lo, hi = window or default_window(P)
     for block, side in complexes.COMPLEXES:
@@ -318,15 +320,13 @@ def engine_run(monkeypatch, P, window=None):
             for i in range(lo + shift, hi + shift + 1):
                 dims[block, side, k, i] = dim_or_error(P, block, side, k, i)
     monkeypatch.setattr(complexes, "stack_pivots", memo)
-    for module in (complexes, operators):
-        monkeypatch.setattr(module, "relation_pivots", relation_memo)
-    return keys, dims, relations
+    return keys, dims
 
 
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
 def test_skipped_stacks_keep_the_rank_of_the_whole_stack(monkeypatch, phi, weights):
     P = structure(phi, weights)
-    keys, _, relations = engine_run(monkeypatch, P)
+    keys, _ = engine_run(monkeypatch, P)
     for key in sorted(keys):
         assert complexes.stack_rank(P, *key) == whole_stack_rank(P, *key), key
     # every row whose licence grants a skip set skips somewhere; ambient
@@ -335,14 +335,15 @@ def test_skipped_stacks_keep_the_rank_of_the_whole_stack(monkeypatch, phi, weigh
     licensed = {row for row, c in complexes.COMPLEXES.items() if c.licence != DUALITY}
     assert skipping == licensed
     assert [key for key in keys if key[:2] == ("homology", "ambient")] == []
-    # the relation memo skips the D_k columns of the phi-multiples, and keeps
-    # the pivots of the whole [D_k | phi]
+    # the Koszul row of A/<phi> skips the D_k columns of the phi-multiples,
+    # and keeps the pivots of the whole [D_k | phi]
+    relations = sorted(key[2:] for key in keys if key[:2] == ("koszul", "surface"))
     assert relations
-    for k, i in sorted(relations):
+    for k, i in relations:
         assert 1 <= k <= 3, (k, i)
         D, phi = kept_matrix(P, "koszul%d" % k, i), kept_matrix(P, "phi%d" % (k - 1), i)
         whole = pivots_of_columns(D.columns + phi.columns)
-        assert operators.relation_pivots(P, k, i) == whole, (k, i)
+        assert complexes.stack_pivots(P, "koszul", "surface", k, i) == whole, (k, i)
     assert any(phi_multiple_pivots(P, k, i - P.degree) for k, i in relations)
 
 
@@ -354,6 +355,8 @@ def test_every_licence_is_a_certificate_that_holds_on_the_catalog(catalog_struct
         for licence in licences:
             cases, failure = complexes.certificate(P, licence)
             assert cases > 0 and failure == "", (P, licence)
+        # [D_k, phi] has order 0: the units of X^1, X^2 and X^3 certify it
+        assert complexes.certificate(P, "koszul_multiplication_commutes") == (7, ""), P
 
 
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
@@ -363,7 +366,7 @@ def test_each_stack_fills_only_its_unskipped_top_columns(monkeypatch, phi, weigh
     # Koszul or de Rham stack none, as it reads the kept block; the memo is
     # bypassed, and every entry it reads is held already
     P = structure(phi, weights)
-    keys, _, _ = engine_run(monkeypatch, P)
+    keys, _ = engine_run(monkeypatch, P)
     built = []
     matrix_of = operators.matrix_of
 
@@ -530,13 +533,18 @@ def squared_failure(P):
     return [complexes.certificate(P, "boundary_squared_vanishes")[1]]
 
 
+def koszul_failure(P):
+    # the licence of the Koszul row of A/<phi>, which no suite reports
+    return [complexes.certificate(P, "koszul_multiplication_commutes")[1]]
+
+
 def no_skip(P, p, j):
     return 0
 
 
 def source_relations(P, p, j):
     # the surface homology skip of descent alone: the relations of X^p_j
-    return operators.relation_pivots(P, p + 1, j - P.degree)
+    return complexes.stack_pivots(P, "koszul", "surface", p + 1, j - P.degree)
 
 
 # A planted structure of x^3+y^3+z^3 (N = 0), or that structure with a
@@ -560,6 +568,11 @@ FAULTS = [
         {}, "boundary_squared_vanishes",
         ("homology", "surface"), squared_failure, "forced", source_relations,
     ),
+    (
+        "koszul_multiplication_failed",
+        {}, "koszul_multiplication_commutes",
+        ("koszul", "surface"), koszul_failure, "forced", no_skip,
+    ),
 ]
 
 
@@ -572,7 +585,9 @@ def test_a_failed_certificate_skips_nothing(
 ):
     # nothing that the failed family certifies is skipped: a row whose only
     # licence failed skips nothing, and surface homology with descent still
-    # holding skips the source relations alone
+    # holding skips the source relations alone; every other row whose
+    # licence holds keeps its skip set (surface cohomology its Casimir skip
+    # when the Koszul row of A/<phi>, which shares its T and S, fails)
     P = planted("x^3+y^3+z^3", (1, 1, 1), **methods)
     if forced:
         certify = complexes.certificate
@@ -581,12 +596,16 @@ def test_a_failed_certificate_skips_nothing(
             lambda P, family: (1, "forced") if family == forced else certify(P, family),
         )
     # the default window ends at 9; without its certificate a row costs more
-    keys, dims, _ = engine_run(monkeypatch, P, (-3, 6))
+    keys, dims = engine_run(monkeypatch, P, (-3, 6))
     stacks = sorted(key for key in keys if key[:2] == row)
     assert stacks
     assert [complexes.skipped(P, *key) for key in stacks] == [skip(P, *key[2:]) for key in stacks]
-    if forced:
-        assert any(skip(P, *key[2:]) for key in stacks)
+    assert any(skip(P, *key[2:]) for key in stacks) == (skip is not no_skip)
+    holding = {
+        other for other, c in complexes.COMPLEXES.items()
+        if other != row and c.licence != DUALITY and not complexes.certificate(P, c.licence)[1]
+    }
+    assert holding and holding <= {key[:2] for key in keys if complexes.skipped(P, *key)}
     # the dims of the whole stacks, as when no column was ever skipped
     ends = complexes.stack_rank
 
@@ -601,13 +620,16 @@ def test_a_failed_certificate_skips_nothing(
 
 
 # Echelon.insert calls of complex_dims over the four (co)homology rows on
-# x^3+y^3+z^3, on the default windows, from empty rank memos: 10,215 with
-# the skip sets of the stacks and the D_k columns at the phi-multiple pivots
-# dropped from the relation memo and from the surface homology stacks,
-# 13,701 with those D_k columns dropped alone, and 15,028 with every column
-# reduced.  Ambient homology reads the ambient cohomology stacks and inserts
-# nothing of its own.  The Koszul and de Rham rows then add 3,087 with their
-# skip sets and 4,810 with every column reduced.
+# x^3+y^3+z^3, on the default windows, from an empty stack memo: 10,215
+# with the skip sets of every row, 11,542 without the skip set of the
+# Koszul row of A/<phi> (the D_k columns at the phi-multiple pivots of its
+# stacks, which rank the constraint of surface cohomology and the relations
+# of surface homology), 13,701 with that skip set alone, and 15,028 with
+# every column reduced.  Ambient homology reads the ambient cohomology
+# stacks and inserts nothing of its own, and the Koszul row of A/<phi> then
+# inserts nothing: the (co)homology rows ranked each stack it reads.  The
+# ambient Koszul and de Rham rows then add 3,087 with their skip sets and
+# 4,810 with every column reduced.
 INSERTS_WITHOUT_SKIPPING = 15028
 INSERTS = 10215
 KOSZUL_INSERTS_WITHOUT_SKIPPING = 4810
@@ -616,7 +638,6 @@ KOSZUL_INSERTS = 3087
 
 def test_skip_sets_save_echelon_inserts(monkeypatch, cubic):
     complexes.stack_pivots.cache_clear()
-    operators.relation_pivots.cache_clear()
     calls = []
     insert = linalg.Echelon.insert
 
@@ -631,6 +652,9 @@ def test_skip_sets_save_echelon_inserts(monkeypatch, cubic):
         before = len(calls)
         for k in range(4):
             cohomology.complex_dims(cubic, block, side, k, window)
-        rows[block in ("koszul", "de_rham")] += len(calls) - before
-    assert rows[False] <= INSERTS < INSERTS_WITHOUT_SKIPPING
-    assert rows[True] <= KOSZUL_INSERTS < KOSZUL_INSERTS_WITHOUT_SKIPPING
+        rows[block, side] += len(calls) - before
+    homology = sum(n for (block, _), n in rows.items() if block in ("cohomology", "homology"))
+    assert homology <= INSERTS < INSERTS_WITHOUT_SKIPPING
+    assert rows["koszul", "surface"] == 0
+    koszul = rows["koszul", "ambient"] + rows["de_rham", "ambient"]
+    assert koszul <= KOSZUL_INSERTS < KOSZUL_INSERTS_WITHOUT_SKIPPING
