@@ -22,13 +22,10 @@ relation entry (p, j)) applies, as it does only for surface cohomology,
 whose cochains are the v with D_p(v) in phi*X^{p-1}; the halves of the
 relation entry (p+e+1, j+s-d) that make the relations R of the target: none
 on A, the phi half for surface cohomology and the Koszul row of A/<phi>,
-both (d(phi) ^ . + phi*., the stack of that row) for surface homology; and
-the certificate that licenses its skipped columns (for ambient homology,
-its shared stacks).  The closed forms and engines are bound in
+both (d(phi) ^ . + phi*., the stack of that row) for surface homology; the
+W its skipped columns take (skip, below); and every certificate family
+that W rests on (licences).  The closed forms and engines are bound in
 suites.space_family, and every space is named by space_name.
-While boundary_equals_signed_coboundary holds, boundary_{3-p} = +-delta^p
-on X^p_j gives both stacks one span, so stack_rank reads ambient homology
-off the ambient cohomology stacks; when it fails, the row ranks the boundary.
 
 The cycle stack of X^p_j is [[T; d] | [S; 0] | [0; R]] (stack_columns),
 ranked once by the one memo stack_pivots, which keeps the pivot set of its
@@ -49,27 +46,30 @@ combination of the columns off C, whatever rule picks an echelon's pivots.
 stack_pivots leaves out the top columns at the pivots of an echelon of a
 subspace W of X^p_j that the stack maps into the span of its relation
 columns; W then lies in the kernel's projection, onto those pivots.  A row
-takes its W once the identity that proves this holds:
-  delta, Koszul and de Rham rows: W = the image of the map into X^p_j, the
-    pivots of the row's own stack one step before, by D o D = 0
-    (coboundary_, koszul_ and de_rham_squared_vanishes);
-  surface cohomology: W = phi*X^p_{j-d}, whose pivots are the indices of
-    LM(phi)*m (operators.phi_multiple_pivots, no elimination), as
-    stack(phi*x) = [S(D_p x); R(delta x)] by [delta, phi] = 0
-    (casimir_multiplication_commutes);
-  the Koszul row of A/<phi>: the same W, as [D_p | phi](phi*x, -D_p x) = 0
-    by [D_p, phi] = 0 (koszul_multiplication_commutes);
-  surface homology: for p >= 1, W = the boundaries plus the source
-    relations of X^p_j, the pivots of the row's own stack one step before
-    (the same span), by boundary o boundary = 0 (boundary_squared_vanishes)
-    and descent to the quotient (quotient_boundary_well_defined); with
-    descent alone, or for p = 0, W = the source relations, the pivots of
-    the stack of the Koszul row of A/<phi> at (p+1, j-d).
-Each identity is certified once per structure on its probe set, on the
-operators' symbols (certificate); until it holds nothing is skipped.  The
-surface homology stacks reduce the stack_columns of the Koszul row of
-A/<phi>, off that row's skip set.  When N < 0 the delta and surface
-homology rows skip off stacks above the window.
+skips only while every family it names holds, and its W is one of:
+  "stack": the span of the row's stack one step before, the image of the
+    map into X^p_j plus the relations R there (R alone at an end).  The
+    delta, Koszul and de Rham rows of A (no R) rest on D o D = 0
+    (coboundary_, koszul_ and de_rham_squared_vanishes); surface homology,
+    whose W is the boundaries plus the source relations of X^p_j (at
+    p = 0 the source relations, the stack of the Koszul row of A/<phi> at
+    (1, j-d)), on boundary o boundary = 0 (boundary_squared_vanishes) and
+    descent to the quotient (quotient_boundary_well_defined), at p = 0 too;
+  "relations": R one step before, phi*X^p_{j-d}, whose pivots are the
+    indices of LM(phi)*m (operators.phi_multiple_pivots, no elimination).
+    Surface cohomology rests on [delta, phi] = 0 and [D_p, phi] = 0
+    (casimir_ and koszul_multiplication_commutes), as stack(phi*x) =
+    [S(D_p x); R(delta x)]; the Koszul row of A/<phi> on [D_p, phi] = 0
+    (koszul_multiplication_commutes), as [D_p | phi](phi*x, -D_p x) = 0;
+  "shared": none; while boundary_{3-p} = +-delta^p on X^p_j
+    (boundary_equals_signed_coboundary) gives both stacks one span,
+    stack_rank reads ambient homology off the ambient cohomology stacks,
+    and otherwise the row ranks the boundary.
+Each family is certified once per structure on the operators' symbols
+(certificate, on the cases of IDENTITIES).  The surface homology stacks
+reduce the stack_columns of the Koszul row of A/<phi>, off that row's skip
+set.  When N < 0 the delta and surface homology rows skip off stacks above
+the window.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from itertools import chain
 
 from .linalg import KINDS, Symbol, Vector, apply_symbol, basis_of, offset_vector
 from .linalg import pivots_of_columns, subquotient_dim, term_maps
-from .operators import OUTGOING, operator_columns, operator_symbol, phi_multiple_pivots, pieces
+from .operators import OUTGOING, PIECES, operator_columns, operator_symbol, phi_multiple_pivots
 from .operators import step
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
@@ -95,18 +95,25 @@ class Complex:
     differential: str
     constrained: bool
     relations: tuple[str, ...]
-    licence: str
+    licences: tuple[str, ...]
+    skip: str
 
 
 COMPLEXES: dict[tuple[str, str], Complex] = {
-    ("cohomology", "ambient"): Complex("delta", False, (), "coboundary_squared_vanishes"),
-    ("cohomology", "surface"): Complex("delta", True, ("phi",), "casimir_multiplication_commutes"),
-    ("homology", "ambient"): Complex("boundary", False, (), "boundary_equals_signed_coboundary"),
-    ("homology", "surface"):
-        Complex("boundary", False, ("koszul", "phi"), "quotient_boundary_well_defined"),
-    ("koszul", "ambient"): Complex("koszul", False, (), "koszul_squared_vanishes"),
-    ("koszul", "surface"): Complex("koszul", False, ("phi",), "koszul_multiplication_commutes"),
-    ("de_rham", "ambient"): Complex("de_rham", False, (), "de_rham_squared_vanishes"),
+    ("cohomology", "ambient"):
+        Complex("delta", False, (), ("coboundary_squared_vanishes",), "stack"),
+    ("cohomology", "surface"): Complex(
+        "delta", True, ("phi",),
+        ("casimir_multiplication_commutes", "koszul_multiplication_commutes"), "relations"),
+    ("homology", "ambient"):
+        Complex("boundary", False, (), ("boundary_equals_signed_coboundary",), "shared"),
+    ("homology", "surface"): Complex(
+        "boundary", False, ("koszul", "phi"),
+        ("quotient_boundary_well_defined", "boundary_squared_vanishes"), "stack"),
+    ("koszul", "ambient"): Complex("koszul", False, (), ("koszul_squared_vanishes",), "stack"),
+    ("koszul", "surface"):
+        Complex("koszul", False, ("phi",), ("koszul_multiplication_commutes",), "relations"),
+    ("de_rham", "ambient"): Complex("de_rham", False, (), ("de_rham_squared_vanishes",), "stack"),
 }
 
 
@@ -151,108 +158,103 @@ def first_failure(cases: Iterable, check: Callable) -> tuple[int, str]:
     return count, ""
 
 
+def _commutes(name: str, text: str) -> tuple:
+    """The identity name(phi*c) == phi*name(c), phi on name's source and
+    target pieces (operators.PIECES)."""
+    p, q, _ = PIECES[name]
+    return (name, "phi%d" % p), ("phi%d" % q, name), text
+
+
+def _squared(prefix: str) -> list:
+    """<prefix>_1 o <prefix>_2 = 0 on VECTOR_PROBES, then <prefix>_2 o <prefix>_3 on PROBES."""
+    return [
+        ([((prefix + "1", prefix + "2"), (), "%s_1 o %s_2 on v=%%s" % (prefix, prefix))],
+         VECTOR_PROBES),
+        ([((prefix + "2", prefix + "3"), (), "%s_2 o %s_3 on f=%%s" % (prefix, prefix))], PROBES),
+    ]
+
+
+# Each certificate family: its cases in order, as groups (identities,
+# probes), each identity checked on each probe, built only when certificate
+# runs the family.  An identity is two chains of named operators
+# (operators.PIECES), applied right to left, where an int scales and an
+# empty chain is zero, and its failure text, with %s for the probe.  Every
+# operator has order at most one, so the probes of degree at most 2 fix a
+# composite or a commutator with phi ([D_k, phi] has order 0: the units of
+# X^k fix it), and e_s and x_a*e_s fix an operator.  Omega^k = X^{3-k} is
+# probed on the probes of its components.
+IDENTITIES: dict[str, Callable[[], list]] = {
+    "coboundary_squared_vanishes": lambda: [
+        ([(("delta1", "delta0"), (), "delta1 o delta0 on f=%s")], PROBES),
+        ([(("delta2", "delta1"), (), "delta2 o delta1 on v=%s")], VECTOR_PROBES),
+    ],
+    "casimir_multiplication_commutes": lambda: [
+        ([_commutes("delta0", "k=0, f=%s")], PROBES),
+        ([_commutes("delta1", "k=1, v=%s"), _commutes("delta2", "k=2, v=%s")], VECTOR_PROBES),
+    ],
+    "koszul_multiplication_commutes": lambda: [
+        ([_commutes("koszul1", "D_1(phi*c) != phi*D_1(c) at c=%s")], VECTOR_PROBES[:3]),
+        ([_commutes("koszul2", "D_2(phi*c) != phi*D_2(c) at c=%s")], VECTOR_PROBES[:3]),
+        ([_commutes("koszul3", "D_3(phi*c) != phi*D_3(c) at c=%s")], PROBES[:1]),
+    ],
+    "boundary_squared_vanishes": lambda: _squared("boundary"),
+    "koszul_squared_vanishes": lambda: _squared("koszul"),
+    "de_rham_squared_vanishes": lambda: _squared("de_rham"),
+    "quotient_boundary_well_defined": lambda: [  # boundary_k on Omega^k, then on D_{4-k} eta
+        ([_commutes("boundary1", "boundary_1(phi*c) != phi*boundary_1(c) at c=%s")], VECTOR_PROBES),
+        ([_commutes("boundary2", "boundary_2(phi*c) != phi*boundary_2(c) at c=%s")], VECTOR_PROBES),
+        ([_commutes("boundary3", "boundary_3(phi*c) != phi*boundary_3(c) at c=%s")], PROBES),
+        ([(("boundary1", "koszul3"), (), "boundary_1(D_3 f) != 0 at f=%s")], PROBES),
+        ([(("boundary2", "koszul2"), ("koszul3", "boundary1"),
+           "boundary_2(D_2 eta) != D_3(boundary_1 eta) at eta=%s")], VECTOR_PROBES),
+        ([(("boundary3", "koszul1"), ("koszul2", "boundary2"),
+           "boundary_3(D_1 eta) != D_2(boundary_2 eta) at eta=%s")], VECTOR_PROBES),
+    ],
+    "boundary_equals_signed_coboundary": lambda: [  # on e_s, then x_a*e_s, of Omega^k
+        ([(("boundary%d" % k,), ((-1) ** k, "delta%d" % (3 - k)),
+           "boundary_%d != (-1)^%d * delta%d at c=%%s" % (k, k, 3 - k))],
+         [omega[n * i + s] for s in range(n) for i in range(4)])
+        for k, n, omega in ((1, 3, VECTOR_PROBES), (2, 3, VECTOR_PROBES), (3, 1, PROBES))
+    ],
+}
+
+
 @lru_cache(maxsize=None)
 def certificate(P: PoissonStructure, family: str) -> tuple[int, str]:
-    """(cases run, first failure or "") of an identity family on its probe
-    set, each operator run on its symbol for P.integral (linalg.apply_symbol),
-    from which every engine matrix is built, so phi is c*phi there: each
-    identity is homogeneous in phi, so c*phi certifies what phi does (the
-    probes stay Poly to name a failure).  The delta families are as in
-    suites.identities_suite; D_k o D_{k+1} = 0 for the boundary, Koszul and de
-    Rham maps (boundary_, koszul_ and de_rham_squared_vanishes) holds for k = 1
-    on VECTOR_PROBES, then k = 2 on PROBES (operators of order at most 2); for
-    descent, on the probes of Omega^k = X^{3-k}, boundary_k(phi*c) =
-    phi*boundary_k(c), then on those of Omega^{k-1}, boundary_k(D_{4-k} eta) =
-    D_{5-k}(boundary_{k-1} eta) (boundary_0 = 0), k = 1..3; for duality,
-    boundary_k = (-1)^k * delta^{3-k}, k = 1..3, on the symbol term groups
-    read from the probes e_s and x_a*e_s of Omega^k; D_k(phi*c) =
-    phi*D_k(c) (koszul_multiplication_commutes) on the units of X^k (1 for
-    k = 3, e_s for k = 1, 2), as [D_k, phi] has order 0.  All are operators
-    of order at most one; equal symbols give equal matrices in every
-    degree."""
-    probes = [(0, "f", f) for f in PROBES] + [(1, "v", v) for v in VECTOR_PROBES]
-
+    """(cases run, first failure or "") of a family of IDENTITIES, each case
+    a probe and the identities checked on it, with every operator run on its
+    symbol for P.integral (linalg.apply_symbol), from which every engine
+    matrix is built, so phi is c*phi there: each identity is homogeneous in
+    phi, so c*phi certifies what phi does (the probes stay Poly to name a
+    failure).  Equal symbols give equal matrices in every degree."""
     symbols: dict[str, Symbol] = {}  # on first use: a family extracts only its own
 
-    def run(name, parts):  # a named operator of P.integral (operators.PIECES)
-        if name not in symbols:
-            symbols[name] = operator_symbol(P, name)
-        return apply_symbol(symbols[name], parts)
+    def value(chain, parts):  # () for the empty chain, which is zero
+        for op in reversed(chain):
+            if isinstance(op, int):
+                parts = tuple({m: op * c for m, c in part.items()} for part in parts)
+                continue
+            if op not in symbols:
+                symbols[op] = operator_symbol(P, op)
+            parts = apply_symbol(symbols[op], parts)
+        return parts if chain else ()
 
-    def commutes(name, parts):  # name(phi*c) == phi*name(c)
-        p, q, _ = pieces(P, name)
-        return run(name, run("phi%d" % p, parts)) == run("phi%d" % q, run(name, parts))
-
-    def delta_squared(case):
-        k, name, c = case
-        if not any(run("delta%d" % (k + 1), run("delta%d" % k, term_maps(c)))):
-            return None
-        return "delta%d o delta%d on %s=%s" % (k + 1, k, name, c)
-
-    def casimir_commutes(case):
-        k, name, c = case
-        for j in (0,) if k == 0 else (1, 2):
-            if not commutes("delta%d" % j, term_maps(c)):
-                return "k=%d, %s=%s" % (j, name, c)
-        return None
-
-    def koszul_commutes(case):
-        k, c = case
-        ok = commutes("koszul%d" % k, term_maps(c))
-        return None if ok else "D_%d(phi*c) != phi*D_%d(c) at c=%s" % (k, k, c)
-
-    def squared(prefix):  # <prefix>_k o <prefix>_{k+1}: k = 1 on vectors, k = 2 on scalars
-        def vanishes(case):
-            k, c = case
-            if not any(run("%s%d" % (prefix, k), run("%s%d" % (prefix, k + 1), term_maps(c)))):
-                return None
-            return "%s_%d o %s_%d on %s=%s" % (prefix, k, prefix, k + 1, "v" if k == 1 else "f", c)
-
-        return vanishes
-
-    def descends(case):
-        identity, k, c = case
+    def fails(case):
+        c, identities = case
         parts = term_maps(c)
-        if identity == "phi":
-            ok = commutes("boundary%d" % k, parts)
-            return None if ok else "boundary_%d(phi*c) != phi*boundary_%d(c) at c=%s" % (k, k, c)
-        lhs = run("boundary%d" % k, run("koszul%d" % (4 - k), parts))
-        if k == 1:
-            return None if not any(lhs) else "boundary_1(D_3 f) != 0 at f=%s" % c
-        if lhs != run("koszul%d" % (5 - k), run("boundary%d" % (k - 1), parts)):
-            return "boundary_%d(D_%d eta) != D_%d(boundary_%d eta) at eta=%s" % (
-                k, 4 - k, 5 - k, k - 1, c)
+        for lhs, rhs, text in identities:
+            left, right = value(lhs, parts), value(rhs, parts)
+            if left != right if lhs and rhs else any(left + right):
+                return text % (c,)
         return None
 
-    omega = (PROBES, VECTOR_PROBES, VECTOR_PROBES, PROBES)  # Omega^k = X^{3-k}
+    groups = IDENTITIES[family]()
+    return first_failure(((c, identities) for identities, probes in groups for c in probes), fails)
 
-    def dual(case):  # probe omega[k][n*i + s]: e_s (term group 3, or -1), then x_a*e_s (a = i - 1)
-        k, s, i = case
-        boundary = operator_symbol(P, "boundary%d" % k)
-        signed = operator_symbol(P, "delta%d" % (3 - k)).scaled((-1) ** k)
-        if boundary.terms[s][i - 1] == signed.terms[s][i - 1]:
-            return None
-        c = omega[k][boundary.source_components * i + s]
-        return "boundary_%d != (-1)^%d * delta%d at c=%s" % (k, k, 3 - k, c)
 
-    descent = [("phi", k, c) for k in (1, 2, 3) for c in omega[k]]
-    descent += [("D", k, c) for k in (1, 2, 3) for c in omega[k - 1]]
-    duality = ((k, s, i) for k in (1, 2, 3)  # lazy: no other family extracts a boundary symbol
-               for s in range(operator_symbol(P, "boundary%d" % k).source_components)
-               for i in range(4))
-    chained = [(1, v) for v in VECTOR_PROBES] + [(2, f) for f in PROBES]
-    units = [(k, v) for k in (1, 2) for v in VECTOR_PROBES[:3]] + [(3, PROBES[0])]
-    cases, check = {
-        "coboundary_squared_vanishes": (probes, delta_squared),
-        "casimir_multiplication_commutes": (probes, casimir_commutes),
-        "koszul_multiplication_commutes": (units, koszul_commutes),
-        "boundary_squared_vanishes": (chained, squared("boundary")),
-        "koszul_squared_vanishes": (chained, squared("koszul")),
-        "de_rham_squared_vanishes": (chained, squared("de_rham")),
-        "quotient_boundary_well_defined": (descent, descends),
-        "boundary_equals_signed_coboundary": (duality, dual),
-    }[family]
-    return first_failure(cases, check)
+def licensed(P: PoissonStructure, row: Complex) -> bool:
+    """Whether every family the row names holds: only then does it skip or share."""
+    return not any(certificate(P, family)[1] for family in row.licences)
 
 
 def _constraint_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
@@ -284,18 +286,17 @@ def _target_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
 
 
 def skipped(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
-    """The pivots in X^p_j of the row's W; 0 until its licence holds, or if it grants no W."""
+    """The pivots in X^p_j of the row's W; 0 unless it is licensed, or if it grants no W."""
     row = COMPLEXES[block, side]
-    if certificate(P, row.licence)[1] or row.licence == "boundary_equals_signed_coboundary":
+    if row.skip == "shared" or not licensed(P, row):
         return 0
-    if row.licence in ("casimir_multiplication_commutes", "koszul_multiplication_commutes"):
-        return phi_multiple_pivots(P, p, j - P.degree)
     e, s = step(P, row.differential)
-    before = (row.differential, p - e) in OUTGOING  # a map lands in X^p_j
-    if row.licence == "quotient_boundary_well_defined" and (
-            not before or certificate(P, "boundary_squared_vanishes")[1]):
-        return stack_pivots(P, "koszul", "surface", p + 1, j - P.degree)
-    return stack_pivots(P, block, side, p - e, j - s) if before else 0
+    if row.skip == "stack" and (row.differential, p - e) in OUTGOING:  # a map lands in X^p_j
+        return stack_pivots(P, block, side, p - e, j - s)
+    k, i = _relation_entry(P, row, p - e, j - s)  # R one step before
+    if "koszul" in row.relations:
+        return stack_pivots(P, "koszul", "surface", k, i)
+    return phi_multiple_pivots(P, k - 1, i) if row.relations else 0
 
 
 def stack_columns(P: PoissonStructure, block: str, side: str, p: int, j: int) -> Iterable[Vector]:
@@ -332,7 +333,7 @@ def stack_rank(P: PoissonStructure, block: str, side: str, p: int, j: int) -> in
     ends need no elimination, and a licensed ambient homology row reads the
     ambient cohomology stack (see the module docstring)."""
     row = COMPLEXES[block, side]
-    if row.licence == "boundary_equals_signed_coboundary" and not certificate(P, row.licence)[1]:
+    if row.skip == "shared" and licensed(P, row):
         return stack_rank(P, "cohomology", side, p, j)
     if (row.differential, p) not in OUTGOING:  # d = 0
         return _constraint_rank(P, row, p, j) + _target_rank(P, row, p, j)

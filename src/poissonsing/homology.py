@@ -16,7 +16,7 @@ the symbols and probe set of two order-one intertwinings (boundary_k commutes wi
 and carries D_{4-k} to D_{5-k} o boundary_{k-1}); surface_homology_dims
 reads the dims of the quotient complex from its row of the table in
 complexes, whose stacks skip the boundaries and the source relations once
-boundary o boundary = 0 and descent hold (the relations alone under descent).
+boundary o boundary = 0 and descent both hold (nothing while either fails).
 The closed forms are: H_0 and H_3 are copies of the Jacobian quotient, H_2
 is its image under multiplication by the Euler field, and H_1 is spanned by
 the gradients of u_1, ..., u_{mu-1}.
@@ -44,8 +44,8 @@ def default_form_window(P: PoissonStructure) -> Window:
 
 def duality_identity_holds(P: PoissonStructure) -> tuple[int, str]:
     """The duality certificate, (cases, first failing probe or ""):
-    boundary_k = (-1)^k * delta^{3-k} for k = 1..3 in every degree, as their
-    symbols agree (complexes.certificate)."""
+    boundary_k = (-1)^k * delta^{3-k} for k = 1..3 in every degree, as they
+    agree on e_s and x_a*e_s, which fix their symbols (complexes.certificate)."""
     return certificate(P, "boundary_equals_signed_coboundary")
 
 

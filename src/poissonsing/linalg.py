@@ -317,13 +317,6 @@ class Symbol:
     target_components: int
     terms: tuple[tuple[tuple[SymbolTerm, ...], ...], ...]
 
-    def scaled(self, c: Scalar) -> "Symbol":
-        """The symbol of c times the operator."""
-        terms = tuple(
-            tuple(tuple((*t[:4], c * t[4]) for t in group) for group in s) for s in self.terms
-        )
-        return Symbol(self.source_components, self.target_components, terms)
-
 
 def symbol_of(op: Callable[[Cochain], Cochain], source_components: int) -> Symbol:
     """The symbol of op, acting on Poly (1 component) or VecPoly (3).

@@ -17,13 +17,14 @@ origin and is checked first.
 The ideal's degree-i piece is the image of the Koszul map D_1 (dot product
 with grad(phi)) from X^1 at degree i - deg(phi).  The gate builds these
 columns with operators.operator_matrix, which keeps no matrix, so a rejected
-phi leaves none in the kept operator matrices.
+phi leaves none in the kept operator matrices.  The gate keeps nothing
+itself either: each analyze, verify and milnor command calls it once, and a
+phi repeated in one process is gated again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .linalg import Echelon
 from .operators import operator_matrix
@@ -98,7 +99,6 @@ def _quotient_monomials(P: PoissonStructure, i: int) -> list[Monomial]:
     return kept
 
 
-@lru_cache(maxsize=None)
 def check_isolated(phi: Poly, w: WeightSystem) -> MilnorData:
     """Gate: accept phi iff the Jacobian quotient is finite dimensional.
 

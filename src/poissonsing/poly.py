@@ -35,6 +35,12 @@ Scalar = Union[int, Fraction]
 VARIABLES = ("x", "y", "z")
 
 
+def _is_numeral(text: str) -> bool:
+    """Whether text is one or more of the ASCII digits 0-9 (str.isdigit also
+    takes other scripts' digits and superscripts, which int reads or refuses)."""
+    return text.isascii() and text.isdigit()
+
+
 class NotHomogeneous(ValueError):
     """A polynomial mixes several weighted degrees where one was required."""
 
@@ -62,13 +68,12 @@ class WeightSystem:
 
     @classmethod
     def from_string(cls, text: str) -> "WeightSystem":
-        try:
-            weights = tuple(int(p) for p in text.split(","))
-        except ValueError:
-            weights = ()
-        if len(weights) != 3:
+        """Three comma-separated decimal integers, each an optional - and the
+        ASCII digits 0-9 after a strip (no +, underscore or other digit)."""
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != 3 or not all(_is_numeral(p.removeprefix("-")) for p in parts):
             raise ValueError("weights must be given as three comma-separated integers")
-        return cls(weights)  # type: ignore[arg-type]
+        return cls(tuple(int(p) for p in parts))  # type: ignore[arg-type]
 
     @property
     def weight_sum(self) -> int:
@@ -380,7 +385,7 @@ class _Scanner:
 
     def read_integer(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_numeral(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             raise PolyParseError("expected an integer", start)
@@ -442,7 +447,7 @@ def _parse_term(sc: _Scanner) -> Poly:
     """An optional coefficient, then variable powers joined by * (the * after
     the coefficient may be dropped); a coefficient alone is a constant."""
     coeff: Scalar = 1
-    if sc.peek().isdigit():
+    if _is_numeral(sc.peek()):
         num = sc.read_integer()
         if sc.peek() == "/":
             sc.advance()

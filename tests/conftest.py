@@ -9,8 +9,8 @@ from poissonsing import (
     check_isolated,
     parse_poly,
 )
-from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, rank_of_columns
-from poissonsing.operators import kept_matrix, operator_matrix
+from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, rank_of_columns, symbol_of
+from poissonsing.operators import kept_matrix, named_operator, operator_matrix
 
 # (phi, weights, expected Milnor number)
 CATALOG = [
@@ -64,6 +64,13 @@ def cubic():
 @pytest.fixture(scope="session")
 def cubic_milnor(cubic):
     return check_isolated(cubic.phi, cubic.weights)
+
+
+def signed_coboundary_symbol(P, k):
+    """The symbol of (-1)^k * delta^{3-k} for P.integral, extracted from the
+    signed operator on Omega^k = X^{3-k}."""
+    delta = named_operator(P.integral, "delta%d" % (3 - k))
+    return symbol_of(lambda c: delta(c) * (-1) ** k, 1 if k == 3 else 3)
 
 
 def form_basis(P, k, i):

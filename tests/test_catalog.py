@@ -29,7 +29,7 @@ from poissonsing import check_isolated, duality_identity_holds
 from poissonsing.cli import main
 from poissonsing.operators import operator_symbol
 
-from .conftest import structure
+from .conftest import signed_coboundary_symbol, structure
 
 # name, phi, weights, Arnold's Milnor number
 SIMPLE = [
@@ -126,7 +126,7 @@ def test_analyze_exits_zero_on_the_default_windows(capsys, name, phi, weights, m
 def test_the_boundary_has_the_symbol_of_the_signed_coboundary(name, phi, weights, mu, modality):
     P = structure(phi, weights)
     for k in (1, 2, 3):
-        signed = operator_symbol(P, "delta%d" % (3 - k)).scaled((-1) ** k)
+        signed = signed_coboundary_symbol(P, k)
         assert operator_symbol(P, "boundary%d" % k) == signed, k
     assert duality_identity_holds(P) == (28, "")
 

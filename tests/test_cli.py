@@ -114,7 +114,10 @@ class TestAnalyzeCommand:
         code, _, err = run(capsys, "analyze", "--phi", "x^2+y^2+z^2", "--weights", "2,4,6")
         assert code == 2
 
-    @pytest.mark.parametrize("weights", ["1,1,a", "1,1,1.5", "1,,1", "1,1,a,b"])
+    # int() would read "1_0" as 10, "+1" as 1 and an Arabic-Indic one as 1
+    @pytest.mark.parametrize(
+        "weights", ["1,1,a", "1,1,1.5", "1,,1", "1,1,a,b", "1_0,1,1", "+1,1,1", "\u0661,1,1"]
+    )
     def test_weights_that_are_not_three_integers_name_the_format(self, capsys, weights):
         code, out, err = run(capsys, "analyze", "--phi", "x^3+y^3+z^3", "--weights", weights)
         assert (code, out) == (2, "")

@@ -3,8 +3,10 @@ no package export and no definition under src/ that only the tests use, no
 sampling in src/, no boundary defined through the coboundary, no Fraction
 in linalg, no engine matrix or symbol built outside its one constructor
 (BUILDERS), no block read past operator_columns (READERS), no certificate
-family named under src/ that fails on a catalog structure, and no JSON
-indented by json.dumps under src/ (report.render_json is the one writer).
+family named under src/ that fails on a catalog structure, no certificate
+family named in complexes outside its identity table and its table of
+complexes (FAMILY_TABLES), and no JSON indented by json.dumps under src/
+(report.render_json is the one writer).
 
 An imported name counts as used when it is read anywhere in its module,
 appears in a string annotation, or is listed in the module's __all__ (the
@@ -596,6 +598,66 @@ def test_certificate_scan_sees_every_call_form():
     ]
 
 
+# The top-level assignments of complexes that may name a certificate family
+# in a string literal: the identity table, and the table of complexes, whose
+# rows name every family their skips rest on.  skipped and stack_rank then
+# read every licence off a row, and no family name can come back into them.
+FAMILY_TABLES = {"IDENTITIES", "COMPLEXES"}
+
+
+def _top_level_name(statement: ast.stmt) -> str:
+    """The name a top-level definition or assignment binds (the first, for
+    a chained assignment), or ""."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return statement.name
+    targets = getattr(statement, "targets", None) or [getattr(statement, "target", None)]
+    return next((t.id for t in targets if isinstance(t, ast.Name)), "")
+
+
+def family_literals(source: str, families) -> list[tuple[int, str]]:
+    """(line, enclosing top-level definition or assignment, or "") of every
+    string literal that is one of families."""
+    found = []
+    for statement in ast.parse(source).body:
+        owner = _top_level_name(statement)
+        found += [
+            (node.lineno, owner) for node in ast.walk(statement)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in families
+        ]
+    return sorted(found)
+
+
+def test_certificate_families_are_named_only_in_the_tables_of_complexes():
+    path = ROOT / "src" / "poissonsing" / "complexes.py"
+    found = family_literals(path.read_text(), set(complexes.IDENTITIES))
+    stray = [
+        "%s:%d names a certificate family outside %s" % (
+            path.relative_to(ROOT), line, " and ".join(sorted(FAMILY_TABLES)))
+        for line, owner in found if owner not in FAMILY_TABLES
+    ]
+    assert not stray, "\n".join(stray)
+    assert {owner for _, owner in found} == FAMILY_TABLES
+
+
+def test_family_literal_scan_sees_every_form():
+    source = (
+        "IDENTITIES = {'a_family': lambda: [], 'b_family': lambda: []}\n"
+        "COMPLEXES: dict = {('x', 'y'): ('a_family', 'b_family')}\n"
+        "def skipped(P, row):\n"
+        "    return row.licences == ('a_family',) or 'not_a_family'\n"
+        "class K:\n"
+        "    family = 'b_family'\n"
+        "y = z = 'a_family'\n"
+        "\"a_family, in a longer string\"\n"
+        "certificate(P, 'b_family')\n"
+    )
+    assert family_literals(source, {"a_family", "b_family"}) == [
+        (1, "IDENTITIES"), (1, "IDENTITIES"), (2, "COMPLEXES"), (2, "COMPLEXES"),
+        (4, "skipped"), (6, "K"), (7, "y"), (9, ""),
+    ]
+
+
 def indented_dumps(source: str) -> list[int]:
     """Lines of every call of dumps or dump, bare or as an attribute, that
     passes indent (a keyword-only argument): the standard library then takes
@@ -639,7 +701,6 @@ UNBOUNDED_CACHES = {
     "complexes.certificate",
     "complexes.stack_pivots",
     "linalg.basis_of",
-    "milnor.check_isolated",
     "operators._symbol",
     "operators.kept_matrix",
 }

@@ -182,7 +182,7 @@ def test_the_gate_reduces_each_monomial_once(monkeypatch, catalog_structures):
                     return real(self, vec)
 
                 patch.setattr(Echelon, name, counted)
-            data = check_isolated.__wrapped__(P.phi, P.weights)
+            data = check_isolated(P.phi, P.weights)
         top = socle_bound(P.degree, P.weights) + P.weights.max_weight
         scanned = sum(
             basis_of("X1", i - P.degree, P.weights).dim + basis_of("X0", i, P.weights).dim
@@ -191,5 +191,5 @@ def test_the_gate_reduces_each_monomial_once(monkeypatch, catalog_structures):
         assert calls == {"insert": scanned}, P
         with monkeypatch.context() as patch:
             patch.setattr(milnor, "_quotient_monomials", quotient_monomials_by_membership)
-            assert check_isolated.__wrapped__(P.phi, P.weights) == data, P
+            assert check_isolated(P.phi, P.weights) == data, P
         assert data.mu == mu

@@ -106,6 +106,10 @@ class TestParse:
             ("(x)", "expected a term", 0),
             ("x y", "expected '+' or '-'", 2),
             ("x^", "expected an integer", 2),
+            # a superscript two and an Arabic-Indic three: digits to
+            # str.isdigit, but not the ASCII 0-9 of the grammar
+            ("x^\u00b2+y^2+z^2", "expected an integer", 2),
+            ("x^\u0663+y^3+z^3", "expected an integer", 2),
         ],
     )
     def test_rejected_term_names_error_and_position(self, text, message, position):

@@ -8,8 +8,9 @@ as the cocycle (cycle) stack one step down.  The references include U12,
 where N = deg(phi) - |w| is positive, so the step down lowers the degree.
 
 The engine reduces only the stack columns off its certified skip sets; every
-stack it ranks has the rank of the whole stack, and a structure whose
-certificate fails skips nothing and gets the dims of the whole stacks.  A
+stack it ranks has the rank of the whole stack, and a row that names a
+failed certificate family skips nothing and gets the dims of the whole
+stacks, also when the fault is planted in an operator.  A
 stack fills only those columns of its differential and keeps none, so after
 a run the only matrices alive are those the operator caches hold.
 
@@ -19,7 +20,7 @@ failed, its row ranks the boundary and agrees with the shifted cohomology.
 Every licence of the table is a certificate family that holds on the
 catalog.  The relation entries [D_k | phi] are the stacks of the Koszul row
 of A/<phi>, which skips the D_k columns at the phi-multiple pivots only
-while [D_k, phi] = 0 is certified.
+while [D_k, phi] = 0 is certified, as does surface cohomology.
 
 The Koszul suite reads its ranks off the Koszul and de Rham rows of the
 table, which rank each map off the pivots of the image of the map into its
@@ -33,11 +34,12 @@ from __future__ import annotations
 import gc
 import weakref
 from collections import Counter
+from functools import partial
 
 import pytest
 
-from poissonsing import PoissonStructure, Poly, WeightSystem, cohomology, complexes, grad, linalg
-from poissonsing import operators, suites
+from poissonsing import PoissonStructure, Poly, VecPoly, WeightSystem, cohomology, complexes, cross
+from poissonsing import grad, linalg, operators, suites
 from poissonsing.cli import main
 from poissonsing.cohomology import default_window
 from poissonsing.complexes import complex_dim
@@ -299,11 +301,11 @@ def dim_or_error(P, block, side, k, i):
         return str(exc)
 
 
-def engine_run(monkeypatch, P, window=None):
+def engine_run(monkeypatch, P):
     """The (block, side, p, j) of every stack the memo holds after every
-    row ran on a derivation window (default: P's), homology on the window
-    shifted by |w|, and the dims (or errors) they gave; the relation
-    entries are the stacks of the Koszul row of A/<phi>."""
+    row ran on P's default derivation window, homology on it shifted by
+    |w|, and the dims (or errors) they gave; the relation entries are the
+    stacks of the Koszul row of A/<phi>."""
     keys = set()
     memo = complexes.stack_pivots
 
@@ -313,7 +315,7 @@ def engine_run(monkeypatch, P, window=None):
 
     monkeypatch.setattr(complexes, "stack_pivots", recording)
     dims = {}
-    lo, hi = window or default_window(P)
+    lo, hi = default_window(P)
     for block, side in complexes.COMPLEXES:
         shift = P.weight_sum if block == "homology" else 0
         for k in range(4):
@@ -332,7 +334,7 @@ def test_skipped_stacks_keep_the_rank_of_the_whole_stack(monkeypatch, phi, weigh
     # every row whose licence grants a skip set skips somewhere; ambient
     # homology shares the ambient cohomology stacks and ranks none of its own
     skipping = {key[:2] for key in keys if complexes.skipped(P, *key)}
-    licensed = {row for row, c in complexes.COMPLEXES.items() if c.licence != DUALITY}
+    licensed = {row for row, c in complexes.COMPLEXES.items() if c.skip != "shared"}
     assert skipping == licensed
     assert [key for key in keys if key[:2] == ("homology", "ambient")] == []
     # the Koszul row of A/<phi> skips the D_k columns of the phi-multiples,
@@ -350,7 +352,7 @@ def test_skipped_stacks_keep_the_rank_of_the_whole_stack(monkeypatch, phi, weigh
 def test_every_licence_is_a_certificate_that_holds_on_the_catalog(catalog_structures):
     # a licence that names no certificate family would raise KeyError only
     # when the engine first reads it
-    licences = sorted({row.licence for row in complexes.COMPLEXES.values()})
+    licences = sorted({f for row in complexes.COMPLEXES.values() for f in row.licences})
     for P, _ in catalog_structures:
         for licence in licences:
             cases, failure = complexes.certificate(P, licence)
@@ -538,72 +540,82 @@ def koszul_failure(P):
     return [complexes.certificate(P, "koszul_multiplication_commutes")[1]]
 
 
-def no_skip(P, p, j):
-    return 0
+def planted_koszul2(P, v):
+    # D_2 plus x^3 * dv/dx: still of order one, but [D_2, phi] != 0
+    return cross(v, P.nabla_phi) + VecPoly(tuple(f.partial(0) for f in v)) * Poly.variable(0) ** 3
 
 
-def source_relations(P, p, j):
-    # the surface homology skip of descent alone: the relations of X^p_j
-    return complexes.stack_pivots(P, "koszul", "surface", p + 1, j - P.degree)
-
-
-# A planted structure of x^3+y^3+z^3 (N = 0), or that structure with a
-# certificate failed by force, the row its fault concerns, the failed family
-# that certifies the row, its first failing probe, and the skip set the row
-# keeps at (p, j): none, or for boundary o boundary alone, the skip of descent.
+# A planted structure of x^3+y^3+z^3 (N = 0): its methods replaced, and an
+# operator of operators.named_operator replaced for it alone, or that
+# structure with a certificate failed by force; the row its fault concerns,
+# the failed family that certifies the row, and its first failing probe.
 FAULTS = [
     (
         "delta_squared_nonzero",
         {"delta1": lambda self, v: PoissonStructure.delta1(self, v) + v * Poly.variable(0)}, None,
-        ("cohomology", "ambient"), identities_failure, "delta1 o delta0 on f=x", no_skip,
+        None, ("cohomology", "ambient"), identities_failure, "delta1 o delta0 on f=x",
     ),
     (
         "boundary_not_commuting_with_phi",
         {"boundary": boundary_plus(3, lambda f: grad(f) * Poly.variable(0) ** 2)}, None,
-        ("homology", "surface"), descent_failure, "boundary_3(phi*c) != phi*boundary_3(c) at c=1",
-        no_skip,
+        None, ("homology", "surface"), descent_failure,
+        "boundary_3(phi*c) != phi*boundary_3(c) at c=1",
     ),
     (
         "boundary_squared_failed_with_descent_holding",
-        {}, "boundary_squared_vanishes",
-        ("homology", "surface"), squared_failure, "forced", source_relations,
+        {}, None, "boundary_squared_vanishes", ("homology", "surface"), squared_failure, "forced",
     ),
     (
         "koszul_multiplication_failed",
-        {}, "koszul_multiplication_commutes",
-        ("koszul", "surface"), koszul_failure, "forced", no_skip,
+        {}, None, "koszul_multiplication_commutes", ("koszul", "surface"), koszul_failure, "forced",
+    ),
+    (
+        # the Casimir identity still holds, but the surface cohomology stack
+        # maps the phi-multiples into its relations only while [D_p, phi] = 0
+        "koszul_multiplication_planted",
+        {}, ("koszul2", planted_koszul2), None, ("cohomology", "surface"), koszul_failure,
+        "D_2(phi*c) != phi*D_2(c) at c=(1, 0, 0)",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "methods,forced,row,family_failure,failure,skip", [case[1:] for case in FAULTS],
+    "methods,operator,forced,row,family_failure,failure", [case[1:] for case in FAULTS],
     ids=[case[0] for case in FAULTS],
 )
 def test_a_failed_certificate_skips_nothing(
-    monkeypatch, methods, forced, row, family_failure, failure, skip
+    monkeypatch, methods, operator, forced, row, family_failure, failure
 ):
-    # nothing that the failed family certifies is skipped: a row whose only
-    # licence failed skips nothing, and surface homology with descent still
-    # holding skips the source relations alone; every other row whose
-    # licence holds keeps its skip set (surface cohomology its Casimir skip
-    # when the Koszul row of A/<phi>, which shares its T and S, fails)
+    # nothing that a failed family certifies is skipped: every row that
+    # names it skips nothing (surface cohomology too when the Koszul row of
+    # A/<phi>, which shares its T and S, fails, and surface homology when
+    # boundary o boundary fails with descent still holding), and every row
+    # whose licences all hold keeps its skip set
     P = planted("x^3+y^3+z^3", (1, 1, 1), **methods)
+    if operator:
+        name, replaced = operator
+        named = operators.named_operator
+        monkeypatch.setattr(
+            operators, "named_operator",
+            lambda Q, n: partial(replaced, Q) if Q is P and n == name else named(Q, n),
+        )
     if forced:
         certify = complexes.certificate
         monkeypatch.setattr(
             complexes, "certificate",
             lambda P, family: (1, "forced") if family == forced else certify(P, family),
         )
-    # the default window ends at 9; without its certificate a row costs more
-    keys, dims = engine_run(monkeypatch, P, (-3, 6))
-    stacks = sorted(key for key in keys if key[:2] == row)
-    assert stacks
-    assert [complexes.skipped(P, *key) for key in stacks] == [skip(P, *key[2:]) for key in stacks]
-    assert any(skip(P, *key[2:]) for key in stacks) == (skip is not no_skip)
+    keys, dims = engine_run(monkeypatch, P)
+    assert any(key[:2] == row for key in keys)
+    naming = {
+        other for other, c in complexes.COMPLEXES.items()
+        if any(complexes.certificate(P, family)[1] for family in c.licences)
+    }
+    assert row in naming
+    assert [key for key in keys if key[:2] in naming and complexes.skipped(P, *key)] == []
     holding = {
         other for other, c in complexes.COMPLEXES.items()
-        if other != row and c.licence != DUALITY and not complexes.certificate(P, c.licence)[1]
+        if other not in naming and c.skip != "shared"
     }
     assert holding and holding <= {key[:2] for key in keys if complexes.skipped(P, *key)}
     # the dims of the whole stacks, as when no column was ever skipped

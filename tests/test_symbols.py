@@ -20,7 +20,7 @@ from poissonsing.linalg import apply_symbol, symbol_of, term_maps
 from poissonsing.operators import named_operator, operator_symbol
 from poissonsing.vectorcalc import cross, curl, divergence, dot, grad
 
-from .conftest import CATALOG, boundary_plus, planted, structure
+from .conftest import CATALOG, boundary_plus, planted, signed_coboundary_symbol, structure
 
 # x^3+y^3+z^3 after x -> x+y+z: the dense twin of the cubic
 DENSE_CUBIC = "x^3+2*y^3+2*z^3+3*x^2*y+3*x^2*z+3*x*y^2+3*y^2*z+3*x*z^2+3*y*z^2+6*x*y*z"
@@ -137,7 +137,7 @@ def poly_certificate(P, family):
     def dual(case):
         k, s, i = case
         boundary = operator_symbol(P, "boundary%d" % k)
-        signed = operator_symbol(P, "delta%d" % (3 - k)).scaled((-1) ** k)
+        signed = signed_coboundary_symbol(P, k)
         if boundary.terms[s][i - 1] == signed.terms[s][i - 1]:
             return None
         c = omega[k][boundary.source_components * i + s]
