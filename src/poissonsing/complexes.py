@@ -27,9 +27,15 @@ W its skipped columns take (skip, below); and every certificate family
 that W rests on (licences).  The closed forms and engines are bound in
 suites.space_family, and every space is named by space_name.
 
-The cycle stack of X^p_j is [[T; d] | [S; 0] | [0; R]] (stack_columns),
-ranked once by the one memo stack_pivots, which keeps the pivot set of its
-echelon (stack_rank is its size) and no matrix.  The boundary stack at
+The cycle stack of X^p_j is [[T; d] | [S; 0] | [0; R]], ranked once by
+the one memo stack_pivots, which keeps the pivot set of its echelon
+(stack_rank is its size) and no matrix.  stack_columns gives it as its
+other columns ([T; d], then the D_k columns of R) and its relation regions,
+the phi-multiples of S and of R.  No phi block is filled: each phi*m has
+its own smallest index, that of LM(phi)*m (operators.phi_multiples), and
+arrives after every column that starts below it, so it claims that index
+as a pivot, unbuilt, unless an echelon row holds it already, and only
+then is its column built and reduced.  The boundary stack at
 (p, j) is the cycle stack one step before, at (p-e, j-s).  So every
 dimension is one linalg.subquotient_dim call (complex_dim) in n = dim
 X^p_j, the rank of the stack, the rank of its relation columns [S; 0] |
@@ -56,7 +62,7 @@ skips only while every family it names holds, and its W is one of:
     (1, j-d)), on boundary o boundary = 0 (boundary_squared_vanishes) and
     descent to the quotient (quotient_boundary_well_defined), at p = 0 too;
   "relations": R one step before, phi*X^p_{j-d}, whose pivots are the
-    indices of LM(phi)*m (operators.phi_multiple_pivots, no elimination).
+    indices of LM(phi)*m (operators.phi_multiples, no elimination).
     Surface cohomology rests on [delta, phi] = 0 and [D_p, phi] = 0
     (casimir_ and koszul_multiplication_commutes), as stack(phi*x) =
     [S(D_p x); R(delta x)]; the Koszul row of A/<phi> on [D_p, phi] = 0
@@ -67,8 +73,8 @@ skips only while every family it names holds, and its W is one of:
     and otherwise the row ranks the boundary.
 Each family is certified once per structure on the operators' symbols
 (certificate, on the cases of IDENTITIES).  The surface homology stacks
-reduce the stack_columns of the Koszul row of A/<phi>, off that row's skip
-set.  When N < 0 the delta and surface homology rows skip off stacks above
+take the D_k columns and the regions of the Koszul row of A/<phi> as their
+R, off that row's skip set.  When N < 0 the delta and surface homology rows skip off stacks above
 the window.
 """
 
@@ -77,12 +83,10 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
-from .linalg import KINDS, Symbol, Vector, apply_symbol, basis_of, offset_vector
-from .linalg import pivots_of_columns, subquotient_dim, term_maps
-from .operators import OUTGOING, PIECES, operator_columns, operator_symbol, phi_multiple_pivots
-from .operators import step
+from .linalg import KINDS, Echelon, Symbol, Vector, apply_symbol, basis_of, offset_vector
+from .linalg import subquotient_dim, term_maps
+from .operators import OUTGOING, PIECES, operator_columns, operator_symbol, phi_multiples, step
 from .poisson import PoissonStructure
 from .poly import UNIT_WEIGHTS, Poly, monomials_of_degree
 from .vectorcalc import VecPoly
@@ -267,16 +271,6 @@ def _relation_entry(P: PoissonStructure, row: Complex, p: int, j: int) -> tuple[
     return p + e + 1, j + s - P.degree
 
 
-def target_relations(P: PoissonStructure, row: Complex, p: int, j: int) -> Iterable[Vector]:
-    """The columns of R that the stack reduces, built only for the halves
-    the row names: both, the stack_columns of the Koszul row of A/<phi>
-    (phi's alone for k = 4: D_4 is none), or phi's."""
-    k, i = _relation_entry(P, row, p, j)
-    if "koszul" in row.relations:
-        return stack_columns(P, "koszul", "surface", k, i)
-    return operator_columns(P, OUTGOING["phi", k - 1], i) if row.relations else ()
-
-
 def _target_rank(P: PoissonStructure, row: Complex, p: int, j: int) -> int:
     """rank R; the phi half alone is injective, of rank its source dim."""
     k, i = _relation_entry(P, row, p, j)
@@ -296,36 +290,65 @@ def skipped(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
     k, i = _relation_entry(P, row, p - e, j - s)  # R one step before
     if "koszul" in row.relations:
         return stack_pivots(P, "koszul", "surface", k, i)
-    return phi_multiple_pivots(P, k - 1, i) if row.relations else 0
+    return sum(1 << lead for lead in phi_multiples(P, k - 1, i)[0]) if row.relations else 0
 
 
-def stack_columns(P: PoissonStructure, block: str, side: str, p: int, j: int) -> Iterable[Vector]:
-    """The columns of the cycle stack [[T; d] | [S; 0] | [0; R]] of X^p_j in
-    the (block, side) complex that an echelon of it reduces, in that order:
-    the top ones less those at the skipped pivots, then S's, then R's as
-    target_relations gives them.  No column of d at a skipped pivot is
-    filled, and no block out of an empty X^p_j."""
+def stack_columns(
+    P: PoissonStructure, block: str, side: str, p: int, j: int
+) -> tuple[list[Vector], list[tuple[int, int, int]]]:
+    """The cycle stack [[T; d] | [S; 0] | [0; R]] of X^p_j in the (block,
+    side) complex, as its other columns and its relation regions, each in
+    the order an echelon of it reduces them.  The other columns are the top
+    ones less those at the skipped pivots, then, for surface homology, the
+    D_k columns of the Koszul row of A/<phi> in R; a region (offset, k, i)
+    is the phi-multiples of X^k_i on the rows from offset on: S's, then the
+    phi half of R.  No column of d at a skipped pivot is filled, and no
+    block out of an empty X^p_j."""
     row = COMPLEXES[block, side]
-    skip, top = 0, []
+    skip, columns = 0, []
     if cochain_dim(P, p, j):
         skip = skipped(P, block, side, p, j)
-        top = operator_columns(P, OUTGOING[row.differential, p], j, skip)
-    rows_top, s_cols = 0, []
+        columns = operator_columns(P, OUTGOING[row.differential, p], j, skip)
+    rows_top, regions = 0, []
     if row.constrained and p:
         rows_top = cochain_dim(P, p - 1, j + P.degree)
-        s_cols = operator_columns(P, OUTGOING["phi", p - 1], j)
+        regions.append((0, p - 1, j))
         t_cols = operator_columns(P, OUTGOING["koszul", p], j, skip)
-        top = [{**t, **offset_vector(c, rows_top)} for t, c in zip(t_cols, top)]
-    r_cols = (offset_vector(c, rows_top) for c in target_relations(P, row, p, j))
-    return chain(top, s_cols, r_cols)
+        columns = [{**t, **offset_vector(c, rows_top)} for t, c in zip(t_cols, columns)]
+    if row.relations:
+        k, i = _relation_entry(P, row, p, j)
+        relations = [(0, k - 1, i)]
+        if "koszul" in row.relations:  # both halves: the stack of the Koszul row of A/<phi>
+            wedges, relations = stack_columns(P, "koszul", "surface", k, i)
+            columns = [*columns, *(offset_vector(c, rows_top) for c in wedges)]
+        regions += [(rows_top + offset, q, n) for offset, q, n in relations]
+    return columns, regions
 
 
 @lru_cache(maxsize=None)
 def stack_pivots(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:
-    """The pivots of an echelon of the stack_columns of X^p_j in the (block,
-    side) complex, for p where the family has a map out of X^p, as the bits
-    of one int; the one rank memo, which keeps no matrix."""
-    return pivots_of_columns(stack_columns(P, block, side, p, j))
+    """The pivots of an echelon of the stack of X^p_j in the (block, side)
+    complex (stack_columns), for p where the family has a map out of X^p, as
+    the bits of one int; the one rank memo, which keeps no matrix.  After
+    the other columns, each phi-multiple of the regions, in order, claims
+    its leading index (operators.phi_multiples) unbuilt while that is no
+    pivot, and is built and inserted otherwise: every later column starts
+    at a larger index, and a reduction only raises it, so no column ever
+    reduces at a claimed index, and the pivots and every reduction are
+    those of the whole stack."""
+    columns, regions = stack_columns(P, block, side, p, j)
+    echelon = Echelon()
+    for column in columns:
+        echelon.insert(column)
+    claimed = 0
+    for offset, k, i in regions:
+        leads, column_of = phi_multiples(P, k, i)
+        for t, lead in enumerate(leads):
+            if echelon.has_pivot(offset + lead):
+                echelon.insert(offset_vector(column_of(t), offset))
+            else:
+                claimed |= 1 << (offset + lead)
+    return echelon.pivots() | claimed
 
 
 def stack_rank(P: PoissonStructure, block: str, side: str, p: int, j: int) -> int:

@@ -10,7 +10,8 @@ that certificate holds and ranks the boundary itself when it fails.
 
 On A/<phi> the form spaces are presented as quotients of A and A^3 by the
 relations generated by phi and by wedging with d(phi), the cycle stacks of
-the Koszul row of A/<phi> (complexes.stack_columns).  The boundaries descend:
+the Koszul row of A/<phi> (complexes.stack_columns), whose phi-multiples
+are built only where their leading index is taken.  The boundaries descend:
 projection_commutes certifies it once per structure, for every degree, on
 the symbols and probe set of two order-one intertwinings (boundary_k commutes with phi,
 and carries D_{4-k} to D_{5-k} o boundary_{k-1}); surface_homology_dims

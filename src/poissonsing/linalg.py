@@ -232,15 +232,21 @@ class Echelon:
     def contains(self, vec: Vector) -> bool:
         return self._reduce(vec, False) is None
 
+    def has_pivot(self, p: int) -> bool:
+        return p in self._rows
+
+    def pivots(self) -> int:
+        """The pivot rows, as the bits of one int; its bit_count() is the rank."""
+        return sum(1 << p for p in self._rows)
+
 
 def pivots_of_columns(columns: Iterable[Vector]) -> int:
-    """The pivot rows of an echelon of the columns, as the bits of one int;
-    its bit_count() is their rank."""
+    """The pivots of an echelon of the columns (Echelon.pivots)."""
     ech = Echelon()
     insert = ech.insert
     for col in columns:
         insert(col)
-    return sum(1 << p for p in ech._rows)
+    return ech.pivots()
 
 
 def columns_off_pivots(columns: Sequence[Vector], pivots: int) -> list[Vector]:

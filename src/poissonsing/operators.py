@@ -16,19 +16,24 @@ there (_symbol), and the certificates run the symbol itself
 (linalg.apply_symbol).  Every matrix is filled from it in ints by linalg's
 matrix_of, through one constructor (operator_matrix) that caches nothing.
 The engines read a block's columns through one reader, operator_columns,
-off a skip set: the blocks of phi, the Koszul maps and de Rham are read
-more than once and are kept (kept_matrix, a value: its readers keep any
-rank of it themselves); a coboundary or boundary block is filled afresh at
-each read, on its unskipped columns alone (complexes.stack_pivots).
+off a skip set: the blocks of the Koszul maps and de Rham are read more
+than once and are kept (kept_matrix, a value: its readers keep any rank of
+it themselves); a coboundary or boundary block is filled afresh at each
+read, on its unskipped columns alone (complexes.stack_pivots).  No block of
+phi is filled or kept: phi_multiples gives the leading index of each
+phi-multiple without elimination and builds its column only when asked,
+from the phi symbol.
 OUTGOING and STEPS read off PIECES each family's map out of X^p and its
 step, from which complexes finds every spot of its complexes.  This module
-holds operators only: every rank is kept by complexes.stack_pivots, and
-phi_multiple_pivots, the pivots of the phi-multiples found without
-elimination, serves the skip sets that complexes.skipped licenses.
+holds operators only: every rank is kept by complexes.stack_pivots, which
+claims the leading index of each phi-multiple that brings a new pivot and
+builds the others, and phi_multiples also serves the skip sets that
+complexes.skipped licenses.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache, partial
 
 from .linalg import KINDS, GradedOperatorMatrix, Symbol, Vector, basis_of, columns_off_pivots
@@ -118,15 +123,15 @@ def operator_matrix(P: PoissonStructure, name: str, i: int, skip: int = 0) -> Gr
 
 @lru_cache(maxsize=None)
 def kept_matrix(P: PoissonStructure, name: str, i: int) -> GradedOperatorMatrix:
-    """operator_matrix(P, name, i), kept for the blocks of phi, the Koszul
-    maps and de Rham, which are read more than once; read through
+    """operator_matrix(P, name, i), kept for the blocks of the Koszul maps
+    and de Rham, which are read more than once; read through
     operator_columns alone."""
     return operator_matrix(P, name, i)
 
 
 def operator_columns(P: PoissonStructure, name: str, i: int, skip: int = 0) -> list[Vector]:
     """The columns of the named block at degree i off the bits of skip: the
-    kept block's for phi, Koszul and de Rham (its own list if skip is 0; no
+    kept block's for Koszul and de Rham (its own list if skip is 0; no
     reader changes it); for delta and the boundary, filled on those alone."""
     if name.startswith(("delta", "boundary")):
         return operator_matrix(P, name, i, skip).columns
@@ -134,20 +139,40 @@ def operator_columns(P: PoissonStructure, name: str, i: int, skip: int = 0) -> l
     return columns_off_pivots(columns, skip) if skip else columns
 
 
-def phi_multiple_pivots(P: PoissonStructure, k: int, i: int) -> int:
-    """The pivots in X^k at degree i+deg(phi) of the phi-multiples of X^k_i,
-    as the bits of one int: the indices of LM(phi)*m for the basis elements
-    m of X^k_i, with LM(phi) the lex-largest exponent of the homogeneous
+def phi_multiples(
+    P: PoissonStructure, k: int, i: int
+) -> tuple[list[int], Callable[[int], Vector]]:
+    """The phi-multiples of X^k_i in X^k at degree i+deg(phi): the leading
+    index of each phi*m, m in basis order, found without elimination, and a
+    maker of the column of phi times basis element t, built only when it is
+    called, from the phi symbol of P.integral by matrix_of's exponent
+    arithmetic on its order-0 terms (phi's are no others), so it is column
+    t of operator_matrix(P, "phi%d" % k, i).  The leading index is that of
+    LM(phi)*m, with LM(phi) the lex-largest exponent of the homogeneous
     phi, looked up in the target's (offset, shared X0 position map) pairs.
-    Each piece lists its monomials in descending lex order, so that index is
-    the smallest of the column of phi*m and the indices are distinct."""
+    Each piece lists its monomials in descending lex order, so that index
+    is the smallest of the column of phi*m, and the indices increase along
+    the basis."""
     source = basis_of(KINDS[k], i, P.weights)
-    if not source.dim:
-        return 0
-    index = basis_of(KINDS[k], i + P.degree, P.weights)._index
+    index = basis_of(KINDS[k], i + P.degree, P.weights)._index if source.dim else ()
     a, b, c = max(P.phi.terms)
-    return sum(
-        1 << (offset + positions[e0 + a, e1 + b, e2 + c])
+    leads = [
+        offset + positions[e0 + a, e1 + b, e2 + c]
         for (offset, positions), monomials in zip(index, source.monomials)
         for e0, e1, e2 in monomials
-    )
+    ]
+    terms = [  # per source component: (offset, position map, exponent shift, coefficient)
+        [(*index[t], o0, o1, o2, v) for t, o0, o1, o2, v in groups[3]]
+        for groups in operator_symbol(P, "phi%d" % k).terms
+    ] if index else []
+
+    def column(t: int) -> Vector:
+        for s, monomials in enumerate(source.monomials):
+            if t < len(monomials):
+                break
+            t -= len(monomials)
+        e0, e1, e2 = monomials[t]
+        return {offset + positions[e0 + o0, e1 + o1, e2 + o2]: v
+                for offset, positions, o0, o1, o2, v in terms[s]}
+
+    return leads, column

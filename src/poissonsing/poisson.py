@@ -77,7 +77,11 @@ class PoissonStructure:
 
     def bracket(self, f: Poly, g: Poly) -> Poly:
         """{f, g} = det(grad f, grad g, grad phi)."""
-        return dot(self.nabla_phi, cross(grad(f), grad(g)))
+        return self.gradient_bracket(grad(f), grad(g))
+
+    def gradient_bracket(self, grad_f: VecPoly, grad_g: VecPoly) -> Poly:
+        """{f, g} from the gradients of f and g."""
+        return dot(self.nabla_phi, cross(grad_f, grad_g))
 
     def jacobiator(self, f: Poly, g: Poly, h: Poly) -> Poly:
         """{{f,g},h} + {{g,h},f} + {{h,f},g}.

@@ -47,7 +47,7 @@ from .milnor import MilnorData, check_isolated
 from .operators import operator_columns, operator_symbol, step
 from .poisson import PoissonStructure
 from .poly import Poly
-from .vectorcalc import cross, curl, divergence, dot, euler_field, grad
+from .vectorcalc import VecPoly, cross, curl, divergence, dot, euler_field, grad
 
 SUITE_NAMES = ("identities", "koszul", "cohomology", "homology", "surface")
 
@@ -168,7 +168,9 @@ def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult
     (i+|w|)*m on the weighted sum of the de_rham1 columns of x_a*m*e_a in
     X^1_i, by index and exponent arithmetic, the bases looked up once per
     degree.  The gradient, curl, divergence and partials of each
-    probe are computed once per call, not once per pair.  A failure names
+    probe are computed once per call, not once per pair: the bracket is
+    taken on the gradient its partials make (PoissonStructure.
+    gradient_bracket, which P.bracket calls).  A failure names
     the first failing probe.  The two delta families are
     complexes.certificate, evaluated once per structure on the symbols of
     delta^k and shared with the engine, which skips stack columns on their
@@ -179,7 +181,7 @@ def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult
     # the derivatives of each probe, once per call (looked up at call time)
     scalars = [(f, grad(f)) for f in PROBES]
     vectors = [(g, curl(g), divergence(g)) for g in VECTOR_PROBES]
-    partials = [(f, (f.partial(0), f.partial(1), f.partial(2))) for f in PROBES]
+    partials = [(f, VecPoly((f.partial(0), f.partial(1), f.partial(2)))) for f in PROBES]
 
     def curl_product(case):
         (f, grad_f), (g, curl_g, _) = case
@@ -252,9 +254,10 @@ def identities_suite(P: PoissonStructure, window: ch.Window) -> list[CheckResult
         return None if P.jacobiator(*case).is_zero() else "f=%s, g=%s, h=%s" % case
 
     def bracket_expansion(case):
-        (f, (fx, fy, fz)), (g, (gx, gy, gz)) = case
+        (f, grad_f), (g, grad_g) = case
+        (fx, fy, fz), (gx, gy, gz) = grad_f, grad_g
         direct = pz * (fx * gy - fy * gx) + px * (fy * gz - fz * gy) + py * (fz * gx - fx * gz)
-        return None if P.bracket(f, g) == direct else "f=%s, g=%s" % (f, g)
+        return None if P.gradient_bracket(grad_f, grad_g) == direct else "f=%s, g=%s" % (f, g)
 
     coordinates = tuple(Poly.variable(a) for a in range(3))
     families = [

@@ -2,7 +2,8 @@
 no package export and no definition under src/ that only the tests use, no
 sampling in src/, no boundary defined through the coboundary, no Fraction
 in linalg, no engine matrix or symbol built outside its one constructor
-(BUILDERS), no block read past operator_columns (READERS), no certificate
+(BUILDERS), no block read past operator_columns (READERS), no phi block
+filled or kept under src/ (BLOCKS), no certificate
 family named under src/ that fails on a catalog structure, no certificate
 family named in complexes outside its identity table and its table of
 complexes (FAMILY_TABLES), and no JSON indented by json.dumps under src/
@@ -465,20 +466,22 @@ def test_reader_scan_sees_every_read_form():
     ]
 
 
-# The one place under src/ that may read operators.phi_multiple_pivots, as
-# (module, top-level definition): the pivots of the phi-multiples are a
-# skip set only where a row's licence grants them, which complexes.skipped
-# checks, so that no column is skipped without a certificate.
-PHI_MULTIPLE_READERS = {("complexes", "skipped")}
+# The places under src/ that may read operators.phi_multiples, as (module,
+# top-level definition): the pivots of the phi-multiples are a skip set
+# only where a row's licence grants them, which complexes.skipped checks,
+# so that no column is skipped without a certificate; and stack_pivots
+# uses every phi-multiple of a stack's relation regions, claiming its
+# leading index or building and inserting its column, and skips none.
+PHI_MULTIPLE_READERS = {("complexes", "skipped"), ("complexes", "stack_pivots")}
 
 
 def test_phi_multiple_pivots_are_read_only_where_a_licence_is_checked():
     found = [
         (path.stem, owner, "%s:%d" % (path.relative_to(ROOT), line))
         for path in SRC
-        for line, _, owner in reader_uses(path.read_text(), {"phi_multiple_pivots"})
+        for line, _, owner in reader_uses(path.read_text(), {"phi_multiples"})
     ]
-    stray = ["%s reads phi_multiple_pivots" % where for module, owner, where in found
+    stray = ["%s reads phi_multiples" % where for module, owner, where in found
              if (module, owner) not in PHI_MULTIPLE_READERS]
     assert not stray, "\n".join(stray)
     assert {(module, owner) for module, owner, _ in found} == PHI_MULTIPLE_READERS
@@ -486,23 +489,79 @@ def test_phi_multiple_pivots_are_read_only_where_a_licence_is_checked():
 
 def test_phi_multiple_scan_sees_every_read_form():
     source = (
-        "from .operators import phi_multiple_pivots\n"
-        "def phi_multiple_pivots(P, k, i):\n"
-        "    return 0\n"
+        "from .operators import phi_multiples\n"
+        "def phi_multiples(P, k, i):\n"
+        "    return [], None\n"
         "def skipped(P, p, j):\n"
-        "    return phi_multiple_pivots(P, p, j - P.degree)\n"
+        "    return phi_multiples(P, p, j - P.degree)[0]\n"
         "def other(P):\n"
-        "    read = operators.phi_multiple_pivots\n"
-        "    return [phi_multiple_pivots], read(P, 0, 0)\n"
+        "    read = operators.phi_multiples\n"
+        "    return [phi_multiples], read(P, 0, 0)\n"
         "class K:\n"
         "    def m(self):\n"
-        "        return self.phi_multiple_pivots(None, 0, 0)\n"
-        "x = phi_multiple_pivots(None, 0, 0)\n"
+        "        return self.phi_multiples(None, 0, 0)\n"
+        "x = phi_multiples(None, 0, 0)\n"
     )
-    assert reader_uses(source, {"phi_multiple_pivots"}) == [
-        (5, "phi_multiple_pivots", "skipped"), (7, "phi_multiple_pivots", "other"),
-        (8, "phi_multiple_pivots", "other"), (11, "phi_multiple_pivots", "K"),
-        (12, "phi_multiple_pivots", ""),
+    assert reader_uses(source, {"phi_multiples"}) == [
+        (5, "phi_multiples", "skipped"), (7, "phi_multiples", "other"),
+        (8, "phi_multiples", "other"), (11, "phi_multiples", "K"),
+        (12, "phi_multiples", ""),
+    ]
+
+
+# The block constructors of operators.  The engine neither fills nor keeps
+# a block of phi: a stack claims the leading index of each phi-multiple and
+# builds a column only where that index is taken (operators.phi_multiples,
+# from the phi symbol).  The certificates read the phi symbols, not blocks.
+BLOCKS = {"kept_matrix", "operator_columns", "operator_matrix"}
+
+
+def phi_block_calls(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every call of a BLOCKS name, bare or as an attribute,
+    whose operator (its second argument, or name=) holds a string literal
+    that starts with "phi", as "phi%d" % k or OUTGOING["phi", k] do."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name not in BLOCKS:
+            continue
+        args = [*node.args[1:2], *(kw.value for kw in node.keywords if kw.arg == "name")]
+        if any(
+            isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.startswith("phi")
+            for arg in args for n in ast.walk(arg)
+        ):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_no_phi_block_is_filled_or_kept():
+    found = [
+        "%s:%d calls %s on a phi block" % (path.relative_to(ROOT), line, name)
+        for path in SRC
+        for line, name in phi_block_calls(path.read_text())
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_phi_block_scan_sees_every_call_form():
+    source = (
+        "kept_matrix(P, 'phi%d' % k, i)\n"
+        "operator_columns(P, OUTGOING['phi', p - 1], j)\n"
+        "operators.operator_matrix(P, name='phi0', i=0)\n"
+        "def f(P, k):\n"
+        "    return self.operator_columns(P, 'phi%d' % (k - 1), 0, skip)\n"
+        "operator_matrix(P, 'delta1', 0)\n"
+        "operator_columns(P, OUTGOING['koszul', p], j, 'phi')\n"
+        "operator_symbol(P, 'phi%d' % k)\n"
+        "phi_multiples(P, k, i)\n"
+        "x = 'phi0'\n"
+    )
+    assert phi_block_calls(source) == [
+        (1, "kept_matrix"), (2, "operator_columns"), (3, "operator_matrix"),
+        (5, "operator_columns"),
     ]
 
 

@@ -75,7 +75,7 @@ def test_horizontal_products(catalog_structures):
         koszul = _koszul_operators(P)
         for i in _window(default_window(P)):
             for k in (0, 1, 2, 3):
-                _check(kept_matrix(P, "phi%d" % k, i), lambda c: c * P.phi)
+                _check(operator_matrix(P, "phi%d" % k, i), lambda c: c * P.phi)
             for k in (1, 2, 3):
                 _check(kept_matrix(P, "koszul%d" % k, i), koszul[k])
 
@@ -94,26 +94,26 @@ def test_relation_presentations(catalog_structures):
     A/<phi>, is [D_k | phi on X^{k-1}] into X^{k-1} at degree i + deg(phi),
     for k = 1..4 (no D_4), on every degree that the surface cochains of the
     default window and the relations of the form window (one deg(phi)
-    lower) read: the row's stack_columns are its columns less D_k's at the
-    row's skip set, and its stack_rank is the rank of all of them."""
+    lower) read: the row's stack_columns are D_k's columns less those at
+    the row's skip set, and one relation region, phi on X^{k-1}_i from row
+    0 on; its stack_rank is the rank of all of [D_k | phi]."""
     for P, _ in catalog_structures:
         koszul = _koszul_operators(P)
         lo, hi = default_window(P)
         for i in range(lo - P.degree, hi + 1):
             for k in (1, 2, 3, 4):
-                phi = kept_matrix(P, "phi%d" % (k - 1), i)
+                phi = operator_matrix(P, "phi%d" % (k - 1), i)
                 assert (phi.source.kind, phi.target.kind) == ("X%d" % (k - 1),) * 2
                 _check(phi, lambda c: c * P.phi)
-                if k == 4:
-                    columns = phi.columns
-                else:
+                columns, kept = phi.columns, []
+                if k < 4:
                     D = kept_matrix(P, "koszul%d" % k, i)
                     assert (D.source.kind, D.target) == ("X%d" % k, phi.target)
                     _check(D, koszul[k])
                     columns = D.columns + phi.columns
                     kept = columns_off_pivots(D.columns, skipped(P, "koszul", "surface", k, i))
-                    kept += phi.columns
-                    assert list(stack_columns(P, "koszul", "surface", k, i)) == kept, (k, i)
+                relations = [(0, k - 1, i)]
+                assert stack_columns(P, "koszul", "surface", k, i) == (kept, relations), (k, i)
                 rank = stack_rank(P, "koszul", "surface", k, i)
                 assert rank == echelon_rank(echelon_of(columns)), (k, i)
 

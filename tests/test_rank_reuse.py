@@ -46,9 +46,11 @@ from poissonsing.complexes import complex_dim
 from poissonsing.homology import default_form_window, homology_dims, projection_commutes
 from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector
 from poissonsing.linalg import pivots_of_columns, rank_of_columns
-from poissonsing.operators import OUTGOING, kept_matrix, operator_matrix, phi_multiple_pivots
+from poissonsing.operators import OUTGOING, kept_matrix, operator_matrix, phi_multiples
 
-from .conftest import boundary_matrix, boundary_plus, echelon_rank, form_basis, planted, structure
+from .conftest import CATALOG, boundary_matrix, boundary_plus, echelon_rank, form_basis, planted
+from .conftest import structure
+from .test_dense_twins import TWINS
 
 # the licence under which ambient homology shares the cohomology stacks
 DUALITY = "boundary_equals_signed_coboundary"
@@ -69,7 +71,7 @@ def _constraint_blocks(P, k, i):
     if k == 0:
         return n, 0, [], []
     D = kept_matrix(P, "koszul%d" % k, i)
-    return n, D.target.dim, D.columns, kept_matrix(P, "phi%d" % (k - 1), i).columns
+    return n, D.target.dim, D.columns, operator_matrix(P, "phi%d" % (k - 1), i).columns
 
 
 def _constraint_rank(P, k, i):
@@ -83,7 +85,7 @@ def _omega_relation_columns(P, k, i):
     i - deg(phi); d(phi) ^ Omega^{k-1} is the Koszul map D_{4-k}."""
     j = i - P.weight_sum - P.degree
     wedges = kept_matrix(P, "koszul%d" % (4 - k), j).columns if k else []
-    return [*wedges, *kept_matrix(P, "phi%d" % (3 - k), j).columns]
+    return [*wedges, *operator_matrix(P, "phi%d" % (3 - k), j).columns]
 
 
 def _stack_rank(P, k, i, extra_k, extra_degree):
@@ -97,7 +99,7 @@ def _stack_rank(P, k, i, extra_k, extra_degree):
         ech.insert(merged)
     for col in p_cols:
         ech.insert(col)
-    for col in kept_matrix(P, "phi%d" % extra_k, extra_degree).columns:
+    for col in operator_matrix(P, "phi%d" % extra_k, extra_degree).columns:
         ech.insert(offset_vector(col, rows_top))
     return echelon_rank(ech)
 
@@ -260,11 +262,15 @@ def test_negative_dimension_names_the_space_degree_and_ranks(
 # ---------------------------------------------------------------------------
 
 
-def whole_stack_rank(P, block, side, p, j):
-    """rank of the cycle stack [[T; d] | [S; 0] | [0; R]] of X^p_j, for p
-    where the row's family has a map out of X^p (0..2 for delta and the
-    boundary, 1..3 for Koszul and de Rham), with every column reduced, from
-    the engine's matrices: the Koszul row of A/<phi> stacks [D_p | phi]."""
+def materialised_stack(P, block, side, p, j, skipping=False):
+    """The columns of the cycle stack [[T; d] | [S; 0] | [0; R]] of X^p_j,
+    for p where the row's family has a map out of X^p (0..2 for delta and
+    the boundary, 1..3 for Koszul and de Rham), every phi-multiple built,
+    from the engine's matrices, in the order the engine reduced them before
+    it claimed phi-multiples: the top columns, S, then the whole relation
+    block [D_k | phi] of R; with skipping, the top and the D_k columns less
+    those at their rows' skip sets.  The Koszul row of A/<phi> stacks
+    [D_p | phi]."""
     row = complexes.COMPLEXES[block, side]
     top = []
     if basis_of("X%d" % p, j, P.weights).dim:
@@ -275,23 +281,32 @@ def whole_stack_rank(P, block, side, p, j):
         top = d.columns
     rows_top, s_cols = 0, []
     if row.constrained and p:
-        T, S = kept_matrix(P, "koszul%d" % p, j), kept_matrix(P, "phi%d" % (p - 1), j)
+        T, S = kept_matrix(P, "koszul%d" % p, j), operator_matrix(P, "phi%d" % (p - 1), j)
         rows_top, s_cols = T.target.dim, S.columns
         top = [{**t, **offset_vector(c, rows_top)} for t, c in zip(T.columns, top)]
-    # the whole relation blocks [D_k | phi] of R, on the target of X^p_j,
-    # none of their columns skipped (no D_4): R_{p+1} one deg(phi) below
-    # for the (co)homology rows, phi on X^{p-1}_j for the Koszul row
+    if skipping:
+        top = linalg.columns_off_pivots(top, complexes.skipped(P, block, side, p, j))
+    # the relation blocks [D_k | phi] of R, on the target of X^p_j (no
+    # D_4): R_{p+1} one deg(phi) below for the (co)homology rows, phi on
+    # X^{p-1}_j for the Koszul row
     if row.differential == "koszul":
         k, i = p, j
     else:
         k, i = p + 2, j + P.coboundary_degree - P.degree
     relations = []
     if "koszul" in row.relations and k < 4:
-        relations.append(kept_matrix(P, "koszul%d" % k, i))
+        relations = kept_matrix(P, "koszul%d" % k, i).columns
+        if skipping:
+            skip = complexes.skipped(P, "koszul", "surface", k, i)
+            relations = linalg.columns_off_pivots(relations, skip)
     if row.relations:
-        relations.append(kept_matrix(P, "phi%d" % (k - 1), i))
-    r_cols = [offset_vector(c, rows_top) for m in relations for c in m.columns]
-    return rank_of_columns([*top, *s_cols, *r_cols])
+        relations = [*relations, *operator_matrix(P, "phi%d" % (k - 1), i).columns]
+    return [*top, *s_cols, *(offset_vector(c, rows_top) for c in relations)]
+
+
+def whole_stack_rank(P, block, side, p, j):
+    """rank of the cycle stack of X^p_j with every column reduced."""
+    return rank_of_columns(materialised_stack(P, block, side, p, j))
 
 
 def dim_or_error(P, block, side, k, i):
@@ -343,10 +358,70 @@ def test_skipped_stacks_keep_the_rank_of_the_whole_stack(monkeypatch, phi, weigh
     assert relations
     for k, i in relations:
         assert 1 <= k <= 3, (k, i)
-        D, phi = kept_matrix(P, "koszul%d" % k, i), kept_matrix(P, "phi%d" % (k - 1), i)
+        D, phi = kept_matrix(P, "koszul%d" % k, i), operator_matrix(P, "phi%d" % (k - 1), i)
         whole = pivots_of_columns(D.columns + phi.columns)
         assert complexes.stack_pivots(P, "koszul", "surface", k, i) == whole, (k, i)
-    assert any(phi_multiple_pivots(P, k, i - P.degree) for k, i in relations)
+    assert any(phi_multiples(P, k, i - P.degree)[0] for k, i in relations)
+
+
+# Inputs whose surface stacks claim phi-multiples: the catalog, the dense
+# twins, a phi with rational coefficients, and one with a negative leading
+# coefficient and content 2
+CLAIMING = [(phi, weights) for phi, weights, _ in CATALOG] + [
+    (twin, weights) for _, twin, weights, _ in TWINS
+] + [("1/2*x^3+1/3*y^3+z^3", (1, 1, 1)), ("-2*x^4+4*y^4-6*z^4", (1, 1, 1))]
+SURFACE_ROWS = {("cohomology", "surface"), ("homology", "surface"), ("koszul", "surface")}
+
+
+@pytest.mark.parametrize("phi,weights", CLAIMING, ids=[p for p, _ in CLAIMING])
+def test_built_phi_columns_are_the_engine_phi_columns(monkeypatch, phi, weights):
+    # every phi-multiple column a stack builds is the column of the filled
+    # phi block, and it starts at the leading index that was tested; every
+    # leading index offered is where a column of that block starts
+    P = structure(phi, weights)
+    offered, built, blocks = [], [], {}
+    multiples = complexes.phi_multiples
+
+    def recording(P, k, i):
+        leads, column_of = multiples(P, k, i)
+        offered.append((k, i, leads))
+
+        def building(t):
+            built.append((k, i, t, leads[t], column_of(t)))
+            return built[-1][-1]
+
+        return leads, building
+
+    def block(k, i):
+        if (k, i) not in blocks:
+            blocks[k, i] = operator_matrix(P, "phi%d" % k, i).columns
+        return blocks[k, i]
+
+    monkeypatch.setattr(complexes, "phi_multiples", recording)
+    complexes.stack_pivots.cache_clear()
+    engine_run(monkeypatch, P)
+    complexes.stack_pivots.cache_clear()
+    for k, i, leads in offered:
+        assert leads == [min(column) for column in block(k, i)], (k, i)
+    for k, i, t, lead, column in built:
+        assert column == block(k, i)[t], (k, i, t)
+        assert min(column) == lead, (k, i, t)
+    assert len(built) < sum(len(leads) for _, _, leads in offered)
+
+
+@pytest.mark.parametrize("phi,weights", CLAIMING, ids=[p for p, _ in CLAIMING])
+def test_claimed_stacks_keep_the_pivots_of_the_materialised_stack(monkeypatch, phi, weights):
+    # each surface stack claims the leading index of a phi-multiple that
+    # brings a new pivot, unbuilt, and keeps the pivots of its columns all
+    # built, in the order the engine reduced them before it claimed any
+    P = structure(phi, weights)
+    complexes.stack_pivots.cache_clear()
+    keys, _ = engine_run(monkeypatch, P)
+    surface = sorted(key for key in keys if key[:2] in SURFACE_ROWS)
+    assert {key[:2] for key in surface} == SURFACE_ROWS
+    for key in surface:
+        whole = pivots_of_columns(materialised_stack(P, *key, skipping=True))
+        assert complexes.stack_pivots(P, *key) == whole, key
 
 
 def test_every_licence_is_a_certificate_that_holds_on_the_catalog(catalog_structures):
@@ -511,13 +586,16 @@ def test_a_failed_koszul_licence_skips_nothing(monkeypatch, cubic, licence):
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
 def test_phi_multiple_pivots_are_the_column_minima(phi, weights):
     # the indices of LM(phi)*m, found without elimination, are where each
-    # column of phi on X^k_i starts
+    # column of phi on X^k_i starts, and they increase along the basis; each
+    # column built on demand is that of the filled phi block
     P = structure(phi, weights)
     for k in range(4):
         for i in range(-5, 25):
-            minima = [min(col) for col in kept_matrix(P, "phi%d" % k, i).columns]
-            assert phi_multiple_pivots(P, k, i) == sum(1 << q for q in minima), (k, i)
-            assert len(set(minima)) == len(minima), (k, i)
+            columns = operator_matrix(P, "phi%d" % k, i).columns
+            leads, column_of = phi_multiples(P, k, i)
+            assert leads == [min(col) for col in columns], (k, i)
+            assert leads == sorted(set(leads)), (k, i)
+            assert [column_of(t) for t in range(len(leads))] == columns, (k, i)
 
 
 def identities_failure(P):
@@ -632,8 +710,10 @@ def test_a_failed_certificate_skips_nothing(
 
 
 # Echelon.insert calls of complex_dims over the four (co)homology rows on
-# x^3+y^3+z^3, on the default windows, from an empty stack memo: 10,215
-# with the skip sets of every row, 11,542 without the skip set of the
+# x^3+y^3+z^3, on the default windows, from an empty stack memo: 6,078
+# with the skip sets of every row and every phi-multiple that brings a new
+# pivot claimed unbuilt; with every phi-multiple inserted, 10,215 with the
+# skip sets of every row, 11,542 without the skip set of the
 # Koszul row of A/<phi> (the D_k columns at the phi-multiple pivots of its
 # stacks, which rank the constraint of surface cohomology and the relations
 # of surface homology), 13,701 with that skip set alone, and 15,028 with
@@ -643,7 +723,7 @@ def test_a_failed_certificate_skips_nothing(
 # ambient Koszul and de Rham rows then add 3,087 with their skip sets and
 # 4,810 with every column reduced.
 INSERTS_WITHOUT_SKIPPING = 15028
-INSERTS = 10215
+INSERTS = 6078
 KOSZUL_INSERTS_WITHOUT_SKIPPING = 4810
 KOSZUL_INSERTS = 3087
 
