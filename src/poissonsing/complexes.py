@@ -74,8 +74,8 @@ skips only while every family it names holds, and its W is one of:
 Each family is certified once per structure on the operators' symbols
 (certificate, on the cases of IDENTITIES).  The surface homology stacks
 take the D_k columns and the regions of the Koszul row of A/<phi> as their
-R, off that row's skip set.  When N < 0 the delta and surface homology rows skip off stacks above
-the window.
+R, off that row's skip set.  When N < 0 the delta and surface homology
+rows skip off stacks above the window.
 """
 
 from __future__ import annotations
