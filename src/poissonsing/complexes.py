@@ -302,8 +302,8 @@ def stack_columns(
     ones less those at the skipped pivots, then, for surface homology, the
     D_k columns of the Koszul row of A/<phi> in R; a region (offset, k, i)
     is the phi-multiples of X^k_i on the rows from offset on: S's, then the
-    phi half of R.  No column of d at a skipped pivot is filled, and no
-    block out of an empty X^p_j."""
+    phi half of R.  No column of d or T at a skipped pivot is filled, and
+    no block out of an empty X^p_j."""
     row = COMPLEXES[block, side]
     skip, columns = 0, []
     if cochain_dim(P, p, j):

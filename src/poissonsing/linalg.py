@@ -249,12 +249,6 @@ def pivots_of_columns(columns: Iterable[Vector]) -> int:
     return ech.pivots()
 
 
-def columns_off_pivots(columns: Sequence[Vector], pivots: int) -> list[Vector]:
-    """The columns whose index is not a bit of pivots."""
-    bits = bin(pivots)[:1:-1].ljust(len(columns), "0")
-    return [col for col, bit in zip(columns, bits) if bit == "0"]
-
-
 def rank_of_columns(columns: Iterable[Vector]) -> int:
     return pivots_of_columns(columns).bit_count()
 
@@ -285,9 +279,7 @@ class GradedOperatorMatrix:
 
     Column j holds the target coordinates of the operator applied to source
     basis element j.  Stored sparsely; the entries are ints for an integral
-    symbol.  A matrix is a value: it holds its bases and columns only,
-    so a cached one carries no state of its readers, who keep any rank of it
-    themselves.
+    symbol.  A matrix is a value: it holds its bases and columns only.
     """
 
     def __init__(self, source: GradedBasis, target: GradedBasis, columns: Sequence[Vector]):

@@ -17,9 +17,9 @@ origin and is checked first.
 The ideal's degree-i piece is the image of the Koszul map D_1 (dot product
 with grad(phi)) from X^1 at degree i - deg(phi).  The gate builds these
 columns with operators.operator_matrix, which keeps no matrix, so a rejected
-phi leaves none in the kept operator matrices.  The gate keeps nothing
-itself either: each analyze, verify and milnor command calls it once, and a
-phi repeated in one process is gated again.
+phi leaves none.  The gate keeps nothing itself either: each analyze,
+verify and milnor command calls it once, and a phi repeated in one process
+is gated again.
 """
 
 from __future__ import annotations

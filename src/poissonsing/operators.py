@@ -16,13 +16,11 @@ there (_symbol), and the certificates run the symbol itself
 (linalg.apply_symbol).  Every matrix is filled from it in ints by linalg's
 matrix_of, through one constructor (operator_matrix) that caches nothing.
 The engines read a block's columns through one reader, operator_columns,
-off a skip set: the blocks of the Koszul maps and de Rham are read more
-than once and are kept (kept_matrix, a value: its readers keep any rank of
-it themselves); a coboundary or boundary block is filled afresh at each
-read, on its unskipped columns alone (complexes.stack_pivots).  No block of
-phi is filled or kept: phi_multiples gives the leading index of each
-phi-multiple without elimination and builds its column only when asked,
-from the phi symbol.
+which fills the block afresh at each read, on the columns off its skip set
+alone (complexes.stack_pivots): no block outlives its reader.  No block of
+phi is filled: phi_multiples gives the leading index of each phi-multiple
+without elimination and builds its column only when asked, from the phi
+symbol.
 OUTGOING and STEPS read off PIECES each family's map out of X^p and its
 step, from which complexes finds every spot of its complexes.  This module
 holds operators only: every rank is kept by complexes.stack_pivots, which
@@ -36,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache, partial
 
-from .linalg import KINDS, GradedOperatorMatrix, Symbol, Vector, basis_of, columns_off_pivots
+from .linalg import KINDS, GradedOperatorMatrix, Symbol, Vector, basis_of
 from .linalg import matrix_of, symbol_of
 from .poisson import PoissonStructure
 from .vectorcalc import cross, curl, divergence, dot, grad
@@ -121,22 +119,10 @@ def operator_matrix(P: PoissonStructure, name: str, i: int, skip: int = 0) -> Gr
     return matrix_of(operator_symbol(P, name), source.without(skip) if skip else source, target)
 
 
-@lru_cache(maxsize=None)
-def kept_matrix(P: PoissonStructure, name: str, i: int) -> GradedOperatorMatrix:
-    """operator_matrix(P, name, i), kept for the blocks of the Koszul maps
-    and de Rham, which are read more than once; read through
-    operator_columns alone."""
-    return operator_matrix(P, name, i)
-
-
 def operator_columns(P: PoissonStructure, name: str, i: int, skip: int = 0) -> list[Vector]:
-    """The columns of the named block at degree i off the bits of skip: the
-    kept block's for Koszul and de Rham (its own list if skip is 0; no
-    reader changes it); for delta and the boundary, filled on those alone."""
-    if name.startswith(("delta", "boundary")):
-        return operator_matrix(P, name, i, skip).columns
-    columns = kept_matrix(P, name, i).columns
-    return columns_off_pivots(columns, skip) if skip else columns
+    """The columns of the named block at degree i off the bits of skip,
+    filled on those alone."""
+    return operator_matrix(P, name, i, skip).columns
 
 
 def phi_multiples(
@@ -161,12 +147,12 @@ def phi_multiples(
         for (offset, positions), monomials in zip(index, source.monomials)
         for e0, e1, e2 in monomials
     ]
-    terms = [  # per source component: (offset, position map, exponent shift, coefficient)
-        [(*index[t], o0, o1, o2, v) for t, o0, o1, o2, v in groups[3]]
-        for groups in operator_symbol(P, "phi%d" % k).terms
-    ] if index else []
+    terms: list = []  # per source component, on first use: (offset, position map, shift, value)
 
     def column(t: int) -> Vector:
+        if not terms:
+            terms.extend([(*index[u], o0, o1, o2, v) for u, o0, o1, o2, v in groups[3]]
+                         for groups in operator_symbol(P, "phi%d" % k).terms)
         for s, monomials in enumerate(source.monomials):
             if t < len(monomials):
                 break

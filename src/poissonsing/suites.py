@@ -7,7 +7,7 @@ exactness/dimension statement on every degree of a window (Koszul rows, de
 Rham columns, the 2-cocycle decomposition, the closed-form (co)homology
 against the rank computations).  All checks are exact and deterministic; a
 failed check carries its first counterexample in its details.  The Euler
-formulas are checked on the operators the engine ranks: the kept de Rham
+formulas are checked on the operators the engine ranks: the de Rham
 blocks (operators.operator_columns), so they certify matrix_of's exponent
 factors, while vectorcalc's Poly grad, curl and divergence are checked by the
 phi-free families.  Identities of

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from poissonsing import (
@@ -10,7 +12,7 @@ from poissonsing import (
     parse_poly,
 )
 from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, rank_of_columns, symbol_of
-from poissonsing.operators import kept_matrix, named_operator, operator_matrix
+from poissonsing.operators import named_operator, operator_matrix
 
 # (phi, weights, expected Milnor number)
 CATALOG = [
@@ -25,6 +27,17 @@ CATALOG = [
 
 def structure(text: str, weights: tuple[int, int, int]) -> PoissonStructure:
     return PoissonStructure(parse_poly(text), WeightSystem(weights))
+
+
+def live_matrices() -> list[GradedOperatorMatrix]:
+    """Every operator matrix still alive after a garbage collection."""
+    gc.collect()
+    return [m for m in gc.get_objects() if isinstance(m, GradedOperatorMatrix)]
+
+
+def columns_off(columns, skip: int) -> list:
+    """The columns whose index is not a bit of skip, in order."""
+    return [column for t, column in enumerate(columns) if not skip >> t & 1]
 
 
 def planted(text: str, weights: tuple[int, int, int], **methods) -> PoissonStructure:
@@ -134,7 +147,7 @@ def graded_components(f, w):
 def jacobian_columns(P, i):
     """(A_i, columns spanning the Jacobian ideal's degree-i piece): the image
     of (a,b,c) -> a*phi_x + b*phi_y + c*phi_z, the Koszul map from X^1."""
-    m = kept_matrix(P, "koszul1", i - P.degree)
+    m = operator_matrix(P, "koszul1", i - P.degree)
     return m.target, m.columns
 
 

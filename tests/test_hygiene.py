@@ -3,7 +3,7 @@ no package export and no definition under src/ that only the tests use, no
 sampling in src/, no boundary defined through the coboundary, no Fraction
 in linalg, no engine matrix or symbol built outside its one constructor
 (BUILDERS), no block read past operator_columns (READERS), no phi block
-filled or kept under src/ (BLOCKS), no certificate
+filled under src/ (BLOCKS), no certificate
 family named under src/ that fails on a catalog structure, no certificate
 family named in complexes outside its identity table and its table of
 complexes (FAMILY_TABLES), and no JSON indented by json.dumps under src/
@@ -401,16 +401,11 @@ def test_builder_call_scan_sees_every_call_form():
 
 
 # The places under src/ that may read each block constructor of operators,
-# as (module, top-level definition): every engine block is read off its
-# skip set through operator_columns, the one reader of the kept blocks, and
-# outside operators only the gate fills a matrix itself, as it must keep
-# nothing for a phi it rejects.
+# as (module, top-level definition): every engine block is filled off its
+# skip set through operator_columns, and outside operators only the gate
+# fills a matrix itself, as it must keep nothing for a phi it rejects.
 READERS = {
-    "kept_matrix": {("operators", "operator_columns")},
-    "operator_matrix": {
-        ("operators", "kept_matrix"), ("operators", "operator_columns"),
-        ("milnor", "_quotient_monomials"),
-    },
+    "operator_matrix": {("operators", "operator_columns"), ("milnor", "_quotient_monomials")},
 }
 
 
@@ -450,19 +445,20 @@ def test_blocks_are_read_through_one_reader():
 def test_reader_scan_sees_every_read_form():
     source = (
         "def operator_columns(P, name, i):\n"
-        "    return kept_matrix(P, name, i).columns\n"
+        "    return operator_matrix(P, name, i).columns\n"
         "def other(P):\n"
         "    build = operators.operator_matrix\n"
-        "    return [kept_matrix], build(P, 'delta0', 0)\n"
+        "    return [operator_matrix], build(P, 'delta0', 0)\n"
         "class K:\n"
         "    def m(self):\n"
-        "        return self.kept_matrix(None, 'phi0', 0)\n"
-        "kept_matrix = 'a binding, not a read'\n"
+        "        return self.operator_matrix(None, 'phi0', 0)\n"
+        "operator_matrix = 'a binding, not a read'\n"
         "x = operator_matrix(None, 'delta0', 0)\n"
     )
     assert reader_uses(source) == [
-        (2, "kept_matrix", "operator_columns"), (4, "operator_matrix", "other"),
-        (5, "kept_matrix", "other"), (8, "kept_matrix", "K"), (10, "operator_matrix", ""),
+        (2, "operator_matrix", "operator_columns"), (4, "operator_matrix", "other"),
+        (5, "operator_matrix", "other"), (8, "operator_matrix", "K"),
+        (10, "operator_matrix", ""),
     ]
 
 
@@ -509,11 +505,11 @@ def test_phi_multiple_scan_sees_every_read_form():
     ]
 
 
-# The block constructors of operators.  The engine neither fills nor keeps
-# a block of phi: a stack claims the leading index of each phi-multiple and
-# builds a column only where that index is taken (operators.phi_multiples,
-# from the phi symbol).  The certificates read the phi symbols, not blocks.
-BLOCKS = {"kept_matrix", "operator_columns", "operator_matrix"}
+# The block constructors of operators.  The engine fills no block of phi: a
+# stack claims the leading index of each phi-multiple and builds a column
+# only where that index is taken (operators.phi_multiples, from the phi
+# symbol).  The certificates read the phi symbols, not blocks.
+BLOCKS = {"operator_columns", "operator_matrix"}
 
 
 def phi_block_calls(source: str) -> list[tuple[int, str]]:
@@ -548,7 +544,7 @@ def test_no_phi_block_is_filled_or_kept():
 
 def test_phi_block_scan_sees_every_call_form():
     source = (
-        "kept_matrix(P, 'phi%d' % k, i)\n"
+        "operator_matrix(P, 'phi%d' % k, i)\n"
         "operator_columns(P, OUTGOING['phi', p - 1], j)\n"
         "operators.operator_matrix(P, name='phi0', i=0)\n"
         "def f(P, k):\n"
@@ -560,7 +556,7 @@ def test_phi_block_scan_sees_every_call_form():
         "x = 'phi0'\n"
     )
     assert phi_block_calls(source) == [
-        (1, "kept_matrix"), (2, "operator_columns"), (3, "operator_matrix"),
+        (1, "operator_matrix"), (2, "operator_columns"), (3, "operator_matrix"),
         (5, "operator_columns"),
     ]
 
@@ -761,7 +757,6 @@ UNBOUNDED_CACHES = {
     "complexes.stack_pivots",
     "linalg.basis_of",
     "operators._symbol",
-    "operators.kept_matrix",
 }
 
 

@@ -16,9 +16,9 @@ from poissonsing import milnor
 from poissonsing.linalg import Echelon, basis_of
 from poissonsing.cli import main
 from poissonsing.milnor import socle_bound
-from poissonsing.operators import kept_matrix, operator_matrix
+from poissonsing.operators import operator_matrix
 
-from .conftest import echelon_rank, jacobian_columns, jacobian_graded_dim
+from .conftest import echelon_rank, jacobian_columns, jacobian_graded_dim, live_matrices
 
 W111 = WeightSystem((1, 1, 1))
 
@@ -88,11 +88,10 @@ class TestGate:
 
     def test_a_rejected_verify_leaves_no_koszul_matrix(self, capsys):
         # the gate builds its Jacobian columns with operator_matrix, which
-        # keeps nothing, so the rejection leaves no kept matrix
-        before = kept_matrix.cache_info().currsize
+        # keeps nothing, so the rejection leaves no matrix alive
         assert main(["verify", "--suite", "cohomology", "--phi", "x^2*y+z^3"]) == 3
         assert "rejected by the gate" in capsys.readouterr().err
-        assert kept_matrix.cache_info().currsize == before
+        assert live_matrices() == []
 
     def test_weighted_catalog_entry(self):
         data = check_isolated(parse_poly("x^2+y^3+z^5"), WeightSystem((15, 10, 6)))

@@ -27,10 +27,8 @@ from poissonsing import (
     symbol_of,
 )
 from poissonsing.complexes import skipped, stack_columns, stack_rank
-from poissonsing.linalg import columns_off_pivots
 from poissonsing.operators import (
     PIECES,
-    kept_matrix,
     named_operator,
     operator_columns,
     operator_matrix,
@@ -38,7 +36,8 @@ from poissonsing.operators import (
     pieces,
 )
 
-from .conftest import boundary_matrix, echelon_of, echelon_rank, oracle_columns, structure
+from .conftest import boundary_matrix, columns_off, echelon_of, echelon_rank, oracle_columns
+from .conftest import structure
 
 
 def _window(window):
@@ -77,16 +76,16 @@ def test_horizontal_products(catalog_structures):
             for k in (0, 1, 2, 3):
                 _check(operator_matrix(P, "phi%d" % k, i), lambda c: c * P.phi)
             for k in (1, 2, 3):
-                _check(kept_matrix(P, "koszul%d" % k, i), koszul[k])
+                _check(operator_matrix(P, "koszul%d" % k, i), koszul[k])
 
 
 def test_vertical_operators(catalog_structures):
     for P, _ in catalog_structures:
         lo = -P.weight_sum
         for i in range(lo, lo + 20):
-            _check(kept_matrix(P, "de_rham3", i), grad)
-            _check(kept_matrix(P, "de_rham2", i), curl)
-            _check(kept_matrix(P, "de_rham1", i), divergence)
+            _check(operator_matrix(P, "de_rham3", i), grad)
+            _check(operator_matrix(P, "de_rham2", i), curl)
+            _check(operator_matrix(P, "de_rham1", i), divergence)
 
 
 def test_relation_presentations(catalog_structures):
@@ -105,34 +104,32 @@ def test_relation_presentations(catalog_structures):
                 phi = operator_matrix(P, "phi%d" % (k - 1), i)
                 assert (phi.source.kind, phi.target.kind) == ("X%d" % (k - 1),) * 2
                 _check(phi, lambda c: c * P.phi)
-                columns, kept = phi.columns, []
+                columns, unskipped = phi.columns, []
                 if k < 4:
-                    D = kept_matrix(P, "koszul%d" % k, i)
+                    D = operator_matrix(P, "koszul%d" % k, i)
                     assert (D.source.kind, D.target) == ("X%d" % k, phi.target)
                     _check(D, koszul[k])
                     columns = D.columns + phi.columns
-                    kept = columns_off_pivots(D.columns, skipped(P, "koszul", "surface", k, i))
+                    unskipped = columns_off(D.columns, skipped(P, "koszul", "surface", k, i))
                 relations = [(0, k - 1, i)]
-                assert stack_columns(P, "koszul", "surface", k, i) == (kept, relations), (k, i)
+                assert stack_columns(P, "koszul", "surface", k, i) == (unskipped, relations), (k, i)
                 rank = stack_rank(P, "koszul", "surface", k, i)
                 assert rank == echelon_rank(echelon_of(columns)), (k, i)
 
 
 @pytest.mark.parametrize("name", sorted(PIECES))
 def test_operator_columns_read_kept_blocks_and_fill_the_others(name):
-    # phi, Koszul and de Rham blocks are read off the kept block; a
-    # coboundary or boundary block is filled on its unskipped columns and
-    # is not kept
+    # every block is filled afresh at each read, on the columns off its skip
+    # set alone: they are the whole block's columns at the unskipped
+    # indices, and no two reads share a list
     P = structure("x^3+y^3+z^3", (1, 1, 1))
     whole = operator_matrix(P, name, 2)
     skip = 0b101 & ((1 << whole.source.dim) - 1)
-    before = kept_matrix.cache_info().currsize
     assert operator_columns(P, name, 2) == whole.columns
-    assert operator_columns(P, name, 2, skip) == columns_off_pivots(whole.columns, skip)
-    if name.startswith(("delta", "boundary")):
-        assert kept_matrix.cache_info().currsize == before
-    else:
-        assert operator_columns(P, name, 2) is kept_matrix(P, name, 2).columns
+    read = operator_columns(P, name, 2, skip)
+    assert read == columns_off(whole.columns, skip)
+    assert operator_matrix(P, name, 2, skip).source.dim == len(read)
+    assert operator_columns(P, name, 2, skip) is not read
 
 
 def test_second_order_operator_is_rejected():
@@ -237,8 +234,7 @@ def test_each_matrix_maps_the_declared_pieces(name):
 def test_an_operator_outside_the_table_is_refused(name):
     P = structure("x^3+y^3+z^3", (1, 1, 1))
     for build in (lambda: pieces(P, name), lambda: operator_matrix(P, name, 0),
-                  lambda: operator_symbol(P, name), lambda: kept_matrix(P, name, 0),
-                  lambda: operator_columns(P, name, 0)):
+                  lambda: operator_symbol(P, name), lambda: operator_columns(P, name, 0)):
         with pytest.raises(ValueError, match="no operator %r" % name):
             build()
 

@@ -11,8 +11,8 @@ The engine reduces only the stack columns off its certified skip sets; every
 stack it ranks has the rank of the whole stack, and a row that names a
 failed certificate family skips nothing and gets the dims of the whole
 stacks, also when the fault is planted in an operator.  A
-stack fills only those columns of its differential and keeps none, so after
-a run the only matrices alive are those the operator caches hold.
+stack fills only those columns of its blocks and keeps none, so after a run
+no matrix is alive.
 
 Ambient homology ranks no stack of its own while the duality certificate
 holds: it reads the ambient cohomology stacks.  With that certificate
@@ -31,25 +31,23 @@ failed it skips nothing of that family and gives the same results.
 
 from __future__ import annotations
 
-import gc
-import weakref
 from collections import Counter
 from functools import partial
 
 import pytest
 
-from poissonsing import PoissonStructure, Poly, VecPoly, WeightSystem, cohomology, complexes, cross
+from poissonsing import PoissonStructure, Poly, VecPoly, cohomology, complexes, cross
 from poissonsing import grad, linalg, operators, suites
 from poissonsing.cli import main
 from poissonsing.cohomology import default_window
 from poissonsing.complexes import complex_dim
 from poissonsing.homology import default_form_window, homology_dims, projection_commutes
-from poissonsing.linalg import Echelon, GradedOperatorMatrix, basis_of, offset_vector
+from poissonsing.linalg import Echelon, basis_of, offset_vector
 from poissonsing.linalg import pivots_of_columns, rank_of_columns
-from poissonsing.operators import OUTGOING, kept_matrix, operator_matrix, phi_multiples
+from poissonsing.operators import OUTGOING, operator_matrix, phi_multiples
 
 from .conftest import CATALOG, boundary_matrix, boundary_plus, echelon_rank, form_basis, planted
-from .conftest import structure
+from .conftest import columns_off, live_matrices, structure
 from .test_dense_twins import TWINS
 
 # the licence under which ambient homology shares the cohomology stacks
@@ -70,7 +68,7 @@ def _constraint_blocks(P, k, i):
     n = basis_of("X%d" % k, i, P.weights).dim
     if k == 0:
         return n, 0, [], []
-    D = kept_matrix(P, "koszul%d" % k, i)
+    D = operator_matrix(P, "koszul%d" % k, i)
     return n, D.target.dim, D.columns, operator_matrix(P, "phi%d" % (k - 1), i).columns
 
 
@@ -84,7 +82,7 @@ def _omega_relation_columns(P, k, i):
     basis of Omega^{k-1}, then phi times that of Omega^k, both at form degree
     i - deg(phi); d(phi) ^ Omega^{k-1} is the Koszul map D_{4-k}."""
     j = i - P.weight_sum - P.degree
-    wedges = kept_matrix(P, "koszul%d" % (4 - k), j).columns if k else []
+    wedges = operator_matrix(P, "koszul%d" % (4 - k), j).columns if k else []
     return [*wedges, *operator_matrix(P, "phi%d" % (3 - k), j).columns]
 
 
@@ -281,11 +279,11 @@ def materialised_stack(P, block, side, p, j, skipping=False):
         top = d.columns
     rows_top, s_cols = 0, []
     if row.constrained and p:
-        T, S = kept_matrix(P, "koszul%d" % p, j), operator_matrix(P, "phi%d" % (p - 1), j)
+        T, S = operator_matrix(P, "koszul%d" % p, j), operator_matrix(P, "phi%d" % (p - 1), j)
         rows_top, s_cols = T.target.dim, S.columns
         top = [{**t, **offset_vector(c, rows_top)} for t, c in zip(T.columns, top)]
     if skipping:
-        top = linalg.columns_off_pivots(top, complexes.skipped(P, block, side, p, j))
+        top = columns_off(top, complexes.skipped(P, block, side, p, j))
     # the relation blocks [D_k | phi] of R, on the target of X^p_j (no
     # D_4): R_{p+1} one deg(phi) below for the (co)homology rows, phi on
     # X^{p-1}_j for the Koszul row
@@ -295,10 +293,9 @@ def materialised_stack(P, block, side, p, j, skipping=False):
         k, i = p + 2, j + P.coboundary_degree - P.degree
     relations = []
     if "koszul" in row.relations and k < 4:
-        relations = kept_matrix(P, "koszul%d" % k, i).columns
+        relations = operator_matrix(P, "koszul%d" % k, i).columns
         if skipping:
-            skip = complexes.skipped(P, "koszul", "surface", k, i)
-            relations = linalg.columns_off_pivots(relations, skip)
+            relations = columns_off(relations, complexes.skipped(P, "koszul", "surface", k, i))
     if row.relations:
         relations = [*relations, *operator_matrix(P, "phi%d" % (k - 1), i).columns]
     return [*top, *s_cols, *(offset_vector(c, rows_top) for c in relations)]
@@ -358,7 +355,7 @@ def test_skipped_stacks_keep_the_rank_of_the_whole_stack(monkeypatch, phi, weigh
     assert relations
     for k, i in relations:
         assert 1 <= k <= 3, (k, i)
-        D, phi = kept_matrix(P, "koszul%d" % k, i), operator_matrix(P, "phi%d" % (k - 1), i)
+        D, phi = operator_matrix(P, "koszul%d" % k, i), operator_matrix(P, "phi%d" % (k - 1), i)
         whole = pivots_of_columns(D.columns + phi.columns)
         assert complexes.stack_pivots(P, "koszul", "surface", k, i) == whole, (k, i)
     assert any(phi_multiples(P, k, i - P.degree)[0] for k, i in relations)
@@ -439,9 +436,8 @@ def test_every_licence_is_a_certificate_that_holds_on_the_catalog(catalog_struct
 @pytest.mark.parametrize("phi,weights", REFERENCE_PHI, ids=[p for p, _ in REFERENCE_PHI])
 def test_each_stack_fills_only_its_unskipped_top_columns(monkeypatch, phi, weights):
     # the columns of d that each stack fills, counted where they are built:
-    # a coboundary or boundary stack fills its unskipped columns, and a
-    # Koszul or de Rham stack none, as it reads the kept block; the memo is
-    # bypassed, and every entry it reads is held already
+    # every stack fills exactly its unskipped columns; the memo is bypassed,
+    # and every entry it reads is held already
     P = structure(phi, weights)
     keys, _ = engine_run(monkeypatch, P)
     built = []
@@ -462,8 +458,7 @@ def test_each_stack_fills_only_its_unskipped_top_columns(monkeypatch, phi, weigh
         filled = sum(n for symbol, n in built if symbol is d)
         unskipped = basis_of("X%d" % p, j, P.weights).dim
         unskipped -= complexes.skipped(P, block, side, p, j).bit_count()
-        kept = row.differential in ("koszul", "de_rham")
-        assert filled == (0 if kept else unskipped), (block, side, p, j)
+        assert filled == unskipped, (block, side, p, j)
         assert pivots.bit_count() == whole_stack_rank(P, block, side, p, j), (block, side, p, j)
 
 
@@ -473,28 +468,16 @@ SCREENED = [("x^2+y^2+z^3", "3,3,2"), ("x^2+y^3+z^4", "6,4,3"), ("x^3+y^3+z^4", 
 
 
 def test_verify_leaves_matrices_only_in_the_operator_caches(capsys):
-    # after verify on four inputs in one process, clearing the caches of
-    # operators frees every matrix of their weights: none is held elsewhere,
-    # and no coboundary or boundary matrix (which raises the X^p index) is
-    # held at all
+    # no cache holds a block: after verify on four inputs in one process,
+    # and after an analyze, which runs all five suites (the identity
+    # suite's Euler families, z2_spanned and rigid read blocks too), no
+    # matrix is alive
     for phi, weights in SCREENED:
         assert main(["verify", "--suite", "cohomology", "--phi", phi, "--weights", weights]) == 0
+    assert live_matrices() == []
+    assert main(["analyze", "--phi", "x^3+y^3+z^3", "--format", "json"]) == 0
     capsys.readouterr()
-    weights = {WeightSystem(tuple(map(int, w.split(",")))) for _, w in SCREENED}
-    gc.collect()
-    live = [m for m in gc.get_objects()
-            if isinstance(m, GradedOperatorMatrix) and m.source.weights in weights]
-    assert live
-    assert all(m.target.kind <= m.source.kind for m in live)
-    refs = [weakref.ref(m) for m in live]
-    del live
-    for cached in vars(operators).values():
-        if getattr(cached, "__module__", None) == operators.__name__ and hasattr(
-            cached, "cache_clear"
-        ):
-            cached.cache_clear()
-    gc.collect()
-    assert [ref() for ref in refs if ref() is not None] == []
+    assert live_matrices() == []
 
 
 # the Koszul and de Rham rows of the table, and the certificates that
@@ -506,10 +489,10 @@ def koszul_run(monkeypatch, P):
     """The Koszul suite's results on P's default window, from an empty stack
     memo; the (block, p, j) of every rank it reads off the Koszul and de
     Rham rows; and the (block, p, j, skip) of every stack of those rows
-    ranked, with the kept matrices whose columns it read."""
+    ranked, with every matrix filled for the columns it read."""
     complexes.stack_pivots.cache_clear()
-    reads, ranked, kept = [], [], []
-    rank, read, keep = suites.stack_rank, complexes.operator_columns, operators.kept_matrix
+    reads, ranked, filled = [], [], []
+    rank, read, fill = suites.stack_rank, complexes.operator_columns, operators.operator_matrix
 
     def reading(P, block, side, p, j):
         if block in KOSZUL_ROWS.values():
@@ -522,30 +505,30 @@ def koszul_run(monkeypatch, P):
             ranked.append((family, operators.PIECES[name][0], i, skip))
         return read(P, name, i, skip)
 
-    def keeping(*args):
-        kept.append(keep(*args))
-        return kept[-1]
+    def filling(*args):
+        filled.append(fill(*args))
+        return filled[-1]
 
     monkeypatch.setattr(suites, "stack_rank", reading)
     monkeypatch.setattr(complexes, "operator_columns", ranking)
-    monkeypatch.setattr(operators, "kept_matrix", keeping)
+    monkeypatch.setattr(operators, "operator_matrix", filling)
     results = suites.koszul_suite(P, default_window(P))
     monkeypatch.setattr(suites, "stack_rank", rank)
     monkeypatch.setattr(complexes, "operator_columns", read)
-    monkeypatch.setattr(operators, "kept_matrix", keep)
+    monkeypatch.setattr(operators, "operator_matrix", fill)
     complexes.stack_pivots.cache_clear()
-    return results, reads, ranked, kept
+    return results, reads, ranked, filled
 
 
 def test_kept_matrices_hold_no_state_and_the_koszul_suite_ranks_each_block_once(
     monkeypatch, cubic
 ):
     # the Koszul suite keeps no rank of its own: it reads the stack memo,
-    # each kept matrix it reads holds its bases and columns only, and
+    # each matrix filled for it holds its bases and columns only, and
     # although rows share blocks, no block is ranked twice
-    results, reads, ranked, kept = koszul_run(monkeypatch, cubic)
+    results, reads, ranked, filled = koszul_run(monkeypatch, cubic)
     assert all(r.passed for r in results)
-    assert kept and all(set(vars(m)) == {"source", "target", "columns"} for m in kept)
+    assert filled and all(set(vars(m)) == {"source", "target", "columns"} for m in filled)
     blocks = Counter((block, p, j) for block, p, j, _ in ranked)
     assert set(blocks.values()) == {1}
     nonzero = [(b, p, j) for b, p, j in reads if complexes.cochain_dim(cubic, p, j)]
@@ -561,9 +544,9 @@ def test_koszul_suite_skips_keep_the_rank_of_each_block(monkeypatch, catalog_str
         for block in KOSZUL_ROWS.values():
             assert any(skip for family, _, _, skip in ranked if family == block), P
         for block, p, j, skip in ranked:
-            columns = kept_matrix(P, "%s%d" % (block, p), j).columns
+            columns = operator_matrix(P, "%s%d" % (block, p), j).columns
             whole = pivots_of_columns(columns)
-            assert pivots_of_columns(linalg.columns_off_pivots(columns, skip)) == whole, P
+            assert pivots_of_columns(columns_off(columns, skip)) == whole, P
             assert complexes.stack_pivots(P, block, "ambient", p, j) == whole, P
 
 
