@@ -156,9 +156,9 @@ def basis_of(kind: str, i: int, w: WeightSystem) -> GradedBasis:
 
 class Echelon:
     """Incremental integer row echelon over Q.  A stored row is primitive, with a positive
-    entry at its pivot (its smallest index).  insert stores a vector whose smallest index is
-    a new pivot at once; every other vector is reduced by _reduce, one loop over a primitive
-    copy.  insert, insert_int and contains are the only ways in."""
+    entry at its pivot (its smallest index).  Every vector is reduced by _reduce, one loop
+    over a primitive copy, which alone stores rows.  insert, insert_int and contains are the
+    only ways in."""
 
     __slots__ = ("_rows",)
 
@@ -213,17 +213,7 @@ class Echelon:
 
     def insert(self, vec: Vector) -> bool:
         """Add vec to the span; True if the rank grew."""
-        if not vec:
-            return False
-        p = min(vec)
-        rows = self._rows
-        if p in rows:
-            return self._reduce(vec, True) is not None
-        g = math.gcd(*vec.values())
-        if vec[p] < 0:
-            g = -g
-        rows[p] = dict(vec) if g == 1 else {k: v // g for k, v in vec.items()}
-        return True
+        return self._reduce(vec, True) is not None
 
     def insert_int(self, vec: Vector) -> dict[int, int] | None:
         """Add vec to the span; the stored row, or None if the rank did not grow."""
@@ -320,8 +310,8 @@ def symbol_of(op: Callable[[Cochain], Cochain], source_components: int) -> Symbo
     """The symbol of op, acting on Poly (1 component) or VecPoly (3).
 
     op(e_s) gives c0_st and op(x_a*e_s) - x_a*c0_st gives c_ast; the quadratic
-    probes x_a*x_b*e_s must then agree with the symbol, else op is not of
-    order at most one and ValueError is raised.
+    probes x_a*x_b*e_s must then agree with that symbol (apply_symbol on
+    component s), else op is not of order at most one and ValueError is raised.
     """
     if source_components not in (1, 3):
         raise ValueError("an operator acts on 1 or 3 components")
@@ -345,24 +335,21 @@ def symbol_of(op: Callable[[Cochain], Cochain], source_components: int) -> Symbo
     for s in range(source_components):
         c0 = probe(Poly.one(), s)
         c1 = [tuple(o - xs[a] * z for o, z in zip(probe(xs[a], s), c0)) for a in range(3)]
-        for a in range(3):
-            for b in range(a, 3):
-                q = xs[a] * xs[b]
-                expected = [z * q for z in c0]
-                for c in range(3):
-                    dq = q.partial(c)
-                    if dq:
-                        expected = [e + g * dq for e, g in zip(expected, c1[c])]
-                if list(probe(q, s)) != expected:
-                    raise ValueError("the operator is not of order at most one")
-        terms.append(tuple(
+        groups = tuple(
             tuple(sorted(
                 (t, *(x - (axis == a) for axis, x in enumerate(m)), c)
                 for t, p in enumerate(coefficients)
                 for m, c in p.terms.items()
             ))
             for a, coefficients in enumerate((*c1, c0))
-        ))
+        )
+        on_s = Symbol(1, target_components, (groups,))
+        for a in range(3):
+            for b in range(a, 3):
+                q = xs[a] * xs[b]
+                if tuple(p.terms for p in probe(q, s)) != apply_symbol(on_s, (q.terms,)):
+                    raise ValueError("the operator is not of order at most one")
+        terms.append(groups)
     return Symbol(source_components, target_components, tuple(terms))  # type: ignore[arg-type]
 
 

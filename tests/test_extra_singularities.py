@@ -1,7 +1,14 @@
 """Singularities beyond the Fermat-style catalog: cross-term Jacobian ideals,
 the elliptic pencil and its degenerate member, and two independent oracles
 for the Milnor data (the weight product formula and the Hilbert series of a
-graded complete intersection, expanded by exact long division)."""
+graded complete intersection, expanded by exact long division).
+
+The oracles are Milnor-Orlik (1970): for an isolated weight-homogeneous phi
+of degree d, the Poincare polynomial of the Jacobian quotient is
+prod_j (1 - t^(d-w_j)) / (1 - t^(w_j)), so mu = prod_j (d - w_j)/w_j, and
+the quotient is Gorenstein: its dims are symmetric about the socle
+3d - 2|w|.  They need no rank, and they hold on EXTRA and on every accepted
+form of the acceptance catalog (MILNOR_FORMS)."""
 
 from __future__ import annotations
 
@@ -29,6 +36,8 @@ from poissonsing import (
 from poissonsing.homology import duality_identity_holds
 from poissonsing.suites import run_suite
 
+from .test_catalog import ACCEPTED
+
 EXTRA = [
     # (phi, weights, expected mu)
     ("x^3+y^3+z^3+x*y*z", (1, 1, 1), 8),   # smooth member of the elliptic pencil
@@ -36,6 +45,13 @@ EXTRA = [
     ("x^2*y+y^4+z^2", (3, 2, 4), 5),       # four-branch analogue
     ("x^3+y^3+z^4", (4, 4, 3), 12),
     ("x^2+y^2*z+z^4", (4, 3, 2), 5),
+]
+
+
+# EXTRA, then the accepted forms of the acceptance catalog not in it
+MILNOR_FORMS = EXTRA + [
+    (phi, weights, mu) for _, phi, weights, mu, _ in ACCEPTED
+    if (phi, weights) not in {(text, w) for text, w, _ in EXTRA}
 ]
 
 
@@ -83,7 +99,7 @@ def hilbert_series_oracle(degree: int, weights: tuple[int, int, int]) -> dict[in
     return {i: c for i, c in enumerate(series) if c}
 
 
-@pytest.mark.parametrize("text,weights,mu", EXTRA)
+@pytest.mark.parametrize("text,weights,mu", MILNOR_FORMS)
 def test_milnor_number_against_product_formula(text, weights, mu):
     P = PoissonStructure(parse_poly(text), WeightSystem(weights))
     M = check_isolated(P.phi, P.weights)
@@ -95,11 +111,16 @@ def test_milnor_number_against_product_formula(text, weights, mu):
     assert M.mu * (weights[0] * weights[1] * weights[2]) == product
 
 
-@pytest.mark.parametrize("text,weights,mu", EXTRA)
+@pytest.mark.parametrize("text,weights,mu", MILNOR_FORMS)
 def test_graded_dims_against_hilbert_series(text, weights, mu):
     P = PoissonStructure(parse_poly(text), WeightSystem(weights))
     M = check_isolated(P.phi, P.weights)
-    assert dict(M.graded_dims) == hilbert_series_oracle(P.degree, weights)
+    dims = dict(M.graded_dims)
+    assert dims == hilbert_series_oracle(P.degree, weights)
+    assert sum(dims.values()) == mu
+    socle = 3 * P.degree - 2 * P.weight_sum
+    assert max(dims) == socle
+    assert all(dims.get(socle - i) == n for i, n in dims.items())
 
 
 @pytest.mark.parametrize("text,weights,mu", EXTRA)

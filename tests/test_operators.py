@@ -118,7 +118,7 @@ def test_relation_presentations(catalog_structures):
 
 
 @pytest.mark.parametrize("name", sorted(PIECES))
-def test_operator_columns_read_kept_blocks_and_fill_the_others(name):
+def test_operator_columns_fill_each_read_off_its_skip_set(name):
     # every block is filled afresh at each read, on the columns off its skip
     # set alone: they are the whole block's columns at the unskipped
     # indices, and no two reads share a list

@@ -467,7 +467,7 @@ SCREENED = [("x^2+y^2+z^3", "3,3,2"), ("x^2+y^3+z^4", "6,4,3"), ("x^3+y^3+z^4", 
             ("x^2+y^4+z^5", "10,5,4")]
 
 
-def test_verify_leaves_matrices_only_in_the_operator_caches(capsys):
+def test_verify_leaves_no_matrix_alive(capsys):
     # no cache holds a block: after verify on four inputs in one process,
     # and after an analyze, which runs all five suites (the identity
     # suite's Euler families, z2_spanned and rigid read blocks too), no
@@ -520,19 +520,24 @@ def koszul_run(monkeypatch, P):
     return results, reads, ranked, filled
 
 
-def test_kept_matrices_hold_no_state_and_the_koszul_suite_ranks_each_block_once(
+def test_filled_matrices_hold_no_state_and_the_koszul_suite_ranks_each_block_once(
     monkeypatch, cubic
 ):
     # the Koszul suite keeps no rank of its own: it reads the stack memo,
     # each matrix filled for it holds its bases and columns only, and
-    # although rows share blocks, no block is ranked twice
+    # although rows share blocks, no block is ranked twice: every read at a
+    # nonzero X^p_j with a map out of it is ranked once, and a read at an
+    # end of a row (no map out of X^p) is ranked never
     results, reads, ranked, filled = koszul_run(monkeypatch, cubic)
     assert all(r.passed for r in results)
     assert filled and all(set(vars(m)) == {"source", "target", "columns"} for m in filled)
     blocks = Counter((block, p, j) for block, p, j, _ in ranked)
     assert set(blocks.values()) == {1}
-    nonzero = [(b, p, j) for b, p, j in reads if complexes.cochain_dim(cubic, p, j)]
-    assert set(blocks) == set(nonzero) and len(blocks) < len(nonzero)
+    inner = [(b, p, j) for b, p, j in reads
+             if (b, p) in OUTGOING and complexes.cochain_dim(cubic, p, j)]
+    ends = {(b, p, j) for b, p, j in reads if (b, p) not in OUTGOING}
+    assert set(blocks) == set(inner) and len(blocks) < len(inner)
+    assert {(b, p) for b, p, _ in ends} == {("koszul", 4), ("de_rham", 4), ("de_rham", 0)}
 
 
 def test_koszul_suite_skips_keep_the_rank_of_each_block(monkeypatch, catalog_structures):
@@ -548,6 +553,30 @@ def test_koszul_suite_skips_keep_the_rank_of_each_block(monkeypatch, catalog_str
             whole = pivots_of_columns(columns)
             assert pivots_of_columns(columns_off(columns, skip)) == whole, P
             assert complexes.stack_pivots(P, block, "ambient", p, j) == whole, P
+
+
+# a planted rank fault per family: the (row, p, degree) of the rank it shifts,
+# the shift, and the family's failure text
+PLANTED_RANKS = {
+    "koszul_multiplication_injective": (("koszul", 3, 0), -1, "degree 0: kernel 1 vs image 0"),
+    "de_rham_gradient_kernel": (("de_rham", 3, -3), 1, "degree -3: kernel 0 vs image 0"),
+    "de_rham_divergence_onto": (("de_rham", 1, 1), -1, "degree 1: kernel 3 vs image 2"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PLANTED_RANKS))
+def test_a_planted_rank_fault_names_the_kernel_and_the_image(monkeypatch, cubic, family):
+    # the three checks at the ends of the Koszul and de Rham rows are the
+    # one exactness check: a wrong rank reads 'degree i: kernel a vs image b'
+    (block, p, j), shift, text = PLANTED_RANKS[family]
+    rank = suites.stack_rank
+
+    def planted_rank(P, row, side, q, i):
+        return rank(P, row, side, q, i) + (shift if (row, q, i) == (block, p, j) else 0)
+
+    monkeypatch.setattr(suites, "stack_rank", planted_rank)
+    results = {r.name: r for r in suites.koszul_suite(cubic, default_window(cubic))}
+    assert (results[family].passed, results[family].details) == (False, text)
 
 
 @pytest.mark.parametrize("licence", sorted(KOSZUL_ROWS))
